@@ -383,8 +383,7 @@ bool nc_state_oblivious(const std::string& policy) {
 
 // Non-clairvoyant battery for one policy: the censored engine run under the
 // nc-mode auditor ([setup-accounting] et al.), the [nc-no-peek]
-// counterfactual replay, the [diff-nc-stream] engine differential, the
-// [nc-lb]/[nc-ceiling] bound oracles, and the clairvoyant differentials for
+// counterfactual replay, the [nc-lb]/[nc-ceiling] bound oracles, and the clairvoyant differentials for
 // the oblivious policies. Shared by the fuzz loop, the nc shrink predicate,
 // and nc-case replay.
 std::vector<std::string> check_nc(const Instance& inst,
@@ -474,30 +473,6 @@ std::vector<std::string> check_nc(const Instance& inst,
                         "the policy is peeking at p_i");
           break;  // later tasks inherit the divergence
         }
-      }
-    }
-  }
-
-  // [diff-nc-stream] The StreamingEngine nc mirror commits the
-  // bit-identical (machine, start) sequence. Skipped while the planted
-  // leak is armed: the backdoor exists only in OnlineEngine, so the
-  // engines WOULD diverge and the finding must attribute to [nc-no-peek],
-  // not to the engine differential.
-  if (!inject_nc_bug) {
-    auto inner3 = make_dispatcher(policy, /*inject_bug=*/false);
-    NcDispatcher ncd3(*inner3);
-    StreamingEngine stream(inst.m(), ncd3);
-    stream.set_clairvoyance(Clairvoyance::kNonClairvoyant, setup);
-    for (int i = 0; i < n; ++i) {
-      const Assignment s = stream.release(inst.task(i));
-      if (s.machine != engine.machine_of(i) || s.start != engine.start_of(i)) {
-        out.push_back(policy + ": [diff-nc-stream] task " + std::to_string(i) +
-                      " diverges: batch (machine " +
-                      std::to_string(engine.machine_of(i)) + ", start " +
-                      fmt(engine.start_of(i)) + ") vs stream (machine " +
-                      std::to_string(s.machine) + ", start " + fmt(s.start) +
-                      ")");
-        break;  // later tasks inherit the divergence
       }
     }
   }

@@ -22,12 +22,12 @@
 //   [diff-lp]          LP max-load optimum == Dinic max-flow optimum
 //                      (lp/maxload.hpp's two independent solvers), run on
 //                      a fresh random replica system every lp_every runs
-//   [diff-streaming]   StreamingEngine (sched/streaming.hpp) commits the
-//                      bit-identical (machine, start) sequence as
-//                      OnlineEngine for every dispatcher policy, with the
-//                      windowed StreamAuditor (check/stream_audit.hpp)
-//                      attached — its [stream-*] checks ride along — run
-//                      every stream_every runs
+//   [diff-streaming]   the bare StreamingEngine core (sched/streaming.hpp)
+//                      commits the bit-identical (machine, start) sequence
+//                      as OnlineEngine's retention layer for every
+//                      dispatcher policy, with the windowed StreamAuditor
+//                      (check/stream_audit.hpp) attached — its [stream-*]
+//                      checks ride along — run every stream_every runs
 //
 // Every fault_every-th run additionally pushes the same instance through
 // the fault-injection battery: a seeded FaultPlan (fault/plan.hpp) plus a
@@ -49,8 +49,6 @@
 //                    among the tasks completing after the last release (and
 //                    integer-padded so every censored observable is
 //                    unchanged); the machine choices must not move
-//   [diff-nc-stream] the StreamingEngine nc mirror commits the
-//                    bit-identical (machine, start) sequence
 //   [nc-lb]          nc Fmax >= pmax, and >= the clairvoyant optimum when
 //                    the bruteforce oracle ran
 //   [nc-ceiling]     nc Fmax <= W + (n+1)*setup + pmax
@@ -173,17 +171,15 @@ struct FuzzConfig {
   bool inject_fault_bug = false;
 
   /// Run the non-clairvoyant battery every `nc_every` runs (0 disables it):
-  /// the [nc-*] / [diff-nc*] checks listed above, with the per-run setup
+  /// the [nc-*] / [diff-nc] checks listed above, with the per-run setup
   /// time drawn from {1/8, 2/8, 3/8, 4/8}. The setup-free [diff-nc]
   /// clairvoyant differential runs inside the battery regardless of the
   /// drawn setup, so every armed run exercises it.
   int nc_every = 1;
-  /// Arm OnlineEngine::set_unsafe_nc_leak on the nc battery — the planted
-  /// peeking bug (true frontiers, loads, and p_i handed to a censored
-  /// policy). [nc-no-peek] must catch it on frontier-reading policies and
-  /// the shrinker must minimize it. The [diff-nc-stream] differential is
-  /// skipped while armed (the backdoor exists only in OnlineEngine, and a
-  /// divergence there would mis-attribute the planted bug).
+  /// Arm the engine core's set_unsafe_nc_leak on the nc battery — the
+  /// planted peeking bug (true frontiers, loads, and p_i handed to a
+  /// censored policy). [nc-no-peek] must catch it on frontier-reading
+  /// policies and the shrinker must minimize it.
   bool inject_nc_bug = false;
   /// Run the weighted battery every `weighted_every` runs (0 disables it):
   /// the [weighted-*] / [diff-weighted] checks listed above on a
@@ -241,8 +237,8 @@ FuzzReport run_fuzz(const FuzzConfig& config);
 /// \brief The harness's planted bug: EFT whose idleness test uses an
 /// off-by-one finished-task cursor.
 ///
-/// It mirrors the engine's per-machine finish-time cursor, but computes
-/// queue depth as (assigned - finished - 1): a machine with exactly one
+/// It keeps its own per-machine finish log with a finished-prefix cursor,
+/// but computes queue depth as (assigned - finished - 1): a machine with exactly one
 /// unfinished task reports depth 0 and is treated as idle, so the
 /// dispatcher happily stacks a second task on it while a genuinely idle
 /// machine sits empty. It reports the name "EFT-Min", so the auditor holds

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "model/schedule.hpp"
 #include "obs/sketch.hpp"
@@ -66,6 +68,96 @@ double draw_service(ServiceDist dist, double service_time, Rng& rng) {
   }
   throw std::logic_error("draw_service: unknown distribution");
 }
+
+// Input checks shared by the streaming drivers. SimReport counts requests
+// in an int, so a longer stream is rejected up front instead of wrapping.
+void check_stream_config(const StreamConfig& config, const std::string& who) {
+  if (!(config.lambda > 0)) {
+    throw std::invalid_argument(who + ": lambda <= 0");
+  }
+  if (config.requests < 0) {
+    throw std::invalid_argument(who + ": requests < 0");
+  }
+  if (config.requests > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(who + ": requests > INT_MAX");
+  }
+  if (config.heavy_keys < 0 || !(config.heavy_weight > 0)) {
+    throw std::invalid_argument(who + ": bad weight config");
+  }
+}
+
+// Report assembly shared by the streaming drivers, fed one flow per request
+// in global request order. Exact regime: retain latencies and run the batch
+// path's own mean/quantile code, so the report is byte-identical to
+// simulate_cluster for the same seed. Sketch regime: O(1) aggregation.
+class StreamAggregate {
+ public:
+  StreamAggregate(const StreamConfig& config, int m)
+      : config_(config),
+        exact_(config.requests <= config.exact_quantile_cap),
+        weighted_(config.heavy_keys > 0),
+        busy_(static_cast<std::size_t>(m), 0.0) {
+    if (exact_) latencies_.reserve(static_cast<std::size_t>(config.requests));
+  }
+
+  void add(int machine, double proc, double weight, double flow) {
+    if (exact_) {
+      latencies_.push_back(flow);
+    } else {
+      sketch_.add(flow);
+    }
+    if (weighted_) weighted_agg_.add(weight, flow);
+    busy_[static_cast<std::size_t>(machine)] += proc;
+  }
+
+  StreamReport report(double makespan, std::size_t peak_backlog,
+                      std::size_t memory_bytes, double wall_s) const {
+    StreamReport report;
+    report.sim.requests = static_cast<int>(config_.requests);
+    report.exact_quantiles = exact_;
+    if (exact_) {
+      if (!latencies_.empty()) {
+        report.sim.mean_latency = mean(latencies_);
+        report.sim.p50 = quantile(latencies_, 0.50);
+        report.sim.p90 = quantile(latencies_, 0.90);
+        report.sim.p99 = quantile(latencies_, 0.99);
+        report.sim.max_latency = quantile(latencies_, 1.0);
+        report.p999 = quantile(latencies_, 0.999);
+      }
+    } else {
+      report.sim.mean_latency = sketch_.mean();
+      report.sim.p50 = sketch_.p50();
+      report.sim.p90 = sketch_.p90();
+      report.sim.p99 = sketch_.p99();
+      report.sim.max_latency = sketch_.max();  // exact in both regimes
+      report.p999 = sketch_.p999();
+    }
+    if (weighted_) {
+      report.sim.weighted = true;
+      report.sim.max_weighted_latency = weighted_agg_.max_w;
+      report.sim.total_weighted_latency = weighted_agg_.total();
+    }
+    report.sim.makespan = makespan;
+    report.sim.utilization.resize(busy_.size());
+    for (std::size_t j = 0; j < busy_.size(); ++j) {
+      report.sim.utilization[j] = makespan > 0 ? busy_[j] / makespan : 0.0;
+    }
+    report.peak_backlog = peak_backlog;
+    report.memory_bytes = memory_bytes;
+    report.requests_per_sec =
+        wall_s > 0 ? static_cast<double>(config_.requests) / wall_s : 0.0;
+    return report;
+  }
+
+ private:
+  const StreamConfig& config_;
+  bool exact_;
+  bool weighted_;
+  std::vector<double> latencies_;
+  StreamingQuantiles sketch_;
+  WeightedAgg weighted_agg_;
+  std::vector<double> busy_;
+};
 
 }  // namespace
 
@@ -226,17 +318,7 @@ StreamReport simulate_cluster_streaming(const KeyValueStore& store,
                                         const StreamConfig& config,
                                         Dispatcher& dispatcher, Rng& rng,
                                         SchedObserver* observer) {
-  if (!(config.lambda > 0)) {
-    throw std::invalid_argument("simulate_cluster_streaming: lambda <= 0");
-  }
-  if (config.requests < 0) {
-    throw std::invalid_argument("simulate_cluster_streaming: requests < 0");
-  }
-  if (config.heavy_keys < 0 || !(config.heavy_weight > 0)) {
-    throw std::invalid_argument("simulate_cluster_streaming: bad weight config");
-  }
-  const bool weighted = config.heavy_keys > 0;
-  WeightedAgg weighted_agg;
+  check_stream_config(config, "simulate_cluster_streaming");
   const int m = store.config().m;
   StreamingEngine engine(m, dispatcher);
   if (observer != nullptr) {
@@ -244,15 +326,7 @@ StreamReport simulate_cluster_streaming(const KeyValueStore& store,
     engine.set_observer(observer);
   }
 
-  // Exact regime: retain latencies and run the batch path's own
-  // mean/quantile code, so the report is byte-identical to
-  // simulate_cluster for the same seed. Sketch regime: O(1) aggregation.
-  const bool exact = config.requests <= config.exact_quantile_cap;
-  std::vector<double> latencies;
-  if (exact) latencies.reserve(static_cast<std::size_t>(config.requests));
-  StreamingQuantiles sketch;
-  std::vector<double> busy(static_cast<std::size_t>(m), 0.0);
-
+  StreamAggregate agg(config, m);
   const auto wall_start = std::chrono::steady_clock::now();
   double t = 0.0;
   for (long long i = 0; i < config.requests; ++i) {
@@ -263,59 +337,17 @@ StreamReport simulate_cluster_streaming(const KeyValueStore& store,
         request_weight(key, config.heavy_keys, config.heavy_weight);
     const Assignment a =
         engine.release(t, service, store.replicas_of_key(key), i, w);
-    const double flow = a.start + service - t;
-    if (exact) {
-      latencies.push_back(flow);
-    } else {
-      sketch.add(flow);
-    }
-    if (weighted) weighted_agg.add(w, flow);
-    busy[static_cast<std::size_t>(a.machine)] += service;
+    agg.add(a.machine, service, w, a.start + service - t);
   }
   const std::size_t live_bytes = engine.memory_bytes();
   engine.drain();
   const auto wall_end = std::chrono::steady_clock::now();
 
-  StreamReport report;
-  report.sim.requests = static_cast<int>(config.requests);
-  report.exact_quantiles = exact;
-  if (exact) {
-    if (!latencies.empty()) {
-      report.sim.mean_latency = mean(latencies);
-      report.sim.p50 = quantile(latencies, 0.50);
-      report.sim.p90 = quantile(latencies, 0.90);
-      report.sim.p99 = quantile(latencies, 0.99);
-      report.sim.max_latency = quantile(latencies, 1.0);
-      report.p999 = quantile(latencies, 0.999);
-    }
-  } else {
-    report.sim.mean_latency = sketch.mean();
-    report.sim.p50 = sketch.p50();
-    report.sim.p90 = sketch.p90();
-    report.sim.p99 = sketch.p99();
-    report.sim.max_latency = sketch.max();  // exact in both regimes
-    report.p999 = sketch.p999();
-  }
-  if (weighted) {
-    report.sim.weighted = true;
-    report.sim.max_weighted_latency = weighted_agg.max_w;
-    report.sim.total_weighted_latency = weighted_agg.total();
-  }
-
   double makespan = 0;
   for (double c : engine.completions()) makespan = std::max(makespan, c);
-  report.sim.makespan = makespan;
-  report.sim.utilization.resize(static_cast<std::size_t>(m));
-  for (int j = 0; j < m; ++j) {
-    report.sim.utilization[static_cast<std::size_t>(j)] =
-        makespan > 0 ? busy[static_cast<std::size_t>(j)] / makespan : 0.0;
-  }
-  report.peak_backlog = engine.peak_in_flight();
-  report.memory_bytes = live_bytes;
-  const double wall_s =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  report.requests_per_sec =
-      wall_s > 0 ? static_cast<double>(config.requests) / wall_s : 0.0;
+  const StreamReport report =
+      agg.report(makespan, engine.peak_in_flight(), live_bytes,
+                 std::chrono::duration<double>(wall_end - wall_start).count());
   if (observer != nullptr) observer->on_run_end(makespan);
   return report;
 }
@@ -324,20 +356,7 @@ StreamReport simulate_cluster_streaming_sharded(
     const KeyValueStore& store, const StreamConfig& config,
     const ShardedEngine::DispatcherFactory& factory,
     ShardedEngine::Options opts, Rng& rng, SchedObserver* observer) {
-  if (!(config.lambda > 0)) {
-    throw std::invalid_argument(
-        "simulate_cluster_streaming_sharded: lambda <= 0");
-  }
-  if (config.requests < 0) {
-    throw std::invalid_argument(
-        "simulate_cluster_streaming_sharded: requests < 0");
-  }
-  if (config.heavy_keys < 0 || !(config.heavy_weight > 0)) {
-    throw std::invalid_argument(
-        "simulate_cluster_streaming_sharded: bad weight config");
-  }
-  const bool weighted = config.heavy_keys > 0;
-  WeightedAgg weighted_agg;
+  check_stream_config(config, "simulate_cluster_streaming_sharded");
   const int m = store.config().m;
   ShardedEngine engine(m, factory, opts);
   if (observer != nullptr) {
@@ -345,24 +364,12 @@ StreamReport simulate_cluster_streaming_sharded(
     engine.set_observer(observer);
   }
 
-  // Same two aggregation regimes as the single-queue path, fed from the
-  // engine's flow sink: the sink fires during each epoch's serial merge in
-  // global task order, so the aggregation consumes the exact sequence the
-  // single-queue loop would have computed inline — byte-identical reports.
-  const bool exact = config.requests <= config.exact_quantile_cap;
-  std::vector<double> latencies;
-  if (exact) latencies.reserve(static_cast<std::size_t>(config.requests));
-  StreamingQuantiles sketch;
-  std::vector<double> busy(static_cast<std::size_t>(m), 0.0);
+  // The flow sink fires during each epoch's serial merge in global task
+  // order, so the aggregate consumes the exact sequence the single-queue
+  // loop computes inline — byte-identical reports.
+  StreamAggregate agg(config, m);
   engine.set_flow_sink([&](const ShardedEngine::FlowEvent& e) {
-    const double flow = e.start + e.proc - e.release;
-    if (exact) {
-      latencies.push_back(flow);
-    } else {
-      sketch.add(flow);
-    }
-    if (weighted) weighted_agg.add(e.weight, flow);
-    busy[static_cast<std::size_t>(e.machine)] += e.proc;
+    agg.add(e.machine, e.proc, e.weight, e.start + e.proc - e.release);
   });
 
   const auto wall_start = std::chrono::steady_clock::now();
@@ -378,45 +385,10 @@ StreamReport simulate_cluster_streaming_sharded(
   engine.drain();
   const auto wall_end = std::chrono::steady_clock::now();
 
-  StreamReport report;
-  report.sim.requests = static_cast<int>(config.requests);
-  report.exact_quantiles = exact;
-  if (exact) {
-    if (!latencies.empty()) {
-      report.sim.mean_latency = mean(latencies);
-      report.sim.p50 = quantile(latencies, 0.50);
-      report.sim.p90 = quantile(latencies, 0.90);
-      report.sim.p99 = quantile(latencies, 0.99);
-      report.sim.max_latency = quantile(latencies, 1.0);
-      report.p999 = quantile(latencies, 0.999);
-    }
-  } else {
-    report.sim.mean_latency = sketch.mean();
-    report.sim.p50 = sketch.p50();
-    report.sim.p90 = sketch.p90();
-    report.sim.p99 = sketch.p99();
-    report.sim.max_latency = sketch.max();  // exact in both regimes
-    report.p999 = sketch.p999();
-  }
-  if (weighted) {
-    report.sim.weighted = true;
-    report.sim.max_weighted_latency = weighted_agg.max_w;
-    report.sim.total_weighted_latency = weighted_agg.total();
-  }
-
   const double makespan = engine.makespan();
-  report.sim.makespan = makespan;
-  report.sim.utilization.resize(static_cast<std::size_t>(m));
-  for (int j = 0; j < m; ++j) {
-    report.sim.utilization[static_cast<std::size_t>(j)] =
-        makespan > 0 ? busy[static_cast<std::size_t>(j)] / makespan : 0.0;
-  }
-  report.peak_backlog = engine.peak_backlog();
-  report.memory_bytes = live_bytes;
-  const double wall_s =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  report.requests_per_sec =
-      wall_s > 0 ? static_cast<double>(config.requests) / wall_s : 0.0;
+  const StreamReport report =
+      agg.report(makespan, engine.peak_backlog(), live_bytes,
+                 std::chrono::duration<double>(wall_end - wall_start).count());
   if (observer != nullptr) observer->on_run_end(makespan);
   return report;
 }

@@ -90,7 +90,9 @@ SimReport simulate_cluster(const KeyValueStore& store, const SimConfig& config,
 
 struct StreamConfig {
   double lambda = 7.5;          ///< Poisson arrival rate.
-  long long requests = 10000;   ///< Stream length; 10^8+ is in scope.
+  /// Stream length; 10^8+ is in scope, up to INT_MAX (SimReport::requests
+  /// is an int — both streaming drivers throw std::invalid_argument above).
+  long long requests = 10000;
   double service_time = 1.0;
   ServiceDist dist = ServiceDist::kConstant;
   /// Streams up to this length retain per-request latencies and compute

@@ -37,12 +37,10 @@ struct MachineState {
   std::span<const double> load;
   /// Number of tasks assigned to machine j so far.
   std::span<const int> count;
-  /// Number of tasks assigned to j and not finished at the release instant.
-  /// Only maintained for the machines in the current task's eligible set,
-  /// and only when the dispatcher's needs_queue_depths() returns true — the
-  /// engine skips the finished-task bookkeeping entirely otherwise (it is
-  /// the per-release O(m) hot path). Dispatchers that read it must override
-  /// needs_queue_depths().
+  /// Number of tasks assigned to j and not finished at the release instant
+  /// (a task finishing exactly then counts as finished). Current for every
+  /// machine: the engine core settles its completion events before each
+  /// dispatch (sched/streaming.hpp).
   std::span<const int> queued;
   /// Global index of the task being dispatched (-1 when the engine does not
   /// track one). Keys the counter-based per-task RNG streams of randomized
@@ -61,9 +59,8 @@ class Dispatcher {
   /// order; the engine applies the assignment afterwards.
   virtual int dispatch(const Task& t, const MachineState& state) = 0;
 
-  /// True when dispatch() reads MachineState::queued. The engine only pays
-  /// for queue-depth tracking (advancing per-machine finished cursors at
-  /// each release) when this returns true.
+  /// True when dispatch() reads MachineState::queued. Declarative only: the
+  /// engine core keeps queue depths current for every dispatcher.
   virtual bool needs_queue_depths() const { return false; }
 
   virtual std::string name() const = 0;

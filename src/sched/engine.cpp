@@ -11,193 +11,60 @@ constexpr double kInfTime = std::numeric_limits<double>::infinity();
 }  // namespace
 
 OnlineEngine::OnlineEngine(int m, Dispatcher& dispatcher)
-    : m_(m),
-      dispatcher_(&dispatcher),
-      completion_(static_cast<std::size_t>(m), 0.0),
-      load_(static_cast<std::size_t>(m), 0.0),
-      count_(static_cast<std::size_t>(m), 0),
-      finish_times_(static_cast<std::size_t>(m)),
-      finished_cursor_(static_cast<std::size_t>(m), 0),
-      queued_(static_cast<std::size_t>(m), 0),
-      observed_busy_(static_cast<std::size_t>(m), false) {
-  if (m <= 0) throw std::invalid_argument("OnlineEngine: m <= 0");
-  dispatcher_->reset(m);
-}
+    : core_(m, dispatcher), observed_busy_(static_cast<std::size_t>(m), false) {}
 
 Assignment OnlineEngine::release(Task task) {
   if (fault_plan_ != nullptr) return release_faulty(std::move(task));
-  if (task.release < last_release_) {
-    throw std::invalid_argument("OnlineEngine::release: releases must be non-decreasing");
-  }
-  last_release_ = task.release;
-  if (task.eligible.empty()) task.eligible = ProcSet::all(m_);
-  if (!task.eligible.within(m_)) {
-    throw std::invalid_argument("OnlineEngine::release: processing set outside [0,m)");
-  }
-  if (!(task.proc > 0)) {
-    throw std::invalid_argument("OnlineEngine::release: proc <= 0");
-  }
-
-  // Queue depths ("unfinished tasks at time r") are only needed by
-  // depth-reading dispatchers (JSQ), and only for the eligible machines;
-  // everyone else skips this bookkeeping entirely. Releases are
-  // non-decreasing, so advancing a machine's cursor lazily, whenever that
-  // machine is next eligible, lands on the same value an eager per-release
-  // sweep would. Non-clairvoyant mode always needs them: the censored
-  // frontier is "busy or not", which is exactly queued > 0.
-  const bool nc = clairvoyance_ == Clairvoyance::kNonClairvoyant;
-  if (dispatcher_->needs_queue_depths() || (nc && !nc_leak_)) {
-    for (int j : task.eligible.machines()) {
-      auto& cursor = finished_cursor_[static_cast<std::size_t>(j)];
-      const auto& finishes = finish_times_[static_cast<std::size_t>(j)];
-      while (cursor < finishes.size() && finishes[cursor] <= task.release) {
-        // The censored load is finished work only; it advances in lockstep
-        // with the cursor, so it is observable by construction.
-        if (nc) {
-          finished_work_[static_cast<std::size_t>(j)] +=
-              finish_work_[static_cast<std::size_t>(j)][cursor];
-        }
-        ++cursor;
-      }
-      queued_[static_cast<std::size_t>(j)] =
-          static_cast<int>(finishes.size() - cursor);
-    }
-  }
-
-  if (observer_ != nullptr) {
-    ObsEvent e;
-    e.kind = ObsEventKind::kTaskReleased;
-    e.time = task.release;
-    e.task = released();
-    e.release = task.release;
-    e.proc = task.proc;
-    e.weight = task.weight;
-    e.eligible = &task.eligible;
-    observer_->on_event(e);
-  }
-
-  int u;
-  if (nc && !nc_leak_) {
-    // Censored policy view: the frontier of a machine that is observably
-    // busy is the release instant itself ("still running, that is all you
-    // know"), an idle machine's frontier is its last completion (already
-    // observed); load is finished occupancy only; proc is a placeholder.
-    for (int j : task.eligible.machines()) {
-      const auto ju = static_cast<std::size_t>(j);
-      censored_completion_[ju] =
-          queued_[ju] > 0 ? task.release : completion_[ju];
-      censored_load_[ju] = finished_work_[ju];
-    }
-    Task probe = task;
-    probe.proc = 1.0;  // p_i is hidden until completion
-    const MachineState state{censored_completion_, censored_load_, count_,
-                             queued_, released()};
-    u = dispatcher_->dispatch(probe, state);
-  } else {
-    const MachineState state{completion_, load_, count_, queued_, released()};
-    u = dispatcher_->dispatch(task, state);
-  }
-  if (u < 0 || u >= m_ || !task.eligible.contains(u)) {
-    throw std::logic_error("OnlineEngine: dispatcher chose ineligible machine " +
-                           std::to_string(u) + " for set " + task.eligible.str());
-  }
-
-  const std::size_t uj = static_cast<std::size_t>(u);
-  const double start = std::max(task.release, completion_[uj]);
-  // Setup is charged when the machine switches key ranges (previous task's
-  // processing set differs); the first task on a machine warms up for free.
-  double setup = 0.0;
-  if (nc) {
-    if (has_last_set_[uj] && !(last_set_[uj] == task.eligible)) setup = setup_;
-    last_set_[uj] = task.eligible;
-    has_last_set_[uj] = true;
-    setups_.push_back(setup);
-  }
-  // Left-to-right so C_i = (S_i + setup) + p_i is the exact dyadic value
-  // the [setup-accounting] audit recomputes; with setup = 0 this is
-  // bit-identical to the clairvoyant start + proc.
-  const double finish = (start + setup) + task.proc;
-  if (observer_ != nullptr) {
-    // All four task milestones are known the moment the assignment commits
-    // (immediate dispatch): started/completed carry future model times.
-    ObsEvent e;
-    e.task = released();
-    e.machine = u;
-    e.release = task.release;
-    e.proc = task.proc;
-    e.weight = task.weight;
-    e.setup = setup;
-    e.kind = ObsEventKind::kTaskDispatched;
-    e.time = task.release;
-    observer_->on_event(e);
-    const double prev = completion_[uj];
-    if (!observed_busy_[uj] || start > prev) {
+  if (task.eligible.empty()) task.eligible = ProcSet::all(m());
+  const StreamingEngine::Decision d = core_.decide(task, released());
+  SchedObserver* observer = core_.observer_;
+  if (observer != nullptr) {
+    // Machine occupancy sits between the core's dispatched and started
+    // events: a machine whose frontier the task starts past was idle in
+    // between.
+    const std::size_t uj = static_cast<std::size_t>(d.machine);
+    const double prev = core_.completion_[uj];
+    if (!observed_busy_[uj] || d.start > prev) {
       if (observed_busy_[uj]) {
-        observer_->on_event(ObsEvent{.kind = ObsEventKind::kMachineIdle,
-                                     .time = prev,
-                                     .machine = u});
+        observer->on_event(ObsEvent{.kind = ObsEventKind::kMachineIdle,
+                                    .time = prev,
+                                    .machine = d.machine});
       }
-      observer_->on_event(ObsEvent{.kind = ObsEventKind::kMachineBusy,
-                                   .time = start,
-                                   .machine = u});
+      observer->on_event(ObsEvent{.kind = ObsEventKind::kMachineBusy,
+                                  .time = d.start,
+                                  .machine = d.machine});
       observed_busy_[uj] = true;
     }
-    e.kind = ObsEventKind::kTaskStarted;
-    e.time = start;
-    observer_->on_event(e);
-    e.kind = ObsEventKind::kTaskCompleted;
-    e.time = finish;
-    observer_->on_event(e);
   }
-  completion_[uj] = finish;
-  load_[uj] += task.proc;
-  ++count_[uj];
-  finish_times_[uj].push_back(finish);
-  if (nc) finish_work_[uj].push_back(setup + task.proc);
-
+  core_.commit(d);
+  if (clairvoyance() == Clairvoyance::kNonClairvoyant) setups_.push_back(d.setup);
   tasks_.push_back(std::move(task));
-  assignments_.push_back(Assignment{u, start});
+  assignments_.push_back(Assignment{d.machine, d.start});
   return assignments_.back();
 }
 
 void OnlineEngine::set_clairvoyance(Clairvoyance c, double setup) {
-  if (released() > 0) {
-    throw std::logic_error(
-        "OnlineEngine::set_clairvoyance: switch before releases");
-  }
   if (fault_plan_ != nullptr) {
     throw std::logic_error(
         "OnlineEngine::set_clairvoyance: incompatible with fault injection");
   }
-  if (setup < 0) {
-    throw std::invalid_argument("OnlineEngine::set_clairvoyance: setup < 0");
-  }
-  clairvoyance_ = c;
-  setup_ = c == Clairvoyance::kNonClairvoyant ? setup : 0.0;
-  if (c == Clairvoyance::kNonClairvoyant) {
-    const auto um = static_cast<std::size_t>(m_);
-    finish_work_.assign(um, {});
-    finished_work_.assign(um, 0.0);
-    censored_completion_.assign(um, 0.0);
-    censored_load_.assign(um, 0.0);
-    last_set_.assign(um, ProcSet());
-    has_last_set_.assign(um, false);
-  }
+  core_.set_clairvoyance(c, setup);
 }
 
 double OnlineEngine::setup_of(int i) const {
-  if (clairvoyance_ != Clairvoyance::kNonClairvoyant) return 0.0;
+  if (clairvoyance() != Clairvoyance::kNonClairvoyant) return 0.0;
   return setups_.at(static_cast<std::size_t>(i));
 }
 
 void OnlineEngine::finish_observation() {
-  if (observer_ == nullptr) return;
-  for (int j = 0; j < m_; ++j) {
+  SchedObserver* observer = core_.observer_;
+  if (observer == nullptr) return;
+  for (int j = 0; j < m(); ++j) {
     const std::size_t ji = static_cast<std::size_t>(j);
     if (!observed_busy_[ji]) continue;
-    observer_->on_event(ObsEvent{.kind = ObsEventKind::kMachineIdle,
-                                 .time = completion_[ji],
-                                 .machine = j});
+    observer->on_event(ObsEvent{.kind = ObsEventKind::kMachineIdle,
+                                .time = core_.completion_[ji],
+                                .machine = j});
     observed_busy_[ji] = false;
   }
 }
@@ -206,7 +73,7 @@ double OnlineEngine::completion_of(int i) const {
   // Under faults the final segment may be shorter than p_i (checkpoint
   // recovery), so the fault log is the only truthful source.
   if (fault_plan_ != nullptr) return fault_log_->completion(i);
-  if (clairvoyance_ == Clairvoyance::kNonClairvoyant) {
+  if (clairvoyance() == Clairvoyance::kNonClairvoyant) {
     // (start + setup) + proc, associated exactly as the engine computed it.
     return assignments_.at(static_cast<std::size_t>(i)).start +
            setups_.at(static_cast<std::size_t>(i)) +
@@ -219,13 +86,13 @@ double OnlineEngine::completion_of(int i) const {
 void OnlineEngine::set_faults(const FaultPlan* plan, RecoveryPolicy recovery) {
   if (released() > 0)
     throw std::logic_error("OnlineEngine::set_faults: attach before releases");
-  if (plan != nullptr && clairvoyance_ == Clairvoyance::kNonClairvoyant)
+  if (plan != nullptr && clairvoyance() == Clairvoyance::kNonClairvoyant)
     throw std::logic_error(
         "OnlineEngine::set_faults: incompatible with non-clairvoyant mode");
-  if (plan != nullptr && plan->m() != m_)
+  if (plan != nullptr && plan->m() != m())
     throw std::invalid_argument("OnlineEngine::set_faults: plan covers " +
                                 std::to_string(plan->m()) + " machines, engine has " +
-                                std::to_string(m_));
+                                std::to_string(m()));
   fault_plan_ = plan;
   recovery_ = recovery;
   fault_log_ = plan != nullptr ? std::make_unique<FaultLog>() : nullptr;
@@ -240,25 +107,17 @@ const FaultLog& OnlineEngine::fault_log() const {
 TaskFate OnlineEngine::fate_of(int i) const { return fault_log().fate(i); }
 
 Assignment OnlineEngine::release_faulty(Task task) {
-  if (task.release < last_release_) {
-    throw std::invalid_argument("OnlineEngine::release: releases must be non-decreasing");
-  }
-  last_release_ = task.release;
-  if (task.eligible.empty()) task.eligible = ProcSet::all(m_);
-  if (!task.eligible.within(m_)) {
-    throw std::invalid_argument("OnlineEngine::release: processing set outside [0,m)");
-  }
-  if (!(task.proc > 0)) {
-    throw std::invalid_argument("OnlineEngine::release: proc <= 0");
-  }
+  if (task.eligible.empty()) task.eligible = ProcSet::all(m());
+  core_.admit(task);
 
   // Retries that fall due before this release dispatch first, so model time
-  // stays non-decreasing across all attempts (the lazy queue-depth cursors
-  // rely on it).
+  // stays non-decreasing across all attempts (the core settles completion
+  // events monotonically).
   process_pending(task.release);
 
   const int id = released();
-  if (observer_ != nullptr) {
+  SchedObserver* observer = core_.observer_;
+  if (observer != nullptr) {
     ObsEvent e;
     e.kind = ObsEventKind::kTaskReleased;
     e.time = task.release;
@@ -267,7 +126,7 @@ Assignment OnlineEngine::release_faulty(Task task) {
     e.proc = task.proc;
     e.weight = task.weight;
     e.eligible = &task.eligible;
-    observer_->on_event(e);
+    observer->on_event(e);
   }
   const double release_time = task.release;
   const double proc = task.proc;
@@ -289,6 +148,7 @@ void OnlineEngine::process_pending(double until) {
 void OnlineEngine::dispatch_attempt(int id, int attempt, double now,
                                     double remaining) {
   const std::size_t ti = static_cast<std::size_t>(id);
+  SchedObserver* observer = core_.observer_;
 
   // Degraded eligible set M_i ∩ up(now).
   Task probe;
@@ -319,28 +179,14 @@ void OnlineEngine::dispatch_attempt(int id, int attempt, double now,
     probe.eligible = ProcSet(up_buffer_);
   }
 
-  // Lazy queue depths for the degraded set (JSQ). Attempt times are
-  // globally non-decreasing, so the cursors stay monotone exactly as in the
-  // fault-free path.
-  if (dispatcher_->needs_queue_depths()) {
-    for (int j : probe.eligible.machines()) {
-      auto& cursor = finished_cursor_[static_cast<std::size_t>(j)];
-      const auto& finishes = finish_times_[static_cast<std::size_t>(j)];
-      while (cursor < finishes.size() && finishes[cursor] <= now) ++cursor;
-      queued_[static_cast<std::size_t>(j)] =
-          static_cast<int>(finishes.size() - cursor);
-    }
-  }
-
-  const MachineState state{completion_, load_, count_, queued_, id};
-  const int u = dispatcher_->dispatch(probe, state);
-  if (u < 0 || u >= m_ || !probe.eligible.contains(u)) {
-    throw std::logic_error("OnlineEngine: dispatcher chose ineligible machine " +
-                           std::to_string(u) + " for set " + probe.eligible.str());
-  }
+  // Queue depths at the attempt instant. Attempt times are globally
+  // non-decreasing, and every segment end (killed or completed) is a core
+  // completion event, so a killed segment stays queued until its crash.
+  core_.settle_until(now);
+  const int u = core_.choose(probe, id);
 
   const std::size_t uj = static_cast<std::size_t>(u);
-  double start = std::max(now, completion_[uj]);
+  double start = std::max(now, core_.completion_[uj]);
   // The machine frontier may sit inside a later down interval; execution
   // can only begin once the machine is back up.
   if (!ignore_downtime_) start = fault_plan_->next_up(u, start);
@@ -348,14 +194,13 @@ void OnlineEngine::dispatch_attempt(int id, int attempt, double now,
 
   if (start + remaining <= crash) {
     const double finish = start + remaining;
-    completion_[uj] = finish;
-    load_[uj] += remaining;
-    ++count_[uj];
-    finish_times_[uj].push_back(finish);
+    core_.occupy(u, finish, remaining);
+    core_.load_[uj] += remaining;
+    ++core_.count_[uj];
     assignments_[ti] = Assignment{u, start};
     fault_log_->record(FaultAttempt{id, attempt, now, u, start, finish, false});
     fault_log_->settle(id, TaskFate::kCompleted, finish);
-    if (observer_ != nullptr) {
+    if (observer != nullptr) {
       // Only the successful attempt is narrated; killed segments and parks
       // live in the fault log. No machine busy/idle events under faults —
       // segment occupancy is not an alternating busy/idle staircase.
@@ -367,21 +212,20 @@ void OnlineEngine::dispatch_attempt(int id, int attempt, double now,
       e.weight = tasks_[ti].weight;
       e.kind = ObsEventKind::kTaskDispatched;
       e.time = now;
-      observer_->on_event(e);
+      observer->on_event(e);
       e.kind = ObsEventKind::kTaskStarted;
       e.time = start;
-      observer_->on_event(e);
+      observer->on_event(e);
       e.kind = ObsEventKind::kTaskCompleted;
       e.time = finish;
-      observer_->on_event(e);
+      observer->on_event(e);
     }
     return;
   }
 
   // Killed at the crash: the machine was occupied up to the crash instant.
-  completion_[uj] = crash;
-  load_[uj] += crash - start;
-  finish_times_[uj].push_back(crash);
+  core_.occupy(u, crash, crash - start);
+  core_.load_[uj] += crash - start;
   fault_log_->record(FaultAttempt{id, attempt, now, u, start, crash, true});
   if (recovery_.kind != RecoveryKind::kCheckpoint) {
     fault_log_->add_wasted(crash - start);
@@ -404,9 +248,10 @@ void OnlineEngine::drain_faults() {
 }
 
 std::vector<double> OnlineEngine::profile(double t) const {
-  std::vector<double> w(completion_.size());
+  const std::vector<double>& completion = core_.completions();
+  std::vector<double> w(completion.size());
   for (std::size_t j = 0; j < w.size(); ++j) {
-    w[j] = std::max(0.0, completion_[j] - t);
+    w[j] = std::max(0.0, completion[j] - t);
   }
   return w;
 }
@@ -417,7 +262,7 @@ Schedule OnlineEngine::snapshot() const {
     // segments do not fit it. The fault log is the fault-mode result.
     throw std::logic_error("OnlineEngine::snapshot: unavailable under faults");
   }
-  if (clairvoyance_ == Clairvoyance::kNonClairvoyant && setup_ != 0.0) {
+  if (clairvoyance() == Clairvoyance::kNonClairvoyant && setup_time() != 0.0) {
     // A Schedule's completion is start + proc; a nonzero setup does not fit
     // it. Read assignments / completion_of / setup_of directly instead.
     throw std::logic_error(
@@ -425,7 +270,7 @@ Schedule OnlineEngine::snapshot() const {
   }
   // Releases were non-decreasing, so the Instance's stable sort preserves
   // the release order and assignment indices line up one-to-one.
-  auto inst = std::make_shared<Instance>(m_, tasks_);
+  auto inst = std::make_shared<Instance>(m(), tasks_);
   Schedule sched(inst);
   for (int i = 0; i < inst->n(); ++i) {
     const auto& a = assignments_[static_cast<std::size_t>(i)];

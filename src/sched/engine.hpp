@@ -1,8 +1,12 @@
-// Online engine for immediate-dispatch algorithms.
+// Online engine for immediate-dispatch algorithms: the decision core plus
+// retention.
 //
-// The engine owns the machine state (completion frontier C_{j,i}, loads,
-// queue depths), feeds tasks to a Dispatcher in release order, and records
-// the resulting schedule. It is usable in two modes:
+// Every release is decided by the StreamingEngine core (sched/streaming.hpp):
+// validation, settling completion events, the (possibly censored) policy
+// view, dispatch, setup charging, and the task events. OnlineEngine adds what
+// the core deliberately forgets — every task, its assignment and its setup,
+// for snapshots, oracles, audits and adversaries — plus machine busy/idle
+// narration and the fault layer. It is usable in two modes:
 //
 //  * batch: run_dispatcher(instance, dispatcher) replays a whole instance;
 //  * incremental: adaptive adversaries (Section 6) release tasks one at a
@@ -22,53 +26,34 @@
 #include "obs/observer.hpp"
 #include "sched/calendar.hpp"
 #include "sched/dispatchers.hpp"
+#include "sched/streaming.hpp"
 
 namespace flowsched {
-
-/// What the dispatcher is allowed to see about processing times.
-///
-/// kClairvoyant (the paper's model, the default): the dispatcher sees p_i
-/// and the true machine frontiers/loads. kNonClairvoyant (Mäcker et al.'s
-/// setting): p_i is hidden until the task completes — the dispatcher sees a
-/// placeholder processing time, a *censored* completion frontier (the
-/// release instant while the machine is observably busy, the true last
-/// completion once it has drained) and finished work only, plus the real
-/// queue depths and counts. The engine itself always knows the truth; only
-/// the policy interface is censored, and the [nc-no-peek] audit replays the
-/// run under a proc permutation to prove no dispatcher decision leaked p_i.
-enum class Clairvoyance { kClairvoyant, kNonClairvoyant };
 
 class OnlineEngine {
  public:
   /// The dispatcher is borrowed (and reset); it must outlive the engine.
   OnlineEngine(int m, Dispatcher& dispatcher);
 
-  int m() const { return m_; }
+  int m() const { return core_.m(); }
   int released() const { return static_cast<int>(tasks_.size()); }
 
   /// Releases one task; releases must be non-decreasing. Returns the
   /// (machine, start) assignment the algorithm committed to.
   Assignment release(Task task);
 
-  /// \brief Switches the engine into non-clairvoyant mode (docs/scenarios.md).
-  ///
-  /// Must be called before the first release; incompatible with fault
-  /// injection. `setup` >= 0 is the per-machine setup time charged whenever
-  /// a machine switches processing-set key ranges (its previous task's M_i
-  /// differs from the new one's; the first task on a machine is free):
-  /// C_i = S_i + setup + p_i, accounted left-to-right so the dyadic-grid
-  /// values stay exact. With setup = 0 the committed (machine, start)
-  /// sequence of a clairvoyance-oblivious policy is bit-equal to the
-  /// clairvoyant engine's — the fuzzer's [diff-nc] differential.
+  /// \brief Switches the core into non-clairvoyant mode
+  /// (StreamingEngine::set_clairvoyance, docs/scenarios.md). Must be called
+  /// before the first release; incompatible with fault injection.
   void set_clairvoyance(Clairvoyance c, double setup = 0.0);
-  Clairvoyance clairvoyance() const { return clairvoyance_; }
-  double setup_time() const { return setup_; }
+  Clairvoyance clairvoyance() const { return core_.clairvoyance(); }
+  double setup_time() const { return core_.setup_time(); }
 
   /// Setup charged before task i (0 outside nc mode).
   double setup_of(int i) const;
 
   /// C_{j, released()}: machine completion frontier.
-  const std::vector<double>& completions() const { return completion_; }
+  const std::vector<double>& completions() const { return core_.completions(); }
 
   const std::vector<Task>& tasks() const { return tasks_; }
   int machine_of(int i) const { return assignments_.at(static_cast<std::size_t>(i)).machine; }
@@ -76,7 +61,7 @@ class OnlineEngine {
   double completion_of(int i) const;
 
   /// Number of tasks allocated to machine j so far.
-  int count_of(int j) const { return count_.at(static_cast<std::size_t>(j)); }
+  int count_of(int j) const { return core_.counts().at(static_cast<std::size_t>(j)); }
 
   /// Profile w_t(j) = max(0, C_j - t) over everything released so far.
   std::vector<double> profile(double t) const;
@@ -98,8 +83,8 @@ class OnlineEngine {
   /// (on_run_begin / on_run_end) belong to the driver — run_dispatcher()
   /// handles them, incremental users (adversaries, cluster_sim) call them
   /// around their release loops and finish_observation() at the end.
-  void set_observer(SchedObserver* observer) { observer_ = observer; }
-  SchedObserver* observer() const { return observer_; }
+  void set_observer(SchedObserver* observer) { core_.set_observer(observer); }
+  SchedObserver* observer() const { return core_.observer_; }
 
   /// \brief Emits the trailing machine-idle transitions.
   ///
@@ -149,49 +134,20 @@ class OnlineEngine {
   /// [fault-downtime] audit; never enable it outside tests.
   void set_unsafe_ignore_downtime(bool v) { ignore_downtime_ = v; }
 
-  /// \brief Testing backdoor: in non-clairvoyant mode, hand the dispatcher
-  /// the TRUE frontiers, loads, and p_i — i.e. let it peek. This is the
-  /// planted bug the fuzzer's --inject-nc-bug campaign must catch via the
-  /// [nc-no-peek] counterfactual replay; never enable it outside tests.
-  void set_unsafe_nc_leak(bool v) { nc_leak_ = v; }
+  /// Testing backdoor: StreamingEngine::set_unsafe_nc_leak on the core.
+  void set_unsafe_nc_leak(bool v) { core_.set_unsafe_nc_leak(v); }
 
  private:
   Assignment release_faulty(Task task);
   void process_pending(double until);
   void dispatch_attempt(int task, int attempt, double now, double remaining);
 
-  int m_;
-  Dispatcher* dispatcher_;
+  // The decision core; declared first so a bad m throws before any
+  // retention state is sized.
+  StreamingEngine core_;
   std::vector<Task> tasks_;
   std::vector<Assignment> assignments_;
-  std::vector<double> completion_;
-  std::vector<double> load_;
-  std::vector<int> count_;
-  // Per machine: completion times of its tasks in assignment order, with a
-  // cursor marking those already finished at some past release instant.
-  // Queue depths are computed lazily: only when the dispatcher declares
-  // needs_queue_depths(), and then only for the machines in the released
-  // task's eligible set — releases are non-decreasing, so each per-machine
-  // cursor can be advanced independently on demand. A release therefore
-  // costs O(|M_i|) amortized instead of O(m), which is the difference at
-  // m = 4096 (see micro_sched's large-m series).
-  std::vector<std::vector<double>> finish_times_;
-  std::vector<std::size_t> finished_cursor_;
-  std::vector<int> queued_;
-  double last_release_ = 0.0;
-  // Non-clairvoyant state (empty/unused in the default clairvoyant mode, so
-  // the clairvoyant hot path is byte-for-byte the pre-nc code).
-  Clairvoyance clairvoyance_ = Clairvoyance::kClairvoyant;
-  double setup_ = 0.0;
-  bool nc_leak_ = false;
-  std::vector<double> setups_;            // per task, setup charged before it
-  std::vector<std::vector<double>> finish_work_;  // per machine, setup+proc per task
-  std::vector<double> finished_work_;     // per machine, work finished at cursor
-  std::vector<double> censored_completion_;  // scratch, eligible slots only
-  std::vector<double> censored_load_;        // scratch, eligible slots only
-  std::vector<ProcSet> last_set_;         // per machine, previous task's M_i
-  std::vector<bool> has_last_set_;
-  SchedObserver* observer_ = nullptr;  // borrowed; null = disabled (no cost)
+  std::vector<double> setups_;  // per task, setup charged before it (nc only)
   // Machines whose busy interval is still open (for finish_observation).
   std::vector<bool> observed_busy_;
 

@@ -1,6 +1,7 @@
 #include "sched/streaming.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace flowsched {
@@ -12,16 +13,15 @@ StreamingEngine::StreamingEngine(int m, Dispatcher& dispatcher)
       completion_(static_cast<std::size_t>(m > 0 ? m : 1), 0.0),
       load_(static_cast<std::size_t>(m > 0 ? m : 1), 0.0),
       count_(static_cast<std::size_t>(m > 0 ? m : 1), 0),
-      queued_(static_cast<std::size_t>(m > 0 ? m : 1), 0) {
+      queued_(static_cast<std::size_t>(m > 0 ? m : 1), 0),
+      events_(0.125, kInitialBuckets) {
   if (m <= 0) throw std::invalid_argument("StreamingEngine: m <= 0");
-  needs_depths_ = dispatcher_->needs_queue_depths();
   dispatcher_->reset(m);
 }
 
 void StreamingEngine::settle_until(double time) {
-  // Completion events at exactly `time` settle: the batch engine's lazy
-  // cursor counts finish <= release as finished, and matching it bit-for-bit
-  // is the [diff-streaming] contract.
+  // Completion events at exactly `time` settle: a task finishing at the
+  // release instant is no longer queued there.
   const bool nc = clairvoyance_ == Clairvoyance::kNonClairvoyant;
   while (!events_.empty() && events_.top_time() <= time) {
     const std::uint32_t slot = events_.pop();
@@ -29,8 +29,8 @@ void StreamingEngine::settle_until(double time) {
     --queued_[static_cast<std::size_t>(machine)];
     if (nc) {
       // Per-machine settle order is push order (each task on a machine
-      // finishes after its predecessor), the same order OnlineEngine's lazy
-      // cursor accumulates in — so the sums are bitwise equal.
+      // finishes after its predecessor), so the finished-work sum is
+      // accumulated in one fixed order.
       finished_work_[static_cast<std::size_t>(machine)] +=
           slot_work_[static_cast<std::size_t>(slot)];
     }
@@ -59,54 +59,32 @@ void StreamingEngine::set_clairvoyance(Clairvoyance c, double setup) {
   }
 }
 
-Assignment StreamingEngine::release(double time, double proc,
-                                    const ProcSet& eligible,
-                                    long long task_id, double weight) {
-  if (time < last_release_) {
+void StreamingEngine::admit(const Task& task) {
+  if (task.release < last_release_) {
     throw std::invalid_argument(
         "StreamingEngine::release: releases must be non-decreasing");
   }
-  last_release_ = time;
-  const ProcSet& set = eligible.empty() ? all_ : eligible;
-  if (!set.within(m_)) {
+  last_release_ = task.release;
+  if (!task.eligible.within(m_)) {
     throw std::invalid_argument(
         "StreamingEngine::release: processing set outside [0,m)");
   }
-  if (!(proc > 0)) {
+  if (!(task.proc > 0)) {
     throw std::invalid_argument("StreamingEngine::release: proc <= 0");
   }
+}
 
-  settle_until(time);
-
-  // The probe Task is a member-shaped temporary: ProcSet copy-assignment
-  // reuses the vector's capacity, so the steady-state release does not
-  // allocate.
-  Task probe;
-  probe.release = time;
-  probe.proc = proc;
-  probe.eligible = set;
-
-  if (observer_ != nullptr) {
-    ObsEvent e;
-    e.kind = ObsEventKind::kTaskReleased;
-    e.time = time;
-    e.task = static_cast<int>(task_id);
-    e.release = time;
-    e.proc = proc;
-    e.weight = weight;
-    e.eligible = &probe.eligible;
-    observer_->on_event(e);
-  }
-
-  const bool nc = clairvoyance_ == Clairvoyance::kNonClairvoyant;
+int StreamingEngine::choose(const Task& probe, long long task_id) {
   int u;
-  if (nc) {
-    // Censored policy view, mirroring OnlineEngine::release bit-for-bit:
-    // busy frontier = release instant, idle frontier = last completion,
-    // load = settled work only, proc = placeholder.
+  if (clairvoyance_ == Clairvoyance::kNonClairvoyant && !nc_leak_) {
+    // Censored policy view: the frontier of a machine that is observably
+    // busy is the dispatch instant itself ("still running, that is all you
+    // know"), an idle machine's frontier is its last completion (already
+    // observed); load is settled work only; proc is a placeholder.
     for (int j : probe.eligible.machines()) {
       const auto ju = static_cast<std::size_t>(j);
-      censored_completion_[ju] = queued_[ju] > 0 ? time : completion_[ju];
+      censored_completion_[ju] =
+          queued_[ju] > 0 ? probe.release : completion_[ju];
       censored_load_[ju] = finished_work_[ju];
     }
     Task censored = probe;
@@ -123,41 +101,84 @@ Assignment StreamingEngine::release(double time, double proc,
         "StreamingEngine: dispatcher chose ineligible machine " +
         std::to_string(u) + " for set " + probe.eligible.str());
   }
+  return u;
+}
 
-  const std::size_t uj = static_cast<std::size_t>(u);
-  const double start = std::max(time, completion_[uj]);
-  double setup = 0.0;
-  if (nc) {
-    if (has_last_set_[uj] && !(last_set_[uj] == probe.eligible)) setup = setup_;
-    last_set_[uj] = probe.eligible;
-    has_last_set_[uj] = true;
-  }
-  // Same association as OnlineEngine: with setup = 0 this is bit-identical
-  // to the clairvoyant start + proc.
-  const double finish = (start + setup) + proc;
+StreamingEngine::Decision StreamingEngine::decide(const Task& task,
+                                                  long long task_id) {
+  admit(task);
+  settle_until(task.release);
+
   if (observer_ != nullptr) {
     ObsEvent e;
+    e.kind = ObsEventKind::kTaskReleased;
+    e.time = task.release;
     e.task = static_cast<int>(task_id);
-    e.machine = u;
-    e.release = time;
-    e.proc = proc;
-    e.weight = weight;
-    e.setup = setup;
-    e.kind = ObsEventKind::kTaskDispatched;
-    e.time = time;
-    observer_->on_event(e);
-    e.kind = ObsEventKind::kTaskStarted;
-    e.time = start;
-    observer_->on_event(e);
-    e.kind = ObsEventKind::kTaskCompleted;
-    e.time = finish;
+    e.release = task.release;
+    e.proc = task.proc;
+    e.weight = task.weight;
+    e.eligible = &task.eligible;
     observer_->on_event(e);
   }
-  completion_[uj] = finish;
-  load_[uj] += proc;
-  ++count_[uj];
-  ++queued_[uj];
 
+  const int u = choose(task, task_id);
+  const std::size_t uj = static_cast<std::size_t>(u);
+  Decision d{task_id, task.release, task.proc, task.weight, u,
+             std::max(task.release, completion_[uj]), 0.0, 0.0};
+  if (clairvoyance_ == Clairvoyance::kNonClairvoyant) {
+    // Setup is charged when the machine switches key ranges (previous
+    // task's processing set differs); the first task on a machine warms up
+    // for free.
+    if (has_last_set_[uj] && !(last_set_[uj] == task.eligible)) d.setup = setup_;
+    last_set_[uj] = task.eligible;
+    has_last_set_[uj] = true;
+  }
+  // Left-to-right so C_i = (S_i + setup) + p_i is the exact dyadic value
+  // the [setup-accounting] audit recomputes; with setup = 0 this is
+  // bit-identical to the clairvoyant start + proc.
+  d.finish = (d.start + d.setup) + task.proc;
+  if (observer_ != nullptr) {
+    ObsEvent e = task_event(d);
+    e.kind = ObsEventKind::kTaskDispatched;
+    e.time = d.release;
+    observer_->on_event(e);
+  }
+  return d;
+}
+
+ObsEvent StreamingEngine::task_event(const Decision& d) {
+  ObsEvent e;
+  e.task = static_cast<int>(d.task);
+  e.machine = d.machine;
+  e.release = d.release;
+  e.proc = d.proc;
+  e.weight = d.weight;
+  e.setup = d.setup;
+  return e;
+}
+
+void StreamingEngine::commit(const Decision& d) {
+  if (observer_ != nullptr) {
+    // All four task milestones are known the moment the assignment commits
+    // (immediate dispatch): started/completed carry future model times.
+    ObsEvent e = task_event(d);
+    e.kind = ObsEventKind::kTaskStarted;
+    e.time = d.start;
+    observer_->on_event(e);
+    e.kind = ObsEventKind::kTaskCompleted;
+    e.time = d.finish;
+    observer_->on_event(e);
+  }
+  const std::size_t uj = static_cast<std::size_t>(d.machine);
+  load_[uj] += d.proc;
+  ++count_[uj];
+  occupy(d.machine, d.finish, d.setup + d.proc);
+  ++released_;
+}
+
+void StreamingEngine::occupy(int machine, double end, double work) {
+  completion_[static_cast<std::size_t>(machine)] = end;
+  ++queued_[static_cast<std::size_t>(machine)];
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -165,20 +186,30 @@ Assignment StreamingEngine::release(double time, double proc,
   } else {
     slot = static_cast<std::uint32_t>(slot_machine_.size());
     slot_machine_.push_back(0);
-    slot_finish_.push_back(0);
-    slot_task_.push_back(0);
     slot_work_.push_back(0);
   }
-  slot_machine_[static_cast<std::size_t>(slot)] = u;
-  slot_finish_[static_cast<std::size_t>(slot)] = finish;
-  slot_task_[static_cast<std::size_t>(slot)] = task_id;
-  slot_work_[static_cast<std::size_t>(slot)] = setup + proc;
-  events_.push(finish, slot);
+  slot_machine_[static_cast<std::size_t>(slot)] = machine;
+  slot_work_[static_cast<std::size_t>(slot)] = work;
+  // A fault-mode segment whose machine never comes back up never ends: it
+  // stays queued for the rest of the run.
+  if (std::isfinite(end)) events_.push(end, slot);
   ++in_flight_;
   peak_in_flight_ = std::max(peak_in_flight_, in_flight_);
+}
 
-  ++released_;
-  return Assignment{u, start};
+Assignment StreamingEngine::release(double time, double proc,
+                                    const ProcSet& eligible,
+                                    long long task_id, double weight) {
+  // The probe Task is a member-shaped temporary handed to the dispatcher;
+  // `weight` rides along for the observer events only.
+  Task probe;
+  probe.release = time;
+  probe.proc = proc;
+  probe.eligible = eligible.empty() ? all_ : eligible;
+  probe.weight = weight;
+  const Decision d = decide(probe, task_id);
+  commit(d);
+  return Assignment{d.machine, d.start};
 }
 
 void StreamingEngine::drain() {
@@ -198,8 +229,6 @@ std::size_t StreamingEngine::memory_bytes() const {
   bytes += count_.capacity() * sizeof(int);
   bytes += queued_.capacity() * sizeof(int);
   bytes += slot_machine_.capacity() * sizeof(int);
-  bytes += slot_finish_.capacity() * sizeof(double);
-  bytes += slot_task_.capacity() * sizeof(long long);
   bytes += slot_work_.capacity() * sizeof(double);
   bytes += free_slots_.capacity() * sizeof(std::uint32_t);
   bytes += all_.machines().capacity() * sizeof(int);

@@ -1,34 +1,29 @@
-// StreamingEngine: the OnlineEngine hot path with O(backlog) memory.
+// StreamingEngine: the immediate-dispatch decision core, O(backlog) memory.
 //
-// OnlineEngine records every task, assignment, and per-machine finish time
-// for the lifetime of the run — the right contract for schedules that get
-// audited, snapshotted, and compared against offline oracles, and a
-// non-starter for the 10^8-request serving simulations the kvstore layer
-// targets (docs/streaming.md). StreamingEngine keeps the *decision* path
-// bit-identical — same validation, same lazy queue-depth values handed to
-// the dispatcher, same start = max(release, C_j) commitment — while
-// retiring a task's storage the moment the simulated clock passes its
-// completion:
+// Every release in the repo is decided here. The core validates the task,
+// settles completion events up to the release instant, hands the dispatcher
+// its view of the machines (true or censored, see Clairvoyance), checks the
+// choice against M_i, charges non-clairvoyant setups, commits
+// start = max(release, C_j), and narrates the four task events. It retains
+// nothing per task beyond the task's pending completion event:
 //
-//  * task state lives in a recycled SoA slot arena (machine / finish /
-//    task id per slot, free-list reuse), so live slots == in-flight tasks,
-//    not released tasks;
+//  * task state lives in a recycled SoA slot arena (machine and settled
+//    work per slot, free-list reuse), so live slots == in-flight tasks, not
+//    released tasks;
 //  * completions are a CalendarQueue (sched/calendar.hpp) of
 //    (completion time, slot) events on the dyadic 2^-3 grid, popped at each
-//    release to decrement queue depths and recycle slots — replacing both
-//    the per-machine finish_times_ logs and any general-purpose heap;
+//    release to decrement queue depths and recycle slots;
 //  * per-machine aggregates (completion frontier, load, count, queue depth)
-//    are plain arrays, exactly the spans OnlineEngine hands to dispatchers.
+//    are plain arrays, exactly the spans MachineState hands to dispatchers.
 //
-// Equivalence contract (asserted by tests/test_streaming.cpp and the
-// fuzzer's [diff-streaming] check): for any non-decreasing release
-// sequence and any Dispatcher, release() returns the same Assignment
-// sequence as OnlineEngine::release, including depth-reading dispatchers —
-// the popped-events queue depth equals the lazy finished-cursor count
-// because both count assignments with finish > release instant.
-//
-// Fault injection is out of scope here: faults need the full attempt log
-// (unbounded by design); use OnlineEngine for fault runs.
+// Used directly, the core serves the 10^8-request simulations of the kvstore
+// layer (docs/streaming.md). OnlineEngine (sched/engine.hpp) is the same core
+// plus a retention layer: it keeps every task and assignment for snapshots,
+// audits, oracles and adversaries, narrates machine busy/idle transitions,
+// and runs fault injection, whose attempt log is unbounded by design. Both
+// engines therefore commit the same (machine, start) sequence for the same
+// release sequence — one code path, asserted end to end by
+// tests/test_streaming.cpp and the fuzzer's [diff-streaming] check.
 #pragma once
 
 #include <cstddef>
@@ -36,12 +31,25 @@
 #include <vector>
 
 #include "model/instance.hpp"
+#include "model/schedule.hpp"
 #include "obs/observer.hpp"
 #include "sched/calendar.hpp"
 #include "sched/dispatchers.hpp"
-#include "sched/engine.hpp"
 
 namespace flowsched {
+
+/// What the dispatcher is allowed to see about processing times.
+///
+/// kClairvoyant (the paper's model, the default): the dispatcher sees p_i
+/// and the true machine frontiers/loads. kNonClairvoyant (Mäcker et al.'s
+/// setting): p_i is hidden until the task completes — the dispatcher sees a
+/// placeholder processing time, a *censored* completion frontier (the
+/// release instant while the machine is observably busy, the true last
+/// completion once it has drained) and finished work only, plus the real
+/// queue depths and counts. The engine itself always knows the truth; only
+/// the policy interface is censored, and the [nc-no-peek] audit replays the
+/// run under a proc permutation to prove no dispatcher decision leaked p_i.
+enum class Clairvoyance { kClairvoyant, kNonClairvoyant };
 
 class StreamingEngine {
  public:
@@ -51,11 +59,24 @@ class StreamingEngine {
   int m() const { return m_; }
   long long released() const { return released_; }
 
-  /// \brief Switches the engine into non-clairvoyant mode, mirroring
-  /// OnlineEngine::set_clairvoyance bit-for-bit (the fuzzer's
-  /// [diff-nc-stream] contract). Must be called before the first release.
+  /// \brief Switches the engine into non-clairvoyant mode (docs/scenarios.md).
+  ///
+  /// Must be called before the first release. `setup` >= 0 is the
+  /// per-machine setup time charged whenever a machine switches processing
+  /// sets (its previous task's M_i differs from the new one's; the first
+  /// task on a machine is free): C_i = (S_i + setup) + p_i, associated
+  /// left-to-right so the dyadic-grid values stay exact. With setup = 0 the
+  /// committed (machine, start) sequence of a clairvoyance-oblivious policy
+  /// is bit-equal to the clairvoyant run's — the fuzzer's [diff-nc].
   void set_clairvoyance(Clairvoyance c, double setup = 0.0);
   Clairvoyance clairvoyance() const { return clairvoyance_; }
+  double setup_time() const { return setup_; }
+
+  /// \brief Testing backdoor: in non-clairvoyant mode, hand the dispatcher
+  /// the TRUE frontiers, loads, and p_i — i.e. let it peek. This is the
+  /// planted bug the fuzzer's --inject-nc-bug campaign must catch via the
+  /// [nc-no-peek] counterfactual replay; never enable it outside tests.
+  void set_unsafe_nc_leak(bool v) { nc_leak_ = v; }
 
   /// Releases one task; releases must be non-decreasing. Completion events
   /// up to the release instant are settled first (slots recycled, queue
@@ -65,7 +86,8 @@ class StreamingEngine {
   }
 
   /// As above, with a caller-supplied task id stamped on observer events and
-  /// slot bookkeeping in place of the engine-local release counter. The
+  /// handed to the dispatcher (MachineState::task_id) in place of the
+  /// engine-local release counter. The
   /// sharded engine's lanes each see a subsequence of the global stream and
   /// emit the *global* task id this way (sched/sharded/sharded.hpp); the
   /// decision path is identical to the default overload. `weight` rides
@@ -79,7 +101,7 @@ class StreamingEngine {
                    task.weight);
   }
 
-  /// C_j: machine completion frontier (same as OnlineEngine::completions).
+  /// C_j: machine completion frontier.
   const std::vector<double>& completions() const { return completion_; }
   /// Total work assigned to each machine so far.
   const std::vector<double>& loads() const { return load_; }
@@ -100,20 +122,51 @@ class StreamingEngine {
 
   /// \brief Attaches a borrowed event sink (nullptr detaches).
   ///
-  /// Emits the four task milestones per release with OnlineEngine's exact
-  /// timestamp semantics (all four at the release instant, started /
-  /// completed carrying future model times). Machine busy/idle transitions
-  /// are NOT emitted — they exist for full-schedule occupancy analysis;
-  /// streaming consumers (check/stream_audit.hpp, obs sketches) key off
-  /// task events only.
+  /// Emits the four task milestones per release, all at the release instant
+  /// (started / completed carry future model times). Machine busy/idle
+  /// transitions belong to OnlineEngine's retention layer; streaming
+  /// consumers (check/stream_audit.hpp, obs sketches) key off task events
+  /// only.
   void set_observer(SchedObserver* observer) { observer_ = observer; }
 
  private:
+  // OnlineEngine drives the core through the steps below: it narrates
+  // machine occupancy between decide() and commit(), and its fault layer
+  // dispatches attempts with choose() and occupy().
+  friend class OnlineEngine;
+
+  // One dispatch decision, taken but not yet applied to the machine arrays.
+  struct Decision {
+    long long task;
+    double release;
+    double proc;
+    double weight;
+    int machine;
+    double start;
+    double setup;
+    double finish;
+  };
+
+  // Release-order, processing-set and proc checks; `task.eligible` must be
+  // resolved (non-empty).
+  void admit(const Task& task);
   void settle_until(double time);
+  // The dispatcher's machine choice for `probe` under the active view,
+  // checked against probe.eligible.
+  int choose(const Task& probe, long long task_id);
+  // admit + settle + released event + choose + setup + dispatched event.
+  Decision decide(const Task& task, long long task_id);
+  // started/completed events, then the machine arrays and completion event.
+  void commit(const Decision& d);
+  // The fields every per-machine task event of `d` carries.
+  static ObsEvent task_event(const Decision& d);
+  // Machine `machine` is busy until `end`: new frontier, one more queued
+  // task until the completion event at `end` settles `work` into the
+  // censored finished-work view.
+  void occupy(int machine, double end, double work);
 
   int m_;
   Dispatcher* dispatcher_;
-  bool needs_depths_;
   long long released_ = 0;
   double last_release_ = 0.0;
   ProcSet all_;  // cached "empty means all machines" expansion
@@ -124,25 +177,26 @@ class StreamingEngine {
   std::vector<int> count_;
   std::vector<int> queued_;
 
-  // Non-clairvoyant state (empty/unused in clairvoyant mode; the default
-  // decision path is byte-for-byte the pre-nc code).
+  // Non-clairvoyant state (empty/unused in clairvoyant mode).
   Clairvoyance clairvoyance_ = Clairvoyance::kClairvoyant;
   double setup_ = 0.0;
+  bool nc_leak_ = false;
   std::vector<double> finished_work_;        // per machine, settled setup+proc
   std::vector<double> censored_completion_;  // scratch, eligible slots only
   std::vector<double> censored_load_;        // scratch, eligible slots only
   std::vector<ProcSet> last_set_;            // per machine, previous M_i
   std::vector<bool> has_last_set_;
-  std::vector<double> slot_work_;            // setup+proc per live slot
 
-  // Slot arena (SoA) + free list. slot_task_ keeps the global task id for
-  // observer emission; everything else is the per-task state a completion
-  // event needs to settle.
-  std::vector<double> slot_finish_;
+  // Slot arena (SoA) + free list: the per-task state a completion event
+  // needs to settle.
   std::vector<int> slot_machine_;
-  std::vector<long long> slot_task_;
+  std::vector<double> slot_work_;  // setup+proc per live slot
   std::vector<std::uint32_t> free_slots_;
 
+  // Completion events live a few service times ahead of the clock, so the
+  // ring starts small (two time units) and doubles on demand; a small ring
+  // keeps a short run's bucket storage hot and reused.
+  static constexpr std::size_t kInitialBuckets = 16;
   CalendarQueue<std::uint32_t> events_;  // (completion time, slot)
 
   std::size_t in_flight_ = 0;

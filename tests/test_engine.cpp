@@ -108,11 +108,10 @@ TEST(OnlineEngine, ThrowsOnNonPositiveMachineCount) {
   EXPECT_THROW(OnlineEngine(0, eft), std::invalid_argument);
 }
 
-// The engine advances queue-depth cursors lazily — only for eligible
-// machines, only when the dispatcher asks for depths. This wrapper routes
-// every choice through JSQ while checking the depths the engine supplies
-// against an eager brute-force recount over the full assignment history
-// (the pre-optimization implementation's values).
+// The engine core settles queue depths from its calendar of completion
+// events. This wrapper routes every choice through JSQ while checking the
+// depths the engine supplies against an eager brute-force recount over the
+// full assignment history.
 class QueueAuditJsq final : public Dispatcher {
  public:
   explicit QueueAuditJsq(TieBreakKind kind) : jsq_(kind) {}
@@ -150,12 +149,11 @@ class QueueAuditJsq final : public Dispatcher {
   std::vector<std::pair<int, double>> history_;
 };
 
-TEST(OnlineEngine, LazyQueueDepthsMatchEagerOnInterleavedReleases) {
+TEST(OnlineEngine, QueueDepthsEqualEagerCountOnInterleavedReleases) {
   QueueAuditJsq audit(TieBreakKind::kMin);
   OnlineEngine engine(4, audit);
   // Interleaved restricted releases: machines drop out of eligibility for
-  // long stretches, so their cursors must catch up over several finished
-  // tasks at once when they reappear.
+  // long stretches and several of their tasks finish before they reappear.
   const std::vector<Task> tasks{
       {.release = 0.0, .proc = 3.0, .eligible = ProcSet({0, 1})},
       {.release = 0.0, .proc = 1.0, .eligible = ProcSet({1, 2})},
@@ -173,7 +171,7 @@ TEST(OnlineEngine, LazyQueueDepthsMatchEagerOnInterleavedReleases) {
   EXPECT_EQ(engine.released(), static_cast<int>(tasks.size()));
 }
 
-TEST(OnlineEngine, LazyQueueDepthsMatchEagerOnRandomWorkload) {
+TEST(OnlineEngine, QueueDepthsEqualEagerCountOnRandomWorkload) {
   QueueAuditJsq audit(TieBreakKind::kMin);
   OnlineEngine engine(6, audit);
   Rng rng(20260805);
@@ -189,9 +187,9 @@ TEST(OnlineEngine, LazyQueueDepthsMatchEagerOnRandomWorkload) {
   EXPECT_EQ(engine.released(), 400);
 }
 
-TEST(OnlineEngine, JsqScheduleUnchangedByLazyCursorScheme) {
-  // The audited JSQ (lazy depths, checked against eager values) and the
-  // plain JSQ must produce identical schedules on a shared workload.
+TEST(OnlineEngine, JsqScheduleUnchangedByEagerCountAudit) {
+  // The audited JSQ (engine depths, checked against the eager count) and
+  // the plain JSQ must produce identical schedules on a shared workload.
   std::vector<Task> tasks;
   Rng rng(99);
   double release = 0.0;

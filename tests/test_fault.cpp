@@ -258,6 +258,50 @@ TEST(FaultEngine, RetryBudgetExhaustionDrops) {
   EXPECT_EQ(engine.fault_log().stats().dropped, 1);
 }
 
+// JSQ reads queue depths, and under faults a killed segment counts as
+// queued on its machine until the crash instant, no longer after it.
+// Requests at 1 and 1.5 see machine 0 busy with the segment that dies at 2
+// (a tie would send them to machine 0); the request at 3 sees it gone.
+TEST(FaultEngine, JsqQueueDepthsCountKilledSegmentsUntilTheCrash) {
+  const Instance inst(3, {{0.0, 4.0, ProcSet({0, 1})},
+                          {1.0, 1.0, ProcSet({0, 1})},
+                          {1.5, 1.0, ProcSet({0, 2})},
+                          {3.0, 1.0, ProcSet({0, 2})},
+                          {3.5, 1.0, ProcSet({1, 2})}});
+  FaultPlan plan(3);
+  plan.add_down(0, 2.0, 3.0);
+  JsqDispatcher jsq(TieBreakKind::kMin);
+  const OnlineEngine engine =
+      run_dispatcher_faulty(inst, jsq, plan, RecoveryPolicy{});
+  const FaultLog& log = engine.fault_log();
+
+  struct Segment {
+    int machine;
+    double start, end;
+    bool killed;
+  };
+  const std::vector<std::vector<Segment>> expected = {
+      {{0, 0.0, 2.0, true}, {1, 2.0, 6.0, false}},
+      {{1, 1.0, 2.0, false}},
+      {{2, 1.5, 2.5, false}},
+      {{0, 3.0, 4.0, false}},
+      {{2, 3.5, 4.5, false}},
+  };
+  for (int i = 0; i < inst.n(); ++i) {
+    const auto attempts = log.attempts_of(i);
+    const auto& want = expected[static_cast<std::size_t>(i)];
+    ASSERT_EQ(attempts.size(), want.size()) << "task " << i;
+    for (std::size_t a = 0; a < want.size(); ++a) {
+      EXPECT_EQ(attempts[a].machine, want[a].machine) << i << "/" << a;
+      EXPECT_EQ(attempts[a].start, want[a].start) << i << "/" << a;
+      EXPECT_EQ(attempts[a].end, want[a].end) << i << "/" << a;
+      EXPECT_EQ(attempts[a].killed, want[a].killed) << i << "/" << a;
+    }
+    EXPECT_EQ(engine.fate_of(i), TaskFate::kCompleted) << "task " << i;
+  }
+  EXPECT_EQ(log.stats().kills, 1);
+}
+
 TEST(FaultEngine, AuditorAcceptsCleanRunsAndFlagsDowntimeViolations) {
   Instance inst(3, {{0.0, 2.0, ProcSet({0, 1})},
                     {0.25, 1.0, ProcSet({1, 2})},

@@ -1,7 +1,7 @@
 // Non-clairvoyant mode (docs/scenarios.md): the engines' Clairvoyance
 // switch, the per-machine setup charge on processing-set switches, the
-// NcDispatcher adapter, the setup-aware auditor contract, and the
-// batch/streaming nc mirror. The counterfactual no-peek replay and the nc
+// NcDispatcher adapter, the setup-aware auditor contract, and the nc path
+// through both engine entry points. The counterfactual no-peek replay and the nc
 // bound oracles themselves live in the fuzz battery (check/fuzz.hpp); here
 // we pin the engine semantics they rely on.
 #include "sched/nonclairvoyant.hpp"
@@ -121,10 +121,11 @@ TEST(NonClairvoyant, ObliviousPolicyMatchesClairvoyantAtZeroSetup) {
   }
 }
 
-// The streaming engine's nc mirror: identical censored observables at every
-// dispatch instant, so per-task (machine, start) matches the batch engine
-// bitwise — the property the fuzzer's [diff-nc-stream] differential runs on
-// random instances.
+// OnlineEngine decides on the StreamingEngine core, so the bare core and the
+// retention layer see identical censored observables at every dispatch
+// instant and commit bitwise-equal (machine, start) sequences. This is the
+// unit-level guard that the retention layer adds nothing to the nc decision
+// path.
 TEST(NonClairvoyant, StreamingMirrorsBatchEngine) {
   const double setup = 0.5;
   std::vector<Task> tasks;

@@ -253,6 +253,24 @@ TEST(Streaming, ReportIsDeterministic) {
   EXPECT_EQ(run(), run());
 }
 
+// SimReport::requests is an int: longer streams are refused up front, by
+// both drivers, before a single request is drawn.
+TEST(Streaming, RejectsRequestCountsAboveIntMax) {
+  Rng rng(55);
+  KeyValueStore store(small_store(8), rng);
+  auto policy = make_policy("eft-min");
+  StreamConfig config;
+  config.requests = 1LL << 31;
+  EXPECT_THROW(simulate_cluster_streaming(store, config, *policy, rng),
+               std::invalid_argument);
+  const ShardedEngine::DispatcherFactory factory = [](int) {
+    return make_policy("eft-min");
+  };
+  EXPECT_THROW(simulate_cluster_streaming_sharded(store, config, factory,
+                                                  ShardedEngine::Options{}, rng),
+               std::invalid_argument);
+}
+
 // --- StreamAuditor ---------------------------------------------------------
 
 TEST(StreamAudit, CleanOnRealStreamingRun) {

@@ -72,6 +72,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -529,7 +530,15 @@ int cmd_faultsim(const ArgParser& args) {
 }
 
 int cmd_stream(const ArgParser& args) {
-  const auto requests = static_cast<long long>(args.num("requests", 100000));
+  // Range-check the parsed double before the integer cast: converting an
+  // out-of-range double (say 1e20) is undefined behaviour.
+  const double requests_arg = args.num("requests", 100000);
+  if (!(requests_arg >= 0 && requests_arg <= std::numeric_limits<int>::max())) {
+    std::fprintf(stderr, "need 0 <= requests <= %d\n",
+                 std::numeric_limits<int>::max());
+    return 2;
+  }
+  const auto requests = static_cast<long long>(requests_arg);
   const int m = args.integer("m", 16);
   const int keys = args.integer("keys", 100 * (m > 0 ? m : 1));
   int k = args.integer("k", 3);
@@ -561,9 +570,8 @@ int cmd_stream(const ArgParser& args) {
     std::fprintf(stderr, "need 0 <= shards <= m, shard-workers >= 0\n");
     return 2;
   }
-  if (reps < 1 || requests < 0 || lambda <= 0 || service <= 0) {
-    std::fprintf(stderr,
-                 "need reps >= 1, requests >= 0, lambda > 0, service > 0\n");
+  if (reps < 1 || lambda <= 0 || service <= 0) {
+    std::fprintf(stderr, "need reps >= 1, lambda > 0, service > 0\n");
     return 2;
   }
   if (heavy_keys < 0 || heavy_keys > keys || heavy_weight <= 0) {

@@ -8,8 +8,9 @@
 #      and every reproducer shrinks to at most 6 tasks;
 #   4. with --inject-fault-bug the planted downtime-ignoring dispatcher is
 #      caught by a [fault-*] check and shrinks to at most 3 tasks;
-#   5. the clean campaign ran the batch-vs-streaming differential
-#      ([diff-streaming] + windowed [stream-*] audit) on every run —
+#   5. the clean campaign ran the core-vs-OnlineEngine differential
+#      ([diff-streaming]: the bare StreamingEngine core against the
+#      retention layer, + windowed [stream-*] audit) on every run —
 #      asserted via the report's stream-checks counter;
 #   6. the clean campaign armed the bound-landscape differential
 #      ([diff-bounds], docs/bounds.md) on every run — asserted via the
@@ -19,7 +20,7 @@
 #      docs/sharding.md) on every run — asserted via the report's
 #      shard-checks counter — and --no-shard disarms it;
 #   8. the clean campaign ran the non-clairvoyant battery ([nc-no-peek],
-#      [setup-accounting], [diff-nc], [diff-nc-stream], [nc-lb]/[nc-ceiling],
+#      [setup-accounting], [diff-nc], [nc-lb]/[nc-ceiling],
 #      docs/scenarios.md) on every run — asserted via the report's
 #      nc-checks counter — and --no-nc disarms it;
 #   9. the clean campaign ran the weighted battery ([weighted-accounting],
@@ -153,7 +154,7 @@ endif()
 
 # --- 5. the streaming differential actually ran ----------------------------
 # stream_every defaults to 1, so the clean campaign above must have executed
-# the batch-vs-streaming check on all 40 runs. A zero (or absent) counter
+# the core-vs-OnlineEngine check on all 40 runs. A zero (or absent) counter
 # means the differential silently stopped running.
 file(READ ${dir}/t1.txt clean_report)
 if(NOT clean_report MATCHES "stream-checks=([0-9]+)")

@@ -11,7 +11,8 @@
 #   5. the sharded path (docs/sharding.md): on an aligned-disjoint store,
 #      stdout at --shards 1 and --shards 4 (with a 4-worker team) is
 #      byte-identical to the legacy single-queue path;
-#   6. an out-of-range shard count fails fast.
+#   6. an out-of-range shard count fails fast;
+#   7. a request count above INT_MAX exits 2 instead of wrapping the report.
 #
 # Usable standalone:
 #
@@ -130,6 +131,15 @@ execute_process(
   OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
 if(rc EQUAL 0)
   message(FATAL_ERROR "stream_smoke: --shards > m was accepted")
+endif()
+
+# --- 7. request counts past INT_MAX are rejected ---------------------------
+execute_process(
+  COMMAND ${CLI} stream --requests 1e20 --m 4
+  OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR
+      "stream_smoke: --requests 1e20 did not exit 2 (rc=${rc})")
 endif()
 
 message(STATUS
