@@ -38,19 +38,16 @@ void collect_outcome(const ControlCase& c, OnlineEngine& engine,
   latencies.reserve(static_cast<std::size_t>(n));
   if (c.faulty()) {
     engine.drain_faults();
-    const FaultLog& flog = engine.fault_log();
-    for (int i = 0; i < n; ++i) {
-      if (flog.fate(i) == TaskFate::kCompleted) {
-        latencies.push_back(flog.completion(i) -
-                            c.release[static_cast<std::size_t>(i)]);
-      }
-    }
-    const FaultStats& st = flog.stats();
-    rep->completed = st.completed;
-    rep->dropped = st.dropped;
-    rep->parked = st.parked;
-    rep->retried = st.attempts + st.parked - n;
-    rep->wasted_work = st.wasted_work;
+    const FaultOutcome outcome =
+        engine.fault_log().outcome([&](int i, double completion) {
+          latencies.push_back(completion -
+                              c.release[static_cast<std::size_t>(i)]);
+        });
+    rep->completed = outcome.completed;
+    rep->dropped = outcome.dropped;
+    rep->parked = outcome.parked;
+    rep->retried = outcome.retried;
+    rep->wasted_work = outcome.wasted_work;
   } else {
     for (int i = 0; i < n; ++i) {
       latencies.push_back(engine.completion_of(i) -
@@ -63,11 +60,7 @@ void collect_outcome(const ControlCase& c, OnlineEngine& engine,
     rep->fmax = *std::max_element(latencies.begin(), latencies.end());
   }
   rep->flows = std::move(latencies);
-  double mk = 0;
-  for (int j = 0; j < c.m; ++j) {
-    mk = std::max(mk, engine.completions()[static_cast<std::size_t>(j)]);
-  }
-  rep->makespan = mk;
+  rep->makespan = std::ranges::max(engine.completions());
 }
 
 }  // namespace

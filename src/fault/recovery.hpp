@@ -92,6 +92,18 @@ struct FaultStats {
   FaultStats& operator+=(const FaultStats& o);
 };
 
+/// What a drained run reports about its faults, shared by every driver that
+/// turns a FaultLog into a report.
+struct FaultOutcome {
+  long long completed = 0;
+  long long dropped = 0;
+  long long parked = 0;
+  /// Dispatch-queue entries beyond each task's first: every kill or park
+  /// wake-up that put a task back in line.
+  long long retried = 0;
+  double wasted_work = 0;
+};
+
 /// \brief Append-only record of every attempt in one engine run.
 class FaultLog {
  public:
@@ -119,6 +131,21 @@ class FaultLog {
   std::vector<FaultAttempt> attempts_of(int task) const;
 
   const FaultStats& stats() const { return stats_; }
+
+  /// Settles a drained run for reporting: calls on_completed(task,
+  /// completion) for each completed task in task order, then returns the
+  /// run's counters.
+  template <class OnCompleted>
+  FaultOutcome outcome(OnCompleted&& on_completed) const {
+    for (int task = 0; task < tasks(); ++task) {
+      const auto idx = static_cast<std::size_t>(task);
+      if (fates_[idx] == TaskFate::kCompleted) {
+        on_completed(task, completions_[idx]);
+      }
+    }
+    return {stats_.completed, stats_.dropped, stats_.parked,
+            stats_.attempts + stats_.parked - tasks(), stats_.wasted_work};
+  }
 
  private:
   std::vector<FaultAttempt> attempts_;

@@ -69,8 +69,8 @@ double draw_service(ServiceDist dist, double service_time, Rng& rng) {
   throw std::logic_error("draw_service: unknown distribution");
 }
 
-// Input checks shared by the streaming drivers. SimReport counts requests
-// in an int, so a longer stream is rejected up front instead of wrapping.
+// Input checks shared by the three drivers. SimReport counts requests in
+// an int, so a longer stream is rejected up front instead of wrapping.
 void check_stream_config(const StreamConfig& config, const std::string& who) {
   if (!(config.lambda > 0)) {
     throw std::invalid_argument(who + ": lambda <= 0");
@@ -86,10 +86,27 @@ void check_stream_config(const StreamConfig& config, const std::string& who) {
   }
 }
 
-// Report assembly shared by the streaming drivers, fed one flow per request
-// in global request order. Exact regime: retain latencies and run the batch
-// path's own mean/quantile code, so the report is byte-identical to
-// simulate_cluster for the same seed. Sketch regime: O(1) aggregation.
+// The request stream shared by the three drivers. Each request consumes
+// `rng` in a fixed order (arrival gap, key, service), which is what makes
+// their reports byte-identical on one seed, and is handed to `release` as
+// (index, release time, service, replica set, weight). A template, so each
+// driver's release lambda inlines into the loop.
+template <class Release>
+void for_each_request(const KeyValueStore& store, const StreamConfig& config,
+                      Rng& rng, Release&& release) {
+  double t = 0.0;
+  for (long long i = 0; i < config.requests; ++i) {
+    t += rng.exponential(config.lambda);
+    const int key = store.sample_key(rng);
+    const double service = draw_service(config.dist, config.service_time, rng);
+    release(i, t, service, store.replicas_of_key(key),
+            request_weight(key, config.heavy_keys, config.heavy_weight));
+  }
+}
+
+// Report assembly shared by the three drivers, fed the flows in global
+// request order. Exact regime: retain latencies and compute type-7
+// quantiles. Sketch regime (streaming only): O(1) aggregation.
 class StreamAggregate {
  public:
   StreamAggregate(const StreamConfig& config, int m)
@@ -101,28 +118,39 @@ class StreamAggregate {
   }
 
   void add(int machine, double proc, double weight, double flow) {
+    add_flow(weight, flow);
+    add_busy(machine, proc);
+  }
+
+  void add_flow(double weight, double flow) {
     if (exact_) {
       latencies_.push_back(flow);
     } else {
       sketch_.add(flow);
     }
     if (weighted_) weighted_agg_.add(weight, flow);
-    busy_[static_cast<std::size_t>(machine)] += proc;
   }
 
+  void add_busy(int machine, double work) {
+    busy_[static_cast<std::size_t>(machine)] += work;
+  }
+
+  // Sorts the retained latencies in place: call once, after the last add.
   StreamReport report(double makespan, std::size_t peak_backlog,
-                      std::size_t memory_bytes, double wall_s) const {
+                      std::size_t memory_bytes, double wall_s) {
     StreamReport report;
     report.sim.requests = static_cast<int>(config_.requests);
     report.exact_quantiles = exact_;
     if (exact_) {
       if (!latencies_.empty()) {
+        // The mean sums in request order, before the sort.
         report.sim.mean_latency = mean(latencies_);
-        report.sim.p50 = quantile(latencies_, 0.50);
-        report.sim.p90 = quantile(latencies_, 0.90);
-        report.sim.p99 = quantile(latencies_, 0.99);
-        report.sim.max_latency = quantile(latencies_, 1.0);
-        report.p999 = quantile(latencies_, 0.999);
+        std::sort(latencies_.begin(), latencies_.end());
+        report.sim.p50 = quantile_sorted(latencies_, 0.50);
+        report.sim.p90 = quantile_sorted(latencies_, 0.90);
+        report.sim.p99 = quantile_sorted(latencies_, 0.99);
+        report.sim.max_latency = quantile_sorted(latencies_, 1.0);
+        report.p999 = quantile_sorted(latencies_, 0.999);
       }
     } else {
       report.sim.mean_latency = sketch_.mean();
@@ -188,14 +216,15 @@ SimReport simulate_cluster(const KeyValueStore& store, const SimConfig& config,
                            Dispatcher& dispatcher, Rng& rng,
                            SchedObserver* observer, const FaultPlan* faults,
                            const RecoveryPolicy& recovery) {
-  if (!(config.lambda > 0)) {
-    throw std::invalid_argument("simulate_cluster: lambda <= 0");
-  }
-  if (config.heavy_keys < 0 || !(config.heavy_weight > 0)) {
-    throw std::invalid_argument("simulate_cluster: bad weight config");
-  }
-  const bool weighted = config.heavy_keys > 0;
-  WeightedAgg weighted_agg;
+  // The streaming drivers' checks and report, pinned to the exact regime.
+  const StreamConfig stream{.lambda = config.lambda,
+                            .requests = config.requests,
+                            .service_time = config.service_time,
+                            .dist = config.dist,
+                            .exact_quantile_cap = config.requests,
+                            .heavy_keys = config.heavy_keys,
+                            .heavy_weight = config.heavy_weight};
+  check_stream_config(stream, "simulate_cluster");
   const int m = store.config().m;
   // A fault-free plan takes the fault-free path outright, so attaching one
   // cannot perturb the report (byte-identical output, no fault overhead).
@@ -207,92 +236,39 @@ SimReport simulate_cluster(const KeyValueStore& store, const SimConfig& config,
     engine.set_observer(observer);
   }
 
-  std::vector<double> latencies;
-  latencies.reserve(static_cast<std::size_t>(config.requests));
-  std::vector<double> busy(static_cast<std::size_t>(m), 0.0);
-  std::vector<double> releases;  // fault runs: latency is settled post hoc
-  std::vector<double> weights;   // fault runs: weights settle with them
-  if (faulty) releases.reserve(static_cast<std::size_t>(config.requests));
-
-  double t = 0.0;
-  for (int i = 0; i < config.requests; ++i) {
-    t += rng.exponential(config.lambda);
-    const int key = store.sample_key(rng);
-    const double service = draw_service(config.dist, config.service_time, rng);
-    const double w =
-        request_weight(key, config.heavy_keys, config.heavy_weight);
+  StreamAggregate agg(stream, m);
+  for_each_request(store, stream, rng, [&](long long, double t, double proc,
+                                           const ProcSet& eligible, double w) {
     const Assignment a = engine.release(
-        Task{.release = t,
-             .proc = service,
-             .eligible = store.replicas_of_key(key),
-             .weight = w});
-    if (faulty) {
-      // The assignment is provisional (the request may still be killed and
-      // requeued); latencies come from the fault log after the drain.
-      releases.push_back(t);
-      if (weighted) weights.push_back(w);
-    } else {
-      const double flow = a.start + service - t;
-      latencies.push_back(flow);
-      if (weighted) weighted_agg.add(w, flow);
-      busy[static_cast<std::size_t>(a.machine)] += service;
-    }
-  }
+        Task{.release = t, .proc = proc, .eligible = eligible, .weight = w});
+    // A fault run's assignment is provisional (the request may still be
+    // killed and requeued): its flow settles after the drain.
+    if (!faulty) agg.add(a.machine, proc, w, a.start + proc - t);
+  });
 
-  SimReport report;
-  report.requests = config.requests;
+  FaultOutcome outcome;
   if (faulty) {
     engine.drain_faults();
     const FaultLog& log = engine.fault_log();
-    for (int i = 0; i < config.requests; ++i) {
-      if (log.fate(i) == TaskFate::kCompleted) {
-        const double flow =
-            log.completion(i) - releases[static_cast<std::size_t>(i)];
-        latencies.push_back(flow);
-        // Dropped requests are excluded, matching the latency quantiles.
-        if (weighted) {
-          weighted_agg.add(weights[static_cast<std::size_t>(i)], flow);
-        }
-      }
-    }
+    // Dropped requests are excluded from every flow statistic.
+    outcome = log.outcome([&](int i, double completion) {
+      const Task& task = engine.tasks()[static_cast<std::size_t>(i)];
+      agg.add_flow(task.weight, completion - task.release);
+    });
     // Busy time is real occupancy: killed segments held the server too.
     for (const FaultAttempt& a : log.attempts()) {
-      if (a.machine >= 0) busy[static_cast<std::size_t>(a.machine)] += a.work();
+      if (a.machine >= 0) agg.add_busy(a.machine, a.work());
     }
-    const FaultStats& stats = log.stats();
-    report.faulty = true;
-    // Dispatch-queue entries beyond each request's first: every kill or
-    // park wake-up that put a request back in line.
-    report.retried =
-        stats.attempts + stats.parked - static_cast<long long>(config.requests);
-    report.dropped = stats.dropped;
-    report.parked = stats.parked;
-    report.wasted_work = stats.wasted_work;
-  }
-  if (!latencies.empty()) {
-    report.mean_latency = mean(latencies);
-    report.p50 = quantile(latencies, 0.50);
-    report.p90 = quantile(latencies, 0.90);
-    report.p99 = quantile(latencies, 0.99);
-    report.max_latency = quantile(latencies, 1.0);
-  }
-  if (weighted) {
-    report.weighted = true;
-    report.max_weighted_latency = weighted_agg.max_w;
-    report.total_weighted_latency = weighted_agg.total();
   }
 
-  double makespan = 0;
-  for (int j = 0; j < m; ++j) {
-    makespan = std::max(makespan, engine.completions()[static_cast<std::size_t>(j)]);
-  }
-  report.makespan = makespan;
-  report.utilization.resize(static_cast<std::size_t>(m));
-  for (int j = 0; j < m; ++j) {
-    report.utilization[static_cast<std::size_t>(j)] =
-        makespan > 0 ? busy[static_cast<std::size_t>(j)] / makespan : 0.0;
-  }
+  const double makespan = std::ranges::max(engine.completions());
+  SimReport report = agg.report(makespan, 0, 0, 0).sim;
   if (faulty) {
+    report.faulty = true;
+    report.retried = outcome.retried;
+    report.dropped = outcome.dropped;
+    report.parked = outcome.parked;
+    report.wasted_work = outcome.wasted_work;
     report.downtime_fraction.resize(static_cast<std::size_t>(m));
     for (int j = 0; j < m; ++j) {
       report.downtime_fraction[static_cast<std::size_t>(j)] =
@@ -328,23 +304,16 @@ StreamReport simulate_cluster_streaming(const KeyValueStore& store,
 
   StreamAggregate agg(config, m);
   const auto wall_start = std::chrono::steady_clock::now();
-  double t = 0.0;
-  for (long long i = 0; i < config.requests; ++i) {
-    t += rng.exponential(config.lambda);
-    const int key = store.sample_key(rng);
-    const double service = draw_service(config.dist, config.service_time, rng);
-    const double w =
-        request_weight(key, config.heavy_keys, config.heavy_weight);
-    const Assignment a =
-        engine.release(t, service, store.replicas_of_key(key), i, w);
-    agg.add(a.machine, service, w, a.start + service - t);
-  }
+  for_each_request(store, config, rng, [&](long long i, double t, double proc,
+                                           const ProcSet& eligible, double w) {
+    const Assignment a = engine.release(t, proc, eligible, i, w);
+    agg.add(a.machine, proc, w, a.start + proc - t);
+  });
   const std::size_t live_bytes = engine.memory_bytes();
   engine.drain();
   const auto wall_end = std::chrono::steady_clock::now();
 
-  double makespan = 0;
-  for (double c : engine.completions()) makespan = std::max(makespan, c);
+  const double makespan = std::ranges::max(engine.completions());
   const StreamReport report =
       agg.report(makespan, engine.peak_in_flight(), live_bytes,
                  std::chrono::duration<double>(wall_end - wall_start).count());
@@ -373,14 +342,10 @@ StreamReport simulate_cluster_streaming_sharded(
   });
 
   const auto wall_start = std::chrono::steady_clock::now();
-  double t = 0.0;
-  for (long long i = 0; i < config.requests; ++i) {
-    t += rng.exponential(config.lambda);
-    const int key = store.sample_key(rng);
-    const double service = draw_service(config.dist, config.service_time, rng);
-    engine.release(t, service, store.replicas_of_key(key),
-                   request_weight(key, config.heavy_keys, config.heavy_weight));
-  }
+  for_each_request(store, config, rng, [&](long long, double t, double proc,
+                                           const ProcSet& eligible, double w) {
+    engine.release(t, proc, eligible, w);
+  });
   const std::size_t live_bytes = engine.memory_bytes();
   engine.drain();
   const auto wall_end = std::chrono::steady_clock::now();

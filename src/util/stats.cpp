@@ -39,16 +39,20 @@ double mean(std::span<const double> xs) {
   return s / static_cast<double>(xs.size());
 }
 
-double quantile(std::span<const double> xs, double q) {
-  if (xs.empty()) throw std::invalid_argument("quantile: empty input");
+double quantile_sorted(std::span<const double> sorted, double q) {
+  if (sorted.empty()) throw std::invalid_argument("quantile: empty input");
   if (q < 0 || q > 1) throw std::invalid_argument("quantile: q outside [0,1]");
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
+double quantile(std::span<const double> xs, double q) {
   std::vector<double> v(xs.begin(), xs.end());
   std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return v[lo] + frac * (v[hi] - v[lo]);
+  return quantile_sorted(v, q);
 }
 
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }

@@ -43,6 +43,10 @@ double median(std::span<const double> xs);
 /// default). Throws std::invalid_argument on empty input or q outside [0,1].
 double quantile(std::span<const double> xs, double q);
 
+/// quantile() on data already sorted ascending: no copy, no sort, so one
+/// sort serves several quantiles. Same interpolation, same throws.
+double quantile_sorted(std::span<const double> sorted, double q);
+
 /// Sample standard deviation (n-1); 0 when fewer than 2 samples.
 double stddev(std::span<const double> xs);
 

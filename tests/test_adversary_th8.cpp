@@ -50,6 +50,10 @@ TEST(Th8Stream, ExactOptimumIsOne) {
 struct Th8Case {
   int m;
   int k;
+
+  friend std::ostream& operator<<(std::ostream& os, const Th8Case& c) {
+    return os << "m" << c.m << "_k" << c.k;
+  }
 };
 
 class Th8EftMin : public ::testing::TestWithParam<Th8Case> {};

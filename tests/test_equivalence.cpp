@@ -25,6 +25,11 @@ struct EquivalenceCase {
   bool unit;
   TieBreakKind tie;
   std::uint64_t seed;
+
+  friend std::ostream& operator<<(std::ostream& os, const EquivalenceCase& c) {
+    return os << "m" << c.m << "_n" << c.n << (c.unit ? "_unit_" : "_")
+              << to_string(c.tie) << "_seed" << c.seed;
+  }
 };
 
 class Prop1Equivalence : public ::testing::TestWithParam<EquivalenceCase> {};

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
+#include "fault/plan.hpp"
+#include "fault/recovery.hpp"
 #include "kvstore/store.hpp"
 
 namespace flowsched {
@@ -172,6 +175,49 @@ TEST(ClusterSim, RejectsNonPositiveLambda) {
   sim.lambda = 0.0;
   EftDispatcher eft(TieBreakKind::kMin);
   EXPECT_THROW(simulate_cluster(store, sim, eft, rng), std::invalid_argument);
+}
+
+TEST(ClusterSim, RejectsNegativeRequestCount) {
+  Rng rng(16);
+  const KeyValueStore store(small_store(), rng);
+  SimConfig sim;
+  sim.requests = -1;
+  EftDispatcher eft(TieBreakKind::kMin);
+  EXPECT_THROW(simulate_cluster(store, sim, eft, rng), std::invalid_argument);
+}
+
+// Pins the whole fault-mode report of a weighted run in which crashes,
+// backoff retries, drops and parks all occur: the fault fields, the
+// weighted aggregates and per-server utilization, bit for bit.
+TEST(ClusterSim, FaultModeWeightedReportIsPinned) {
+  Rng rng(17);
+  const KeyValueStore store(small_store(), rng);
+  FaultModelConfig model;
+  model.mean_up = 6.0;
+  model.mean_down = 3.0;
+  model.horizon = 200.0;
+  Rng plan_rng(18);
+  const FaultPlan plan = FaultPlan::random(6, model, plan_rng);
+  RecoveryPolicy recovery;
+  recovery.kind = RecoveryKind::kBackoff;
+  recovery.max_retries = 2;
+  SimConfig sim;
+  sim.lambda = 4.0;
+  sim.requests = 800;
+  sim.dist = ServiceDist::kExponential;
+  sim.heavy_keys = 6;
+  sim.heavy_weight = 4.0;
+  EftDispatcher eft(TieBreakKind::kMin);
+  const auto report =
+      simulate_cluster(store, sim, eft, rng, nullptr, &plan, recovery);
+  EXPECT_EQ(report.str(),
+            "requests=800 mean=18.1884 p50=17.587 p90=32.1935 p99=58.36 "
+            "max(Fmax)=82.0692 retried=184 dropped=8 parked=58 "
+            "wasted=127.045 downtime=0.308336 fmaxw=206.972 totalw=16134");
+  const std::vector<double> utilization = {
+      0.65775836463916004, 0.72229870576016486, 0.63164459293746644,
+      0.66016575991375115, 0.57191261060470189, 0.71553439289205423};
+  EXPECT_EQ(report.utilization, utilization);
 }
 
 }  // namespace

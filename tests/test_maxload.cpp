@@ -77,6 +77,11 @@ struct CrossCase {
   int k;
   double s;
   ReplicationStrategy strategy;
+
+  friend std::ostream& operator<<(std::ostream& os, const CrossCase& c) {
+    return os << "m" << c.m << "_k" << c.k << "_s" << c.s << "_"
+              << to_string(c.strategy);
+  }
 };
 
 class MaxLoadCross : public ::testing::TestWithParam<CrossCase> {};

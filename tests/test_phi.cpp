@@ -11,6 +11,13 @@
 #include "sched/engine.hpp"
 
 namespace flowsched {
+
+// Names the AllTieBreaks cases' parameter for gtest (an enum cannot carry a
+// friend printer, and argument-dependent lookup searches only flowsched).
+std::ostream& operator<<(std::ostream& os, TieBreakKind kind) {
+  return os << to_string(kind);
+}
+
 namespace {
 
 TEST(Phi, ZeroProfileValue) {

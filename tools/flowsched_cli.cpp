@@ -529,6 +529,20 @@ int cmd_faultsim(const ArgParser& args) {
   return 0;
 }
 
+/// Peak resident set of this process image, in MiB. Linux carries
+/// ru_maxrss over exec, so a run launched from a larger process would
+/// report its launcher's size; VmHWM starts afresh with the new image.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
+  }
+  struct rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
 int cmd_stream(const ArgParser& args) {
   // Range-check the parsed double before the integer cast: converting an
   // out-of-range double (say 1e20) is undefined behaviour.
@@ -688,10 +702,7 @@ int cmd_stream(const ArgParser& args) {
     std::fprintf(stderr, "rep=%d throughput=%.6g req/s engine-memory=%zu B\n",
                  rep, r.requests_per_sec, r.memory_bytes);
   }
-  struct rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  const double rss_mb =
-      static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KB here
+  const double rss_mb = peak_rss_mb();
   std::fprintf(stderr, "peak_rss_mb=%.1f\n", rss_mb);
   if (assert_rss_mb > 0 && rss_mb > assert_rss_mb) {
     std::fprintf(stderr,
