@@ -1,7 +1,7 @@
 // Google-benchmark micro benches: the max-load solvers and the unit-task
 // optimum oracle.
 //
-// The max-load series covers the three LP (15) backends across m:
+// The max-load series covers the LP (15) backends across m:
 //   * BM_MaxLoadRevisedCold  — sparse revised simplex, skeleton built and
 //     solved from scratch (what a single isolated cell costs);
 //   * BM_MaxLoadRevisedWarm  — re-solves on a fixed skeleton, cycling
@@ -12,6 +12,10 @@
 //     revised/tableau ratio there);
 //   * BM_MaxLoadFlowBisection — lambda bisection over Dinic max-flow, the
 //     independent cross-check, with the rebuilt-once rescaled network.
+//   * BM_MaxLoadWindows       — the closed form for ring and block layouts
+//     (O(m^2) window scan, no LP), on BM_MaxLoadRevisedCold's cell with
+//     every machine up: what the replication controller pays per candidate.
+//     Both series include m = 64, the faults-adaptive cluster size.
 //
 // Custom main: `micro_lp --json out.json` writes the google-benchmark JSON
 // report alongside the usual ASCII console table (shorthand for
@@ -19,6 +23,7 @@
 // trajectories can be tracked machine-readably (tools/bench_trajectory.sh).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -49,7 +54,7 @@ void BM_MaxLoadRevisedCold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaxLoadRevisedCold)
-    ->Arg(8)->Arg(15)->Arg(30)->Arg(128)->Arg(512)->Arg(1024)
+    ->Arg(8)->Arg(15)->Arg(30)->Arg(64)->Arg(128)->Arg(512)->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_MaxLoadRevisedWarm(benchmark::State& state) {
@@ -98,6 +103,19 @@ void BM_MaxLoadFlowBisection(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxLoadFlowBisection)
     ->Arg(8)->Arg(15)->Arg(30)->Arg(128)->Arg(512)->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_MaxLoadWindows(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const auto pop = popularity_for(m, 7);
+  const std::vector<std::uint8_t> up(static_cast<std::size_t>(m), 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(max_load_windows(
+        pop, ReplicationStrategy::kOverlapping, kReplication, up));
+  }
+}
+BENCHMARK(BM_MaxLoadWindows)
+    ->Arg(8)->Arg(15)->Arg(30)->Arg(64)->Arg(128)->Arg(512)->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_UnitOptimalOracle(benchmark::State& state) {

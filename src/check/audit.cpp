@@ -956,7 +956,7 @@ void InvariantAuditor::check_control_run(const ControlLog& log,
                       ")");
       }
       const int dk = d.target.k - d.from.k;
-      if (!d.fallback && (dk > 1 || dk < -1)) {
+      if (dk > 1 || dk < -1) {
         violation("control-movement-bound",
                   ei + ": k jumped " + std::to_string(d.from.k) + " -> " +
                       std::to_string(d.target.k) + " in one switch");

@@ -200,7 +200,7 @@ class InvariantAuditor final : public SchedObserver {
   ///   [control-movement-bound]  each epoch migrates at most max_move owners,
   ///                             migration steps are contiguous with exactly
   ///                             one migration in flight, and k moves by at
-  ///                             most 1 per non-fallback switch
+  ///                             most 1 per switch
   ///   [control-setup-accounting] every setup charge names an owner a logged
   ///                             decision really moved, is charged exactly
   ///                             once per migration, and equals setup_cost

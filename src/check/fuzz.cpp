@@ -673,9 +673,7 @@ ControlCase control_case_for(const Instance& inst, std::uint64_t cseed) {
       1.0 + static_cast<double>(crng.uniform_int(0, 4)) / 8.0;
   c.control.cooldown = static_cast<int>(crng.uniform_int(0, 2));
   c.control.setup_cost = static_cast<double>(crng.uniform_int(1, 4)) / 8.0;
-  // A starved pivot cap forces the oracle-timeout path: every epoch falls
-  // back to the last known-good layout, exercising graceful degradation.
-  if (crng.bernoulli(0.125)) c.control.lp_pivot_cap = 1;
+  crng.bernoulli(0.125);  // unused; keeps committed "control <cseed>" cases
   const bool with_faults = crng.bernoulli(0.5);
   if (with_faults) {
     const FaultModelConfig model;  // the default crash/repair process
@@ -770,6 +768,54 @@ std::optional<std::string> lp_differential(Rng& rng) {
   return std::nullopt;
 }
 
+// Closed-form differential: a random ring or block layout with random
+// popularity and random crashes, scored by max_load_windows and by the two
+// general solvers on the degraded replica sets. An owner left with no up
+// replica must give lambda = 0 (the general solvers reject empty sets).
+std::optional<std::string> lp_window_differential(Rng& rng) {
+  const int m = static_cast<int>(rng.uniform_int(2, 16));
+  const ReplicationStrategy strategy = rng.bernoulli(0.5)
+                                           ? ReplicationStrategy::kOverlapping
+                                           : ReplicationStrategy::kDisjoint;
+  const int k = static_cast<int>(rng.uniform_int(1, m));
+  std::vector<double> popularity(static_cast<std::size_t>(m));
+  std::vector<std::uint8_t> up(static_cast<std::size_t>(m));
+  for (int j = 0; j < m; ++j) {
+    popularity[static_cast<std::size_t>(j)] = rng.uniform(0.0, 1.0);
+    up[static_cast<std::size_t>(j)] = rng.bernoulli(0.25) ? 0 : 1;
+  }
+  std::vector<ProcSet> degraded;
+  bool starved = false;
+  for (const ProcSet& full : replica_sets(strategy, k, m)) {
+    std::vector<int> members;
+    for (int i : full.machines()) {
+      if (up[static_cast<std::size_t>(i)]) members.push_back(i);
+    }
+    starved = starved || members.empty();
+    degraded.emplace_back(std::move(members));
+  }
+  const double windows = max_load_windows(popularity, strategy, k, up).lambda;
+  std::string up_mask;
+  for (std::uint8_t u : up) up_mask.push_back(u ? '1' : '0');
+  const std::string where = " (" + to_string(strategy) + " m=" +
+                            std::to_string(m) + " k=" + std::to_string(k) +
+                            " up=" + up_mask + ")";
+  if (starved) {
+    if (windows == 0.0) return std::nullopt;
+    return "[diff-lp] window lambda " + fmt(windows) +
+           " != 0 with an owner left no up replica" + where;
+  }
+  const double lp = max_load_lp(popularity, degraded).lambda;
+  const double flow = max_load_flow(popularity, degraded);
+  const double scale = std::max(1.0, std::abs(lp));
+  if (std::abs(windows - lp) > 1e-6 * scale ||
+      std::abs(windows - flow) > 1e-6 * scale) {
+    return "[diff-lp] window lambda " + fmt(windows) + " != simplex lambda " +
+           fmt(lp) + " / max-flow lambda " + fmt(flow) + where;
+  }
+  return std::nullopt;
+}
+
 // "[tag]" extracted from a violation line, "" when absent.
 std::string tag_of(const std::string& violation) {
   const std::size_t open = violation.find('[');
@@ -860,6 +906,15 @@ RunOutcome fuzz_one(const FuzzConfig& config,
     out.lp_checks = 1;
     if (auto lp = lp_differential(rng)) {
       out.findings.push_back({"lp", *lp, std::nullopt, std::nullopt});
+    }
+    // Drawn from its own stream, so the main stream's draws, and with them
+    // every pinned seed's report, do not depend on this case.
+    Rng window_rng(replicate_seed(experiment_id("flowsched_fuzz/lp-window"),
+                                  cell_id({config.seed}),
+                                  static_cast<std::uint64_t>(run)));
+    if (auto lp = lp_window_differential(window_rng)) {
+      out.findings.push_back({"lp", *lp, std::nullopt, std::nullopt,
+                              std::nullopt, std::nullopt});
     }
   }
 

@@ -21,7 +21,9 @@
 //                      unrestricted instance is one group with kmax = m)
 //   [diff-lp]          LP max-load optimum == Dinic max-flow optimum
 //                      (lp/maxload.hpp's two independent solvers), run on
-//                      a fresh random replica system every lp_every runs
+//                      a fresh random replica system every lp_every runs;
+//                      the same cadence also scores a random crashed ring
+//                      or block layout with max_load_windows against both
 //   [diff-streaming]   the bare StreamingEngine core (sched/streaming.hpp)
 //                      commits the bit-identical (machine, start) sequence
 //                      as OnlineEngine's retention layer for every
@@ -128,8 +130,8 @@ struct FuzzConfig {
   bool bound_oracles = true;
   /// Run the offline-oracle differential checks ([diff-*] above).
   bool differential = true;
-  /// Run the LP-vs-Dinic max-load differential every `lp_every` runs
-  /// (0 disables it).
+  /// Run the LP-vs-Dinic max-load differential and the closed-form window
+  /// case every `lp_every` runs (0 disables both).
   int lp_every = 16;
   /// Run the batch-vs-streaming engine differential ([diff-streaming],
   /// with the [stream-*] windowed audit attached) every `stream_every`

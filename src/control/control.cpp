@@ -1,6 +1,5 @@
 #include "control/control.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -36,8 +35,7 @@ std::string ControlConfig::str() const {
   out << "period=" << fmt(period) << " hysteresis=" << fmt(hysteresis)
       << " cooldown=" << cooldown << " k=[" << k_min << ","
       << (k_max == 0 ? std::string("m") : std::to_string(k_max))
-      << "] max-move=" << max_move << " setup=" << fmt(setup_cost)
-      << " pivot-cap=" << lp_pivot_cap;
+      << "] max-move=" << max_move << " setup=" << fmt(setup_cost);
   return out.str();
 }
 
@@ -59,8 +57,9 @@ std::string ControlDecision::str() const {
   out << "epoch=" << epoch << " t=" << fmt(time) << " from=" << from.str()
       << " target=" << target.str() << " moved=[" << moved_lo << ","
       << moved_hi << ") score=" << fmt(current_score) << " best="
-      << fmt(best_score) << " reason=" << reason
-      << (switched ? " switched" : "") << (fallback ? " fallback" : "");
+      << fmt(best_score) << " bottleneck=[" << bottleneck_lo << ","
+      << bottleneck_lo + bottleneck_len << ") reason=" << reason
+      << (switched ? " switched" : "");
   return out.str();
 }
 
@@ -123,7 +122,6 @@ ReplicationController::ReplicationController(int m, LayoutSpec initial,
       seed_(seed),
       active_(initial),
       target_(initial),
-      last_good_(initial),
       frontier_(m) {
   if (m < 1) throw std::invalid_argument("ReplicationController: m < 1");
   if (initial.k < 1 || initial.k > m) {
@@ -147,6 +145,7 @@ ReplicationController::ReplicationController(int m, LayoutSpec initial,
   if (config.k_min < 1) {
     throw std::invalid_argument("ReplicationController: k_min < 1");
   }
+  popularity_.assign(static_cast<std::size_t>(m), 1.0 / static_cast<double>(m));
 }
 
 int ReplicationController::effective_k_max() const {
@@ -166,47 +165,6 @@ ProcSet ReplicationController::eligible_for_owner(int owner) const {
   }
   const LayoutSpec& spec = owner < frontier_ ? target_ : active_;
   return replica_set(spec.strategy, owner, spec.k, m_);
-}
-
-double ReplicationController::headroom(const LayoutSpec& layout,
-                                       const ControlObservation& obs,
-                                       bool* feasible,
-                                       bool* oracle_failed) const {
-  *feasible = false;
-  *oracle_failed = false;
-  std::vector<ProcSet> degraded;
-  degraded.reserve(static_cast<std::size_t>(m_));
-  for (int owner = 0; owner < m_; ++owner) {
-    const ProcSet full = replica_set(layout.strategy, owner, layout.k, m_);
-    std::vector<int> up_members;
-    for (int j : full.machines()) {
-      if (obs.up[static_cast<std::size_t>(j)]) up_members.push_back(j);
-    }
-    // A key range whose every replica is down cannot be served: the layout
-    // is infeasible at this instant, no LP needed.
-    if (up_members.empty()) return 0.0;
-    degraded.emplace_back(std::move(up_members));
-  }
-  const std::vector<double> popularity(static_cast<std::size_t>(m_),
-                                       1.0 / static_cast<double>(m_));
-  try {
-    MaxLoadSolver solver(std::move(degraded));
-    const double lambda = solver.solve_lambda(popularity);
-    if (config_.lp_pivot_cap > 0 &&
-        solver.last_iterations() > config_.lp_pivot_cap) {
-      *oracle_failed = true;
-      return 0.0;
-    }
-    if (!(lambda > 0) || !std::isfinite(lambda)) {
-      *oracle_failed = true;
-      return 0.0;
-    }
-    *feasible = true;
-    return lambda;
-  } catch (const std::exception&) {
-    *oracle_failed = true;
-    return 0.0;
-  }
 }
 
 void ReplicationController::advance_frontier(ControlDecision* d) {
@@ -265,17 +223,15 @@ ControlDecision ReplicationController::decide(const ControlObservation& obs) {
     return d;
   }
 
-  bool cur_ok = false;
-  bool cur_fail = false;
-  d.current_score = headroom(active_, obs, &cur_ok, &cur_fail);
-  d.best_score = d.current_score;
-  if (cur_fail) {
-    d.fallback = true;
-    d.reason = "fallback";
-    if (!(last_good_ == active_)) begin_migration(last_good_, &d);
-    d.target = target_;
-    return d;
-  }
+  // Headroom: LP (15) of the layout degraded to the up machines; 0 when a
+  // crash leaves some owner with no up replica.
+  const WindowLoadResult current =
+      max_load_windows(popularity_, active_.strategy, active_.k, obs.up);
+  const bool cur_ok = current.lambda > 0;
+  d.current_score = current.lambda;
+  d.best_score = current.lambda;
+  d.bottleneck_lo = current.first;
+  d.bottleneck_len = current.count;
 
   if (cooldown_left_ > 0) {
     --cooldown_left_;
@@ -298,19 +254,11 @@ ControlDecision ReplicationController::decide(const ControlObservation& obs) {
   LayoutSpec best_cand;
   double best = 0.0;
   for (const LayoutSpec& cand : candidates) {
-    bool ok = false;
-    bool fail = false;
-    const double s = headroom(cand, obs, &ok, &fail);
-    if (fail) {
-      d.fallback = true;
-      d.reason = "fallback";
-      if (!(last_good_ == active_)) begin_migration(last_good_, &d);
-      d.target = target_;
-      return d;
-    }
-    if (ok && (!have_best || s > best)) {
+    const double score =
+        max_load_windows(popularity_, cand.strategy, cand.k, obs.up).lambda;
+    if (score > 0 && (!have_best || score > best)) {
       have_best = true;
-      best = s;
+      best = score;
       best_cand = cand;
     }
   }
@@ -332,7 +280,6 @@ ControlDecision ReplicationController::decide(const ControlObservation& obs) {
     d.reason = "switch";
   } else {
     d.reason = "hold";
-    if (cur_ok && !overloaded) last_good_ = active_;
   }
   d.target = target_;
   return d;

@@ -7,8 +7,9 @@
 // blocks) online. The in-the-loop oracle is the paper's LP (15): a
 // candidate layout's score is the maximum sustainable arrival rate of its
 // replica sets *degraded to the currently-up machines*, so the controller
-// reacts to crashes with the same machinery Section 7.2 uses to compare
-// static layouts.
+// reacts to crashes with the program Section 7.2 uses to compare static
+// layouts — solved in closed form by max_load_windows(), which also names
+// the owner window that binds the score.
 //
 // Contracts, all audited by InvariantAuditor::check_control_run:
 //
@@ -28,9 +29,7 @@
 //
 // Graceful degradation: hysteresis (a candidate must beat the incumbent's
 // headroom by a factor) and a cooldown (epochs held after a migration
-// completes) prevent flapping; an LP failure or oracle pivot-budget
-// overrun falls back toward the last known-good layout instead of acting
-// on a bad score.
+// completes) prevent flapping.
 #pragma once
 
 #include <cstdint>
@@ -65,10 +64,6 @@ struct ControlConfig {
   int k_max = 0;            ///< Upper bound; 0 means m.
   int max_move = 0;         ///< Owners migrated per epoch; 0 means max(1, m/4).
   double setup_cost = 0.25; ///< Charged on each moved owner's next request.
-  /// Oracle budget: a candidate whose LP solve spends more simplex pivots
-  /// than this is treated as timed out (deterministically — the pivot count
-  /// is a pure function of the program), triggering the fallback path.
-  std::size_t lp_pivot_cap = 4096;
   /// Mean per-machine backlog above which the incumbent counts as
   /// overloaded even if its LP score still covers the arrival rate
   /// (0 disables the backlog trigger).
@@ -91,7 +86,9 @@ struct ControlObservation {
 
 /// One decision, fully self-describing for bitwise replay. `moved_lo` /
 /// `moved_hi` is the half-open owner range migrated this epoch (empty when
-/// the controller held).
+/// the controller held). `bottleneck_lo` / `bottleneck_len` is the cyclic
+/// owner window that binds `current_score` (empty on epochs that score
+/// nothing: migrate steps).
 struct ControlDecision {
   int epoch = 0;
   double time = 0;
@@ -101,9 +98,13 @@ struct ControlDecision {
   int moved_hi = 0;
   double current_score = 0;  ///< Degraded LP headroom of `from`.
   double best_score = 0;     ///< Best candidate headroom seen this epoch.
+  int bottleneck_lo = 0;
+  int bottleneck_len = 0;
   bool switched = false;     ///< A new migration began this epoch.
-  bool fallback = false;     ///< Oracle failed; reverting to last known-good.
-  std::string reason;        ///< "hold"|"cooldown"|"migrate"|"switch"|"fallback".
+  /// Always false: the closed-form oracle cannot fail. Kept so reports
+  /// that count fallbacks keep their field.
+  bool fallback = false;
+  std::string reason;        ///< "hold"|"cooldown"|"migrate"|"switch".
 
   int moved_owners() const { return moved_hi - moved_lo; }
   std::string str() const;
@@ -173,7 +174,7 @@ class ReplicationController {
   ProcSet eligible_for_owner(int owner) const;
 
   /// One decision epoch. Also advances the migration frontier by at most
-  /// max_move owners and updates cooldown / last-known-good state.
+  /// max_move owners and updates the cooldown.
   ControlDecision decide(const ControlObservation& obs);
 
   /// Effective bounds after defaulting (k_max = 0 -> m, max_move = 0 ->
@@ -189,11 +190,6 @@ class ReplicationController {
   void set_unsafe_flap(bool v) { unsafe_flap_ = v; }
 
  private:
-  /// LP (15) headroom of `layout` on the machines up in `obs`. Sets that
-  /// degrade to empty make the layout infeasible (*feasible = false,
-  /// score 0); an LP failure or pivot-cap overrun sets *oracle_failed.
-  double headroom(const LayoutSpec& layout, const ControlObservation& obs,
-                  bool* feasible, bool* oracle_failed) const;
   /// Advances the frontier by at most max_move owners; returns the moved
   /// range via the decision fields and closes the migration when done.
   void advance_frontier(ControlDecision* d);
@@ -204,7 +200,7 @@ class ReplicationController {
   std::uint64_t seed_;
   LayoutSpec active_;
   LayoutSpec target_;
-  LayoutSpec last_good_;
+  std::vector<double> popularity_;  ///< Uniform 1/m: every owner weighs alike.
   int frontier_;       ///< Owners < frontier_ use target_; m_ = no migration.
   int cooldown_left_ = 0;
   int epoch_ = 0;

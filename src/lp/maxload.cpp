@@ -1,6 +1,7 @@
 #include "lp/maxload.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -9,15 +10,29 @@
 namespace flowsched {
 namespace {
 
+// Every max-load entry point accepts the same popularity vectors: non-empty,
+// finite, non-negative, and not all zero (lambda would be unbounded).
+void check_popularity(const std::vector<double>& popularity) {
+  if (popularity.empty()) {
+    throw std::invalid_argument("max_load: empty popularity");
+  }
+  bool positive = false;
+  for (double p : popularity) {
+    if (!std::isfinite(p)) {
+      throw std::invalid_argument("max_load: non-finite popularity");
+    }
+    if (p < 0) throw std::invalid_argument("max_load: negative popularity");
+    positive = positive || p > 0;
+  }
+  if (!positive) throw std::invalid_argument("max_load: zero popularity");
+}
+
 void check_inputs(const std::vector<double>& popularity,
                   const std::vector<ProcSet>& replica_sets) {
+  check_popularity(popularity);
   const int m = static_cast<int>(popularity.size());
-  if (m == 0) throw std::invalid_argument("max_load: empty popularity");
   if (replica_sets.size() != popularity.size()) {
     throw std::invalid_argument("max_load: popularity/replica size mismatch");
-  }
-  for (double p : popularity) {
-    if (p < 0) throw std::invalid_argument("max_load: negative popularity");
   }
   for (const auto& set : replica_sets) {
     if (set.empty() || !set.within(m)) {
@@ -167,7 +182,6 @@ double max_load_flow(const std::vector<double>& popularity,
   const int m = static_cast<int>(popularity.size());
   double total_pop = 0;
   for (double p : popularity) total_pop += p;
-  if (total_pop <= 0) return 0.0;
 
   // Feasibility oracle: route lambda*P(E_j) from each owner through its
   // replicas, each machine serving at most 1 unit of work per time unit.
@@ -208,12 +222,73 @@ double max_load_flow(const std::vector<double>& popularity,
 }
 
 double max_load_unreplicated(const std::vector<double>& popularity) {
-  if (popularity.empty()) {
-    throw std::invalid_argument("max_load_unreplicated: empty popularity");
+  check_popularity(popularity);
+  return 1.0 / *std::max_element(popularity.begin(), popularity.end());
+}
+
+WindowLoadResult max_load_windows(const std::vector<double>& popularity,
+                                  ReplicationStrategy strategy, int k,
+                                  const std::vector<std::uint8_t>& up) {
+  check_popularity(popularity);
+  const int m = static_cast<int>(popularity.size());
+  if (up.size() != popularity.size()) {
+    throw std::invalid_argument("max_load_windows: popularity/up size mismatch");
   }
-  const double peak = *std::max_element(popularity.begin(), popularity.end());
-  if (peak <= 0) throw std::invalid_argument("max_load_unreplicated: zero popularity");
-  return 1.0 / peak;
+  if (k < 1 || k > m) {
+    throw std::invalid_argument("max_load_windows: need 1 <= k <= m");
+  }
+  if (strategy != ReplicationStrategy::kOverlapping &&
+      strategy != ReplicationStrategy::kDisjoint) {
+    throw std::invalid_argument(
+        "max_load_windows: only overlapping and disjoint layouts are arcs");
+  }
+  // Owner u's arc [lo(u), hi(u)] in unwrapped machine coordinates, for u
+  // over two laps (owner u >= m is owner u - m shifted by m), so a window
+  // that wraps past owner m-1 keeps monotone endpoints. up_prefix[i] counts
+  // the up machines among unwrapped positions [0, i).
+  const bool ring = strategy == ReplicationStrategy::kOverlapping;
+  const std::size_t laps = 2 * static_cast<std::size_t>(m);
+  std::vector<int> lo(laps);
+  std::vector<int> hi(laps);
+  std::vector<int> up_prefix(laps + 1, 0);
+  for (std::size_t u = 0; u < laps; ++u) {
+    const int j = static_cast<int>(u % static_cast<std::size_t>(m));
+    const int shift = static_cast<int>(u) - j;
+    const int first = ring ? j : k * (j / k);
+    const int last = ring ? j + k - 1 : std::min(m - 1, first + k - 1);
+    lo[u] = shift + first;
+    hi[u] = shift + last;
+    up_prefix[u + 1] = up_prefix[u] + (up[static_cast<std::size_t>(j)] ? 1 : 0);
+  }
+
+  // Window W = owners [a, a+L): N(W) is the up machines in the cyclic range
+  // from lo(a) spanning min(m, hi(a+L-1) - lo(a) + 1). p(W) accumulates
+  // along L rather than as a prefix-sum difference, which would cancel
+  // digits on short windows.
+  WindowLoadResult best;
+  bool have = false;
+  for (int a = 0; a < m; ++a) {
+    const int start = lo[static_cast<std::size_t>(a)];
+    double mass = 0.0;
+    for (int len = 1; len <= m; ++len) {
+      const std::size_t last = static_cast<std::size_t>(a + len - 1);
+      mass += popularity[last < static_cast<std::size_t>(m)
+                             ? last
+                             : last - static_cast<std::size_t>(m)];
+      if (mass == 0.0) continue;
+      const int span = std::min(m, hi[last] - start + 1);
+      const int served = up_prefix[static_cast<std::size_t>(start + span)] -
+                         up_prefix[static_cast<std::size_t>(start)];
+      const double ratio = static_cast<double>(served) / mass;
+      if (!have || ratio < best.lambda) {
+        have = true;
+        best = WindowLoadResult{ratio, a, len};
+        // Nothing beats an unserved owner: the first zero is the answer.
+        if (served == 0) return best;
+      }
+    }
+  }
+  return best;
 }
 
 }  // namespace flowsched

@@ -10,17 +10,20 @@
 //           for all machines i:   sum_j a_ij <= 1
 //           a_ij = 0 when M_i not in I_k(j),   a_ij >= 0.
 //
-// Three solvers are provided: the sparse revised simplex (the production
-// path, warm-startable across popularity vectors via MaxLoadSolver), the
-// dense tableau oracle, and a bisection on lambda over a max-flow
-// feasibility oracle. They agree to ~1e-7 and are cross-checked in the
-// test suite.
+// Three solvers handle arbitrary replica sets: the sparse revised simplex
+// (warm-startable across popularity vectors via MaxLoadSolver), the dense
+// tableau oracle, and a bisection on lambda over a max-flow feasibility
+// oracle. They agree to ~1e-7 and are cross-checked in the test suite. For
+// ring and block layouts (optionally degraded to the machines that are up)
+// max_load_windows() gives the same optimum in closed form.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "lp/simplex.hpp"
 #include "model/procset.hpp"
+#include "workload/replication.hpp"
 
 namespace flowsched {
 
@@ -99,5 +102,25 @@ double max_load_flow(const std::vector<double>& popularity,
 
 /// Max load without replication: lambda <= 1 / max_j P(E_j) (Section 7.2).
 double max_load_unreplicated(const std::vector<double>& popularity);
+
+/// LP (15) optimum of an interval layout and the owner window that binds it.
+struct WindowLoadResult {
+  double lambda = 0.0;
+  int first = 0;  ///< First owner of the binding window.
+  int count = 0;  ///< Owners in the window, cyclically from `first` (1..m).
+};
+
+/// LP (15) in closed form for the overlapping ring and the disjoint blocks,
+/// each owner's replica set restricted to the machines with `up[i] != 0`.
+/// Every set is then a circular arc with endpoints monotone in the owner, so
+/// by Hall's condition lambda* = min over cyclic owner windows W with
+/// p(W) > 0 of |N(W)| / p(W), N(W) the up machines serving W
+/// (docs/lp.md). O(m^2), no LP built. The binding window is the first strict
+/// minimum in (first, count) order; lambda = 0 when some owner with positive
+/// popularity has no up replica. Throws std::invalid_argument for other
+/// strategies (kSpread sets are not arcs: use MaxLoadSolver).
+WindowLoadResult max_load_windows(const std::vector<double>& popularity,
+                                  ReplicationStrategy strategy, int k,
+                                  const std::vector<std::uint8_t>& up);
 
 }  // namespace flowsched

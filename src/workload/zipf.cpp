@@ -14,7 +14,7 @@ double generalized_harmonic(int m, double s) {
 }
 
 std::vector<double> zipf_weights(int m, double s) {
-  if (s < 0) throw std::invalid_argument("zipf_weights: s < 0");
+  if (!(s >= 0)) throw std::invalid_argument("zipf_weights: need s >= 0");
   const double h = generalized_harmonic(m, s);
   std::vector<double> w(static_cast<std::size_t>(m));
   for (int j = 1; j <= m; ++j) {

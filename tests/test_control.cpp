@@ -90,19 +90,26 @@ TEST(ReplicationController, RaisesKWhenAFaultStarvesAnOwner) {
   EXPECT_EQ(ctl.decide(obs).reason, "cooldown");
 }
 
-TEST(ReplicationController, OracleBudgetOverrunFallsBackNotSwitches) {
-  ControlConfig cfg;
-  cfg.period = 1.0;
-  cfg.lp_pivot_cap = 1;  // starve the oracle: every solve "times out"
-  ReplicationController ctl(
-      6, LayoutSpec{ReplicationStrategy::kOverlapping, 2}, cfg);
-  const ControlDecision d = ctl.decide(healthy_obs(6, 1.0));
-  EXPECT_TRUE(d.fallback);
-  EXPECT_EQ(d.reason, "fallback");
-  // Last known-good is the initial layout, so nothing migrates.
-  EXPECT_FALSE(d.switched);
-  EXPECT_FALSE(ctl.migrating());
-  EXPECT_EQ(ctl.active(), (LayoutSpec{ReplicationStrategy::kOverlapping, 2}));
+// Disjoint k=2 on m=8 with machine 2 down: owners 2 and 3 share the one
+// surviving machine of their block, so the window [2,4) binds the incumbent
+// at 1 / (2/8) = 4. Overlapping k=2 spreads them over machines 1 and 3 and
+// sustains 7 (all up capacity), clearing the 1.25 hysteresis bar.
+TEST(ReplicationController, CrashDecisionLogsItsBottleneckWindow) {
+  ReplicationController ctl(8, LayoutSpec{ReplicationStrategy::kDisjoint, 2},
+                            ControlConfig{});
+  ControlObservation obs = healthy_obs(8, 8.0);
+  obs.up[2] = 0;
+  const ControlDecision d = ctl.decide(obs);
+  EXPECT_EQ(d.current_score, 4.0);
+  EXPECT_EQ(d.best_score, 7.0);
+  EXPECT_EQ(d.bottleneck_lo, 2);
+  EXPECT_EQ(d.bottleneck_len, 2);
+  EXPECT_EQ(d.reason, "switch");
+  EXPECT_EQ(d.target, (LayoutSpec{ReplicationStrategy::kOverlapping, 2}));
+  EXPECT_EQ(d.str(),
+            "epoch=0 t=8 from=Disjoint/k=2 target=Overlapping/k=2 "
+            "moved=[0,2) score=4 best=7 bottleneck=[2,4) reason=switch "
+            "switched");
 }
 
 TEST(ReplicationController, DecisionsReplayBitwise) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <vector>
+
 #include "util/rng.hpp"
 #include "workload/popularity.hpp"
 #include "workload/replication.hpp"
@@ -189,6 +195,166 @@ TEST(MaxLoad, InputValidation) {
   EXPECT_THROW(max_load_lp({0.5, -0.5}, replica_sets(ReplicationStrategy::kNone, 1, 2)),
                std::invalid_argument);
   EXPECT_THROW(max_load_unreplicated({}), std::invalid_argument);
+}
+
+// A NaN Zipf exponent, a non-finite entry or an all-zero vector has no max
+// load: every entry point rejects it instead of printing NaN or 0.
+TEST(MaxLoad, RejectsNonFiniteAndAllZeroPopularity) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(zipf_weights(8, nan), std::invalid_argument);
+  const auto sets = replica_sets(ReplicationStrategy::kOverlapping, 2, 3);
+  const std::vector<std::uint8_t> up(3, 1);
+  for (const std::vector<double>& pop :
+       {std::vector<double>{0.5, nan, 0.25}, std::vector<double>{0.5, inf, 0.25},
+        std::vector<double>{0.0, 0.0, 0.0}}) {
+    EXPECT_THROW(max_load_lp(pop, sets), std::invalid_argument);
+    EXPECT_THROW(max_load_lp_tableau(pop, sets), std::invalid_argument);
+    EXPECT_THROW(max_load_flow(pop, sets), std::invalid_argument);
+    EXPECT_THROW(max_load_unreplicated(pop), std::invalid_argument);
+    EXPECT_THROW(MaxLoadSolver(sets).solve_lambda(pop), std::invalid_argument);
+    EXPECT_THROW(
+        max_load_windows(pop, ReplicationStrategy::kOverlapping, 2, up),
+        std::invalid_argument);
+  }
+}
+
+// max_load_windows against the simplex and the flow bisection on degraded
+// ring and block layouts. One case per (m, strategy, s); inside it every k
+// up to min(8, m) and down fractions of 0, 15 and 30 %.
+struct WindowCase {
+  int m;
+  ReplicationStrategy strategy;
+  double s;
+
+  friend std::ostream& operator<<(std::ostream& os, const WindowCase& c) {
+    return os << "m" << c.m << "_" << to_string(c.strategy) << "_s" << c.s;
+  }
+};
+
+class MaxLoadWindows : public ::testing::TestWithParam<WindowCase> {};
+
+// The layout's replica sets restricted to the up machines (possibly empty).
+std::vector<ProcSet> degraded_sets(ReplicationStrategy strategy, int k,
+                                   const std::vector<std::uint8_t>& up) {
+  const int m = static_cast<int>(up.size());
+  std::vector<ProcSet> sets;
+  for (const ProcSet& full : replica_sets(strategy, k, m)) {
+    std::vector<int> members;
+    for (int i : full.machines()) {
+      if (up[static_cast<std::size_t>(i)]) members.push_back(i);
+    }
+    sets.emplace_back(std::move(members));
+  }
+  return sets;
+}
+
+TEST_P(MaxLoadWindows, AgreesWithSimplexAndFlow) {
+  const WindowCase c = GetParam();
+  Rng rng(500 + static_cast<std::uint64_t>(c.m) * 7 +
+          static_cast<std::uint64_t>(c.s * 2));
+  const auto pop = make_popularity(PopularityCase::kShuffled, c.m, c.s, rng);
+  std::vector<int> order(static_cast<std::size_t>(c.m));
+  for (int i = 0; i < c.m; ++i) order[static_cast<std::size_t>(i)] = i;
+  for (int k = 1; k <= std::min(8, c.m); ++k) {
+    for (double down_frac : {0.0, 0.15, 0.3}) {
+      rng.shuffle(order);
+      const int down = static_cast<int>(down_frac * c.m);
+      std::vector<std::uint8_t> up(static_cast<std::size_t>(c.m), 1);
+      for (int i = 0; i < down; ++i) up[static_cast<std::size_t>(order[i])] = 0;
+
+      const WindowLoadResult w = max_load_windows(pop, c.strategy, k, up);
+      const std::vector<ProcSet> degraded = degraded_sets(c.strategy, k, up);
+      int first_starved = -1;
+      for (int j = c.m - 1; j >= 0; --j) {
+        if (degraded[static_cast<std::size_t>(j)].empty()) first_starved = j;
+      }
+      const std::string where =
+          "k=" + std::to_string(k) + " down=" + std::to_string(down);
+      ASSERT_GE(w.count, 1) << where;
+      ASSERT_LE(w.count, c.m) << where;
+      if (first_starved >= 0) {
+        // An owner with no up replica: LP (15) is infeasible for any
+        // lambda > 0, and that owner alone is the binding window.
+        EXPECT_EQ(w.lambda, 0.0) << where;
+        EXPECT_EQ(w.first, first_starved) << where;
+        EXPECT_EQ(w.count, 1) << where;
+        continue;
+      }
+      const double lp = max_load_lp(pop, degraded).lambda;
+      const double flow = max_load_flow(pop, degraded);
+      EXPECT_NEAR(w.lambda, lp, 1e-9 * lp) << where;
+      EXPECT_NEAR(w.lambda, flow, 1e-9 * flow) << where;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, MaxLoadWindows,
+    ::testing::ValuesIn([] {
+      std::vector<WindowCase> cases;
+      for (int m : {4, 7, 16, 64, 128}) {
+        for (auto strategy : {ReplicationStrategy::kOverlapping,
+                              ReplicationStrategy::kDisjoint}) {
+          for (double s : {0.0, 1.0, 2.0}) cases.push_back({m, strategy, s});
+        }
+      }
+      return cases;
+    }()),
+    ::testing::PrintToStringParamName());
+
+TEST(MaxLoadWindowsPinned, SingleDownMachineStarvesItsOwnerUnderRingK1) {
+  std::vector<std::uint8_t> up(8, 1);
+  up[5] = 0;
+  const auto w = max_load_windows(zipf_weights(8, 0.0),
+                                  ReplicationStrategy::kOverlapping, 1, up);
+  EXPECT_EQ(w.lambda, 0.0);
+  EXPECT_EQ(w.first, 5);
+  EXPECT_EQ(w.count, 1);
+}
+
+TEST(MaxLoadWindowsPinned, TwoAdjacentDownMachinesStarveOneRingK2Owner) {
+  // Owner 3's arc {3, 4} is fully down; owner 2 keeps 2 and owner 4 keeps 5.
+  std::vector<std::uint8_t> up(8, 1);
+  up[3] = 0;
+  up[4] = 0;
+  const auto w = max_load_windows(zipf_weights(8, 0.0),
+                                  ReplicationStrategy::kOverlapping, 2, up);
+  EXPECT_EQ(w.lambda, 0.0);
+  EXPECT_EQ(w.first, 3);
+  EXPECT_EQ(w.count, 1);
+}
+
+TEST(MaxLoadWindowsPinned, ShortLastDisjointBlockBinds) {
+  // m = 64, k = 5: the last block {60..63} is short and does not wrap onto
+  // machine 0. With machine 63 down its 4 owners share 3 machines:
+  // 3 / (4/64) = 48, below the 63 of the whole up cluster.
+  std::vector<std::uint8_t> up(64, 1);
+  up[63] = 0;
+  const auto pop = zipf_weights(64, 0.0);
+  const auto w =
+      max_load_windows(pop, ReplicationStrategy::kDisjoint, 5, up);
+  EXPECT_EQ(w.lambda, 48.0);
+  EXPECT_EQ(w.first, 60);
+  EXPECT_EQ(w.count, 4);
+  EXPECT_NEAR(
+      max_load_lp(pop, degraded_sets(ReplicationStrategy::kDisjoint, 5, up))
+          .lambda,
+      48.0, 1e-9);
+}
+
+TEST(MaxLoadWindowsPinned, RejectsSetsThatAreNotArcs) {
+  const auto pop = zipf_weights(8, 1.0);
+  const std::vector<std::uint8_t> up(8, 1);
+  EXPECT_THROW(max_load_windows(pop, ReplicationStrategy::kSpread, 3, up),
+               std::invalid_argument);
+  EXPECT_THROW(max_load_windows(pop, ReplicationStrategy::kNone, 1, up),
+               std::invalid_argument);
+  EXPECT_THROW(max_load_windows(pop, ReplicationStrategy::kOverlapping, 9, up),
+               std::invalid_argument);
+  EXPECT_THROW(max_load_windows(pop, ReplicationStrategy::kOverlapping, 3,
+                                std::vector<std::uint8_t>(7, 1)),
+               std::invalid_argument);
 }
 
 }  // namespace

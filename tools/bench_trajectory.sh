@@ -5,7 +5,8 @@
 #   BENCH_micro_sched.json  — scheduler hot-path series + streaming
 #                             requests/sec (BM_StreamingThroughput)
 #   BENCH_micro_lp.json     — LP (15) solver series (cold/warm revised,
-#                             tableau baseline, flow bisection)
+#                             tableau baseline, flow bisection, closed-form
+#                             window scan)
 #   BENCH_micro_stream.json — streaming-engine hot loop + sharded epoch
 #                             pipeline across shard counts (docs/sharding.md)
 #

@@ -6,6 +6,8 @@
 #   2. the two "replicated max load" lines must agree exactly as printed
 #      (both solvers round to the same 6 significant digits — they agree
 #      to ~1e-9 on lambda, see docs/lp.md).
+#   3. a NaN Zipf exponent (--s nan) is rejected with exit 2, not
+#      reported as a lambda.
 #
 # Usable standalone:
 #
@@ -56,4 +58,14 @@ list(LENGTH transfer_lines n_moves)
 if(n_moves EQUAL 0)
   message(FATAL_ERROR "maxload_smoke: --transfer printed no moves")
 endif()
-message(STATUS "maxload_smoke: lp == flow, ${n_moves} transfer moves")
+execute_process(
+  COMMAND ${CLI} maxload --m 8 --k 2 --s nan
+  OUTPUT_VARIABLE nan_out
+  ERROR_VARIABLE nan_err
+  RESULT_VARIABLE nan_rc)
+if(NOT nan_rc EQUAL 2)
+  message(FATAL_ERROR
+      "maxload_smoke: --s nan exited ${nan_rc}, expected 2:\n${nan_out}")
+endif()
+message(STATUS
+    "maxload_smoke: lp == flow, ${n_moves} transfer moves, --s nan rejected")
