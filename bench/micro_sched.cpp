@@ -9,10 +9,12 @@
 // trajectories can be tracked machine-readably.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "check/audit.hpp"
 #include "kvstore/cluster_sim.hpp"
 #include "obs/trace.hpp"
 #include "sched/calendar.hpp"
@@ -215,6 +217,51 @@ void BM_ScheduleValidation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScheduleValidation);
+
+// Forwards a run to `inner`, timing only its on_run_end.
+class RunEndTimer final : public SchedObserver {
+ public:
+  explicit RunEndTimer(SchedObserver& inner) : inner_(inner) {}
+  void on_run_begin(const RunInfo& info) override { inner_.on_run_begin(info); }
+  void on_event(const ObsEvent& e) override { inner_.on_event(e); }
+  void on_run_end(double makespan) override {
+    using Clock = std::chrono::steady_clock;
+    const auto t0 = Clock::now();
+    inner_.on_run_end(makespan);
+    seconds_ = std::chrono::duration<double>(Clock::now() - t0).count();
+  }
+  double seconds() const { return seconds_; }
+
+ private:
+  SchedObserver& inner_;
+  double seconds_ = 0;
+};
+
+// The auditor's end-of-run sweeps ([overlap], [busy-idle],
+// [work-conservation]) on an EFT-Min run of 100k unit tasks on ring sets
+// (k = 3) at full load, so most tasks wait and every wait is searched for
+// idle gaps on each eligible machine. Only on_run_end is timed. The sweeps
+// bucket the records by machine once, so the time should not grow with m;
+// a per-machine scan of all n records would grow linearly.
+void BM_AuditorRunEnd(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const auto inst = make_restricted(m, 100000, 3);
+  for (auto _ : state) {
+    EftDispatcher eft(TieBreakKind::kMin);
+    InvariantAuditor auditor;
+    RunEndTimer timed(auditor);
+    run_dispatcher(inst, eft, timed);
+    if (!auditor.ok()) state.SkipWithError(auditor.violations()[0].c_str());
+    state.SetIterationTime(timed.seconds());
+  }
+  state.SetItemsProcessed(state.iterations() * inst.n());
+}
+BENCHMARK(BM_AuditorRunEnd)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace flowsched

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -80,8 +81,8 @@ void InvariantAuditor::on_run_begin(const RunInfo& info) {
   if (open_) violation("protocol", "on_run_begin while a run is open");
   open_ = true;
   info_ = info;
+  settle_weighted();  // the previous run's records are about to go
   tasks_.clear();
-  rebuilt_.clear();
   transitions_.assign(static_cast<std::size_t>(std::max(info.m, 0)), {});
   unrestricted_ = true;
   last_release_ = 0;
@@ -299,123 +300,123 @@ void InvariantAuditor::on_run_end(double makespan) {
     // Fault runs narrate no busy/idle stream and may checkpoint partial
     // segments; [fault-overlap] and friends replace these in
     // check_fault_run.
-    check_overlap();
-    check_machine_events(max_completion);
+    const MachineSpans by_machine = bucket_by_machine();
+    check_overlap(by_machine);
+    check_machine_events(by_machine, max_completion);
     if (config_.nc_mode) {
       // Behavioural checks are proved against true processing times; a
       // censored run gets the setup recomputation sweep instead.
       check_setup_accounting();
     } else {
       if (expect_fifo_order_ && unrestricted_) check_fifo_order();
-      if (expect_work_conservation_) check_work_conservation();
+      if (expect_work_conservation_) check_work_conservation(by_machine);
     }
-  }
-
-  // Weighted aggregates, the shared weighted_flow_term / exact-sum recipe
-  // (model/schedule.cpp) over the narrated completions — [weighted-
-  // accounting] compares these against MetricsCollector and Schedule.
-  last_fmax_w_ = 0;
-  last_total_flow_w_ = 0;
-  {
-    std::optional<Rational> exact(Rational(0));
-    double approx = 0;
-    for (const TaskRecord& rec : tasks_) {
-      if (rec.phase != 3) continue;
-      const double wterm =
-          weighted_flow_term(rec.weight, rec.completion - rec.release);
-      last_fmax_w_ = std::max(last_fmax_w_, wterm);
-      approx += wterm;
-      if (exact) {
-        if (const auto rt = rational_from_double(wterm)) {
-          try {
-            exact = *exact + *rt;
-          } catch (const std::overflow_error&) {
-            exact.reset();
-          }
-        } else {
-          exact.reset();
-        }
-      }
-    }
-    last_total_flow_w_ = exact ? exact->to_double() : approx;
-  }
-
-  // Reconstruct the instance for the oracles and for callers. Events were
-  // validated release-sorted, so indices align with task records.
-  rebuilt_.clear();
-  rebuilt_.reserve(tasks_.size());
-  bool rebuildable = info_.m > 0;
-  for (const TaskRecord& rec : tasks_) {
-    if (!(rec.proc > 0) || rec.release < 0 || !rec.eligible.within(info_.m)) {
-      rebuildable = false;
-    }
-    if (!(rec.weight > 0)) rebuildable = false;
-    rebuilt_.push_back(Task{.release = rec.release,
-                            .proc = rec.proc,
-                            .eligible = rec.eligible,
-                            .weight = rec.weight});
-  }
-  if (rebuildable && !tasks_.empty()) {
-    last_instance_ = std::make_unique<Instance>(info_.m, rebuilt_);
     // The oracles reason about uninterrupted, clairvoyant schedules; they
     // apply to neither fault nor nc runs (the fuzzer's [nc-*] oracles cover
     // the latter).
-    if (config_.bound_oracles && !config_.fault_mode && !config_.nc_mode) {
-      run_bound_oracles(*last_instance_);
-    }
+    if (config_.bound_oracles && !config_.nc_mode) run_bound_oracles();
   }
+  weighted_pending_ = true;
 
   open_ = false;
   ++runs_;
 }
 
-void InvariantAuditor::check_overlap() {
-  std::vector<std::vector<std::pair<double, double>>> intervals(
-      transitions_.size());
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    const TaskRecord& rec = tasks_[i];
-    if (rec.phase != 3 || rec.machine < 0 ||
-        rec.machine >= static_cast<int>(intervals.size())) {
-      continue;
+void InvariantAuditor::settle_weighted() const {
+  if (!weighted_pending_) return;
+  weighted_pending_ = false;
+  // The shared weighted_flow_term / exact-sum recipe (model/schedule.cpp)
+  // over the narrated completions — [weighted-accounting] compares these
+  // against MetricsCollector and Schedule.
+  last_fmax_w_ = 0;
+  std::optional<Rational> exact(Rational(0));
+  double approx = 0;
+  for (const TaskRecord& rec : tasks_) {
+    if (rec.phase != 3) continue;
+    const double wterm =
+        weighted_flow_term(rec.weight, rec.completion - rec.release);
+    last_fmax_w_ = std::max(last_fmax_w_, wterm);
+    approx += wterm;
+    if (exact) {
+      if (const auto rt = rational_from_double(wterm)) {
+        try {
+          exact = *exact + *rt;
+        } catch (const std::overflow_error&) {
+          exact.reset();
+        }
+      } else {
+        exact.reset();
+      }
     }
-    // The narrated completion, not start + proc: in nc mode the machine is
-    // additionally occupied by the setup charge ([setup-accounting] pins
-    // completion == start + setup + proc, so this stays exact).
-    intervals[static_cast<std::size_t>(rec.machine)].emplace_back(
-        rec.start, rec.completion);
   }
-  for (std::size_t j = 0; j < intervals.size(); ++j) {
-    auto& iv = intervals[j];
-    std::sort(iv.begin(), iv.end());
+  last_total_flow_w_ = exact ? exact->to_double() : approx;
+}
+
+InvariantAuditor::MachineSpans InvariantAuditor::bucket_by_machine() const {
+  // Counting sort by machine, then one sort per machine. Tasks on machines
+  // outside [0, m) were already reported as [eligibility] and are skipped.
+  const std::size_t m = transitions_.size();
+  MachineSpans out;
+  out.offset.assign(m + 1, 0);
+  const auto on_machine = [m](const TaskRecord& rec) {
+    return rec.phase == 3 && rec.machine >= 0 &&
+           static_cast<std::size_t>(rec.machine) < m;
+  };
+  for (const TaskRecord& rec : tasks_) {
+    if (!on_machine(rec)) continue;
+    ++out.offset[static_cast<std::size_t>(rec.machine) + 1];
+  }
+  for (std::size_t j = 0; j < m; ++j) out.offset[j + 1] += out.offset[j];
+  out.spans.resize(out.offset[m]);
+  std::vector<std::size_t> fill(out.offset.begin(), out.offset.end() - 1);
+  for (const TaskRecord& rec : tasks_) {
+    if (!on_machine(rec)) continue;
+    out.spans[fill[static_cast<std::size_t>(rec.machine)]++] =
+        Span{rec.start, rec.completion, rec.start + rec.proc};
+  }
+  for (std::size_t j = 0; j < m; ++j) {
+    std::sort(out.spans.data() + out.offset[j],
+              out.spans.data() + out.offset[j + 1],
+              [](const Span& a, const Span& b) {
+                return a.start != b.start ? a.start < b.start
+                                          : a.completion < b.completion;
+              });
+  }
+  return out;
+}
+
+void InvariantAuditor::check_overlap(const MachineSpans& by_machine) {
+  // The narrated completion, not start + proc: in nc mode the machine is
+  // additionally occupied by the setup charge ([setup-accounting] pins
+  // completion == start + setup + proc, so this stays exact).
+  for (std::size_t j = 0; j < by_machine.machines(); ++j) {
+    const std::span<const Span> iv = by_machine.of(j);
     for (std::size_t k = 1; k < iv.size(); ++k) {
-      if (iv[k].first + config_.eps < iv[k - 1].second) {
+      const Span& prev = iv[k - 1];
+      const Span& cur = iv[k];
+      if (cur.start + config_.eps < prev.completion) {
         violation("overlap", "machine M" + std::to_string(j + 1) +
-                                 " double-booked: [" + fmt(iv[k].first) +
-                                 ", ...) starts inside [" +
-                                 fmt(iv[k - 1].first) + ", " +
-                                 fmt(iv[k - 1].second) + ")");
+                                 " double-booked: [" + fmt(cur.start) +
+                                 ", ...) starts inside [" + fmt(prev.start) +
+                                 ", " + fmt(prev.completion) + ")");
       }
     }
   }
 }
 
-void InvariantAuditor::check_machine_events(double makespan) {
+void InvariantAuditor::check_machine_events(const MachineSpans& by_machine,
+                                            double makespan) {
   // The narrated busy periods must equal the merged task intervals: every
   // busy..idle pair covers a maximal run of back-to-back tasks.
+  std::vector<std::pair<double, double>> runs;
+  std::vector<std::pair<double, double>> narrated;
   for (std::size_t j = 0; j < transitions_.size(); ++j) {
-    std::vector<std::pair<double, double>> merged;
-    for (const TaskRecord& rec : tasks_) {
-      if (rec.phase == 3 && rec.machine == static_cast<int>(j)) {
-        merged.emplace_back(rec.start, rec.completion);
-      }
-    }
-    std::sort(merged.begin(), merged.end());
-    std::vector<std::pair<double, double>> runs;
-    for (const auto& iv : merged) {
-      if (!runs.empty() && iv.first <= runs.back().second) {
-        runs.back().second = std::max(runs.back().second, iv.second);
+    runs.clear();
+    for (const Span& iv : by_machine.of(j)) {
+      if (!runs.empty() && iv.start <= runs.back().second) {
+        runs.back().second = std::max(runs.back().second, iv.completion);
       } else {
-        runs.emplace_back(iv);
+        runs.emplace_back(iv.start, iv.completion);
       }
     }
     const auto& trans = transitions_[j];
@@ -426,7 +427,7 @@ void InvariantAuditor::check_machine_events(double makespan) {
       }
       continue;
     }
-    std::vector<std::pair<double, double>> narrated;
+    narrated.clear();
     for (std::size_t k = 0; k < trans.size(); ++k) {
       if (trans[k].busy) {
         const double end =
@@ -477,39 +478,47 @@ void InvariantAuditor::check_fifo_order() {
   }
 }
 
-void InvariantAuditor::check_work_conservation() {
+void InvariantAuditor::check_work_conservation(const MachineSpans& by_machine) {
   // Per machine: the idle gaps between merged task intervals (plus the
   // leading one). A waiting interval (r_i, S_i) of a task must not meet a
   // gap on any machine of M_i — that would be unforced idleness.
-  const std::size_t m = transitions_.size();
-  std::vector<std::vector<std::pair<double, double>>> gaps(m);
-  std::vector<std::vector<std::pair<double, double>>> merged(m);
-  for (const TaskRecord& rec : tasks_) {
-    if (rec.phase == 3 && rec.machine >= 0 &&
-        rec.machine < static_cast<int>(m)) {
-      merged[static_cast<std::size_t>(rec.machine)].emplace_back(
-          rec.start, rec.start + rec.proc);
-    }
-  }
+  const std::size_t m = by_machine.machines();
+  std::vector<std::size_t> gap_offset(m + 1, 0);
+  std::vector<std::pair<double, double>> gaps;
   for (std::size_t j = 0; j < m; ++j) {
-    auto& iv = merged[j];
-    std::sort(iv.begin(), iv.end());
+    // Intervals end at start + proc. The spans are sorted by (start,
+    // completion), not (start, end), but the first witness does not depend
+    // on the order among equal starts: the first span of such a group
+    // opens the group's only gap that is not nested inside an earlier one.
     double frontier = 0;
-    for (const auto& [s, c] : iv) {
-      if (s > frontier) gaps[j].emplace_back(frontier, s);
-      frontier = std::max(frontier, c);
+    for (const Span& sp : by_machine.of(j)) {
+      if (sp.start > frontier) gaps.emplace_back(frontier, sp.start);
+      frontier = std::max(frontier, sp.end);
     }
     // Trailing idleness: from the machine's last completion onwards it is
     // available forever.
-    gaps[j].emplace_back(frontier,
-                         std::numeric_limits<double>::infinity());
+    gaps.emplace_back(frontier, std::numeric_limits<double>::infinity());
+    gap_offset[j + 1] = gaps.size();
   }
+  // A machine's gaps have non-decreasing ends and starts, so the gaps that
+  // can meet (r_i, S_i) are a contiguous range: skip those ending by r_i,
+  // stop at the first starting at or after S_i. Every skipped gap overlaps
+  // the wait by at most 0 <= eps, so the first witness is the one a full
+  // scan finds.
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     const TaskRecord& rec = tasks_[i];
     if (rec.phase != 3 || rec.start <= rec.release + config_.eps) continue;
     for (int j : rec.eligible.machines()) {
       if (j < 0 || j >= static_cast<int>(m)) continue;
-      for (const auto& [lo, hi] : gaps[static_cast<std::size_t>(j)]) {
+      const auto uj = static_cast<std::size_t>(j);
+      const auto* const first = gaps.data() + gap_offset[uj];
+      const auto* const last = gaps.data() + gap_offset[uj + 1];
+      for (const auto* it = std::partition_point(
+               first, last,
+               [&](const auto& gap) { return gap.second <= rec.release; });
+           it != last; ++it) {
+        const auto [lo, hi] = *it;
+        if (lo >= rec.start) break;
         const double olo = std::max(lo, rec.release);
         const double ohi = std::min(hi, rec.start);
         if (ohi - olo > config_.eps) {
@@ -557,17 +566,29 @@ void InvariantAuditor::check_setup_accounting() {
   }
 }
 
-void InvariantAuditor::run_bound_oracles(const Instance& inst) {
-  double fmax = 0;
-  bool complete = !tasks_.empty();
+void InvariantAuditor::run_bound_oracles() {
+  // Reconstruct the instance from the records. Events were validated
+  // release-sorted, so indices align with task records.
+  if (tasks_.empty() || info_.m <= 0) return;
+  std::vector<Task> rebuilt;
+  rebuilt.reserve(tasks_.size());
   for (const TaskRecord& rec : tasks_) {
-    if (rec.phase != 3) {
-      complete = false;
-      break;
+    if (!(rec.proc > 0) || rec.release < 0 || !rec.eligible.within(info_.m) ||
+        !(rec.weight > 0)) {
+      return;
     }
+    rebuilt.push_back(Task{.release = rec.release,
+                           .proc = rec.proc,
+                           .eligible = rec.eligible,
+                           .weight = rec.weight});
+  }
+  const Instance inst(info_.m, std::move(rebuilt));
+
+  double fmax = 0;
+  for (const TaskRecord& rec : tasks_) {
+    if (rec.phase != 3) return;
     fmax = std::max(fmax, rec.completion - rec.release);
   }
-  if (!complete) return;
   const int n = inst.n();
   const bool unit =
       inst.unit_tasks() && integer_releases(inst) && n <= config_.unit_oracle_max_n;
@@ -652,6 +673,10 @@ void InvariantAuditor::check_fault_run(const FaultPlan& plan,
   }
   if (!config_.fault_mode) {
     violation("protocol", "check_fault_run without AuditConfig::fault_mode");
+    return;
+  }
+  if (runs_ == 0) {
+    violation("protocol", "check_fault_run before any completed run");
     return;
   }
   // violation() stamps runs_, which already points past the closed run;
@@ -1042,13 +1067,6 @@ std::string InvariantAuditor::report() const {
 
 void InvariantAuditor::throw_if_violated() const {
   if (!ok()) throw std::runtime_error("InvariantAuditor: " + report());
-}
-
-const Instance& InvariantAuditor::last_instance() const {
-  if (last_instance_ == nullptr) {
-    throw std::logic_error("InvariantAuditor::last_instance: no completed run");
-  }
-  return *last_instance_;
 }
 
 std::vector<std::string> audit_schedule(const Schedule& sched,

@@ -8,7 +8,9 @@
 // nothing when detached (the engines' usual null-pointer contract) and
 // validates the run as the events stream in, then closes the books at
 // on_run_end() with whole-schedule sweeps and the configured bound
-// oracles.
+// oracles. The sweeps bucket the completed tasks by machine once and sort
+// each machine's intervals once, so closing the books costs O(n log n);
+// the instance is rebuilt from the records only for the bound oracles.
 //
 // Invariant catalog (docs/testing.md lists the theorem behind each):
 //
@@ -50,7 +52,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,9 +90,9 @@ struct AuditConfig {
   int oracle_max_n = 400;
   int unit_oracle_max_n = 160;
 
-  /// Absolute tolerance for comparisons that involve accumulated floating
-  /// arithmetic (lower bounds, Th.1). Exact checks ([accounting], [prop1])
-  /// do not use it.
+  /// Absolute tolerance (>= 0) for comparisons that involve accumulated
+  /// floating arithmetic (lower bounds, Th.1). Exact checks ([accounting],
+  /// [prop1]) do not use it.
   double eps = 1e-9;
 
   /// Stop recording after this many violations (the run is already
@@ -152,17 +154,20 @@ class InvariantAuditor final : public SchedObserver {
   /// Throws std::runtime_error carrying report() unless ok().
   void throw_if_violated() const;
 
-  /// The instance reconstructed from the last completed run's event
-  /// stream (weights included). Throws std::logic_error before the first
-  /// on_run_end().
-  const Instance& last_instance() const;
-
   /// Weighted aggregates of the last completed run, recomputed from the
   /// event stream with the shared weighted_flow_term / exact-sum recipe —
   /// the [weighted-accounting] differential compares these bitwise against
   /// MetricsCollector and Schedule. Zero before the first on_run_end().
-  double last_max_weighted_flow() const { return last_fmax_w_; }
-  double last_total_weighted_flow() const { return last_total_flow_w_; }
+  /// Computed on first read (or when the next run begins), so runs nobody
+  /// asks about never pay for the exact sum.
+  double last_max_weighted_flow() const {
+    settle_weighted();
+    return last_fmax_w_;
+  }
+  double last_total_weighted_flow() const {
+    settle_weighted();
+    return last_total_flow_w_;
+  }
 
   /// \brief Validates the last completed run's FaultLog against its plan
   /// and recovery policy (AuditConfig::fault_mode runs only).
@@ -224,14 +229,33 @@ class InvariantAuditor final : public SchedObserver {
     double time;
     bool busy;
   };
+  // A completed task's occupancy of its machine. [overlap] and [busy-idle]
+  // use the narrated completion; [work-conservation] uses start + proc.
+  struct Span {
+    double start;
+    double completion;
+    double end;  // start + proc
+  };
+  // Completed tasks bucketed by machine: machine j's spans are
+  // spans[offset[j], offset[j+1]), sorted by (start, completion).
+  struct MachineSpans {
+    std::vector<std::size_t> offset;
+    std::vector<Span> spans;
+    std::size_t machines() const { return offset.size() - 1; }
+    std::span<const Span> of(std::size_t j) const {
+      return {spans.data() + offset[j], spans.data() + offset[j + 1]};
+    }
+  };
 
   void violation(const std::string& check, const std::string& what);
-  void check_machine_events(double makespan);
-  void check_overlap();
+  MachineSpans bucket_by_machine() const;
+  void check_overlap(const MachineSpans& by_machine);
+  void check_machine_events(const MachineSpans& by_machine, double makespan);
   void check_fifo_order();
-  void check_work_conservation();
+  void check_work_conservation(const MachineSpans& by_machine);
   void check_setup_accounting();
-  void run_bound_oracles(const Instance& inst);
+  void run_bound_oracles();
+  void settle_weighted() const;
 
   AuditConfig config_;
   std::vector<std::string> violations_;
@@ -247,10 +271,11 @@ class InvariantAuditor final : public SchedObserver {
   std::vector<std::vector<Transition>> transitions_;  // per machine
   bool unrestricted_ = true;
   double last_release_ = 0;
-  std::vector<Task> rebuilt_;  // instance reconstruction, release order
-  std::unique_ptr<Instance> last_instance_;
-  double last_fmax_w_ = 0;
-  double last_total_flow_w_ = 0;
+  // Set by on_run_end; settle_weighted() then folds tasks_ into the two
+  // aggregates before anything reads them or the next run clears tasks_.
+  mutable bool weighted_pending_ = false;
+  mutable double last_fmax_w_ = 0;
+  mutable double last_total_flow_w_ = 0;
 };
 
 /// \brief One-shot audit of a completed schedule: replays it through an

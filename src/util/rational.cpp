@@ -6,20 +6,10 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace flowsched {
 namespace {
-
-__int128 gcd128(__int128 a, __int128 b) {
-  if (a < 0) a = -a;
-  if (b < 0) b = -b;
-  while (b != 0) {
-    const __int128 t = a % b;
-    a = b;
-    b = t;
-  }
-  return a;
-}
 
 std::int64_t narrow(__int128 x) {
   if (x > std::numeric_limits<std::int64_t>::max() ||
@@ -29,7 +19,33 @@ std::int64_t narrow(__int128 x) {
   return static_cast<std::int64_t>(x);
 }
 
+int countr_zero128(unsigned __int128 x) {
+  const auto lo = static_cast<std::uint64_t>(x);
+  return lo != 0 ? std::countr_zero(lo)
+                 : 64 + std::countr_zero(static_cast<std::uint64_t>(x >> 64));
+}
+
 }  // namespace
+
+unsigned __int128 gcd128(__int128 a, __int128 b) {
+  // Stein's binary gcd: shifts and subtractions only, where Euclid pays a
+  // 128-bit software division per step. Magnitudes are taken unsigned, so
+  // the most negative value is safe too.
+  using U = unsigned __int128;
+  U u = a < 0 ? -static_cast<U>(a) : static_cast<U>(a);
+  U v = b < 0 ? -static_cast<U>(b) : static_cast<U>(b);
+  if (u == 0) return v;
+  if (v == 0) return u;
+  const int shift = countr_zero128(u | v);
+  u >>= countr_zero128(u);
+  do {
+    v >>= countr_zero128(v);
+    if (u > v) std::swap(u, v);
+    if (u == 1) break;  // coprime; at once when one side is a power of two
+    v -= u;
+  } while (v != 0);
+  return u << shift;
+}
 
 Rational Rational::make(__int128 num, __int128 den) {
   if (den == 0) throw std::invalid_argument("Rational: zero denominator");
@@ -38,7 +54,7 @@ Rational Rational::make(__int128 num, __int128 den) {
     den = -den;
   }
   if (num == 0) den = 1;
-  const __int128 g = num == 0 ? 1 : gcd128(num, den);
+  const auto g = static_cast<__int128>(num == 0 ? 1 : gcd128(num, den));
   Rational r;
   r.num_ = narrow(num / g);
   r.den_ = narrow(den / g);
@@ -128,9 +144,12 @@ std::optional<Rational> rational_from_double(double x) {
     return Rational(negative ? -num : num);
   }
   if (-e >= 63) return std::nullopt;  // denominator would exceed int64
-  const auto den = static_cast<std::int64_t>(std::uint64_t{1} << -e);
+  // An odd mantissa over a power of two is already in lowest terms.
   const auto num = static_cast<std::int64_t>(umant);
-  return Rational(negative ? -num : num, den);
+  Rational r;
+  r.num_ = negative ? -num : num;
+  r.den_ = static_cast<std::int64_t>(std::uint64_t{1} << -e);
+  return r;
 }
 
 }  // namespace flowsched

@@ -44,6 +44,7 @@ class Rational {
   friend std::strong_ordering operator<=>(const Rational& a, const Rational& b);
 
   friend Rational abs(const Rational& r) { return r.num_ < 0 ? -r : r; }
+  friend std::optional<Rational> rational_from_double(double x);
 
  private:
   // Normalizes sign (den > 0) and reduces by gcd; throws on den == 0 or if
@@ -64,5 +65,9 @@ std::ostream& operator<<(std::ostream& os, const Rational& r);
 /// non-finite input or when the exact value cannot be represented —
 /// callers fall back to double arithmetic (see FlowHistogram).
 std::optional<Rational> rational_from_double(double x);
+
+/// gcd(|a|, |b|), with gcd(0, 0) = 0; the reduction step of every Rational
+/// operation (Stein's binary algorithm).
+unsigned __int128 gcd128(__int128 a, __int128 b);
 
 }  // namespace flowsched
