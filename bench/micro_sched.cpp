@@ -1,7 +1,8 @@
 // Google-benchmark micro benches: scheduling throughput of the dispatchers
 // and the FIFO event loop, plus a large-m scaling series (m up to 4096,
 // fixed-size ring-interval sets) that isolates the engine hot path — the
-// per-release queue-depth bookkeeping and the per-dispatch candidate scan.
+// per-release queue-depth bookkeeping and the per-dispatch candidate scan —
+// and the fault path's timeline queries as the down-interval list grows.
 //
 // Custom main: `micro_sched --json out.json` writes the google-benchmark
 // JSON report alongside the usual ASCII console table (it is shorthand for
@@ -15,6 +16,8 @@
 #include <vector>
 
 #include "check/audit.hpp"
+#include "fault/plan.hpp"
+#include "fault/recovery.hpp"
 #include "kvstore/cluster_sim.hpp"
 #include "obs/trace.hpp"
 #include "sched/calendar.hpp"
@@ -262,6 +265,59 @@ BENCHMARK(BM_AuditorRunEnd)
     ->Arg(256)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
+
+// The fault path of OnlineEngine (degraded set, park, kill at the crash)
+// on 10k unit tasks, m = 16, k = 3 ring sets at 0.8 load, under a plan
+// with `I` down intervals per machine. Crashes during the stream follow
+// MTBF 24 + repair 2; the rest of each machine's I intervals lie before
+// the first release, so every series runs the same schedule and only the
+// length of the list each query searches grows. The timeline queries
+// binary-search it, so the time per request should stay flat in I; a
+// scan from t = 0 would grow linearly.
+void BM_FaultEngineRelease(benchmark::State& state) {
+  constexpr int kM = 16;
+  constexpr int kN = 10000;
+  const int intervals = static_cast<int>(state.range(0));
+  const double start = intervals;  // history intervals sit in [0, start)
+  Rng rng(42);
+  std::vector<Task> tasks;
+  tasks.reserve(kN);
+  double release = start;
+  for (int i = 0; i < kN; ++i) {
+    release += rng.exponential(0.8 * kM);
+    tasks.push_back({.release = release,
+                     .proc = 1.0,
+                     .eligible = ProcSet::ring_interval(
+                         static_cast<int>(rng.uniform_int(0, kM - 1)), 3, kM)});
+  }
+  const Instance inst(kM, std::move(tasks));
+
+  FaultModelConfig model;
+  model.mean_up = 24.0;
+  model.mean_down = 2.0;
+  model.horizon = release - start + 64;
+  const FaultPlan live = FaultPlan::random(kM, model, rng);
+  FaultPlan plan(kM);
+  for (int j = 0; j < kM; ++j) {
+    const auto& downs = live.downs(j);
+    const int history = intervals - static_cast<int>(downs.size());
+    if (history < 0) {
+      state.SkipWithError("more live crashes than intervals");
+      return;
+    }
+    for (int h = 0; h < history; ++h) plan.add_down(j, h, h + 0.5);
+    for (const DownInterval& d : downs)
+      plan.add_down(j, start + d.from, start + d.to);
+  }
+
+  for (auto _ : state) {
+    EftDispatcher eft(TieBreakKind::kMin);
+    benchmark::DoNotOptimize(
+        run_dispatcher_faulty(inst, eft, plan, RecoveryPolicy{}));
+  }
+  state.SetItemsProcessed(state.iterations() * inst.n());
+}
+BENCHMARK(BM_FaultEngineRelease)->Arg(64)->Arg(640)->Arg(6400);
 
 }  // namespace
 }  // namespace flowsched

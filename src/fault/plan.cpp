@@ -18,6 +18,20 @@ double quantize(double x, double grid) {
   return steps * grid;
 }
 
+// The queries binary-search a machine's interval list. add_down keeps it
+// sorted and disjoint, so `from` and `to` both strictly increase along it.
+// Each predicate is a negated comparison, so a NaN time falls past the end
+// and gets the answer a front-to-back scan gives: up, next_up(t) == t, no
+// next crash, no downtime.
+
+// First interval that has not ended by t (t < to), or end().
+std::vector<DownInterval>::const_iterator first_ending_after(
+    const std::vector<DownInterval>& list, double t) {
+  return std::partition_point(
+      list.begin(), list.end(),
+      [t](const DownInterval& d) { return !(t < d.to); });
+}
+
 }  // namespace
 
 FaultPlan::FaultPlan(int m) {
@@ -26,6 +40,17 @@ FaultPlan::FaultPlan(int m) {
 }
 
 FaultPlan FaultPlan::random(int m, const FaultModelConfig& config, Rng& rng) {
+  // A non-finite horizon never ends the renewal loop below (crash < +inf
+  // and !(crash >= NaN) hold forever); a NaN mean or a non-finite grid
+  // would draw NaN or infinite durations.
+  if (std::isnan(config.mean_up))
+    throw std::invalid_argument("FaultPlan: mean_up must not be NaN");
+  if (std::isnan(config.mean_down))
+    throw std::invalid_argument("FaultPlan: mean_down must not be NaN");
+  if (!std::isfinite(config.horizon))
+    throw std::invalid_argument("FaultPlan: horizon must be finite");
+  if (!std::isfinite(config.grid))
+    throw std::invalid_argument("FaultPlan: grid must be finite");
   FaultPlan plan(m);
   if (config.mean_up <= 0 || config.horizon <= 0) return plan;
   if (config.grid <= 0) throw std::invalid_argument("FaultPlan: grid must be > 0");
@@ -70,34 +95,37 @@ const std::vector<DownInterval>& FaultPlan::downs(int machine) const {
 }
 
 bool FaultPlan::is_up(int machine, double t) const {
-  for (const DownInterval& d : downs(machine)) {
-    if (t < d.from) return true;  // sorted: no later interval can cover t
-    if (t < d.to) return false;
-  }
-  return true;
+  const auto& list = downs(machine);
+  const auto it = first_ending_after(list, t);
+  return it == list.end() || t < it->from;
 }
 
 double FaultPlan::next_up(int machine, double t) const {
-  for (const DownInterval& d : downs(machine)) {
-    if (t < d.from) return t;
-    if (t < d.to) return d.to;  // d.to may be +inf (never recovers)
-  }
-  return t;
+  const auto& list = downs(machine);
+  const auto it = first_ending_after(list, t);
+  if (it == list.end() || t < it->from) return t;
+  return it->to;  // may be +inf (never recovers)
 }
 
 double FaultPlan::next_down(int machine, double t) const {
-  for (const DownInterval& d : downs(machine))
-    if (d.from >= t) return d.from;
-  return kInf;
+  const auto& list = downs(machine);
+  const auto it = std::partition_point(
+      list.begin(), list.end(),
+      [t](const DownInterval& d) { return !(d.from >= t); });
+  return it == list.end() ? kInf : it->from;
 }
 
 double FaultPlan::downtime(int machine, double t0, double t1) const {
+  // Intervals with to <= t0 add nothing, so the sweep starts past them.
+  const auto& list = downs(machine);
   double total = 0;
-  for (const DownInterval& d : downs(machine)) {
-    const double lo = std::max(t0, d.from);
-    const double hi = std::min(t1, d.to);
+  for (auto it = std::partition_point(
+           list.begin(), list.end(),
+           [t0](const DownInterval& d) { return !(d.to > t0); });
+       it != list.end() && it->from < t1; ++it) {
+    const double lo = std::max(t0, it->from);
+    const double hi = std::min(t1, it->to);
     if (hi > lo) total += hi - lo;
-    if (d.from >= t1) break;
   }
   return total;
 }

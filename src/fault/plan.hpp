@@ -47,6 +47,8 @@ class FaultPlan {
 
   /// Seeded crash/repair trace; consumes only `rng`, so a fixed seed
   /// reproduces the plan exactly. All times are multiples of config.grid.
+  /// Throws std::invalid_argument naming the field for a NaN mean_up or
+  /// mean_down, a non-finite horizon or grid, or grid <= 0.
   static FaultPlan random(int m, const FaultModelConfig& config, Rng& rng);
 
   int m() const { return static_cast<int>(downs_.size()); }
@@ -61,6 +63,10 @@ class FaultPlan {
   bool fault_free() const;
 
   const std::vector<DownInterval>& downs(int machine) const;
+
+  // The four queries below binary-search the machine's sorted, disjoint
+  // interval list: O(log I) for I down intervals (downtime adds the
+  // intervals it overlaps).
 
   /// True when `machine` is available at time t (t outside every [from, to)).
   bool is_up(int machine, double t) const;

@@ -3,13 +3,17 @@
 // runner (error context, watchdog), and sweep checkpointing (docs/faults.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -96,6 +100,179 @@ TEST(FaultPlan, NonPositiveMeanUpMeansFaultFree) {
   model.mean_up = 16.0;
   model.horizon = 0.0;
   EXPECT_TRUE(FaultPlan::random(4, model, rng).fault_free());
+}
+
+TEST(FaultPlan, RandomRejectsNonFiniteParameters) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto message = [](const FaultModelConfig& model) -> std::string {
+    Rng rng(1);
+    try {
+      FaultPlan::random(2, model, rng);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  FaultModelConfig model;
+  model.horizon = kInf;
+  EXPECT_EQ(message(model), "FaultPlan: horizon must be finite");
+  model.horizon = nan;
+  EXPECT_EQ(message(model), "FaultPlan: horizon must be finite");
+  model = FaultModelConfig{};
+  model.grid = kInf;
+  EXPECT_EQ(message(model), "FaultPlan: grid must be finite");
+  model.grid = nan;
+  EXPECT_EQ(message(model), "FaultPlan: grid must be finite");
+  model = FaultModelConfig{};
+  model.mean_up = nan;
+  EXPECT_EQ(message(model), "FaultPlan: mean_up must not be NaN");
+  model = FaultModelConfig{};
+  model.mean_down = nan;
+  EXPECT_EQ(message(model), "FaultPlan: mean_down must not be NaN");
+}
+
+// The timeline queries as front-to-back scans: the reference the binary
+// searches in FaultPlan must agree with bit for bit.
+bool scan_is_up(const std::vector<DownInterval>& downs, double t) {
+  for (const DownInterval& d : downs) {
+    if (t < d.from) return true;
+    if (t < d.to) return false;
+  }
+  return true;
+}
+
+double scan_next_up(const std::vector<DownInterval>& downs, double t) {
+  for (const DownInterval& d : downs) {
+    if (t < d.from) return t;
+    if (t < d.to) return d.to;
+  }
+  return t;
+}
+
+double scan_next_down(const std::vector<DownInterval>& downs, double t) {
+  for (const DownInterval& d : downs)
+    if (d.from >= t) return d.from;
+  return kInf;
+}
+
+double scan_downtime(const std::vector<DownInterval>& downs, double t0,
+                     double t1) {
+  double total = 0;
+  for (const DownInterval& d : downs) {
+    const double lo = std::max(t0, d.from);
+    const double hi = std::min(t1, d.to);
+    if (hi > lo) total += hi - lo;
+    if (d.from >= t1) break;
+  }
+  return total;
+}
+
+// Bitwise equality, so NaN == NaN and -0.0 != 0.0.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_queries_match_scan(const FaultPlan& plan, int machine, double t) {
+  const auto& downs = plan.downs(machine);
+  EXPECT_EQ(plan.is_up(machine, t), scan_is_up(downs, t))
+      << "machine " << machine << " t=" << t;
+  EXPECT_TRUE(same_bits(plan.next_up(machine, t), scan_next_up(downs, t)))
+      << "next_up machine " << machine << " t=" << t;
+  EXPECT_TRUE(same_bits(plan.next_down(machine, t), scan_next_down(downs, t)))
+      << "next_down machine " << machine << " t=" << t;
+}
+
+void expect_downtime_matches_scan(const FaultPlan& plan, int machine,
+                                  double t0, double t1) {
+  EXPECT_TRUE(same_bits(plan.downtime(machine, t0, t1),
+                        scan_downtime(plan.downs(machine), t0, t1)))
+      << "downtime machine " << machine << " [" << t0 << ", " << t1 << ")";
+}
+
+TEST(FaultPlan, QueriesMatchTheLinearScanOnRandomPlans) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double mean_up : {0.5, 4.0, 24.0}) {
+    FaultModelConfig model;
+    model.mean_up = mean_up;
+    model.mean_down = 2.0;
+    model.horizon = 256.0;
+    Rng rng(static_cast<std::uint64_t>(mean_up * 8) + 17);
+    const FaultPlan plan = FaultPlan::random(4, model, rng);
+    ASSERT_GT(plan.crash_count(), 0);
+    for (int j = 0; j < plan.m(); ++j) {
+      // Every boundary, half a grid step either side, random instants, and
+      // the non-finite extremes.
+      std::vector<double> times = {-1.0, 0.0, model.horizon + 8, -kInf, kInf,
+                                   nan};
+      for (const DownInterval& d : plan.downs(j)) {
+        for (const double b : {d.from, d.to}) {
+          times.push_back(b);
+          times.push_back(b - model.grid / 2);
+          times.push_back(b + model.grid / 2);
+        }
+      }
+      for (int r = 0; r < 200; ++r)
+        times.push_back(rng.uniform(-1.0, model.horizon + 8));
+      for (const double t : times) expect_queries_match_scan(plan, j, t);
+      for (std::size_t r = 0; r + 1 < times.size(); ++r)
+        expect_downtime_matches_scan(plan, j, times[r], times[r + 1]);
+    }
+  }
+}
+
+TEST(FaultPlan, QueryEdgeCasesMatchTheLinearScan) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  FaultPlan plan(3);
+  plan.add_down(0, 1.0, 2.0);
+  plan.add_down(0, 3.0, 5.0);
+  plan.add_down(0, 8.0, kInf);  // never recovers
+  plan.add_down(2, 0.0, 0.5);   // machine 1 has no intervals
+
+  // t == from is down, t == to is up.
+  EXPECT_FALSE(plan.is_up(0, 3.0));
+  EXPECT_EQ(plan.next_up(0, 3.0), 5.0);
+  EXPECT_EQ(plan.next_down(0, 3.0), 3.0);
+  EXPECT_TRUE(plan.is_up(0, 5.0));
+  EXPECT_EQ(plan.next_up(0, 5.0), 5.0);
+  EXPECT_EQ(plan.next_down(0, 5.0), 8.0);
+  // Before the first interval and after the last finite one.
+  EXPECT_TRUE(plan.is_up(0, 0.5));
+  EXPECT_EQ(plan.next_down(0, 0.5), 1.0);
+  EXPECT_TRUE(plan.is_up(2, 1.0));
+  EXPECT_EQ(plan.next_up(2, 1.0), 1.0);
+  EXPECT_EQ(plan.next_down(2, 1.0), kInf);
+  // Inside the last interval, which never ends.
+  EXPECT_FALSE(plan.is_up(0, 100.0));
+  EXPECT_EQ(plan.next_up(0, 100.0), kInf);
+  EXPECT_EQ(plan.next_down(0, 100.0), kInf);
+  EXPECT_EQ(plan.downtime(0, 4.0, kInf), kInf);
+  EXPECT_EQ(plan.downtime(0, 0.0, 10.0), 5.0);
+  // A machine with no intervals.
+  EXPECT_TRUE(plan.is_up(1, 2.0));
+  EXPECT_EQ(plan.next_up(1, 2.0), 2.0);
+  EXPECT_EQ(plan.next_down(1, 2.0), kInf);
+  EXPECT_EQ(plan.downtime(1, 0.0, 10.0), 0.0);
+  // An empty or reversed downtime window.
+  EXPECT_EQ(plan.downtime(0, 4.0, 4.0), 0.0);
+  EXPECT_EQ(plan.downtime(0, 4.0, 1.0), 0.0);
+  // NaN: the scan finds no interval, so the machine is up, next_up returns
+  // t and there is no next crash. A lower_bound on `from < t` would return
+  // the first interval's start instead.
+  EXPECT_TRUE(plan.is_up(0, nan));
+  EXPECT_TRUE(std::isnan(plan.next_up(0, nan)));
+  EXPECT_EQ(plan.next_down(0, nan), kInf);
+  EXPECT_EQ(plan.downtime(0, nan, 10.0), 0.0);
+  EXPECT_EQ(plan.downtime(0, 0.0, nan), 0.0);
+
+  const std::vector<double> times = {-kInf, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0,
+                                     2.5,   3.0,  4.0, 5.0, 6.0, 8.0, 9.0,
+                                     100.0, kInf, nan};
+  for (int j = 0; j < plan.m(); ++j) {
+    for (const double t0 : times) {
+      expect_queries_match_scan(plan, j, t0);
+      for (const double t1 : times) expect_downtime_matches_scan(plan, j, t0, t1);
+    }
+  }
 }
 
 TEST(FaultCase, SerializationRoundTrips) {

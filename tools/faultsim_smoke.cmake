@@ -9,7 +9,9 @@
 #      clean, for every recovery policy;
 #   3. the disjoint case must report parked attempts (its whole second
 #      replica group is down in [1, 4)) — the "never silently dropped"
-#      contract exercised end to end.
+#      contract exercised end to end;
+#   4. a non-finite --horizon (inf, nan) is rejected with exit code 2
+#      instead of generating crashes forever.
 #
 # Usable standalone:
 #
@@ -86,5 +88,24 @@ foreach(recovery immediate backoff checkpoint)
   endif()
 endforeach()
 
+# 4. A non-finite horizon must fail fast: FaultPlan::random would otherwise
+# never leave its renewal loop. The timeout turns a hang into a failure.
+foreach(horizon inf nan)
+  execute_process(
+    COMMAND ${CLI} faultsim --input ${inst} --horizon ${horizon}
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc
+    TIMEOUT 10)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "faultsim_smoke: --horizon ${horizon} exited "
+        "'${rc}', expected 2")
+  endif()
+  if(NOT err MATCHES "horizon must be finite")
+    message(FATAL_ERROR "faultsim_smoke: --horizon ${horizon} did not name "
+        "the field:\n${err}")
+  endif()
+endforeach()
+
 message(STATUS "faultsim smoke passed: corpus cases and all recovery "
-    "policies audit clean")
+    "policies audit clean, non-finite horizons rejected")

@@ -77,6 +77,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <sys/resource.h>
 
@@ -507,13 +508,20 @@ int cmd_faultsim(const ArgParser& args) {
     std::printf("Fmax=%.6g mean_flow=%.6g (over completed tasks)\n", fmax,
                 completed > 0 ? flow_sum / completed : 0.0);
     if (want_fates) {
+      // One pass over the log; attempts_of(i) per task would be quadratic.
+      std::vector<std::size_t> attempt_count(
+          static_cast<std::size_t>(fc.instance.n()), 0);
+      for (const FaultAttempt& a : log.attempts()) {
+        ++attempt_count[static_cast<std::size_t>(a.task)];
+      }
       for (int i = 0; i < fc.instance.n(); ++i) {
+        const std::size_t attempts =
+            attempt_count[static_cast<std::size_t>(i)];
         if (log.fate(i) == TaskFate::kCompleted) {
           std::printf("task %d completed C=%.6g attempts=%zu\n", i,
-                      log.completion(i), log.attempts_of(i).size());
+                      log.completion(i), attempts);
         } else {
-          std::printf("task %d dropped attempts=%zu\n", i,
-                      log.attempts_of(i).size());
+          std::printf("task %d dropped attempts=%zu\n", i, attempts);
         }
       }
     }
