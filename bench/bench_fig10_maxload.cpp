@@ -11,29 +11,22 @@
 // quadratically while the paper's claims are about the k-trend, not every
 // integer k.
 //
-// Solvers (`--solver`):
-//   * lp (default) — sparse revised simplex via MaxLoadSolver. Jobs are one
-//     per k: each job walks s ascending x permutations x both strategies
-//     through two warm-started solvers, so consecutive solves differ only
-//     in the popularity vector and re-use the previous optimal basis. This
-//     is what makes m = 1024 a minutes-scale run (see EXPERIMENTS.md).
-//   * flow — the lambda-bisection + Dinic feasibility oracle, kept as the
-//     independent algorithm for cross-checks (also exercised on spot cells
-//     below regardless of --solver).
+// Every cell is scored in closed form: the overlapping ring and the
+// disjoint blocks are arc layouts, so max_load_windows() gives LP (15)'s
+// optimum in O(m^2) whatever k is (docs/lp.md). The spot-check lines at
+// the end compare the revised simplex, the dense tableau (m <= 64) and the
+// flow bisection on a few cells.
 //
-// Determinism: jobs fan out on the experiment runner (--threads N).
-// Permutation p is regenerated inside each job from
+// Determinism: jobs, one per k, fan out on the experiment runner
+// (--threads N). Permutation p is regenerated inside each job from
 // replicate_seed(experiment, p, 0) — the permutation depends only on p,
 // not on s or k, so every cell of the grid and both strategies see the
 // *same* permutations (the paper's paired protocol, extended along s).
-// Each job iterates permutation-major: for each p, the s ladder is walked
-// ascending, so consecutive LP solves share a permutation and differ only
-// in the Zipf exponent — the nearby optima are what make the warm chain
-// effective. Chains are sequential inside their job, so the output is
-// byte-identical at any thread count (timing goes to stderr, which the
-// determinism diff excludes).
+// Medians are taken per job, so the output is byte-identical at any thread
+// count (timing goes to stderr, which the determinism diff excludes).
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -71,12 +64,11 @@ int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const int m = args.integer("m", 15);
   const int permutations = args.integer("permutations", 100);
-  const std::string solver = args.get("solver", "lp");
   ExperimentRunner runner(args.integer("threads", 0));
   args.reject_unknown();
   if (m < 1) throw std::invalid_argument("--m must be positive");
-  if (solver != "lp" && solver != "flow") {
-    throw std::invalid_argument("--solver must be lp or flow");
+  if (permutations < 1) {
+    throw std::invalid_argument("--permutations must be positive");
   }
   const std::uint64_t exp = experiment_id("fig10_maxload");
 
@@ -94,12 +86,10 @@ int main(int argc, char** argv) {
   HeatGrid disj(row_labels, col_labels);
   HeatGrid ratio(row_labels, col_labels);
 
-  // One job per k: a job owns the two replica-set skeletons for its k and
-  // chains permutations x the ascending s ladder x both strategies through
-  // them. With --solver lp every solve warm-starts from the previous basis,
-  // and walking s for a fixed permutation keeps consecutive problems close;
-  // regenerating each permutation from replicate_seed(exp, p, 0) keeps the
-  // protocol paired across s, k, and strategies.
+  // One job per k: it scores permutations x the s ladder x both strategies
+  // with every machine up. Regenerating each permutation from
+  // replicate_seed(exp, p, 0) keeps the protocol paired across s, k, and
+  // strategies.
   struct Cell {
     double over;
     double disj;
@@ -108,12 +98,11 @@ int main(int argc, char** argv) {
   const auto columns = runner.map<std::vector<Cell>>(
       static_cast<int>(k_values.size()), [&](int job) {
         const int k = k_values[static_cast<std::size_t>(job)];
-        const auto over_sets =
-            replica_sets(ReplicationStrategy::kOverlapping, k, m);
-        const auto disj_sets =
-            replica_sets(ReplicationStrategy::kDisjoint, k, m);
-        MaxLoadSolver over_solver(over_sets);
-        MaxLoadSolver disj_solver(disj_sets);
+        const std::vector<std::uint8_t> all_up(static_cast<std::size_t>(m), 1);
+        const auto max_load = [&](const std::vector<double>& pop,
+                                  ReplicationStrategy strategy) {
+          return 100.0 * max_load_windows(pop, strategy, k, all_up).lambda / m;
+        };
         std::vector<std::vector<double>> over_loads(n_s);
         std::vector<std::vector<double>> disj_loads(n_s);
         for (int p = 0; p < permutations; ++p) {
@@ -124,15 +113,10 @@ int main(int argc, char** argv) {
             Rng rng(replicate_seed(exp, static_cast<std::uint64_t>(p), 0));
             const auto pop = make_popularity(PopularityCase::kShuffled, m,
                                              s_values[si], rng);
-            if (solver == "lp") {
-              over_loads[si].push_back(100.0 * over_solver.solve_lambda(pop) / m);
-              disj_loads[si].push_back(100.0 * disj_solver.solve_lambda(pop) / m);
-            } else {
-              over_loads[si].push_back(100.0 *
-                                       max_load_flow(pop, over_sets, 1e-7) / m);
-              disj_loads[si].push_back(100.0 *
-                                       max_load_flow(pop, disj_sets, 1e-7) / m);
-            }
+            over_loads[si].push_back(
+                max_load(pop, ReplicationStrategy::kOverlapping));
+            disj_loads[si].push_back(
+                max_load(pop, ReplicationStrategy::kDisjoint));
           }
         }
         std::vector<Cell> column;
@@ -158,9 +142,8 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr, "[runner] %d threads\n", runner.threads());
   std::fprintf(stderr,
-               "[fig10] m=%d solver=%s: %zu cells x %d permutations in %.2fs\n",
-               m, solver.c_str(), n_s * k_values.size(), permutations,
-               sweep_seconds);
+               "[fig10] m=%d: %zu cells x %d permutations in %.2fs\n", m,
+               n_s * k_values.size(), permutations, sweep_seconds);
   std::printf("== Figure 10a: median max-load (%%), m=%d, %d permutations ==\n\n",
               m, permutations);
   std::printf("--- Overlapping ---\n%s\n", over.render("s\\k", 1).c_str());

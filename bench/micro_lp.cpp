@@ -2,11 +2,8 @@
 // optimum oracle.
 //
 // The max-load series covers the LP (15) backends across m:
-//   * BM_MaxLoadRevisedCold  — sparse revised simplex, skeleton built and
-//     solved from scratch (what a single isolated cell costs);
-//   * BM_MaxLoadRevisedWarm  — re-solves on a fixed skeleton, cycling
-//     popularity vectors and warm-starting from the previous basis (what a
-//     Fig. 10 sweep cell costs after the first solve of its chain);
+//   * BM_MaxLoadRevisedCold  — one-shot max_load_lp: LP built, solved by
+//     the sparse revised simplex from its crash basis, transfers extracted;
 //   * BM_MaxLoadTableau      — the dense two-phase tableau oracle, only up
 //     to m = 128 (it is the speedup baseline: EXPERIMENTS.md records the
 //     revised/tableau ratio there);
@@ -14,7 +11,8 @@
 //     independent cross-check, with the rebuilt-once rescaled network.
 //   * BM_MaxLoadWindows       — the closed form for ring and block layouts
 //     (O(m^2) window scan, no LP), on BM_MaxLoadRevisedCold's cell with
-//     every machine up: what the replication controller pays per candidate.
+//     every machine up: what the replication controller pays per candidate
+//     and the Fig. 10 sweep and the planner pay per cell.
 //     Both series include m = 64, the faults-adaptive cluster size.
 //
 // Custom main: `micro_lp --json out.json` writes the google-benchmark JSON
@@ -49,36 +47,11 @@ void BM_MaxLoadRevisedCold(benchmark::State& state) {
   const auto pop = popularity_for(m, 7);
   const auto sets = replica_sets(ReplicationStrategy::kOverlapping, kReplication, m);
   for (auto _ : state) {
-    MaxLoadSolver solver(sets);
-    benchmark::DoNotOptimize(solver.solve_lambda(pop));
+    benchmark::DoNotOptimize(max_load_lp(pop, sets));
   }
 }
 BENCHMARK(BM_MaxLoadRevisedCold)
     ->Arg(8)->Arg(15)->Arg(30)->Arg(64)->Arg(128)->Arg(512)->Arg(1024)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_MaxLoadRevisedWarm(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  const auto sets = replica_sets(ReplicationStrategy::kOverlapping, kReplication, m);
-  // One fixed permutation swept along the Zipf exponent — exactly a Fig. 10
-  // per-permutation chain. Each iteration re-solves the next rung
-  // warm-started from the previous basis; neighbouring rungs have nearby
-  // optima, which is what makes the warm start pay.
-  std::vector<std::vector<double>> pops;
-  for (int step = 0; step < 6; ++step) {
-    Rng rng(7);
-    pops.push_back(make_popularity(PopularityCase::kShuffled, m, 0.5 * step, rng));
-  }
-  MaxLoadSolver solver(sets);
-  solver.solve_lambda(pops.back());
-  std::size_t next = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve_lambda(pops[next]));
-    next = (next + 1) % pops.size();
-  }
-}
-BENCHMARK(BM_MaxLoadRevisedWarm)
-    ->Arg(8)->Arg(15)->Arg(30)->Arg(128)->Arg(512)->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_MaxLoadTableau(benchmark::State& state) {

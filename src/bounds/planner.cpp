@@ -1,6 +1,7 @@
 #include "bounds/planner.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 
@@ -33,6 +34,7 @@ PlannerResult min_feasible_k(const PlannerQuery& q) {
   if (q.m < 2) throw std::invalid_argument("min_feasible_k: m >= 2");
   if (!(q.target_fmax > 0)) throw std::invalid_argument("min_feasible_k: target_fmax > 0");
   if (!(q.opt_estimate > 0)) throw std::invalid_argument("min_feasible_k: opt_estimate > 0");
+  if (std::isnan(q.load)) throw std::invalid_argument("min_feasible_k: load is NaN");
   const bool uses_k = q.structure == StructureClass::kKSize ||
                       q.structure == StructureClass::kInterval ||
                       q.structure == StructureClass::kDisjoint;
@@ -95,7 +97,8 @@ PlannerResult min_feasible_k(const PlannerQuery& q) {
 
   // Saturation frontier: smallest k whose replication scheme sustains the
   // offered load lambda = rho * m under worst-case Zipf placement (LP (15)).
-  // Only the two concrete schemes map to replica sets; ksize has none.
+  // Only the two concrete schemes map to replica sets; ksize has none. Both
+  // are arcs, so the closed-form window scan gives the LP optimum.
   const bool scan_load = q.load >= 0.0 && q.structure != StructureClass::kKSize;
   std::vector<bool> saturated;
   if (scan_load) {
@@ -106,10 +109,11 @@ PlannerResult min_feasible_k(const PlannerQuery& q) {
     const std::vector<double> popularity =
         make_popularity(PopularityCase::kWorstCase, m, q.zipf_s, rng);
     const double offered = q.load * q.m;
+    const std::vector<std::uint8_t> all_up(static_cast<std::size_t>(m), 1);
     saturated.assign(static_cast<std::size_t>(m) + 1, true);
     for (int k = 1; k <= m; ++k) {
       const double lambda =
-          max_load_lp(popularity, replica_sets(strategy, k, m)).lambda;
+          max_load_windows(popularity, strategy, k, all_up).lambda;
       saturated[static_cast<std::size_t>(k)] = offered > lambda + kEps;
       if (!saturated[static_cast<std::size_t>(k)] && result.saturation_k == 0) {
         result.saturation_k = k;

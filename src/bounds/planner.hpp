@@ -10,7 +10,8 @@
 //   * the saturation frontier of LP (15) (src/lp/maxload) — below the
 //     target flow time is moot if the offered load exceeds the maximum
 //     sustainable lambda of the replication scheme, so the planner scans k
-//     upward until the LP sustains the offered load.
+//     upward until the LP sustains the offered load. Each k costs one
+//     closed-form window scan (max_load_windows), not an LP solve.
 //
 // For disjoint blocks, Corollary 1 additionally gives a *sufficiency* side:
 // every k with (3 - 2/k) * OPT <= F carries a worst-case guarantee.
@@ -33,7 +34,8 @@ struct PlannerQuery {
   double opt_estimate = 1.0;  ///< Estimate of the workload's offline optimum
                               ///< Fmax (>= pmax; 1 for unit requests).
   double load = -1.0;         ///< Offered per-machine load rho in [0, 1);
-                              ///< negative skips the saturation scan.
+                              ///< negative skips the saturation scan, NaN
+                              ///< is rejected.
   double zipf_s = 0.0;        ///< Popularity skew for the saturation LP
                               ///< (worst-case Zipf placement, Section 7.1).
   /// Per-machine steady-state availability target in (0, 1]: the planner
@@ -69,7 +71,8 @@ struct PlannerResult {
 /// \brief Minimum replication factor meeting `q.target_fmax`, simulation-free.
 ///
 /// \param q the question; requires q.m >= 2, q.target_fmax > 0,
-///        q.opt_estimate > 0, and a structure with a k knob.
+///        q.opt_estimate > 0, a non-NaN q.load, and a structure with a k
+///        knob (std::invalid_argument otherwise).
 /// \return the verdict. `feasible == false` means no k in [1, m] satisfies
 ///         every applicable constraint (the detail string says which one
 ///         failed); results are deterministic (no RNG is consumed).

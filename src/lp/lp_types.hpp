@@ -21,15 +21,7 @@ struct LpSolution {
   LpStatus status = LpStatus::kInfeasible;
   Scalar objective{};
   std::vector<Scalar> x;  ///< Structural variable values (optimal only).
-  /// Opaque warm-start handle written by the revised solver at optimality:
-  /// the basic column (in the solver's internal column space) of each
-  /// constraint row. Feed it back through LpProblem::solve_warm() on a
-  /// problem with the same shape (see docs/lp.md for the exact contract);
-  /// empty after solve_tableau() and on non-optimal exits.
-  std::vector<int> basis;
-  /// Simplex pivots spent (revised solver only; 0 from the tableau). A
-  /// warm-started solve that resumed successfully shows the cost of the
-  /// resume, including any cold-fallback pivots.
+  /// Simplex pivots spent (revised solver only; 0 from the tableau).
   std::size_t iterations = 0;
 };
 

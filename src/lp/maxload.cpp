@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "lp/maxflow.hpp"
+#include "lp/simplex.hpp"
 
 namespace flowsched {
 namespace {
@@ -41,45 +42,53 @@ void check_inputs(const std::vector<double>& popularity,
   }
 }
 
-/// Builds LP (15) for `sets` (lambda coefficients zeroed; patched per
-/// popularity). Outputs the lambda variable, per-owner conservation rows
-/// and per-owner (machine, var) lists.
-LpProblemD build_lp15(const std::vector<ProcSet>& sets, int* lambda_var,
-                      std::vector<int>* conservation_row,
-                      std::vector<std::vector<std::pair<int, int>>>* vars) {
-  const int m = static_cast<int>(sets.size());
+/// LP (15) for one popularity vector, with the crash basis max_load_lp
+/// starts from and the (machine, var) list of each owner's transfers.
+struct Lp15 {
   LpProblemD lp;
-  *lambda_var = lp.add_var(1.0);  // maximize lambda
-  vars->assign(static_cast<std::size_t>(m), {});
+  std::vector<int> crash;
+  std::vector<std::vector<std::pair<int, int>>> vars;
+};
+
+Lp15 build_lp15(const std::vector<double>& popularity,
+                const std::vector<ProcSet>& sets) {
+  const int m = static_cast<int>(sets.size());
+  Lp15 out;
+  LpProblemD& lp = out.lp;
+  const int lambda_var = lp.add_var(1.0);  // maximize lambda
+  out.vars.assign(static_cast<std::size_t>(m), {});
   std::vector<std::vector<std::pair<int, double>>> capacity_terms(
       static_cast<std::size_t>(m));
   for (int j = 0; j < m; ++j) {
-    auto& owner_vars = (*vars)[static_cast<std::size_t>(j)];
+    auto& owner_vars = out.vars[static_cast<std::size_t>(j)];
     for (int i : sets[static_cast<std::size_t>(j)].machines()) {
       const int v = lp.add_var(0.0);
       owner_vars.emplace_back(i, v);
       capacity_terms[static_cast<std::size_t>(i)].emplace_back(v, 1.0);
     }
   }
-  // (15b) conservation: sum_i a_ij - lambda P(E_j) = 0. The lambda term is
-  // placed now (at coefficient 0) so later set_term() calls overwrite it.
-  conservation_row->clear();
-  conservation_row->reserve(static_cast<std::size_t>(m));
+  // (15b) conservation: sum_i a_ij - lambda P(E_j) = 0, row j. The crash
+  // basis pairs row j with one of owner j's transfer variables, rotating
+  // through the replica set so no machine's capacity row collects all the
+  // picks. Triangular, hence nonsingular, and feasible at a = 0,
+  // lambda = 0, so phase 1 is skipped.
   for (int j = 0; j < m; ++j) {
+    const auto& owner_vars = out.vars[static_cast<std::size_t>(j)];
     std::vector<std::pair<int, double>> terms;
-    terms.reserve((*vars)[static_cast<std::size_t>(j)].size() + 1);
-    for (const auto& [i, v] : (*vars)[static_cast<std::size_t>(j)]) {
-      terms.emplace_back(v, 1.0);
-    }
-    terms.emplace_back(*lambda_var, 0.0);
-    conservation_row->push_back(lp.add_constraint(terms, Relation::kEq, 0.0));
+    terms.reserve(owner_vars.size() + 1);
+    for (const auto& [i, v] : owner_vars) terms.emplace_back(v, 1.0);
+    terms.emplace_back(lambda_var, -popularity[static_cast<std::size_t>(j)]);
+    lp.add_constraint(terms, Relation::kEq, 0.0);
+    out.crash.push_back(
+        owner_vars[static_cast<std::size_t>(j) % owner_vars.size()].second);
   }
-  // (15c) capacity: sum_j a_ij <= 1.
+  // (15c) capacity: sum_j a_ij <= 1. These rows keep their slack (-1).
   for (int i = 0; i < m; ++i) {
     const auto& terms = capacity_terms[static_cast<std::size_t>(i)];
     if (!terms.empty()) lp.add_constraint(terms, Relation::kLe, 1.0);
   }
-  return lp;
+  out.crash.resize(static_cast<std::size_t>(lp.num_constraints()), -1);
+  return out;
 }
 
 MaxLoadResult extract_result(
@@ -100,80 +109,26 @@ MaxLoadResult extract_result(
 
 }  // namespace
 
-MaxLoadSolver::MaxLoadSolver(std::vector<ProcSet> replica_sets)
-    : sets_(std::move(replica_sets)) {
-  if (sets_.empty()) throw std::invalid_argument("MaxLoadSolver: empty sets");
-  const int m = static_cast<int>(sets_.size());
-  for (const auto& set : sets_) {
-    if (set.empty() || !set.within(m)) {
-      throw std::invalid_argument("MaxLoadSolver: bad replica set");
-    }
-  }
-  lp_ = build_lp15(sets_, &lambda_var_, &conservation_row_, &vars_);
-  // Crash basis: pair each conservation row with one of its transfer
-  // variables, rotating through the replica set so no machine's capacity
-  // row collects all the picks; capacity rows keep their slack (-1).
-  crash_basis_.assign(static_cast<std::size_t>(lp_.num_constraints()), -1);
-  for (int j = 0; j < m; ++j) {
-    const auto& owner_vars = vars_[static_cast<std::size_t>(j)];
-    crash_basis_[static_cast<std::size_t>(
-        conservation_row_[static_cast<std::size_t>(j)])] =
-        owner_vars[static_cast<std::size_t>(j) % owner_vars.size()].second;
-  }
-}
-
-const LpSolution<double>& MaxLoadSolver::resolve(
-    const std::vector<double>& popularity) {
-  check_inputs(popularity, sets_);
-  for (int j = 0; j < m(); ++j) {
-    lp_.set_term(conservation_row_[static_cast<std::size_t>(j)], lambda_var_,
-                 -popularity[static_cast<std::size_t>(j)]);
-  }
-  // Chain order: previous optimum's basis (usually resumes in a pivot or
-  // two along a sweep), then the crash basis (when the old basis went
-  // primal-infeasible — e.g. a big jump in the popularity vector), then the
-  // solver's own all-logical cold start.
-  last_ = last_.status == LpStatus::kOptimal
-              ? lp_.solve_warm(last_.basis, crash_basis_)
-              : lp_.solve_warm(crash_basis_);
-  if (last_.status != LpStatus::kOptimal) {
-    throw std::runtime_error("MaxLoadSolver: simplex did not reach optimality");
-  }
-  return last_;
-}
-
-double MaxLoadSolver::solve_lambda(const std::vector<double>& popularity) {
-  return resolve(popularity).objective;
-}
-
-MaxLoadResult MaxLoadSolver::solve(const std::vector<double>& popularity) {
-  return extract_result(resolve(popularity), m(), vars_);
-}
-
 MaxLoadResult max_load_lp(const std::vector<double>& popularity,
                           const std::vector<ProcSet>& replica_sets) {
   check_inputs(popularity, replica_sets);
-  MaxLoadSolver solver(replica_sets);
-  return solver.solve(popularity);
+  const Lp15 lp15 = build_lp15(popularity, replica_sets);
+  const auto sol = lp15.lp.solve(lp15.crash);
+  if (sol.status != LpStatus::kOptimal) {
+    throw std::runtime_error("max_load_lp: simplex did not reach optimality");
+  }
+  return extract_result(sol, static_cast<int>(replica_sets.size()), lp15.vars);
 }
 
 MaxLoadResult max_load_lp_tableau(const std::vector<double>& popularity,
                                   const std::vector<ProcSet>& replica_sets) {
   check_inputs(popularity, replica_sets);
-  int lambda_var = 0;
-  std::vector<int> conservation_row;
-  std::vector<std::vector<std::pair<int, int>>> vars;
-  LpProblemD lp = build_lp15(replica_sets, &lambda_var, &conservation_row, &vars);
-  const int m = static_cast<int>(replica_sets.size());
-  for (int j = 0; j < m; ++j) {
-    lp.set_term(conservation_row[static_cast<std::size_t>(j)], lambda_var,
-                -popularity[static_cast<std::size_t>(j)]);
-  }
-  const auto sol = lp.solve_tableau();
+  const Lp15 lp15 = build_lp15(popularity, replica_sets);
+  const auto sol = lp15.lp.solve_tableau();
   if (sol.status != LpStatus::kOptimal) {
     throw std::runtime_error("max_load_lp_tableau: no optimum");
   }
-  return extract_result(sol, m, vars);
+  return extract_result(sol, static_cast<int>(replica_sets.size()), lp15.vars);
 }
 
 double max_load_flow(const std::vector<double>& popularity,

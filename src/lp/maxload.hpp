@@ -10,18 +10,17 @@
 //           for all machines i:   sum_j a_ij <= 1
 //           a_ij = 0 when M_i not in I_k(j),   a_ij >= 0.
 //
-// Three solvers handle arbitrary replica sets: the sparse revised simplex
-// (warm-startable across popularity vectors via MaxLoadSolver), the dense
-// tableau oracle, and a bisection on lambda over a max-flow feasibility
-// oracle. They agree to ~1e-7 and are cross-checked in the test suite. For
-// ring and block layouts (optionally degraded to the machines that are up)
-// max_load_windows() gives the same optimum in closed form.
+// Three solvers handle arbitrary replica sets: the sparse revised simplex,
+// the dense tableau oracle, and a bisection on lambda over a max-flow
+// feasibility oracle. They agree to ~1e-7 and are cross-checked in the test
+// suite. For ring and block layouts (optionally degraded to the machines
+// that are up) max_load_windows() gives the same optimum in closed form;
+// the Fig. 10 sweep and the capacity planner use it.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "lp/simplex.hpp"
 #include "model/procset.hpp"
 #include "workload/replication.hpp"
 
@@ -35,54 +34,13 @@ struct MaxLoadResult {
   std::vector<std::vector<double>> transfer;
 };
 
-/// Reusable LP (15) solver for sweeps over popularity vectors on a fixed
-/// replication scheme: the constraint skeleton is built once (O(mk) sparse
-/// memory), each solve patches only the lambda column (O(m)) and
-/// warm-starts the revised simplex from the previous optimum's basis, so a
-/// sweep cell costs a handful of pivots instead of a full phase-1 solve.
-/// Single-threaded by design — in a parallel sweep, give each job its own
-/// solver (bench/bench_fig10_maxload.cpp chains one per k).
-class MaxLoadSolver {
- public:
-  /// `replica_sets[j]` = I_k(j); same validity requirements as
-  /// max_load_lp(). More generally, each index j is an *origin* of work (a
-  /// machine in the paper; a key works too, as in bench_ext_ring) while
-  /// replica-set members are the serving machines — origins that no set
-  /// references simply contribute idle capacity-1 nodes.
-  explicit MaxLoadSolver(std::vector<ProcSet> replica_sets);
-
-  /// The LP optimum lambda for `popularity` (size m, non-negative). Skips
-  /// the O(m^2) transfer-matrix extraction — the sweep path.
-  double solve_lambda(const std::vector<double>& popularity);
-
-  /// Full result including the transfer matrix.
-  MaxLoadResult solve(const std::vector<double>& popularity);
-
-  int m() const { return static_cast<int>(sets_.size()); }
-
-  /// Simplex pivots the most recent solve spent (see LpSolution::iterations)
-  /// — 0 before the first solve. Diagnostic for warm-chain effectiveness.
-  std::size_t last_iterations() const { return last_.iterations; }
-
- private:
-  const LpSolution<double>& resolve(const std::vector<double>& popularity);
-
-  std::vector<ProcSet> sets_;
-  LpProblemD lp_;
-  int lambda_var_ = 0;
-  std::vector<int> conservation_row_;            ///< Row index per owner j.
-  std::vector<std::vector<std::pair<int, int>>> vars_;  ///< Per j: (i, var).
-  /// Crash basis: each conservation row paired with one of its transfer
-  /// variables (round-robin over the replica set so capacity rows are hit
-  /// evenly), capacity rows left at -1 (their slack). Triangular, hence
-  /// always nonsingular, and feasible at a = 0 / lambda = 0 — a much better
-  /// phase-1-free launch pad than the all-artificial basis when the
-  /// previous optimum's basis is stale (see resolve()).
-  std::vector<int> crash_basis_;
-  LpSolution<double> last_;                      ///< Holds the warm basis.
-};
-
-/// Solves LP (15) with the revised simplex (one-shot MaxLoadSolver).
+/// Solves LP (15) with the revised simplex, started from a crash basis that
+/// pairs each owner's conservation row with one of its transfer variables.
+/// `replica_sets[j]` = I_k(j), one non-empty set within [0, m) per owner.
+/// More generally, each index j is an *origin* of work (a machine in the
+/// paper; a key works too, as in bench_ext_ring) while replica-set members
+/// are the serving machines — origins that no set references simply
+/// contribute idle capacity-1 nodes.
 MaxLoadResult max_load_lp(const std::vector<double>& popularity,
                           const std::vector<ProcSet>& replica_sets);
 
@@ -118,7 +76,7 @@ struct WindowLoadResult {
 /// (docs/lp.md). O(m^2), no LP built. The binding window is the first strict
 /// minimum in (first, count) order; lambda = 0 when some owner with positive
 /// popularity has no up replica. Throws std::invalid_argument for other
-/// strategies (kSpread sets are not arcs: use MaxLoadSolver).
+/// strategies (kSpread sets are not arcs: use max_load_lp).
 WindowLoadResult max_load_windows(const std::vector<double>& popularity,
                                   ReplicationStrategy strategy, int k,
                                   const std::vector<std::uint8_t>& up);

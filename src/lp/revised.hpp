@@ -1,7 +1,7 @@
 // Sparse revised simplex with a product-form basis inverse.
 //
-// The solver the LP layer actually runs (LpProblem::solve /
-// LpProblem::solve_warm). Design, in the order work happens:
+// The solver the LP layer actually runs (LpProblem::solve). Design, in the
+// order work happens:
 //
 //  * The constraint matrix is stored column-major sparse (structural,
 //    slack/surplus, artificial blocks — the same column layout as the dense
@@ -24,11 +24,10 @@
 //    to Bland's rule (smallest eligible index, entering and leaving) until
 //    a pivot makes progress again — the classic cycling guard, engaged
 //    only when needed.
-//  * Warm starting: solve() can be handed the basis of a previous optimum
-//    of a same-shaped problem. The basis is refactorized against the new
-//    data; if it is primal feasible (and its artificials still sit at
-//    zero) phase 2 resumes from it directly, otherwise the solver silently
-//    falls back to a cold start. See docs/lp.md for the shape contract.
+//  * Crash start: solve() can be handed a (partial) starting basis. It is
+//    factorized against the data; if it is primal feasible (and its
+//    artificials sit at zero) phase 2 starts from it directly, otherwise
+//    the solver silently takes the all-logical basis. See docs/lp.md.
 //  * The Scalar template covers double (tolerance 1e-9, eta drop tolerance
 //    1e-13) and Rational (all tolerances exactly zero), so LpProblemQ
 //    certification runs the same code path exactly.
@@ -124,16 +123,12 @@ class RevisedSimplex {
     }
   }
 
-  /// Solves the program; `warm` (may be null) is a basis from a previous
-  /// optimum of a same-shaped problem, used when it checks out, and
-  /// `fallback` (may be null) is a second candidate — typically a
-  /// problem-specific crash basis, entries of -1 meaning "the row's
-  /// logical column" — tried when `warm` is rejected, before the
-  /// all-logical cold start.
-  LpSolution<Scalar> solve(const std::vector<int>* warm,
-                           const std::vector<int>* fallback,
+  /// Solves the program; `crash` (may be null) is a starting basis, entries
+  /// of -1 meaning "the row's logical column", used when it checks out and
+  /// replaced by the all-logical basis otherwise.
+  LpSolution<Scalar> solve(const std::vector<int>* crash,
                            std::size_t max_iters) {
-    LpSolution<Scalar> sol = run(warm, fallback, max_iters);
+    LpSolution<Scalar> sol = run(crash, max_iters);
     sol.iterations = max_iters - iters_left_;
     return sol;
   }
@@ -141,14 +136,11 @@ class RevisedSimplex {
  private:
   enum class RunExit { kOptimal, kUnbounded, kIterLimit };
 
-  LpSolution<Scalar> run(const std::vector<int>* warm,
-                         const std::vector<int>* fallback,
-                         std::size_t max_iters) {
+  LpSolution<Scalar> run(const std::vector<int>* crash, std::size_t max_iters) {
     LpSolution<Scalar> sol;
-    if (!(warm != nullptr && start(warm)) &&
-        !(fallback != nullptr && start(fallback))) {
-      // Singular or stale candidates — start cold (always succeeds: the
-      // logical basis is the identity).
+    if (crash == nullptr || !start(crash)) {
+      // No usable crash basis — start from the logical basis (always
+      // succeeds: it is the identity).
       start(nullptr);
     }
     iters_left_ = max_iters;
@@ -193,7 +185,6 @@ class RevisedSimplex {
       sol.objective +=
           obj_[static_cast<std::size_t>(v)] * sol.x[static_cast<std::size_t>(v)];
     }
-    sol.basis = basis_;
     return sol;
   }
 
@@ -287,15 +278,15 @@ class RevisedSimplex {
     etas_.push_back(std::move(e));
   }
 
-  /// (Re)installs a basis: cold (`warm == nullptr`) takes the logical
-  /// slack/artificial basis; warm refactorizes the given basis against the
-  /// current data. A warm entry of -1 stands for "this row's logical
-  /// column" — callers can hand a *partial* (crash) basis that pins only
-  /// the rows they know something about. Returns false when the warm basis
-  /// is unusable (wrong shape, singular, primal infeasible, or an
-  /// artificial came back at a nonzero value) — the caller then restarts
-  /// cold.
-  bool start(const std::vector<int>* warm) {
+  /// Installs a basis: `crash == nullptr` takes the logical
+  /// slack/artificial basis; otherwise the given basis is factorized
+  /// against the data. A crash entry of -1 stands for "this row's logical
+  /// column" — callers can hand a *partial* basis that pins only the rows
+  /// they know something about. Returns false when the crash basis is
+  /// unusable (wrong shape, singular, primal infeasible, or an artificial
+  /// came back at a nonzero value) — the caller then takes the logical
+  /// basis.
+  bool start(const std::vector<int>* crash) {
     bland_ = false;
     broken_ = false;
     degenerate_streak_ = 0;
@@ -303,14 +294,14 @@ class RevisedSimplex {
     etas_.clear();
     eta_base_ = 0;
     in_basis_.assign(static_cast<std::size_t>(cols_), 0);
-    if (warm == nullptr) {
+    if (crash == nullptr) {
       basis_ = logical_;
       for (int j : basis_) in_basis_[static_cast<std::size_t>(j)] = 1;
       x_ = b_;
       return true;
     }
-    if (static_cast<int>(warm->size()) != nrows_) return false;
-    basis_ = *warm;
+    if (static_cast<int>(crash->size()) != nrows_) return false;
+    basis_ = *crash;
     for (int r = 0; r < nrows_; ++r) {
       int& j = basis_[static_cast<std::size_t>(r)];
       if (j == -1) j = logical_[static_cast<std::size_t>(r)];
@@ -320,7 +311,7 @@ class RevisedSimplex {
     }
     if (!refactor(tol_ > Scalar(0) ? Scalar(1e-11) : Scalar(0))) return false;
     // Primal feasible, and artificials (redundant-row leftovers) at zero?
-    const Scalar feas = warm_feas_tol();
+    const Scalar feas = crash_feas_tol();
     for (int r = 0; r < nrows_; ++r) {
       const Scalar& v = x_[static_cast<std::size_t>(r)];
       if (v < -feas) return false;
@@ -364,8 +355,7 @@ class RevisedSimplex {
     std::vector<char> slot_done(static_cast<std::size_t>(nrows_), 0);
     std::vector<int> new_basis(static_cast<std::size_t>(nrows_), -1);
     // Per row: how many sparse basic columns touch it (explicitly stored
-    // zeros — e.g. a set_term placeholder — do not count), and in which
-    // slots. Dense columns sit out stage 1 entirely.
+    // zeros do not count), and in which slots. Dense columns sit out stage 1 entirely.
     const int dense_cap = kStage1MaxColNnz;
     const auto sparse = [&](int j) { return col_nnz(j) <= dense_cap; };
     std::vector<int> degree(static_cast<std::size_t>(nrows_), 0);
@@ -488,7 +478,7 @@ class RevisedSimplex {
     return true;
   }
 
-  Scalar warm_feas_tol() const {
+  Scalar crash_feas_tol() const {
     return tol_ > Scalar(0) ? Scalar(1e-7) : Scalar(0);
   }
 
@@ -524,9 +514,9 @@ class RevisedSimplex {
   /// Plain Dantzig within the window is a measured choice: devex scoring
   /// (rc^2 / gamma with lazily updated reference weights) was prototyped
   /// for the high-k LP (15) cells where Dantzig wanders, but over a real
-  /// warm-chained s-ladder it cut pivots by under 1% while its extra
+  /// Fig. 10 s-ladder it cut pivots by under 1% while its extra
   /// BTRAN + weight updates doubled per-pivot cost (m = 512, k = 512:
-  /// 25 s -> 49 s per chain). Full-window Dantzig was rejected the same
+  /// 25 s -> 49 s per s-ladder). Full-window Dantzig was rejected the same
   /// way (~8% fewer pivots, ~2x the wall time).
   int price(bool phase1, const std::vector<Scalar>& y) {
     const int limit = art0_;  // artificials never (re-)enter
@@ -569,7 +559,7 @@ class RevisedSimplex {
   /// Artificials never re-enter (price() stops at art0_), so these
   /// degenerate pivots strictly shrink the artificial-basic set and cannot
   /// cycle. This is what lets phase 2 start with leftover zero artificials
-  /// (the phase-1 skip and the warm-start path) without an expulsion pass.
+  /// (the phase-1 skip and the crash start) without an expulsion pass.
   int ratio_test(const std::vector<Scalar>& w) const {
     int forced = -1;
     for (int r = 0; r < nrows_; ++r) {

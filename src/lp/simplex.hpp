@@ -7,11 +7,10 @@
 // the O(m^2 k) of one dense row per constraint. Two solver backends share
 // that storage:
 //
-//   * solve() / solve_warm() — sparse revised simplex (lp/revised.hpp):
-//     product-form basis inverse, partial pricing off a maintained dual
-//     vector, automatic Bland fallback after a degeneracy streak, and
-//     basis warm-starting across same-shaped problems. This is the
-//     production path; it scales the Fig. 10 sweep to m >= 1024.
+//   * solve() — sparse revised simplex (lp/revised.hpp): product-form
+//     basis inverse, partial pricing off a maintained dual vector,
+//     automatic Bland fallback after a degeneracy streak, and an optional
+//     crash start. This is the production path for arbitrary replica sets.
 //   * solve_tableau() — the original dense two-phase tableau
 //     (lp/tableau.hpp), O(rows*cols) per candidate column. Kept as the
 //     independent reference oracle; tests/test_simplex_revised.cpp
@@ -22,7 +21,7 @@
 //   * Rational — exact arithmetic (util/rational.hpp); tolerance zero.
 //     Used to certify the double solutions on small programs.
 //
-// Warm-start contract, mutators, and determinism guarantees: docs/lp.md.
+// Crash-start contract and determinism guarantees: docs/lp.md.
 #pragma once
 
 #include <algorithm>
@@ -48,10 +47,6 @@ class LpProblem {
     return static_cast<int>(objective_.size()) - 1;
   }
 
-  void set_objective(int var, Scalar c) {
-    objective_.at(static_cast<std::size_t>(var)) = c;
-  }
-
   /// Adds sum(coeff * x[var]) REL rhs; returns the constraint's row index.
   /// Terms may repeat a variable (they are accumulated) and arrive in any
   /// order; the stored row is sorted by variable and unique. Variables must
@@ -64,29 +59,19 @@ class LpProblem {
       if (var < 0 || var >= num_vars()) {
         throw std::out_of_range("LpProblem::add_constraint: bad variable");
       }
-      upsert(row.terms, var, coeff, /*accumulate=*/true);
+      auto it = std::lower_bound(
+          row.terms.begin(), row.terms.end(), var,
+          [](const LpTerm<Scalar>& t, int v) { return t.var < v; });
+      if (it != row.terms.end() && it->var == var) {
+        it->coeff += coeff;
+      } else {
+        row.terms.insert(it, LpTerm<Scalar>{var, coeff});
+      }
     }
     row.rel = rel;
     row.rhs = rhs;
     rows_.push_back(std::move(row));
     return static_cast<int>(rows_.size()) - 1;
-  }
-
-  /// Sets the coefficient of `var` in constraint `row` (inserting the term
-  /// if absent, overwriting otherwise). O(log nnz + nnz) for an insert,
-  /// O(log nnz) for an overwrite — this is what makes re-targeting a
-  /// shared constraint skeleton (the warm-started Fig. 10 sweep) O(m) per
-  /// popularity vector instead of a rebuild.
-  void set_term(int row, int var, Scalar coeff) {
-    if (var < 0 || var >= num_vars()) {
-      throw std::out_of_range("LpProblem::set_term: bad variable");
-    }
-    upsert(rows_.at(static_cast<std::size_t>(row)).terms, var, coeff,
-           /*accumulate=*/false);
-  }
-
-  void set_rhs(int row, Scalar rhs) {
-    rows_.at(static_cast<std::size_t>(row)).rhs = rhs;
   }
 
   int num_vars() const { return static_cast<int>(objective_.size()); }
@@ -95,35 +80,21 @@ class LpProblem {
   const std::vector<LpRow<Scalar>>& rows() const { return rows_; }
   const std::vector<Scalar>& objective() const { return objective_; }
 
-  /// Sparse revised simplex, cold start.
+  /// Sparse revised simplex from the all-logical basis.
   LpSolution<Scalar> solve(std::size_t max_iters = 100000) const {
     detail::RevisedSimplex<Scalar> solver(rows_, objective_);
-    return solver.solve(nullptr, nullptr, max_iters);
+    return solver.solve(nullptr, max_iters);
   }
 
-  /// Sparse revised simplex warm-started from `basis` — the
-  /// LpSolution::basis of a previous optimum of a problem with the same
-  /// shape (variable count, constraint relations and rhs signs). An
-  /// unusable basis falls back to a cold start silently, so this is always
-  /// safe to call. Entries of -1 stand for "this row's slack/artificial
-  /// column", so a *partial* (crash) basis — only the rows you have a good
-  /// guess for — is a valid argument too.
-  LpSolution<Scalar> solve_warm(const std::vector<int>& basis,
-                                std::size_t max_iters = 100000) const {
+  /// Sparse revised simplex from a crash basis: `start[r]` is the column
+  /// basic in row r, -1 meaning the row's own slack/artificial, so a
+  /// partial guess is legal. A start that is malformed, singular or not
+  /// primal feasible is dropped for the all-logical basis, so this is
+  /// always safe to call.
+  LpSolution<Scalar> solve(const std::vector<int>& start,
+                           std::size_t max_iters = 100000) const {
     detail::RevisedSimplex<Scalar> solver(rows_, objective_);
-    return solver.solve(&basis, nullptr, max_iters);
-  }
-
-  /// As solve_warm(basis), but when `basis` is rejected (stale — e.g. no
-  /// longer primal feasible after a popularity change) the solver retries
-  /// from `fallback` (typically a problem-specific crash basis, -1 entries
-  /// meaning the row's logical column) before resorting to the all-logical
-  /// cold start. MaxLoadSolver chains Fig. 10 sweeps through this.
-  LpSolution<Scalar> solve_warm(const std::vector<int>& basis,
-                                const std::vector<int>& fallback,
-                                std::size_t max_iters = 100000) const {
-    detail::RevisedSimplex<Scalar> solver(rows_, objective_);
-    return solver.solve(&basis, &fallback, max_iters);
+    return solver.solve(&start, max_iters);
   }
 
   /// Dense two-phase tableau with unconditional Bland's rule — the slow,
@@ -134,19 +105,6 @@ class LpProblem {
   }
 
  private:
-  /// Inserts or updates `var`'s term in a sorted term list.
-  static void upsert(std::vector<LpTerm<Scalar>>& terms, int var, Scalar coeff,
-                     bool accumulate) {
-    auto it = std::lower_bound(
-        terms.begin(), terms.end(), var,
-        [](const LpTerm<Scalar>& t, int v) { return t.var < v; });
-    if (it != terms.end() && it->var == var) {
-      it->coeff = accumulate ? it->coeff + coeff : coeff;
-    } else {
-      terms.insert(it, LpTerm<Scalar>{var, coeff});
-    }
-  }
-
   std::vector<Scalar> objective_;
   std::vector<LpRow<Scalar>> rows_;
 };

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "adversary/inclusive.hpp"
 #include "adversary/interval2.hpp"
 #include "adversary/ksize.hpp"
@@ -10,7 +13,11 @@
 #include "adversary/th8_stream.hpp"
 #include "bounds/planner.hpp"
 #include "check/fuzz.hpp"
+#include "lp/maxload.hpp"
 #include "sched/dispatchers.hpp"
+#include "util/rng.hpp"
+#include "workload/popularity.hpp"
+#include "workload/replication.hpp"
 
 namespace flowsched {
 namespace {
@@ -267,6 +274,48 @@ TEST(Planner, SaturationScanRaisesMinK) {
   EXPECT_GT(r.saturation_k, 1);
   EXPECT_EQ(r.min_k, r.saturation_k);
   EXPECT_EQ(r.binding, "LP (15) saturation");
+}
+
+TEST(Planner, SaturationKMatchesTheSimplexScan) {
+  // The scan scores each k in closed form; the simplex on the same
+  // worst-case popularity must put the frontier at the same k.
+  const int m = 16;
+  Rng rng(0);
+  const auto pop = make_popularity(PopularityCase::kWorstCase, m, 1.0, rng);
+  for (auto structure : {StructureClass::kInterval, StructureClass::kDisjoint}) {
+    const ReplicationStrategy strategy = structure == StructureClass::kDisjoint
+                                             ? ReplicationStrategy::kDisjoint
+                                             : ReplicationStrategy::kOverlapping;
+    for (double load : {0.3, 0.6, 0.9}) {
+      bounds::PlannerQuery q;
+      q.m = m;
+      q.structure = structure;
+      q.target_fmax = 100.0;
+      q.load = load;
+      q.zipf_s = 1.0;
+      int expected = 0;
+      for (int k = 1; k <= m && expected == 0; ++k) {
+        const double lambda = max_load_lp(pop, replica_sets(strategy, k, m)).lambda;
+        if (load * m <= lambda + 1e-9) expected = k;
+      }
+      EXPECT_EQ(bounds::min_feasible_k(q).saturation_k, expected)
+          << "load " << load;
+    }
+  }
+}
+
+TEST(Planner, NanLoadIsRejectedNotSkipped) {
+  bounds::PlannerQuery q;
+  q.m = 16;
+  q.structure = StructureClass::kInterval;
+  q.target_fmax = 20.0;
+  q.load = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(bounds::min_feasible_k(q), std::invalid_argument);
+  q.load = -1.0;  // negative: the scan is off
+  EXPECT_TRUE(bounds::min_feasible_k(q).feasible);
+  EXPECT_EQ(bounds::min_feasible_k(q).saturation_k, 0);
+  q.load = std::numeric_limits<double>::infinity();  // nothing sustains it
+  EXPECT_FALSE(bounds::min_feasible_k(q).feasible);
 }
 
 // --- [diff-bounds] in the fuzzer --------------------------------------------

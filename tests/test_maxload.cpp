@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -71,7 +70,9 @@ TEST(MaxLoad, TransferMatrixIsConsistent) {
   // (15d): transfers only within replica sets.
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) {
-      if (!sets[j].contains(i)) EXPECT_EQ(result.transfer[i][j], 0.0);
+      if (!sets[j].contains(i)) {
+        EXPECT_EQ(result.transfer[i][j], 0.0);
+      }
     }
   }
 }
@@ -151,44 +152,6 @@ TEST(MaxLoad, NoBiasMeansNoStrategyDifference) {
   }
 }
 
-TEST(MaxLoad, WarmSweepMatchesColdSolvesAndOracles) {
-  // A MaxLoadSolver chained over a popularity sweep (the Fig. 10 shape:
-  // fixed replica sets, s-ascending popularity vectors, each solve
-  // warm-started from the previous basis) must match one-shot cold solves,
-  // the dense tableau oracle, and the flow bisection at every cell.
-  const int m = 12;
-  for (auto strategy :
-       {ReplicationStrategy::kOverlapping, ReplicationStrategy::kDisjoint}) {
-    const auto sets = replica_sets(strategy, 3, m);
-    MaxLoadSolver solver(sets);
-    for (double s : {0.0, 0.5, 1.0, 1.5, 2.0, 2.5}) {
-      Rng rng(4242);
-      const auto pop = make_popularity(PopularityCase::kShuffled, m, s, rng);
-      const double warm = solver.solve_lambda(pop);
-      const double cold = max_load_lp(pop, sets).lambda;
-      const double oracle = max_load_lp_tableau(pop, sets).lambda;
-      const double flow = max_load_flow(pop, sets);
-      EXPECT_NEAR(warm, cold, 1e-7) << "s=" << s;
-      EXPECT_NEAR(warm, oracle, 1e-7) << "s=" << s;
-      EXPECT_NEAR(warm, flow, 1e-6) << "s=" << s;
-    }
-  }
-}
-
-TEST(MaxLoad, SolverFullResultMatchesOneShot) {
-  const std::vector<double> pop{0.4, 0.3, 0.2, 0.1};
-  const auto sets = replica_sets(ReplicationStrategy::kOverlapping, 2, 4);
-  MaxLoadSolver solver(sets);
-  const auto warm = solver.solve(pop);
-  const auto cold = max_load_lp(pop, sets);
-  EXPECT_NEAR(warm.lambda, cold.lambda, 1e-9);
-  for (int j = 0; j < 4; ++j) {
-    double col = 0;
-    for (int i = 0; i < 4; ++i) col += warm.transfer[i][j];
-    EXPECT_NEAR(col, warm.lambda * pop[j], 1e-6);
-  }
-}
-
 TEST(MaxLoad, InputValidation) {
   EXPECT_THROW(max_load_lp({}, {}), std::invalid_argument);
   EXPECT_THROW(max_load_lp({0.5, 0.5}, {ProcSet({0})}), std::invalid_argument);
@@ -212,7 +175,6 @@ TEST(MaxLoad, RejectsNonFiniteAndAllZeroPopularity) {
     EXPECT_THROW(max_load_lp_tableau(pop, sets), std::invalid_argument);
     EXPECT_THROW(max_load_flow(pop, sets), std::invalid_argument);
     EXPECT_THROW(max_load_unreplicated(pop), std::invalid_argument);
-    EXPECT_THROW(MaxLoadSolver(sets).solve_lambda(pop), std::invalid_argument);
     EXPECT_THROW(
         max_load_windows(pop, ReplicationStrategy::kOverlapping, 2, up),
         std::invalid_argument);
@@ -220,8 +182,10 @@ TEST(MaxLoad, RejectsNonFiniteAndAllZeroPopularity) {
 }
 
 // max_load_windows against the simplex and the flow bisection on degraded
-// ring and block layouts. One case per (m, strategy, s); inside it every k
-// up to min(8, m) and down fractions of 0, 15 and 30 %.
+// ring and block layouts. One case per (m, strategy, s); inside it Fig. 10's
+// k grid (every k <= m up to m = 16, powers of two plus m beyond) and down
+// fractions of 0, 15 and 30 %. With every machine up and m <= 64 the dense
+// tableau oracle joins in.
 struct WindowCase {
   int m;
   ReplicationStrategy strategy;
@@ -233,6 +197,18 @@ struct WindowCase {
 };
 
 class MaxLoadWindows : public ::testing::TestWithParam<WindowCase> {};
+
+// bench_fig10_maxload's k grid.
+std::vector<int> fig10_k_grid(int m) {
+  std::vector<int> ks;
+  if (m <= 16) {
+    for (int k = 1; k <= m; ++k) ks.push_back(k);
+  } else {
+    for (int k = 1; k < m; k *= 2) ks.push_back(k);
+    ks.push_back(m);
+  }
+  return ks;
+}
 
 // The layout's replica sets restricted to the up machines (possibly empty).
 std::vector<ProcSet> degraded_sets(ReplicationStrategy strategy, int k,
@@ -256,7 +232,7 @@ TEST_P(MaxLoadWindows, AgreesWithSimplexAndFlow) {
   const auto pop = make_popularity(PopularityCase::kShuffled, c.m, c.s, rng);
   std::vector<int> order(static_cast<std::size_t>(c.m));
   for (int i = 0; i < c.m; ++i) order[static_cast<std::size_t>(i)] = i;
-  for (int k = 1; k <= std::min(8, c.m); ++k) {
+  for (int k : fig10_k_grid(c.m)) {
     for (double down_frac : {0.0, 0.15, 0.3}) {
       rng.shuffle(order);
       const int down = static_cast<int>(down_frac * c.m);
@@ -285,6 +261,10 @@ TEST_P(MaxLoadWindows, AgreesWithSimplexAndFlow) {
       const double flow = max_load_flow(pop, degraded);
       EXPECT_NEAR(w.lambda, lp, 1e-9 * lp) << where;
       EXPECT_NEAR(w.lambda, flow, 1e-9 * flow) << where;
+      if (down == 0 && c.m <= 64) {
+        const double oracle = max_load_lp_tableau(pop, degraded).lambda;
+        EXPECT_NEAR(w.lambda, oracle, 1e-9 * oracle) << where;
+      }
     }
   }
 }

@@ -1,6 +1,6 @@
 // The sparse revised simplex (lp/revised.hpp) against the dense tableau
 // oracle: degenerate/cycling programs, infeasible/unbounded detection
-// through the revised path, the warm-start contract, and a randomized
+// through the revised path, the crash-start contract, and a randomized
 // cross-check of revised-double, tableau-double, revised-Rational and
 // tableau-Rational on ~200 seeded small programs.
 #include "lp/simplex.hpp"
@@ -28,8 +28,6 @@ TEST(SimplexRevised, AgreesWithTableauOnBasics) {
   ASSERT_EQ(tableau.status, LpStatus::kOptimal);
   EXPECT_NEAR(revised.objective, tableau.objective, 1e-9);
   EXPECT_NEAR(revised.x[0], 4.0, 1e-9);
-  EXPECT_FALSE(revised.basis.empty());
-  EXPECT_TRUE(tableau.basis.empty());  // the oracle has no warm handle
 }
 
 TEST(SimplexRevised, BealeCyclingProgramTerminates) {
@@ -125,82 +123,30 @@ TEST(SimplexRevisedExact, InfeasibleAndEqualityPrograms) {
   EXPECT_EQ(sol.x[1], Rational(1));
 }
 
-TEST(SimplexRevised, WarmStartReachesSameOptimumAfterRetargeting) {
-  // Solve, retune one coefficient via set_term, re-solve warm: the result
-  // must match a cold solve and the tableau oracle on the new program.
-  LpProblemD lp;
-  const int x = lp.add_var(1.0);
-  const int y = lp.add_var(1.0);
-  const int row = lp.add_constraint({{x, 2.0}, {y, 1.0}}, Relation::kLe, 4.0);
-  lp.add_constraint({{x, 1.0}, {y, 2.0}}, Relation::kLe, 4.0);
-  const auto first = lp.solve();
-  ASSERT_EQ(first.status, LpStatus::kOptimal);
-  EXPECT_NEAR(first.objective, 8.0 / 3.0, 1e-9);
-
-  lp.set_term(row, x, 1.0);  // now x + y <= 4 binds differently
-  const auto warm = lp.solve_warm(first.basis);
-  const auto cold = lp.solve();
-  const auto oracle = lp.solve_tableau();
-  ASSERT_EQ(warm.status, LpStatus::kOptimal);
-  EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
-  EXPECT_NEAR(warm.objective, oracle.objective, 1e-9);
-}
-
-TEST(SimplexRevised, BogusWarmBasisFallsBackToColdStart) {
+TEST(SimplexRevised, PartialCrashBasisAndFallbackChain) {
+  // -1 entries in a crash basis stand for "this row's slack/artificial", so
+  // a partial start is legal; a rejected start falls back to the logical
+  // basis and still reaches the optimum.
   LpProblemD lp;
   const int x = lp.add_var(3.0);
   const int y = lp.add_var(2.0);
   lp.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::kLe, 4.0);
   lp.add_constraint({{x, 1.0}, {y, 3.0}}, Relation::kLe, 6.0);
-  // Wrong size, out-of-range, and duplicate bases must all be rejected
-  // silently and still produce the optimum.
-  for (const std::vector<int>& bogus :
-       {std::vector<int>{}, std::vector<int>{0, 99}, std::vector<int>{1, 1}}) {
-    const auto sol = lp.solve_warm(bogus);
+  // x basic in row 0 (x = 4, feasible and already optimal), row 1 keeps its
+  // slack.
+  const auto crashed = lp.solve(std::vector<int>{x, -1});
+  ASSERT_EQ(crashed.status, LpStatus::kOptimal);
+  EXPECT_NEAR(crashed.objective, 12.0, 1e-9);
+  EXPECT_EQ(crashed.iterations, 0u);
+  // Wrong size, out of range, duplicate, and primal infeasible (x basic in
+  // row 1 gives x = 6 > 4) starts are all rejected silently.
+  for (const std::vector<int>& rejected :
+       {std::vector<int>{}, std::vector<int>{0, 99}, std::vector<int>{1, 1},
+        std::vector<int>{-1, x}}) {
+    const auto sol = lp.solve(rejected);
     ASSERT_EQ(sol.status, LpStatus::kOptimal);
     EXPECT_NEAR(sol.objective, 12.0, 1e-9);
   }
-}
-
-TEST(SimplexRevised, PartialCrashBasisAndFallbackChain) {
-  // -1 entries in a warm basis stand for "this row's slack/artificial", so
-  // a partial (crash) basis is legal; and the two-basis overload must land
-  // on the crash basis when the primary is rejected.
-  LpProblemD lp;
-  const int x = lp.add_var(3.0);
-  const int y = lp.add_var(2.0);
-  lp.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::kLe, 4.0);
-  lp.add_constraint({{x, 1.0}, {y, 3.0}}, Relation::kLe, 6.0);
-  // Crash basis: x basic in row 0, row 1 keeps its slack.
-  const std::vector<int> crash{x, -1};
-  const auto crashed = lp.solve_warm(crash);
-  ASSERT_EQ(crashed.status, LpStatus::kOptimal);
-  EXPECT_NEAR(crashed.objective, 12.0, 1e-9);
-  // Primary basis is bogus (duplicate) — the chain must fall through to the
-  // crash basis, then still reach the optimum.
-  const auto chained = lp.solve_warm(std::vector<int>{1, 1}, crash);
-  ASSERT_EQ(chained.status, LpStatus::kOptimal);
-  EXPECT_NEAR(chained.objective, 12.0, 1e-9);
-  // A valid primary is preferred: resuming from the optimum costs no pivots.
-  const auto resumed = lp.solve_warm(crashed.basis, crash);
-  ASSERT_EQ(resumed.status, LpStatus::kOptimal);
-  EXPECT_NEAR(resumed.objective, 12.0, 1e-9);
-  EXPECT_EQ(resumed.iterations, 0u);
-}
-
-TEST(SimplexRevised, WarmStartAcrossRhsChange) {
-  // Tightening the rhs keeps the shape (signs unchanged), so the previous
-  // basis is a legal warm start even when it lands primal infeasible (the
-  // solver then falls back internally).
-  LpProblemD lp;
-  const int x = lp.add_var(1.0);
-  const int row = lp.add_constraint({{x, 1.0}}, Relation::kLe, 10.0);
-  const auto first = lp.solve();
-  ASSERT_EQ(first.status, LpStatus::kOptimal);
-  lp.set_rhs(row, 3.0);
-  const auto warm = lp.solve_warm(first.basis);
-  ASSERT_EQ(warm.status, LpStatus::kOptimal);
-  EXPECT_NEAR(warm.objective, 3.0, 1e-9);
 }
 
 // ---- Randomized cross-check ------------------------------------------------
@@ -288,33 +234,6 @@ TEST(SimplexRevised, RandomProgramsAgreeAcrossSolversAndScalars) {
   EXPECT_GE(optimal, 40);
   EXPECT_GT(infeasible, 10);
   EXPECT_GT(unbounded, 10);
-}
-
-TEST(SimplexRevised, RandomWarmStartsMatchColdSolves) {
-  // Chains of objective retunings: warm-started re-solves must match cold
-  // solves on every step (the Fig. 10 sweep contract in miniature).
-  for (std::uint64_t seed = 0; seed < 25; ++seed) {
-    Rng rng(31000 + seed);
-    RandomLp lp = random_lp(rng);
-    auto prev = lp.as_double.solve();
-    for (int step = 0; step < 4; ++step) {
-      const int var =
-          static_cast<int>(rng.uniform_int(0, lp.as_double.num_vars() - 1));
-      const int c = static_cast<int>(rng.uniform_int(0, 6)) - 3;
-      lp.as_double.set_objective(var, static_cast<double>(c));
-      const auto warm = prev.status == LpStatus::kOptimal
-                            ? lp.as_double.solve_warm(prev.basis)
-                            : lp.as_double.solve();
-      const auto cold = lp.as_double.solve();
-      ASSERT_EQ(warm.status, cold.status) << "seed " << seed;
-      if (cold.status == LpStatus::kOptimal) {
-        EXPECT_NEAR(warm.objective, cold.objective,
-                    1e-7 * (1.0 + std::abs(cold.objective)))
-            << "seed " << seed;
-      }
-      prev = warm;
-    }
-  }
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 # layer, and the check subsystem: configures an ASan+UBSan build
 # (-DFLOWSCHED_SANITIZE=address), builds the CLI, fuzzer, test and fig10
 # bench binaries, runs a gen -> trace -> check-trace smoke in both
-# encodings plus a parallel warm-started fig10 sweep and a differential
+# encodings plus a parallel fig10 sweep and a differential
 # fuzz campaign (auditor + oracles + shrinker under ASan), and runs the
 # relevant test suites.
 #
@@ -33,9 +33,10 @@ CLI="$BUILD_DIR/tools/flowsched_cli"
   --ndjson --out "$SMOKE_DIR/trace.ndjson"
 "$CLI" check-trace --input "$SMOKE_DIR/trace.ndjson"
 
-# LP smoke under ASan: a small parallel warm-started Fig. 10 sweep drives
-# the revised simplex (eta file, refactorization, crash/warm bases) across
-# threads, plus one CLI maxload solve with the transfer extraction.
+# LP smoke under ASan: a small parallel Fig. 10 sweep drives the window
+# scan across threads and its spot checks drive the revised simplex (eta
+# file, refactorization, crash basis), the tableau and the flow bisection,
+# plus one CLI maxload solve with the transfer extraction.
 "$BUILD_DIR/bench/bench_fig10_maxload" --m 10 --permutations 2 --threads 4 \
   > "$SMOKE_DIR/fig10.out"
 "$CLI" maxload --m 12 --k 4 --s 1.5 --transfer > "$SMOKE_DIR/maxload.out"

@@ -4,7 +4,7 @@
 #
 #   BENCH_micro_sched.json  — scheduler hot-path series + streaming
 #                             requests/sec (BM_StreamingThroughput)
-#   BENCH_micro_lp.json     — LP (15) solver series (cold/warm revised,
+#   BENCH_micro_lp.json     — LP (15) solver series (one-shot revised,
 #                             tableau baseline, flow bisection, closed-form
 #                             window scan)
 #   BENCH_micro_stream.json — streaming-engine hot loop + sharded epoch

@@ -4,8 +4,8 @@
 #   1. `flowsched_cli bounds --m ...` prints the closed-form landscape table
 #      with the binding theorems named — no simulation involved;
 #   2. the planner answers the handbook's capacity-planning example
-#      (m = 256 ring, target F = 20 -> min replicated k = 237 = m - F + 1)
-#      and exits 3 on an infeasible target;
+#      (m = 256 ring, target F = 20 -> min replicated k = 237 = m - F + 1),
+#      exits 3 on an infeasible target and 2 on a NaN --load;
 #   3. bench_ext_bounds overlays the analytical bounds on simulated Fmax
 #      and must report bound-violations=0.
 #
@@ -61,6 +61,15 @@ execute_process(
 if(NOT rc EQUAL 3)
   message(FATAL_ERROR
       "bounds_smoke: infeasible planner query exited ${rc}, expected 3")
+endif()
+
+# A NaN load is an input error (exit 2), not a skipped saturation scan.
+execute_process(
+  COMMAND ${CLI} bounds --m 16 --structure interval --target-fmax 20 --load nan
+  OUTPUT_FILE ${dir}/nan-load.txt ERROR_VARIABLE nan_err RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR
+      "bounds_smoke: planner query with --load nan exited ${rc}, expected 2")
 endif()
 
 # --- 3. overlay bench: zero bound violations -------------------------------

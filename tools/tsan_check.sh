@@ -2,9 +2,9 @@
 # ThreadSanitizer gate for the runner subsystem: configures a TSan build
 # (-DFLOWSCHED_SANITIZE=thread), builds the test binary, the fuzzer and
 # the fig10 bench, runs the concurrency-sensitive suites (thread pool,
-# experiment determinism, engine), and drives a parallel warm-started LP
-# sweep — the per-job MaxLoadSolver chains must not share mutable state
-# across threads — plus a parallel fuzz campaign (the fuzz workers each
+# experiment determinism, engine), and drives a parallel Fig. 10 max-load
+# sweep — the per-k jobs must not share mutable state across threads —
+# plus a parallel fuzz campaign (the fuzz workers each
 # own dispatchers, auditors and oracle solvers; TSan proves they share
 # nothing mutable). The sharded engine's steal path is audited twice: the
 # StealDeque/Sharded suites hammer the Chase-Lev deque and the worker
