@@ -1,6 +1,7 @@
 // Figure 9: the overlapping (ring) and disjoint replication strategies for
 // m = 6, k = 3, shown as the replica set I_k(u) of every owner machine.
 #include <cstdio>
+#include <string>
 
 #include "util/table.hpp"
 #include "workload/replication.hpp"
@@ -15,7 +16,11 @@ int main() {
   TextTable table({"owner", "no replication", "overlapping I_k(u)",
                    "disjoint I_k(u)"});
   for (int u = 0; u < m; ++u) {
-    table.add_row({"M" + std::to_string(u + 1),
+    // Appended rather than "M" + to_string(): GCC 12 raises a spurious
+    // -Wrestrict on the inlined operator+(const char*, string&&).
+    std::string owner = "M";
+    owner += std::to_string(u + 1);
+    table.add_row({owner,
                    replica_set(ReplicationStrategy::kNone, u, 1, m).str(),
                    replica_set(ReplicationStrategy::kOverlapping, u, k, m).str(),
                    replica_set(ReplicationStrategy::kDisjoint, u, k, m).str()});

@@ -41,17 +41,18 @@ Instance make_kv(int m, int n, RandomSets sets) {
 }
 
 // Unit tasks on fixed-size ring intervals (|Mi| = k), offered load spread
-// evenly. Dispatch work is O(k) per task, so with k fixed the series
-// exposes the engine's per-release costs as m grows: any O(m) per-release
-// sweep would dwarf the O(k) dispatch at m = 4096, so the engine core
-// settles queue depths from completion events (O(1) amortized per task).
-Instance make_restricted(int m, int n, int k) {
+// evenly (full load unless `load` says otherwise). Dispatch work is O(k)
+// per task, so with k fixed the series exposes the engine's per-release
+// costs as m grows: any O(m) per-release sweep would dwarf the O(k)
+// dispatch at m = 4096, so the engine core settles queue depths from
+// completion events (O(1) amortized per task).
+Instance make_restricted(int m, int n, int k, double load = 1.0) {
   Rng rng(42);
   std::vector<Task> tasks;
   tasks.reserve(static_cast<std::size_t>(n));
   double release = 0;
   for (int i = 0; i < n; ++i) {
-    release += rng.exponential(static_cast<double>(m));  // ~full load
+    release += rng.exponential(load * static_cast<double>(m));
     tasks.push_back({.release = release,
                      .proc = 1.0,
                      .eligible = ProcSet::ring_interval(
@@ -84,6 +85,20 @@ void BM_EftDispatchLargeM(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * inst.n());
 }
 BENCHMARK(BM_EftDispatchLargeM)->Arg(16)->Arg(256)->Arg(4096);
+
+// stream-wide's shape: m = 4096, ring sets of |Mi| = 64, load 0.75. Most
+// releases find an idle eligible machine, so EFT-Min stops at the first
+// idle one instead of scanning all 64 frontiers twice.
+void BM_EftDispatchWide(benchmark::State& state) {
+  const auto inst =
+      make_restricted(4096, 20000, static_cast<int>(state.range(0)), 0.75);
+  EftDispatcher eft(TieBreakKind::kMin);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run_dispatcher(inst, eft));
+  }
+  state.SetItemsProcessed(state.iterations() * inst.n());
+}
+BENCHMARK(BM_EftDispatchWide)->Arg(64);
 
 // Same series for JSQ, the one dispatcher that *does* read queue depths:
 // it now pays O(k) per release for them instead of O(m).

@@ -1,6 +1,7 @@
 // Google-benchmark micro benches of the streaming/sharded hot path: the
-// StreamingEngine release loop (calendar-queue settle + dispatch) on a
-// pre-generated stream, and the ShardedEngine epoch pipeline
+// alias-method key draw, the StreamingEngine release loop (calendar-queue
+// settle + dispatch) on a pre-generated stream, and the ShardedEngine
+// epoch pipeline
 // (route -> parallel execute -> merge) at growing shard counts with a
 // pinned worker team. items/sec IS dispatched tasks/sec, so the sharded
 // series over S divided by the S=1 row is the intra-run parallel speedup
@@ -19,6 +20,7 @@
 #include "sched/sharded/sharded.hpp"
 #include "sched/streaming.hpp"
 #include "util/rng.hpp"
+#include "workload/alias.hpp"
 
 namespace flowsched {
 namespace {
@@ -39,6 +41,19 @@ std::vector<Task> make_stream(int m, int n, int k) {
   }
   return tasks;
 }
+
+// One key draw from a Zipf(0.5) alias table at the key counts of
+// stream-ring (25 600) and stream-wide (409 600); at the larger size the
+// table no longer fits in cache and a draw costs one column miss.
+void BM_AliasSample(benchmark::State& state) {
+  const AliasSampler sampler(static_cast<int>(state.range(0)), 0.5);
+  Rng rng(7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sampler.sample(rng));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AliasSample)->Arg(25600)->Arg(409600);
 
 void BM_StreamingEngineHotLoop(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));

@@ -849,10 +849,10 @@ struct ControlContext {
 struct RawFinding {
   std::string policy;
   std::string check;
-  std::optional<Instance> inst;   // absent for [diff-lp]
-  std::optional<FaultContext> fault;  // present for [fault-*] findings
-  std::optional<NcContext> nc;    // present for nc-battery findings
-  std::optional<ControlContext> control;  // present for control findings
+  std::optional<Instance> inst = {};  // absent for [diff-lp]
+  std::optional<FaultContext> fault = {};  // present for [fault-*] findings
+  std::optional<NcContext> nc = {};  // present for nc-battery findings
+  std::optional<ControlContext> control = {};  // present for control findings
 };
 
 struct RunOutcome {
@@ -887,7 +887,7 @@ RunOutcome fuzz_one(const FuzzConfig& config,
 
   const Oracles oracles = compute_oracles(inst, config.differential);
   if (auto cross = oracle_cross_check(oracles)) {
-    out.findings.push_back({"oracle", *cross, inst, std::nullopt});
+    out.findings.push_back({"oracle", *cross, inst});
   }
 
   const CheckOpts opts{config.bound_oracles, config.differential,
@@ -898,14 +898,14 @@ RunOutcome fuzz_one(const FuzzConfig& config,
         check_policy(inst, policy, opts, oracles);
     ++out.schedules;
     if (!violations.empty()) {
-      out.findings.push_back({policy, violations.front(), inst, std::nullopt});
+      out.findings.push_back({policy, violations.front(), inst});
     }
   }
 
   if (config.lp_every > 0 && run % config.lp_every == 0) {
     out.lp_checks = 1;
     if (auto lp = lp_differential(rng)) {
-      out.findings.push_back({"lp", *lp, std::nullopt, std::nullopt});
+      out.findings.push_back({"lp", *lp});
     }
     // Drawn from its own stream, so the main stream's draws, and with them
     // every pinned seed's report, do not depend on this case.
@@ -913,8 +913,7 @@ RunOutcome fuzz_one(const FuzzConfig& config,
                                   cell_id({config.seed}),
                                   static_cast<std::uint64_t>(run)));
     if (auto lp = lp_window_differential(window_rng)) {
-      out.findings.push_back({"lp", *lp, std::nullopt, std::nullopt,
-                              std::nullopt, std::nullopt});
+      out.findings.push_back({"lp", *lp});
     }
   }
 
@@ -925,7 +924,7 @@ RunOutcome fuzz_one(const FuzzConfig& config,
           check_streaming(inst, policy);
       ++out.schedules;
       if (!violations.empty()) {
-        out.findings.push_back({policy, violations.front(), inst, std::nullopt});
+        out.findings.push_back({policy, violations.front(), inst});
       }
     }
   }
@@ -937,7 +936,7 @@ RunOutcome fuzz_one(const FuzzConfig& config,
       const std::vector<std::string> violations = check_sharded(inst, policy);
       ++out.schedules;
       if (!violations.empty()) {
-        out.findings.push_back({policy, violations.front(), inst, std::nullopt});
+        out.findings.push_back({policy, violations.front(), inst});
       }
     }
   }
@@ -954,8 +953,7 @@ RunOutcome fuzz_one(const FuzzConfig& config,
           inst, plan, fc.recovery, policy, config.inject_fault_bug);
       ++out.schedules;
       if (!violations.empty()) {
-        out.findings.push_back(
-            {policy, violations.front(), inst, fc, std::nullopt});
+        out.findings.push_back({policy, violations.front(), inst, fc});
       }
     }
   }
@@ -974,8 +972,10 @@ RunOutcome fuzz_one(const FuzzConfig& config,
           check_nc(inst, policy, setup, oracles, config.inject_nc_bug);
       ++out.schedules;
       if (!violations.empty()) {
-        out.findings.push_back({policy, violations.front(), inst,
-                                std::nullopt, NcContext{setup}});
+        out.findings.push_back({.policy = policy,
+                                .check = violations.front(),
+                                .inst = inst,
+                                .nc = NcContext{setup}});
       }
     }
   }
@@ -990,8 +990,7 @@ RunOutcome fuzz_one(const FuzzConfig& config,
         // The weighted instance itself is the finding: its weights ride
         // through the shrinker's task-drop moves and into the reproducer's
         // 4th column.
-        out.findings.push_back(
-            {policy, violations.front(), winst, std::nullopt, std::nullopt});
+        out.findings.push_back({policy, violations.front(), winst});
       }
     }
   }
@@ -1007,9 +1006,10 @@ RunOutcome fuzz_one(const FuzzConfig& config,
           check_control(inst, cseed, policy, config.inject_control_bug);
       ++out.schedules;
       if (!violations.empty()) {
-        out.findings.push_back({policy, violations.front(), inst,
-                                std::nullopt, std::nullopt,
-                                ControlContext{cseed}});
+        out.findings.push_back({.policy = policy,
+                                .check = violations.front(),
+                                .inst = inst,
+                                .control = ControlContext{cseed}});
       }
     }
   }

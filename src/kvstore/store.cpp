@@ -1,6 +1,7 @@
 #include "kvstore/store.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace flowsched {
 
@@ -30,11 +31,6 @@ KeyValueStore::KeyValueStore(const StoreConfig& config,
 
   key_sampler_.emplace(key_popularity_);
 
-  key_owner_.resize(static_cast<std::size_t>(config_.keys));
-  for (int key = 0; key < config_.keys; ++key) {
-    key_owner_[static_cast<std::size_t>(key)] = key % config_.m;
-  }
-
   replica_by_owner_ = replica_sets(config_.strategy, config_.k, config_.m);
 
   machine_popularity_.assign(static_cast<std::size_t>(config_.m), 0.0);
@@ -44,12 +40,9 @@ KeyValueStore::KeyValueStore(const StoreConfig& config,
   }
 }
 
-int KeyValueStore::owner(int key) const {
-  return key_owner_.at(static_cast<std::size_t>(key));
-}
-
-const ProcSet& KeyValueStore::replicas_of_key(int key) const {
-  return replica_by_owner_.at(static_cast<std::size_t>(owner(key)));
+void KeyValueStore::throw_key_range(int key) const {
+  throw std::out_of_range("KeyValueStore: key " + std::to_string(key) +
+                          " outside [0, " + std::to_string(config_.keys) + ")");
 }
 
 }  // namespace flowsched

@@ -40,8 +40,16 @@ class KeyValueStore {
   KeyValueStore(const StoreConfig& config, std::vector<double> key_popularity);
 
   const StoreConfig& config() const { return config_; }
-  int owner(int key) const;
-  const ProcSet& replicas_of_key(int key) const;
+  /// Primary owner of `key`: key % m (round-robin placement). Throws
+  /// std::out_of_range unless 0 <= key < keys.
+  int owner(int key) const {
+    if (key < 0 || key >= config_.keys) throw_key_range(key);
+    return key % config_.m;
+  }
+  /// I_k(owner(key)); the same range check as owner().
+  const ProcSet& replicas_of_key(int key) const {
+    return replica_by_owner_[static_cast<std::size_t>(owner(key))];
+  }
 
   /// \brief Draws a key according to its popularity.
   ///
@@ -60,10 +68,11 @@ class KeyValueStore {
   }
 
  private:
+  [[noreturn]] void throw_key_range(int key) const;
+
   StoreConfig config_;
   std::vector<double> key_popularity_;  ///< Per key, sums to 1.
   std::optional<AliasSampler> key_sampler_;  ///< Built in the ctor body.
-  std::vector<int> key_owner_;
   std::vector<ProcSet> replica_by_owner_;
   std::vector<double> machine_popularity_;
 };

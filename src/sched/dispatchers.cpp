@@ -28,18 +28,48 @@ void EftDispatcher::reset(int m) {
 int EftDispatcher::dispatch(const Task& t, const MachineState& state) {
   // Equation (2): t'min = max(r_i, min_{M_j in M_i} C_{j,i-1});
   // U'_i = { M_j in M_i : C_{j,i-1} <= t'min }.
+  const std::vector<int>& machines = t.eligible.machines();
+  if (tie_.kind() == TieBreakKind::kRand) {
+    double min_completion = std::numeric_limits<double>::infinity();
+    for (int j : machines) {
+      min_completion = std::min(min_completion, state.completion[static_cast<std::size_t>(j)]);
+    }
+    const double t_min = std::max(t.release, min_completion);
+    candidates_.clear();
+    for (int j : machines) {
+      if (state.completion[static_cast<std::size_t>(j)] <= t_min + kTieEps) {
+        candidates_.push_back(j);
+      }
+    }
+    return tie_.choose(candidates_, state.task_id);
+  }
+  // Min and Max want the first member of U'_i in tie-break order, so scan
+  // in that order once. Once some C_j <= r_i, t'min = r_i and U'_i is
+  // {C_j <= r_i + eps}: its first member is the first such machine seen,
+  // which the scan has already passed. Only when every eligible machine is
+  // busy at r_i does t'min = min C_j need the whole scan and a second pass.
+  const std::size_t n = machines.size();
+  const bool ascending = tie_.kind() == TieBreakKind::kMin;
+  const auto at = [&](std::size_t i) {
+    return machines[ascending ? i : n - 1 - i];
+  };
+  const double near = t.release + kTieEps;
   double min_completion = std::numeric_limits<double>::infinity();
-  for (int j : t.eligible.machines()) {
-    min_completion = std::min(min_completion, state.completion[static_cast<std::size_t>(j)]);
+  int first_near = -1;
+  for (std::size_t i = 0; i < n; ++i) {
+    const int j = at(i);
+    const double c = state.completion[static_cast<std::size_t>(j)];
+    if (first_near < 0 && c <= near) first_near = j;
+    if (c <= t.release) return first_near;
+    min_completion = std::min(min_completion, c);
   }
   const double t_min = std::max(t.release, min_completion);
-  candidates_.clear();
-  for (int j : t.eligible.machines()) {
-    if (state.completion[static_cast<std::size_t>(j)] <= t_min + kTieEps) {
-      candidates_.push_back(j);
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    const int j = at(i);
+    if (state.completion[static_cast<std::size_t>(j)] <= t_min + kTieEps) return j;
   }
-  return tie_.choose(candidates_, state.task_id);
+  // An empty M_i, or NaN frontiers, leave U'_i empty.
+  throw std::invalid_argument("EftDispatcher::dispatch: no candidates");
 }
 
 std::string EftDispatcher::name() const {

@@ -67,7 +67,9 @@ class Dispatcher {
 };
 
 /// Earliest Finish Time (Algorithm 2). With unrestricted sets it is
-/// equivalent to FIFO (Proposition 1).
+/// equivalent to FIFO (Proposition 1). Min and Max scan M_i once in
+/// tie-break order and stop at the first machine idle at r_i
+/// (docs/streaming.md); Rand collects all of U'_i.
 class EftDispatcher final : public Dispatcher {
  public:
   /// `counter_rng` switches the Rand tie-break to counter-based per-task
@@ -82,7 +84,7 @@ class EftDispatcher final : public Dispatcher {
 
  private:
   TieBreak tie_;
-  std::vector<int> candidates_;  // reused across dispatches (hot path)
+  std::vector<int> candidates_;  // U'_i for Rand, reused across dispatches
 };
 
 class RandomEligibleDispatcher final : public Dispatcher {

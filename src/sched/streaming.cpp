@@ -200,14 +200,14 @@ void StreamingEngine::occupy(int machine, double end, double work) {
 Assignment StreamingEngine::release(double time, double proc,
                                     const ProcSet& eligible,
                                     long long task_id, double weight) {
-  // The probe Task is a member-shaped temporary handed to the dispatcher;
+  // The probe Task handed to the dispatcher is a member, so copying M_i
+  // into it reuses its capacity instead of allocating per request;
   // `weight` rides along for the observer events only.
-  Task probe;
-  probe.release = time;
-  probe.proc = proc;
-  probe.eligible = eligible.empty() ? all_ : eligible;
-  probe.weight = weight;
-  const Decision d = decide(probe, task_id);
+  probe_.release = time;
+  probe_.proc = proc;
+  probe_.eligible = eligible.empty() ? all_ : eligible;
+  probe_.weight = weight;
+  const Decision d = decide(probe_, task_id);
   commit(d);
   return Assignment{d.machine, d.start};
 }
@@ -232,6 +232,7 @@ std::size_t StreamingEngine::memory_bytes() const {
   bytes += slot_work_.capacity() * sizeof(double);
   bytes += free_slots_.capacity() * sizeof(std::uint32_t);
   bytes += all_.machines().capacity() * sizeof(int);
+  bytes += probe_.eligible.machines().capacity() * sizeof(int);
   bytes += events_.memory_bytes();
   return bytes;
 }

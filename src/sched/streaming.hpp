@@ -170,6 +170,7 @@ class StreamingEngine {
   long long released_ = 0;
   double last_release_ = 0.0;
   ProcSet all_;  // cached "empty means all machines" expansion
+  Task probe_;   // release()'s dispatcher view, reused across requests
 
   // Per-machine aggregates, span-compatible with MachineState.
   std::vector<double> completion_;

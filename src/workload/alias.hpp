@@ -6,7 +6,8 @@
 // search over an m-entry table. The alias method precomputes, in O(m), a
 // pair of tables (prob, alias) such that one uniform deviate picks a column
 // i = floor(u * m) and a biased coin inside the column decides between i
-// and alias[i] — two array reads per sample, independent of m.
+// and alias[i]. Both live in one 16-byte column, so a sample reads one
+// cache line, independent of m.
 //
 // Determinism contract: sample() consumes exactly ONE Rng::uniform() call,
 // the same RNG budget as ZipfSampler::sample and KeyValueStore::sample_key,
@@ -40,18 +41,19 @@ class AliasSampler {
   /// Zipf(s) over ranks 0..m-1 — the drop-in for ZipfSampler(m, s).
   AliasSampler(int m, double s);
 
-  /// One uniform draw, two array reads. Same Rng budget as
+  /// One uniform draw, one column read. Same Rng budget as
   /// ZipfSampler::sample.
   std::size_t sample(Rng& rng) const {
-    const double u = rng.uniform() * static_cast<double>(prob_.size());
+    const double u = rng.uniform() * static_cast<double>(columns_.size());
     std::size_t i = static_cast<std::size_t>(u);
-    if (i >= prob_.size()) i = prob_.size() - 1;  // u == n after rounding
-    return (u - static_cast<double>(i)) < prob_[i]
+    if (i >= columns_.size()) i = columns_.size() - 1;  // u == n after rounding
+    const Column& c = columns_[i];
+    return (u - static_cast<double>(i)) < c.prob
                ? i
-               : static_cast<std::size_t>(alias_[i]);
+               : static_cast<std::size_t>(c.alias);
   }
 
-  std::size_t size() const { return prob_.size(); }
+  std::size_t size() const { return columns_.size(); }
 
   /// Normalized input weights (sums to 1), matching ZipfSampler::weights().
   const std::vector<double>& weights() const { return weights_; }
@@ -62,11 +64,16 @@ class AliasSampler {
   double table_probability(std::size_t i) const;
 
  private:
+  // One column per index: a draw reads both fields from one cache line.
+  struct Column {
+    double prob;          // column-local acceptance threshold
+    std::uint32_t alias;  // column-overflow target
+  };
+
   void build();
 
-  std::vector<double> weights_;        // normalized input
-  std::vector<double> prob_;           // column-local acceptance threshold
-  std::vector<std::uint32_t> alias_;   // column-overflow target
+  std::vector<double> weights_;  // normalized input
+  std::vector<Column> columns_;
 };
 
 }  // namespace flowsched

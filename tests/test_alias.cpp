@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -129,6 +131,83 @@ TEST(Alias, EmpiricalFrequenciesMatchSkewedWeights) {
   EXPECT_NEAR(static_cast<double>(counts[0]) / draws, 0.8, 0.01);
   EXPECT_NEAR(static_cast<double>(counts[1]) / draws, 0.1, 0.01);
   EXPECT_NEAR(static_cast<double>(counts[2]) / draws, 0.1, 0.01);
+}
+
+// The two-array Vose build the one-column layout replaced, kept verbatim as
+// the reference: separate prob/alias arrays and scaled mass, two index
+// stacks.
+struct TwoArrayAlias {
+  std::vector<double> prob;
+  std::vector<std::uint32_t> alias;
+
+  explicit TwoArrayAlias(const std::vector<double>& weights) {
+    const std::size_t n = weights.size();
+    prob.assign(n, 1.0);
+    alias.resize(n);
+    std::vector<double> scaled(n);
+    std::vector<std::uint32_t> small;
+    std::vector<std::uint32_t> large;
+    for (std::size_t i = 0; i < n; ++i) {
+      scaled[i] = weights[i] * static_cast<double>(n);
+      alias[i] = static_cast<std::uint32_t>(i);
+      (scaled[i] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(i));
+    }
+    while (!small.empty() && !large.empty()) {
+      const std::uint32_t s = small.back();
+      const std::uint32_t l = large.back();
+      small.pop_back();
+      prob[s] = scaled[s];
+      alias[s] = l;
+      scaled[l] -= 1.0 - scaled[s];
+      if (scaled[l] < 1.0) {
+        large.pop_back();
+        small.push_back(l);
+      }
+    }
+    for (std::uint32_t i : small) prob[i] = 1.0;
+    for (std::uint32_t i : large) prob[i] = 1.0;
+  }
+
+  std::size_t sample(Rng& rng) const {
+    const double u = rng.uniform() * static_cast<double>(prob.size());
+    std::size_t i = static_cast<std::size_t>(u);
+    if (i >= prob.size()) i = prob.size() - 1;
+    return (u - static_cast<double>(i)) < prob[i]
+               ? i
+               : static_cast<std::size_t>(alias[i]);
+  }
+};
+
+// The one-column, in-place build draws exactly the two-array build's keys.
+void expect_same_draws(const std::vector<double>& weights, const char* what) {
+  const AliasSampler sampler(weights);
+  const TwoArrayAlias reference(sampler.weights());
+  Rng a(1234), b(1234);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::size_t got = sampler.sample(a);
+    const std::size_t want = reference.sample(b);
+    if (got != want) {
+      FAIL() << what << ": draw " << i << " gave " << got << ", reference "
+             << want;
+    }
+  }
+}
+
+TEST(Alias, ColumnBuildDrawsTheTwoArrayKeys) {
+  for (double s : {0.0, 0.5, 1.0, 1.5}) {
+    for (int n : {1, 7, 25600, 409600}) {
+      expect_same_draws(zipf_weights(n, s),
+                        ("zipf s=" + std::to_string(s) + " n=" +
+                         std::to_string(n)).c_str());
+    }
+  }
+  // Zero-weight columns are always underfull and always alias away.
+  expect_same_draws({0.0, 1.0, 0.0, 2.0, 0.0, 0.0, 5.0}, "sparse");
+  std::vector<double> holes = zipf_weights(25600, 1.0);
+  Rng rng(9);
+  rng.shuffle(holes);
+  for (std::size_t i = 0; i < holes.size(); i += 3) holes[i] = 0.0;
+  expect_same_draws(holes, "zipf with every third weight zeroed");
 }
 
 }  // namespace

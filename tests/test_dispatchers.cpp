@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <vector>
+
 #include "sched/engine.hpp"
 #include "workload/generator.hpp"
 
@@ -65,6 +71,107 @@ TEST(EftDispatcher, NameIncludesTieBreak) {
   EXPECT_EQ(EftDispatcher(TieBreakKind::kMin).name(), "EFT-Min");
   EXPECT_EQ(EftDispatcher(TieBreakKind::kMax).name(), "EFT-Max");
   EXPECT_EQ(make_eft_rand(1)->name(), "EFT-Rand");
+}
+
+// The two-pass, candidate-list EFT the early-exit scan replaced: Eq. (2)'s
+// t'min over all of M_i, then U'_i, then the tie-break.
+int two_pass_eft(TieBreakKind kind, const Task& t, const MachineState& state) {
+  double min_completion = std::numeric_limits<double>::infinity();
+  for (int j : t.eligible.machines()) {
+    min_completion = std::min(min_completion, state.completion[static_cast<std::size_t>(j)]);
+  }
+  const double t_min = std::max(t.release, min_completion);
+  std::vector<int> candidates;
+  for (int j : t.eligible.machines()) {
+    if (state.completion[static_cast<std::size_t>(j)] <= t_min + 1e-12) {
+      candidates.push_back(j);
+    }
+  }
+  return TieBreak(kind).choose(candidates);
+}
+
+// Frontiers drawn around the release instant so every branch of the scan
+// is hit: idle, exactly r, inside the tie window (r, r + eps], just past
+// it (where only the full min decides), busy, ties among busy machines,
+// and +inf. One state in four has every machine busy.
+std::vector<double> random_frontiers(int m, double r, Rng& rng) {
+  const bool all_busy = rng.uniform_int(0, 3) == 0;
+  std::vector<double> c(static_cast<std::size_t>(m));
+  for (double& x : c) {
+    switch (rng.uniform_int(all_busy ? 2 : 0, 7)) {
+      case 0: x = r - static_cast<double>(rng.uniform_int(1, 16)) / 8.0; break;
+      case 1: x = r; break;
+      case 2: x = r + 0.5e-12; break;
+      case 3: x = std::nextafter(r, std::numeric_limits<double>::infinity()); break;
+      case 4: x = r + 1.5e-12; break;
+      case 5: x = r + static_cast<double>(rng.uniform_int(1, 4)) / 8.0; break;
+      case 6: x = r + 0.25 + 0.5e-12; break;
+      default: x = std::numeric_limits<double>::infinity(); break;
+    }
+  }
+  return c;
+}
+
+ProcSet random_set(int m, Rng& rng) {
+  const int k = static_cast<int>(rng.uniform_int(1, m));
+  switch (rng.uniform_int(0, 2)) {
+    case 0:  // ring interval, wrapped whenever start + k > m
+      return ProcSet::ring_interval(static_cast<int>(rng.uniform_int(0, m - 1)),
+                                    k, m);
+    case 1:
+      return ProcSet::interval(0, k - 1);
+    default: {
+      std::vector<int> members;
+      for (int j = 0; j < m; ++j) {
+        if (rng.bernoulli(0.5)) members.push_back(j);
+      }
+      if (members.empty()) members.push_back(static_cast<int>(rng.uniform_int(0, m - 1)));
+      return ProcSet(std::move(members));
+    }
+  }
+}
+
+TEST(EftDispatcher, EarlyExitMatchesTwoPassReference) {
+  Rng rng(20);
+  int wrapped = 0, all_busy = 0, early = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const int m = static_cast<int>(rng.uniform_int(1, 24));
+    Task t;
+    t.release = static_cast<double>(rng.uniform_int(0, 512)) / 8.0;
+    t.eligible = random_set(m, rng);
+    const std::vector<double> completion = random_frontiers(m, t.release, rng);
+    const std::vector<double> load(static_cast<std::size_t>(m), 0.0);
+    const std::vector<int> count(static_cast<std::size_t>(m), 0);
+    const MachineState state{completion, load, count, count, trial};
+    if (t.eligible.is_interval(m) && !t.eligible.is_contiguous()) ++wrapped;
+    bool idle = false;
+    for (int j : t.eligible.machines()) {
+      idle = idle || completion[static_cast<std::size_t>(j)] <= t.release;
+    }
+    ++(idle ? early : all_busy);
+    for (TieBreakKind kind : {TieBreakKind::kMin, TieBreakKind::kMax}) {
+      EftDispatcher eft(kind);
+      eft.reset(m);
+      ASSERT_EQ(eft.dispatch(t, state), two_pass_eft(kind, t, state))
+          << to_string(kind) << " trial " << trial << " set " << t.eligible.str()
+          << " r=" << t.release;
+    }
+  }
+  // The generator really reaches every regime.
+  EXPECT_GT(wrapped, 500);
+  EXPECT_GT(all_busy, 3000);
+  EXPECT_GT(early, 3000);
+}
+
+TEST(EftDispatcher, EmptySetThrows) {
+  const std::vector<double> c{0.0};
+  const std::vector<int> q{0};
+  const MachineState state{c, c, q, q};
+  Task t;
+  for (TieBreakKind kind : {TieBreakKind::kMin, TieBreakKind::kMax}) {
+    EftDispatcher eft(kind);
+    EXPECT_THROW(eft.dispatch(t, state), std::invalid_argument);
+  }
 }
 
 TEST(RandomEligibleDispatcher, ProducesValidSchedules) {

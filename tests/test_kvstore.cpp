@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "fault/plan.hpp"
@@ -66,6 +67,18 @@ TEST(KeyValueStore, SampleKeyInRange) {
     EXPECT_GE(key, 0);
     EXPECT_LT(key, 60);
   }
+}
+
+// Owners are computed as key % m; the range check is what still rejects a
+// key outside [0, keys), including keys that would map to a valid owner.
+TEST(KeyValueStore, KeyOutsideRangeThrows) {
+  Rng rng(7);
+  const KeyValueStore store(small_store(), rng);
+  for (int key : {-1, -6, 60, 61, 66}) {
+    EXPECT_THROW(store.owner(key), std::out_of_range) << key;
+    EXPECT_THROW(store.replicas_of_key(key), std::out_of_range) << key;
+  }
+  EXPECT_NO_THROW(store.replicas_of_key(59));
 }
 
 TEST(KeyValueStore, RejectsBadConfig) {

@@ -83,7 +83,9 @@ TEST(Matching, RandomGraphsMatchGreedyUpperBound) {
     EXPECT_LE(size, edges);
     // Maximum matching at least any greedy one: rebuild greedily.
     // (Weaker sanity bound: size >= 1 whenever there is an edge.)
-    if (edges > 0) EXPECT_GE(size, 1);
+    if (edges > 0) {
+      EXPECT_GE(size, 1);
+    }
   }
 }
 

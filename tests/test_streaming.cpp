@@ -82,6 +82,23 @@ TEST(Streaming, MemoryTracksBacklogNotStreamLength) {
   EXPECT_LT(engine.memory_bytes(), 1u << 20);
 }
 
+// release() reuses one probe Task for the dispatcher; the capacity it keeps
+// for the widest M_i seen is part of the engine's footprint.
+TEST(Streaming, MemoryCountsTheReusedProbe) {
+  auto narrow_policy = make_policy("eft-min");
+  auto wide_policy = make_policy("eft-min");
+  StreamingEngine narrow(1024, *narrow_policy);
+  StreamingEngine wide(1024, *wide_policy);
+  // Every machine idle, so EFT-Min picks machine 0 from either set and
+  // both engines hold the same slots and events.
+  for (int i = 0; i < 100; ++i) {
+    narrow.release(i * 10.0, 1.0, ProcSet::single(0));
+    wide.release(i * 10.0, 1.0, ProcSet::interval(0, 999));
+  }
+  EXPECT_EQ(narrow.completions(), wide.completions());
+  EXPECT_GE(wide.memory_bytes(), narrow.memory_bytes() + 999 * sizeof(int));
+}
+
 TEST(Streaming, RejectsDecreasingReleases) {
   auto policy = make_policy("eft-min");
   StreamingEngine engine(2, *policy);
