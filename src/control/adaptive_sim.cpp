@@ -139,11 +139,9 @@ AdaptiveRunReport run_adaptive(const ControlCase& c, Dispatcher& dispatcher,
                         c.control.setup_cost);
       pending[static_cast<std::size_t>(owner)] = -1;
     }
-    engine.release(Task{
-        .release = r,
-        .proc = p,
-        .eligible = on ? ctl.eligible_for_owner(owner)
-                       : replica_set(c.initial.strategy, owner, c.initial.k, m)});
+    // With control off the controller never leaves c.initial.
+    engine.release(
+        Task{.release = r, .proc = p, .eligible = ctl.eligible_for_owner(owner)});
   }
 
   AdaptiveRunReport rep;
@@ -170,14 +168,15 @@ AdaptiveRunReport run_static(const ControlCase& c, Dispatcher& dispatcher,
   validate_case(c);
   const int m = c.m;
   const int n = c.requests();
+  // One set per owner, shared by its requests.
+  const std::vector<ProcSet> sets = replica_sets(c.initial.strategy, c.initial.k, m);
   std::vector<Task> tasks;
   tasks.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const int owner = c.key[static_cast<std::size_t>(i)] % m;
-    tasks.push_back(Task{
-        .release = c.release[static_cast<std::size_t>(i)],
-        .proc = c.proc[static_cast<std::size_t>(i)],
-        .eligible = replica_set(c.initial.strategy, owner, c.initial.k, m)});
+    tasks.push_back(Task{.release = c.release[static_cast<std::size_t>(i)],
+                         .proc = c.proc[static_cast<std::size_t>(i)],
+                         .eligible = sets[static_cast<std::size_t>(
+                             c.key[static_cast<std::size_t>(i)] % m)]});
   }
   Instance inst(m, std::move(tasks));
 

@@ -146,6 +146,8 @@ ReplicationController::ReplicationController(int m, LayoutSpec initial,
     throw std::invalid_argument("ReplicationController: k_min < 1");
   }
   popularity_.assign(static_cast<std::size_t>(m), 1.0 / static_cast<double>(m));
+  active_sets_ = replica_sets(active_.strategy, active_.k, m_);
+  target_sets_ = active_sets_;
 }
 
 int ReplicationController::effective_k_max() const {
@@ -163,8 +165,8 @@ ProcSet ReplicationController::eligible_for_owner(int owner) const {
   if (owner < 0 || owner >= m_) {
     throw std::invalid_argument("eligible_for_owner: owner out of range");
   }
-  const LayoutSpec& spec = owner < frontier_ ? target_ : active_;
-  return replica_set(spec.strategy, owner, spec.k, m_);
+  const std::vector<ProcSet>& sets = owner < frontier_ ? target_sets_ : active_sets_;
+  return sets[static_cast<std::size_t>(owner)];
 }
 
 void ReplicationController::advance_frontier(ControlDecision* d) {
@@ -174,6 +176,7 @@ void ReplicationController::advance_frontier(ControlDecision* d) {
   d->moved_hi = frontier_;
   if (frontier_ == m_) {
     active_ = target_;
+    active_sets_ = target_sets_;
     cooldown_left_ = config_.cooldown;
   }
 }
@@ -181,6 +184,7 @@ void ReplicationController::advance_frontier(ControlDecision* d) {
 void ReplicationController::begin_migration(const LayoutSpec& to,
                                             ControlDecision* d) {
   target_ = to;
+  target_sets_ = replica_sets(to.strategy, to.k, m_);
   frontier_ = 0;
   d->switched = true;
   advance_frontier(d);
@@ -206,6 +210,8 @@ ControlDecision ReplicationController::decide(const ControlObservation& obs) {
     flip.strategy = flipped(active_.strategy);
     target_ = flip;
     active_ = flip;
+    active_sets_ = replica_sets(flip.strategy, flip.k, m_);
+    target_sets_ = active_sets_;
     frontier_ = m_;
     d.target = flip;
     d.switched = true;

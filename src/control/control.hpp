@@ -170,7 +170,8 @@ class ReplicationController {
   bool migrating() const { return frontier_ < m_; }
 
   /// Replica set serving keys owned by `owner` under the current
-  /// (frontier-aware) layout.
+  /// (frontier-aware) layout: a shared copy of a set the controller holds,
+  /// equal to replica_set() of the layout that serves the owner.
   ProcSet eligible_for_owner(int owner) const;
 
   /// One decision epoch. Also advances the migration frontier by at most
@@ -200,6 +201,10 @@ class ReplicationController {
   std::uint64_t seed_;
   LayoutSpec active_;
   LayoutSpec target_;
+  // The m replica sets of active_ and target_, rebuilt whenever either
+  // layout changes, so eligible_for_owner builds nothing.
+  std::vector<ProcSet> active_sets_;
+  std::vector<ProcSet> target_sets_;
   std::vector<double> popularity_;  ///< Uniform 1/m: every owner weighs alike.
   int frontier_;       ///< Owners < frontier_ use target_; m_ = no migration.
   int cooldown_left_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 
@@ -47,6 +48,11 @@ FaultPlan FaultPlan::random(int m, const FaultModelConfig& config, Rng& rng) {
     throw std::invalid_argument("FaultPlan: mean_up must not be NaN");
   if (std::isnan(config.mean_down))
     throw std::invalid_argument("FaultPlan: mean_down must not be NaN");
+  // Checked up front: the repair draw that would reject it only happens
+  // once a crash lands before the horizon. signbit also catches -0.0, whose
+  // rate 1 / -0.0 is -infinity.
+  if (std::signbit(config.mean_down))
+    throw std::invalid_argument("FaultPlan: mean_down must not be negative");
   if (!std::isfinite(config.horizon))
     throw std::invalid_argument("FaultPlan: horizon must be finite");
   if (!std::isfinite(config.grid))
@@ -134,6 +140,51 @@ int FaultPlan::crash_count() const {
   int n = 0;
   for (const auto& list : downs_) n += static_cast<int>(list.size());
   return n;
+}
+
+FaultPlan::Cursor::Cursor(const FaultPlan& plan)
+    : plan_(&plan), windows_(static_cast<std::size_t>(plan.m())) {}
+
+const FaultPlan::Cursor::Window& FaultPlan::Cursor::window(int machine,
+                                                           double t) {
+  if (machine < 0 || static_cast<std::size_t>(machine) >= windows_.size())
+    throw std::invalid_argument("FaultPlan: machine out of range");
+  Window& w = windows_[static_cast<std::size_t>(machine)];
+  if (w.from <= t && t < w.until) return w;
+  const auto& list = plan_->downs_[static_cast<std::size_t>(machine)];
+  const auto it = first_ending_after(list, t);
+  // Up from the end of the previous interval, if any.
+  w.from = it == list.begin() ? -kInf : std::prev(it)->to;
+  if (it == list.end()) {
+    w.until = kInf;
+    w.up = true;
+  } else if (t < it->from) {
+    w.until = it->from;
+    w.up = true;
+  } else {
+    w.from = it->from;
+    w.until = it->to;
+    w.up = false;
+  }
+  return w;
+}
+
+bool FaultPlan::Cursor::is_up(int machine, double t) {
+  return window(machine, t).up;
+}
+
+double FaultPlan::Cursor::next_up(int machine, double t) {
+  const Window& w = window(machine, t);
+  return w.up ? t : w.until;
+}
+
+double FaultPlan::Cursor::next_down(int machine, double t) {
+  const Window& w = window(machine, t);
+  // Up on [from, until): the next crash is the one that ends the window.
+  if (w.up) return w.until;
+  // Down on [from, until): the crash at `from` counts only for t == from;
+  // later, the answer lies past the window.
+  return t == w.from ? t : plan_->next_down(machine, t);
 }
 
 std::string FaultPlan::str() const {

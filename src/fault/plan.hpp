@@ -47,8 +47,8 @@ class FaultPlan {
 
   /// Seeded crash/repair trace; consumes only `rng`, so a fixed seed
   /// reproduces the plan exactly. All times are multiples of config.grid.
-  /// Throws std::invalid_argument naming the field for a NaN mean_up or
-  /// mean_down, a non-finite horizon or grid, or grid <= 0.
+  /// Throws std::invalid_argument naming the field for a NaN mean_up, a NaN
+  /// or negative mean_down, a non-finite horizon or grid, or grid <= 0.
   static FaultPlan random(int m, const FaultModelConfig& config, Rng& rng);
 
   int m() const { return static_cast<int>(downs_.size()); }
@@ -89,8 +89,49 @@ class FaultPlan {
   /// fault/plan_io.hpp.
   std::string str() const;
 
+  class Cursor;
+
  private:
   std::vector<std::vector<DownInterval>> downs_;  // per machine, sorted
+};
+
+/// \brief A per-machine availability window over a borrowed FaultPlan.
+///
+/// For each machine the cursor remembers the maximal interval
+/// [from, until) that contains the machine's last query, and whether the
+/// machine is up throughout it. A query inside that window is answered from
+/// it in O(1); any other query (a miss) re-runs the plan's binary search and
+/// moves the window. Answers equal the plan's for every time, NaN and
+/// +infinity included, in any query order; only the cost depends on
+/// locality. The engine's fault path queries through a cursor; the auditor
+/// keeps calling the plan itself, so the two stay independent.
+class FaultPlan::Cursor {
+ public:
+  /// Detached cursor; assign one built on a plan before querying.
+  Cursor() = default;
+  /// `plan` is borrowed and must outlive the cursor.
+  explicit Cursor(const FaultPlan& plan);
+
+  /// FaultPlan::is_up, next_up and next_down. Throw std::invalid_argument
+  /// for a machine outside [0, m).
+  bool is_up(int machine, double t);
+  double next_up(int machine, double t);
+  double next_down(int machine, double t);
+
+ private:
+  struct Window {
+    // Empty until the first query, so that query misses.
+    double from = 1;
+    double until = 0;
+    bool up = true;
+  };
+  // The window of `machine` that answers a query at t: the cached one when
+  // it contains t, else the refreshed one (which contains t unless t is NaN
+  // or +infinity; the answers below hold for those too).
+  const Window& window(int machine, double t);
+
+  const FaultPlan* plan_ = nullptr;
+  std::vector<Window> windows_;
 };
 
 }  // namespace flowsched

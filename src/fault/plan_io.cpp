@@ -1,9 +1,12 @@
 #include "fault/plan_io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "io/instance_io.hpp"
 
@@ -33,6 +36,62 @@ double parse_time(const std::string& tok, int line_no) {
   }
   if (pos != tok.size()) fail(line_no, "bad time '" + tok + "'");
   return v;
+}
+
+// A number that is the whole token: `convert` (a std::sto* function) must
+// consume every character. `what` names the field in the error.
+template <typename Convert>
+auto parse_whole(const std::string& tok, int line_no, const char* what,
+                 Convert convert) {
+  std::size_t pos = 0;
+  try {
+    const auto v = convert(tok, &pos);
+    if (pos == tok.size()) return v;
+  } catch (const std::exception&) {
+  }
+  fail(line_no, std::string("bad recovery ") + what + " '" + tok + "'");
+}
+
+// The optional parameter list of a recovery directive: none (the policy's
+// defaults) or all five, each a valid value.
+void parse_recovery_params(std::istringstream& ss, int line_no,
+                           RecoveryPolicy* recovery) {
+  std::vector<std::string> toks;
+  for (std::string tok; ss >> tok;) toks.push_back(tok);
+  if (toks.empty()) return;
+  if (toks.size() != 5)
+    fail(line_no,
+         "expected: recovery <kind> [<max_retries> <base> <cap> <jitter> "
+         "<seed>]");
+  const int max_retries = parse_whole(
+      toks[0], line_no, "max_retries",
+      [](const std::string& t, std::size_t* pos) { return std::stoi(t, pos); });
+  if (max_retries < 0) fail(line_no, "recovery max_retries must be >= 0");
+  const auto amount = [&](std::size_t i, const char* name) {
+    const double v = parse_whole(
+        toks[i], line_no, name,
+        [](const std::string& t, std::size_t* pos) { return std::stod(t, pos); });
+    if (!std::isfinite(v) || v < 0)
+      fail(line_no, std::string("recovery ") + name + " must be finite and >= 0");
+    return v;
+  };
+  const double base = amount(1, "base");
+  const double cap = amount(2, "cap");
+  const double jitter = amount(3, "jitter");
+  // retry_time draws jitter steps as a uint64_t; 2^53 steps keeps every
+  // step count an exact double.
+  if (jitter / recovery->grid > 0x1p53)
+    fail(line_no, "recovery jitter exceeds 2^53 grid steps");
+  // stoull would wrap a leading '-' around.
+  if (toks[4].find_first_not_of("0123456789") != std::string::npos)
+    fail(line_no, "bad recovery seed '" + toks[4] + "'");
+  recovery->max_retries = max_retries;
+  recovery->backoff_base = base;
+  recovery->backoff_cap = cap;
+  recovery->jitter = jitter;
+  recovery->jitter_seed = parse_whole(
+      toks[4], line_no, "seed",
+      [](const std::string& t, std::size_t* pos) { return std::stoull(t, pos); });
 }
 
 }  // namespace
@@ -84,11 +143,7 @@ FaultCase parse_fault_case(const std::string& text) {
       } catch (const std::invalid_argument& e) {
         fail(line_no, e.what());
       }
-      unsigned long long seed = 0;
-      if (ss >> recovery.max_retries >> recovery.backoff_base >>
-          recovery.backoff_cap >> recovery.jitter >> seed) {
-        recovery.jitter_seed = seed;
-      }
+      parse_recovery_params(ss, line_no, &recovery);
     } else {
       instance_text += line;
       instance_text += '\n';

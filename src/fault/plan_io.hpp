@@ -6,6 +6,11 @@
 //     down <machine> <from> <to>    # machine 1-based; to may be "inf"
 //     recovery <kind> [<max_retries> <base> <cap> <jitter> <jitter_seed>]
 //
+// A recovery directive carries either no parameters (the policy defaults)
+// or all five and nothing after them: max_retries an integer >= 0; base,
+// cap and jitter finite and >= 0, with jitter at most 2^53 grid steps; the
+// seed an unsigned integer. Anything else fails with the line number.
+//
 // Plain instance files are valid fault cases with an empty plan, so the
 // fuzz corpus can mix both and the replayer picks the right audit per file.
 #pragma once

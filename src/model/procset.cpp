@@ -22,14 +22,17 @@ std::uint64_t hash_machines(const std::vector<int>& machines) {
 
 }  // namespace
 
-ProcSet::ProcSet(std::vector<int> machines) : machines_(std::move(machines)) {
-  for (int j : machines_) {
+const std::vector<int> ProcSet::kNoMachines;
+
+ProcSet::ProcSet(std::vector<int> machines) {
+  for (int j : machines) {
     if (j < 0) throw std::invalid_argument("ProcSet: negative machine index");
   }
-  std::sort(machines_.begin(), machines_.end());
-  machines_.erase(std::unique(machines_.begin(), machines_.end()),
-                  machines_.end());
-  hash_ = hash_machines(machines_);
+  if (machines.empty()) return;
+  std::sort(machines.begin(), machines.end());
+  machines.erase(std::unique(machines.begin(), machines.end()), machines.end());
+  const std::uint64_t hash = hash_machines(machines);
+  rep_ = new Rep{{1}, hash, std::move(machines)};
 }
 
 ProcSet ProcSet::all(int m) {
@@ -63,18 +66,22 @@ ProcSet ProcSet::ring_interval(int start, int k, int m) {
 }
 
 bool ProcSet::contains(int j) const {
-  return std::binary_search(machines_.begin(), machines_.end(), j);
+  const std::vector<int>& ms = machines();
+  return std::binary_search(ms.begin(), ms.end(), j);
 }
 
 bool ProcSet::is_subset_of(const ProcSet& other) const {
-  return std::includes(other.machines_.begin(), other.machines_.end(),
-                       machines_.begin(), machines_.end());
+  const std::vector<int>& ms = machines();
+  const std::vector<int>& os = other.machines();
+  return std::includes(os.begin(), os.end(), ms.begin(), ms.end());
 }
 
 bool ProcSet::intersects(const ProcSet& other) const {
-  auto a = machines_.begin();
-  auto b = other.machines_.begin();
-  while (a != machines_.end() && b != other.machines_.end()) {
+  const std::vector<int>& ms = machines();
+  const std::vector<int>& os = other.machines();
+  auto a = ms.begin();
+  auto b = os.begin();
+  while (a != ms.end() && b != os.end()) {
     if (*a == *b) return true;
     if (*a < *b) {
       ++a;
@@ -86,23 +93,24 @@ bool ProcSet::intersects(const ProcSet& other) const {
 }
 
 bool ProcSet::within(int m) const {
-  return machines_.empty() || (machines_.front() >= 0 && machines_.back() < m);
+  return empty() || (machines().front() >= 0 && machines().back() < m);
 }
 
 bool ProcSet::is_contiguous() const {
-  if (machines_.empty()) return true;
-  return machines_.back() - machines_.front() + 1 == size();
+  if (empty()) return true;
+  return machines().back() - machines().front() + 1 == size();
 }
 
 bool ProcSet::is_interval(int m) const {
   if (!within(m)) throw std::invalid_argument("ProcSet::is_interval: set exceeds m");
   if (is_contiguous()) return true;
   // Wrapped form: the complement within {0..m-1} must be contiguous.
+  const std::vector<int>& ms = machines();
   std::vector<int> complement;
-  complement.reserve(static_cast<std::size_t>(m) - machines_.size());
+  complement.reserve(static_cast<std::size_t>(m) - ms.size());
   std::size_t pos = 0;
   for (int j = 0; j < m; ++j) {
-    if (pos < machines_.size() && machines_[pos] == j) {
+    if (pos < ms.size() && ms[pos] == j) {
       ++pos;
     } else {
       complement.push_back(j);
@@ -114,21 +122,22 @@ bool ProcSet::is_interval(int m) const {
 }
 
 int ProcSet::min() const {
-  if (machines_.empty()) throw std::logic_error("ProcSet::min: empty set");
-  return machines_.front();
+  if (empty()) throw std::logic_error("ProcSet::min: empty set");
+  return machines().front();
 }
 
 int ProcSet::max() const {
-  if (machines_.empty()) throw std::logic_error("ProcSet::max: empty set");
-  return machines_.back();
+  if (empty()) throw std::logic_error("ProcSet::max: empty set");
+  return machines().back();
 }
 
 std::string ProcSet::str() const {
   std::ostringstream out;
   out << '{';
-  for (std::size_t i = 0; i < machines_.size(); ++i) {
+  const std::vector<int>& ms = machines();
+  for (std::size_t i = 0; i < ms.size(); ++i) {
     if (i > 0) out << ',';
-    out << 'M' << machines_[i] + 1;
+    out << 'M' << ms[i] + 1;
   }
   out << '}';
   return out.str();

@@ -5,6 +5,7 @@
 // 1-based M_1..M_m convention.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -12,11 +13,37 @@
 
 namespace flowsched {
 
-/// An immutable set of eligible machine indices, stored sorted and unique.
+/// \brief An immutable set of eligible machine indices, stored sorted and
+/// unique.
+///
+/// The members and their hash live in one immutable, reference-counted
+/// block that every copy shares: copying a set (into a Task, a dispatcher's
+/// probe, the auditor's record) is a count increment, never a member copy.
+/// The count is atomic, so sets may be copied and destroyed from several
+/// threads at once (the replicate runner, the sharded engine's workers).
+/// The empty set owns no block.
 class ProcSet {
  public:
   /// Empty set. Invalid on a task; useful as a "not yet set" placeholder.
   ProcSet() = default;
+  ProcSet(const ProcSet& other) noexcept : rep_(other.rep_) { retain(); }
+  ProcSet(ProcSet&& other) noexcept : rep_(other.rep_) { other.rep_ = nullptr; }
+  ProcSet& operator=(const ProcSet& other) noexcept {
+    Rep* const rep = other.rep_;  // read first: `other` may be *this
+    other.retain();
+    release();
+    rep_ = rep;
+    return *this;
+  }
+  ProcSet& operator=(ProcSet&& other) noexcept {
+    if (this != &other) {
+      release();
+      rep_ = other.rep_;
+      other.rep_ = nullptr;
+    }
+    return *this;
+  }
+  ~ProcSet() { release(); }
 
   /// From arbitrary machine indices; sorts and deduplicates. Negative
   /// indices throw std::invalid_argument.
@@ -35,9 +62,11 @@ class ProcSet {
   /// machines {u, u+1, ..., u+k-1} taken modulo m. Requires 1 <= k <= m.
   static ProcSet ring_interval(int start, int k, int m);
 
-  const std::vector<int>& machines() const { return machines_; }
-  int size() const { return static_cast<int>(machines_.size()); }
-  bool empty() const { return machines_.empty(); }
+  const std::vector<int>& machines() const {
+    return rep_ != nullptr ? rep_->machines : kNoMachines;
+  }
+  int size() const { return static_cast<int>(machines().size()); }
+  bool empty() const { return rep_ == nullptr; }
 
   bool contains(int j) const;
   bool is_subset_of(const ProcSet& other) const;
@@ -59,22 +88,47 @@ class ProcSet {
   int max() const;
 
   friend bool operator==(const ProcSet& a, const ProcSet& b) {
-    return a.hash_ == b.hash_ && a.machines_ == b.machines_;
+    return a.rep_ == b.rep_ ||
+           (a.hash() == b.hash() && a.machines() == b.machines());
   }
 
   /// 64-bit hash of the member list, computed once at construction so
   /// hash-keyed dispatch state (e.g. RoundRobinDispatcher) costs O(1) per
   /// lookup instead of rehashing the set on every dispatch.
-  std::uint64_t hash() const { return hash_; }
+  std::uint64_t hash() const {
+    return rep_ != nullptr ? rep_->hash : kEmptyHash;
+  }
 
   /// 1-based rendering, e.g. "{M2,M3,M4}".
   std::string str() const;
 
  private:
-  std::vector<int> machines_;
-  // Must equal hash_machines({}) in procset.cpp so a default-constructed
-  // set and ProcSet({}) compare and hash identically.
-  std::uint64_t hash_ = 0x9E3779B97F4A7C15ULL;
+  // The shared block. Never mutated after construction except `refs`.
+  struct Rep {
+    std::atomic<std::size_t> refs;  // 64-bit: a handle per copy never wraps it
+    std::uint64_t hash;
+    std::vector<int> machines;  // sorted, unique, non-empty
+  };
+
+  // Equals hash_machines({}) in procset.cpp, so the empty set hashes as a
+  // member list of length zero would.
+  static constexpr std::uint64_t kEmptyHash = 0x9E3779B97F4A7C15ULL;
+  static const std::vector<int> kNoMachines;
+
+  void retain() const noexcept {
+    if (rep_ != nullptr) rep_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  void release() noexcept {
+    // acq_rel: the last owner must see every other owner's reads finished
+    // before it frees the block.
+    if (rep_ != nullptr &&
+        rep_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      delete rep_;
+    }
+    rep_ = nullptr;
+  }
+
+  Rep* rep_ = nullptr;  // null iff the set is empty
 };
 
 /// Hasher for unordered containers keyed on ProcSet; reads the cached hash.

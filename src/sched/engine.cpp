@@ -94,6 +94,7 @@ void OnlineEngine::set_faults(const FaultPlan* plan, RecoveryPolicy recovery) {
                                 std::to_string(plan->m()) + " machines, engine has " +
                                 std::to_string(m()));
   fault_plan_ = plan;
+  availability_ = plan != nullptr ? FaultPlan::Cursor(*plan) : FaultPlan::Cursor();
   recovery_ = recovery;
   fault_log_ = plan != nullptr ? std::make_unique<FaultLog>() : nullptr;
 }
@@ -150,22 +151,22 @@ void OnlineEngine::dispatch_attempt(int id, int attempt, double now,
   const std::size_t ti = static_cast<std::size_t>(id);
   SchedObserver* observer = core_.observer_;
 
-  // Degraded eligible set M_i ∩ up(now).
-  Task probe;
-  probe.release = now;
-  probe.proc = remaining;
+  // Degraded eligible set M_i ∩ up(now); M_i itself while all of it is up.
+  const ProcSet& eligible = tasks_[ti].eligible;
+  probe_.release = now;
+  probe_.proc = remaining;
   if (ignore_downtime_) {
-    probe.eligible = tasks_[ti].eligible;
+    probe_.eligible = eligible;
   } else {
     up_buffer_.clear();
-    for (int j : tasks_[ti].eligible.machines()) {
-      if (fault_plan_->is_up(j, now)) up_buffer_.push_back(j);
+    for (int j : eligible.machines()) {
+      if (availability_.is_up(j, now)) up_buffer_.push_back(j);
     }
     if (up_buffer_.empty()) {
       // Every eligible machine is down: park until the earliest recovery.
       double wake = kInfTime;
-      for (int j : tasks_[ti].eligible.machines()) {
-        wake = std::min(wake, fault_plan_->next_up(j, now));
+      for (int j : eligible.machines()) {
+        wake = std::min(wake, availability_.next_up(j, now));
       }
       fault_log_->record(FaultAttempt{id, attempt, now, -1, now, wake, false});
       if (wake == kInfTime) {
@@ -176,21 +177,25 @@ void OnlineEngine::dispatch_attempt(int id, int attempt, double now,
       }
       return;
     }
-    probe.eligible = ProcSet(up_buffer_);
+    if (static_cast<int>(up_buffer_.size()) == eligible.size()) {
+      probe_.eligible = eligible;
+    } else {
+      probe_.eligible = ProcSet(up_buffer_);
+    }
   }
 
   // Queue depths at the attempt instant. Attempt times are globally
   // non-decreasing, and every segment end (killed or completed) is a core
   // completion event, so a killed segment stays queued until its crash.
   core_.settle_until(now);
-  const int u = core_.choose(probe, id);
+  const int u = core_.choose(probe_, id);
 
   const std::size_t uj = static_cast<std::size_t>(u);
   double start = std::max(now, core_.completion_[uj]);
   // The machine frontier may sit inside a later down interval; execution
   // can only begin once the machine is back up.
-  if (!ignore_downtime_) start = fault_plan_->next_up(u, start);
-  const double crash = ignore_downtime_ ? kInfTime : fault_plan_->next_down(u, start);
+  if (!ignore_downtime_) start = availability_.next_up(u, start);
+  const double crash = ignore_downtime_ ? kInfTime : availability_.next_down(u, start);
 
   if (start + remaining <= crash) {
     const double finish = start + remaining;

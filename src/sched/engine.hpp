@@ -163,9 +163,13 @@ class OnlineEngine {
     double remaining = 0;
   };
   const FaultPlan* fault_plan_ = nullptr;  // borrowed; null = faults off
+  FaultPlan::Cursor availability_;         // the attempts' window on it
   RecoveryPolicy recovery_;
   std::unique_ptr<FaultLog> fault_log_;
   CalendarQueue<PendingRetry> pending_;
+  // dispatch_attempt's dispatcher view, reused across attempts: it shares
+  // M_i when every member is up and holds a built M_i ∩ up(t) otherwise.
+  Task probe_;
   std::vector<int> up_buffer_;  // reused degraded-set scratch
   bool ignore_downtime_ = false;
 };

@@ -90,6 +90,54 @@ TEST(ReplicationController, RaisesKWhenAFaultStarvesAnOwner) {
   EXPECT_EQ(ctl.decide(obs).reason, "cooldown");
 }
 
+// Every owner's set under the frontier-aware layout: owners below
+// `frontier` use target(), the rest active().
+void expect_eligible_is_replica_set(const ReplicationController& ctl,
+                                    int frontier, const char* when) {
+  for (int o = 0; o < ctl.m(); ++o) {
+    const LayoutSpec& spec = o < frontier ? ctl.target() : ctl.active();
+    const ProcSet set = ctl.eligible_for_owner(o);
+    EXPECT_EQ(set, replica_set(spec.strategy, o, spec.k, ctl.m()))
+        << when << ", owner " << o;
+    // A shared copy of the controller's set, not a fresh build.
+    EXPECT_EQ(set.machines().data(), ctl.eligible_for_owner(o).machines().data())
+        << when << ", owner " << o;
+  }
+}
+
+TEST(ReplicationController, EligibleForOwnerIsTheReplicaSetThroughMigrationAndFlap) {
+  ControlConfig cfg;
+  cfg.period = 1.0;
+  ReplicationController ctl(8, LayoutSpec{ReplicationStrategy::kDisjoint, 1},
+                            cfg);
+  expect_eligible_is_replica_set(ctl, ctl.m(), "before");
+  ControlObservation obs = healthy_obs(8, 1.0);
+  obs.up[0] = 0;  // owner 0 has no up replica: the controller must switch
+  ControlDecision d = ctl.decide(obs);
+  ASSERT_TRUE(d.switched);
+  ASSERT_TRUE(ctl.migrating());
+  expect_eligible_is_replica_set(ctl, d.moved_hi, "switch epoch");
+  while (ctl.migrating()) {
+    obs.time += 1.0;
+    d = ctl.decide(obs);
+    ASSERT_EQ(d.reason, "migrate");
+    expect_eligible_is_replica_set(ctl, ctl.migrating() ? d.moved_hi : ctl.m(),
+                                   "migrate epoch");
+  }
+  EXPECT_EQ(ctl.active().k, 2);
+  expect_eligible_is_replica_set(ctl, ctl.m(), "after");
+
+  ctl.set_unsafe_flap(true);
+  for (int flip = 0; flip < 2; ++flip) {
+    obs.time += 1.0;
+    d = ctl.decide(obs);
+    ASSERT_TRUE(d.switched);
+    EXPECT_FALSE(ctl.migrating());
+    expect_eligible_is_replica_set(ctl, ctl.m(), "flap");
+  }
+  EXPECT_EQ(ctl.active().strategy, ReplicationStrategy::kDisjoint);
+}
+
 // Disjoint k=2 on m=8 with machine 2 down: owners 2 and 3 share the one
 // surviving machine of their block, so the window [2,4) binds the incumbent
 // at 1 / (2/8) = 4. Overlapping k=2 spreads them over machines 1 and 3 and

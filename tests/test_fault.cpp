@@ -131,6 +131,32 @@ TEST(FaultPlan, RandomRejectsNonFiniteParameters) {
   EXPECT_EQ(message(model), "FaultPlan: mean_down must not be NaN");
 }
 
+TEST(FaultPlan, RandomRejectsNegativeMeanDownUpFront) {
+  // The horizon ends before the first crash could be drawn, so no repair
+  // time is ever sampled: the check must not depend on one.
+  FaultModelConfig model;
+  model.mean_up = 64.0;
+  model.horizon = 0.125;
+  for (const double mean_down : {-1.0, -0.0}) {
+    model.mean_down = mean_down;
+    Rng rng(3);
+    try {
+      FaultPlan::random(4, model, rng);
+      ADD_FAILURE() << "mean_down " << mean_down << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "FaultPlan: mean_down must not be negative");
+    }
+  }
+  // Zero stays valid: every repair takes the minimum of one grid step.
+  model.mean_down = 0.0;
+  model.mean_up = 1.0;
+  model.horizon = 16.0;
+  Rng rng(3);
+  const FaultPlan plan = FaultPlan::random(2, model, rng);
+  ASSERT_GT(plan.crash_count(), 0);
+  for (const DownInterval& d : plan.downs(0)) EXPECT_EQ(d.to - d.from, model.grid);
+}
+
 // The timeline queries as front-to-back scans: the reference the binary
 // searches in FaultPlan must agree with bit for bit.
 bool scan_is_up(const std::vector<DownInterval>& downs, double t) {
@@ -275,6 +301,109 @@ TEST(FaultPlan, QueryEdgeCasesMatchTheLinearScan) {
   }
 }
 
+// FaultPlan::Cursor against the plan's own binary searches. One cursor
+// serves every query of a plan, each asks one of the three questions, and
+// the queries come shuffled, ascending and descending, so stale windows,
+// misses and hits are all exercised.
+TEST(FaultPlanCursor, MatchesThePlanOnRandomPlansInAnyQueryOrder) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double grid = 0.125;
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    // Machine 0 has no intervals; the others get up to 8, and about half
+    // of them end in a down interval that never recovers.
+    FaultPlan plan(6);
+    for (int j = 1; j < plan.m(); ++j) {
+      const int count = static_cast<int>(rng.uniform_int(0, 8));
+      double t = static_cast<double>(rng.uniform_int(0, 4)) * grid;
+      for (int c = 0; c < count; ++c) {
+        const double from = t;
+        const double to = from + static_cast<double>(rng.uniform_int(1, 24)) * grid;
+        if (c + 1 == count && rng.bernoulli(0.5)) {
+          plan.add_down(j, from, kInf);
+          break;
+        }
+        plan.add_down(j, from, to);
+        t = to + static_cast<double>(rng.uniform_int(1, 24)) * grid;
+      }
+    }
+    std::vector<std::pair<int, double>> queries;
+    for (int j = 0; j < plan.m(); ++j) {
+      for (const double t : {-kInf, -1.0, 0.0, 100.0, kInf, nan})
+        queries.emplace_back(j, t);
+      for (const DownInterval& d : plan.downs(j)) {
+        for (const double b : {d.from, d.to}) {
+          queries.emplace_back(j, b);  // exactly at a boundary
+          queries.emplace_back(j, b - grid / 2);
+          queries.emplace_back(j, b + grid / 2);
+        }
+      }
+      for (int r = 0; r < 30; ++r) queries.emplace_back(j, rng.uniform(-1.0, 100.0));
+    }
+    for (int order = 0; order < 3; ++order) {
+      if (order == 0) {
+        rng.shuffle(queries);
+      } else {
+        // NaN sorts unpredictably; keep it last in both directions.
+        std::stable_sort(queries.begin(), queries.end(),
+                         [order](const auto& a, const auto& b) {
+                           if (std::isnan(a.second) || std::isnan(b.second))
+                             return !std::isnan(a.second) && std::isnan(b.second);
+                           return order == 1 ? a.second < b.second
+                                             : a.second > b.second;
+                         });
+      }
+      FaultPlan::Cursor cursor(plan);
+      for (const auto& [j, t] : queries) {
+        switch (rng.uniform_int(0, 2)) {
+          case 0:
+            EXPECT_EQ(cursor.is_up(j, t), plan.is_up(j, t))
+                << "is_up machine " << j << " t=" << t;
+            break;
+          case 1:
+            EXPECT_TRUE(same_bits(cursor.next_up(j, t), plan.next_up(j, t)))
+                << "next_up machine " << j << " t=" << t;
+            break;
+          default:
+            EXPECT_TRUE(same_bits(cursor.next_down(j, t), plan.next_down(j, t)))
+                << "next_down machine " << j << " t=" << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(FaultPlanCursor, AnswersEdgeCasesLikeThePlan) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  FaultPlan plan(3);
+  plan.add_down(0, 1.0, 2.0);
+  plan.add_down(0, 3.0, 5.0);
+  plan.add_down(0, 8.0, kInf);  // never recovers
+  FaultPlan::Cursor cursor(plan);
+  // Down at from, up at to, inside and past the final interval.
+  EXPECT_FALSE(cursor.is_up(0, 3.0));
+  EXPECT_EQ(cursor.next_down(0, 3.0), 3.0);
+  EXPECT_EQ(cursor.next_down(0, 4.0), 8.0);  // down window, past its start
+  EXPECT_EQ(cursor.next_up(0, 4.0), 5.0);
+  EXPECT_TRUE(cursor.is_up(0, 5.0));
+  EXPECT_EQ(cursor.next_down(0, 5.0), 8.0);
+  EXPECT_EQ(cursor.next_up(0, 100.0), kInf);
+  EXPECT_EQ(cursor.next_down(0, 100.0), kInf);
+  EXPECT_TRUE(cursor.is_up(0, kInf));
+  // Back in time after the window moved forward.
+  EXPECT_TRUE(cursor.is_up(0, 0.5));
+  EXPECT_EQ(cursor.next_down(0, 0.5), 1.0);
+  // NaN: up, next_up returns t, no next crash.
+  EXPECT_TRUE(cursor.is_up(0, nan));
+  EXPECT_TRUE(std::isnan(cursor.next_up(0, nan)));
+  EXPECT_EQ(cursor.next_down(0, nan), kInf);
+  // A machine with no intervals; out-of-range machines throw.
+  EXPECT_TRUE(cursor.is_up(1, 2.0));
+  EXPECT_EQ(cursor.next_down(1, 2.0), kInf);
+  EXPECT_THROW(cursor.is_up(3, 0.0), std::invalid_argument);
+  EXPECT_THROW(cursor.next_up(-1, 0.0), std::invalid_argument);
+}
+
 TEST(FaultCase, SerializationRoundTrips) {
   Instance inst(3, {{0.0, 2.0, ProcSet({0, 1})}, {0.5, 1.0, ProcSet({2})}});
   FaultPlan plan(3);
@@ -296,6 +425,61 @@ TEST(FaultCase, SerializationRoundTrips) {
   EXPECT_EQ(fc.recovery.str(), recovery.str());
 
   EXPECT_FALSE(has_fault_directives(instance_to_string(inst)));
+}
+
+// parse_fault_case's error for `text`, or "" when it parses.
+std::string fault_case_error(const std::string& text) {
+  try {
+    parse_fault_case(text);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FaultCase, RecoveryDirectiveTakesNoneOrAllFiveParameters) {
+  const std::string head = "machines 2\ntask 0 1 1,2\n";
+  // No parameters: the policy defaults.
+  const FaultCase bare = parse_fault_case(head + "recovery backoff\n");
+  EXPECT_EQ(bare.recovery.kind, RecoveryKind::kBackoff);
+  EXPECT_EQ(bare.recovery.str(), [] {
+    RecoveryPolicy p;
+    p.kind = RecoveryKind::kBackoff;
+    return p.str();
+  }());
+  // All five.
+  const FaultCase full =
+      parse_fault_case(head + "recovery checkpoint 0 0.25 4 0 9\n");
+  EXPECT_EQ(full.recovery.max_retries, 0);
+  EXPECT_EQ(full.recovery.backoff_base, 0.25);
+  EXPECT_EQ(full.recovery.backoff_cap, 4.0);
+  EXPECT_EQ(full.recovery.jitter, 0.0);
+  EXPECT_EQ(full.recovery.jitter_seed, 9u);
+
+  // Every rejection names line 3, where the directive sits.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"recovery backoff 3 abc", "expected: recovery"},
+      {"recovery backoff 3 0.5 8 1", "expected: recovery"},
+      {"recovery backoff 3 0.5 8 1 7 extra", "expected: recovery"},
+      {"recovery backoff -5 0.5 8 1 7", "max_retries must be >= 0"},
+      {"recovery backoff 2.5 0.5 8 1 7", "bad recovery max_retries '2.5'"},
+      {"recovery backoff 99999999999 0.5 8 1 7", "bad recovery max_retries"},
+      {"recovery backoff 3 nan 8 1 7", "base must be finite and >= 0"},
+      {"recovery backoff 3 0.5 -8 1 7", "cap must be finite and >= 0"},
+      {"recovery backoff 3 0.5 inf 1 7", "cap must be finite and >= 0"},
+      {"recovery backoff 3 0.5 8 -1 7", "jitter must be finite and >= 0"},
+      {"recovery backoff 3 0.5 8 1e400 7", "bad recovery jitter '1e400'"},
+      {"recovery backoff 3 0.5 8 1e300 7", "jitter exceeds 2^53 grid steps"},
+      {"recovery backoff 3 0.5x 8 1 7", "bad recovery base '0.5x'"},
+      {"recovery backoff 3 0.5 8 1 -7", "bad recovery seed '-7'"},
+      {"recovery backoff 3 0.5 8 1 7x", "bad recovery seed '7x'"},
+  };
+  for (const auto& [line, what] : bad) {
+    const std::string err = fault_case_error(head + line + "\n");
+    EXPECT_NE(err.find("fault case line 3: "), std::string::npos)
+        << line << " -> " << err;
+    EXPECT_NE(err.find(what), std::string::npos) << line << " -> " << err;
+  }
 }
 
 // --- Engine semantics under faults ------------------------------------------

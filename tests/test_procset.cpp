@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <utility>
+#include <vector>
+
+#include "runner/thread_pool.hpp"
+
 namespace flowsched {
 namespace {
 
@@ -97,6 +103,76 @@ TEST(ProcSet, MinMaxAndEmptyThrows) {
 
 TEST(ProcSet, StringUsesOneBasedNames) {
   EXPECT_EQ(ProcSet({1, 2}).str(), "{M2,M3}");
+}
+
+// --- Shared member storage ---------------------------------------------------
+
+TEST(ProcSetSharing, CopiesShareOneMemberBlock) {
+  const ProcSet a({9, 1, 4});
+  const ProcSet b = a;
+  EXPECT_EQ(a.machines().data(), b.machines().data());
+  ProcSet c;
+  c = b;
+  EXPECT_EQ(c.machines().data(), a.machines().data());
+  const ProcSet& alias = c;
+  c = alias;  // self-assignment keeps the block alive
+  EXPECT_EQ(c.machines().data(), a.machines().data());
+  const ProcSet d = std::move(c);
+  EXPECT_EQ(d.machines().data(), a.machines().data());
+  EXPECT_EQ(d.machines(), (std::vector<int>{1, 4, 9}));
+}
+
+TEST(ProcSetSharing, EqualityAndHashDependOnMembersOnly) {
+  const ProcSet a({1, 4, 9});
+  const ProcSet b({9, 4, 1, 4});  // built separately: its own block
+  EXPECT_NE(a.machines().data(), b.machines().data());
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.hash(), b.hash());
+  EXPECT_FALSE(a == ProcSet({1, 4}));
+  // The hash values of the unshared layout, pinned.
+  EXPECT_EQ(ProcSet().hash(), 0x9e3779b97f4a7c15ULL);
+  EXPECT_EQ(ProcSet({0}).hash(), 0x910a2dec89025cc1ULL);
+  EXPECT_EQ(a.hash(), 0x7affe19d2bfa7af9ULL);
+  EXPECT_EQ(ProcSet::all(64).hash(), 0xc1dfdf371a3c6aadULL);
+}
+
+TEST(ProcSetSharing, DefaultEqualsEmptyList) {
+  const ProcSet none;
+  const ProcSet listed(std::vector<int>{});
+  EXPECT_EQ(none, listed);
+  EXPECT_EQ(none.hash(), listed.hash());
+  EXPECT_TRUE(listed.empty());
+  EXPECT_EQ(listed.size(), 0);
+  EXPECT_TRUE(listed.machines().empty());
+  EXPECT_FALSE(none == ProcSet({0}));
+}
+
+// Pool workers copy one set and drop their copies while other workers do
+// the same; sets built on a worker are released on the main thread. The
+// count must stay exact (tools/tsan_check.sh runs this under TSan).
+TEST(ProcSetSharing, PoolThreadsCopyAndReleaseSharedSets) {
+  const ProcSet shared = ProcSet::ring_interval(5, 3, 8);
+  std::vector<std::future<ProcSet>> results;
+  {
+    ThreadPool pool(4);
+    for (int w = 0; w < 8; ++w) {
+      results.push_back(pool.submit([&shared, w] {
+        std::vector<ProcSet> copies;
+        for (int i = 0; i < 2000; ++i) {
+          copies.push_back(shared);
+          if (copies.size() > 8) copies.erase(copies.begin());
+        }
+        return ProcSet({w, w + 1});
+      }));
+    }
+    std::vector<ProcSet> sets;
+    for (auto& r : results) sets.push_back(r.get());
+    for (int w = 0; w < 8; ++w) {
+      EXPECT_EQ(sets[static_cast<std::size_t>(w)], ProcSet({w, w + 1}));
+    }
+  }
+  EXPECT_EQ(shared.machines(), (std::vector<int>{5, 6, 7}));
+  EXPECT_EQ(ProcSet(shared).machines().data(), shared.machines().data());
 }
 
 }  // namespace

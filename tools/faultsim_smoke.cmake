@@ -11,7 +11,9 @@
 #      replica group is down in [1, 4)) — the "never silently dropped"
 #      contract exercised end to end;
 #   4. a non-finite --horizon (inf, nan) is rejected with exit code 2
-#      instead of generating crashes forever.
+#      instead of generating crashes forever;
+#   5. a negative --mean-down is rejected with exit code 2, even when the
+#      horizon is too short for any crash to draw a repair time.
 #
 # Usable standalone:
 #
@@ -107,5 +109,23 @@ foreach(horizon inf nan)
   endif()
 endforeach()
 
+# 5. A negative mean repair time is rejected up front, not only once a
+# crash happens to be drawn: --horizon 1 draws no crash at --mtbf 64.
+execute_process(
+  COMMAND ${CLI} faultsim --input ${inst} --mean-down -1 --mtbf 64 --horizon 1
+  OUTPUT_QUIET
+  ERROR_VARIABLE err
+  RESULT_VARIABLE rc
+  TIMEOUT 10)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "faultsim_smoke: --mean-down -1 exited '${rc}', "
+      "expected 2")
+endif()
+if(NOT err MATCHES "mean_down must not be negative")
+  message(FATAL_ERROR "faultsim_smoke: --mean-down -1 did not name the "
+      "field:\n${err}")
+endif()
+
 message(STATUS "faultsim smoke passed: corpus cases and all recovery "
-    "policies audit clean, non-finite horizons rejected")
+    "policies audit clean, non-finite horizons and negative repair times "
+    "rejected")

@@ -2,7 +2,8 @@
 # ThreadSanitizer gate for the runner subsystem: configures a TSan build
 # (-DFLOWSCHED_SANITIZE=thread), builds the test binary, the fuzzer and
 # the fig10 bench, runs the concurrency-sensitive suites (thread pool,
-# experiment determinism, engine), and drives a parallel Fig. 10 max-load
+# experiment determinism, engine, pool threads copying one shared
+# ProcSet block), and drives a parallel Fig. 10 max-load
 # sweep — the per-k jobs must not share mutable state across threads —
 # plus a parallel fuzz campaign (the fuzz workers each
 # own dispatchers, auditors and oracle solvers; TSan proves they share
@@ -23,7 +24,7 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" --target flowsched_tests flowsched_fuzz \
   flowsched_cli bench_fig10_maxload -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'ThreadPool|ExperimentRunner|ReplicateSeed|CellId|ResolveThreads|OnlineEngine|Fuzz\.|RunnerHardening|StealDeque|CoreBudget|Sharded'
+  -R 'ThreadPool|ExperimentRunner|ReplicateSeed|CellId|ResolveThreads|OnlineEngine|Fuzz\.|RunnerHardening|StealDeque|CoreBudget|Sharded|ProcSetSharing'
 "$BUILD_DIR/bench/bench_fig10_maxload" --m 10 --permutations 2 --threads 4 \
   > /dev/null
 "$BUILD_DIR/tools/flowsched_fuzz" run --seed 11 --runs 60 --threads 4 \
