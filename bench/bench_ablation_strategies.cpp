@@ -29,7 +29,7 @@ double median_lp_load(ReplicationStrategy strategy, PopularityCase pop_case,
   Rng rng(424242);
   for (int p = 0; p < perms; ++p) {
     const auto pop = make_popularity(pop_case, kM, s, rng);
-    loads.push_back(100.0 * max_load_flow(pop, replica_sets(strategy, kK, kM)) / kM);
+    loads.push_back(100.0 * max_load_lp(pop, replica_sets(strategy, kK, kM)).lambda / kM);
   }
   return median(loads);
 }

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
         popularity.push_back(1.0 / sample_keys);
         sets.push_back(ring.replicas_of_key(key, kK));
       }
-      lp_loads.push_back(100.0 * max_load_flow(popularity, sets) / kM);
+      lp_loads.push_back(100.0 * max_load_lp(popularity, sets).lambda / kM);
 
       // Simulation: uniform key popularity over the sampled keys.
       std::vector<Task> tasks;

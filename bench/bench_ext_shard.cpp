@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
     const int k = args.integer("k", 8);
     const int only_m = args.integer("m", 0);  // 0 = the full {256, 4096} grid
     const int reps = args.integer("reps", 3);
-    const auto seed = static_cast<std::uint64_t>(args.num("seed", 1));
+    const std::uint64_t seed = args.uint64("seed", 1);
     const double assert_speedup = args.num("assert-speedup", 0.0);
     args.reject_unknown();
 

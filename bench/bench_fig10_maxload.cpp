@@ -14,8 +14,8 @@
 // Every cell is scored in closed form: the overlapping ring and the
 // disjoint blocks are arc layouts, so max_load_windows() gives LP (15)'s
 // optimum in O(m^2) whatever k is (docs/lp.md). The spot-check lines at
-// the end compare the revised simplex, the dense tableau (m <= 64) and the
-// flow bisection on a few cells.
+// the end compare it with the general max-flow Hall oracle and, at
+// m <= 64, the dense simplex tableau on a few ring cells.
 //
 // Determinism: jobs, one per k, fan out on the experiment runner
 // (--threads N). Permutation p is regenerated inside each job from
@@ -178,26 +178,29 @@ int main(int argc, char** argv) {
         "at extreme skew s saturate their heatmap)\n\n");
   }
 
-  // Spot-check the solvers against each other on a few cells: the revised
-  // simplex, the flow bisection, and (at small m, where it is affordable)
-  // the dense tableau oracle.
+  // Spot-check the closed form against the general max-flow Hall oracle
+  // and (at small m, where it is affordable) the dense tableau oracle.
   Rng check_rng(5);
+  const std::vector<std::uint8_t> all_up(static_cast<std::size_t>(m), 1);
   for (double s : {0.5, 1.25, 3.0}) {
     const auto pop = make_popularity(PopularityCase::kShuffled, m, s, check_rng);
     for (int k : {k_values[k_values.size() / 3], k_values[k_values.size() / 2]}) {
       const auto sets = replica_sets(ReplicationStrategy::kOverlapping, k, m);
-      const double lp = max_load_lp(pop, sets).lambda;
-      const double flow = max_load_flow(pop, sets);
+      const double windows =
+          max_load_windows(pop, ReplicationStrategy::kOverlapping, k, all_up)
+              .lambda;
+      const double hall = max_load_lp(pop, sets).lambda;
       if (m <= 64) {
         const double oracle = max_load_lp_tableau(pop, sets).lambda;
         std::printf(
-            "spot-check s=%.2f k=%d: revised=%.6f tableau=%.6f flow=%.6f "
+            "spot-check s=%.2f k=%d: windows=%.6f hall=%.6f tableau=%.6f "
             "(max diff %.2e)\n",
-            s, k, lp, oracle, flow,
-            std::max(std::abs(lp - flow), std::abs(lp - oracle)));
+            s, k, windows, hall, oracle,
+            std::max(std::abs(windows - hall), std::abs(windows - oracle)));
       } else {
-        std::printf("spot-check s=%.2f k=%d: revised=%.6f flow=%.6f (diff %.2e)\n",
-                    s, k, lp, flow, std::abs(lp - flow));
+        std::printf(
+            "spot-check s=%.2f k=%d: windows=%.6f hall=%.6f (diff %.2e)\n", s,
+            k, windows, hall, std::abs(windows - hall));
       }
     }
   }

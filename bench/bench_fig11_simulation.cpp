@@ -82,7 +82,7 @@ double lp_load_percent(ExperimentRunner& runner, std::uint64_t exp,
       reps, [&](std::uint64_t seed, int /*rep*/) {
         Rng rng(seed);
         const auto pop = make_popularity(pop_case, kM, s, rng);
-        return 100.0 * max_load_flow(pop, replica_sets(strategy, kK, kM)) / kM;
+        return 100.0 * max_load_lp(pop, replica_sets(strategy, kK, kM)).lambda / kM;
       });
 }
 

@@ -2,17 +2,15 @@
 // optimum oracle.
 //
 // The max-load series covers the LP (15) backends across m:
-//   * BM_MaxLoadRevisedCold  — one-shot max_load_lp: LP built, solved by
-//     the sparse revised simplex from its crash basis, transfers extracted;
-//   * BM_MaxLoadTableau      — the dense two-phase tableau oracle, only up
-//     to m = 128 (it is the speedup baseline: EXPERIMENTS.md records the
-//     revised/tableau ratio there);
-//   * BM_MaxLoadFlowBisection — lambda bisection over Dinic max-flow, the
-//     independent cross-check, with the rebuilt-once rescaled network.
-//   * BM_MaxLoadWindows       — the closed form for ring and block layouts
-//     (O(m^2) window scan, no LP), on BM_MaxLoadRevisedCold's cell with
-//     every machine up: what the replication controller pays per candidate
-//     and the Fig. 10 sweep and the planner pay per cell.
+//   * BM_MaxLoad        — one-shot max_load_lp: the Dinic network built
+//     once, Dinkelbach steps to the binding owner set, transfers read off
+//     the owner edges;
+//   * BM_MaxLoadTableau — the dense two-phase tableau oracle, only up to
+//     m = 128 (it is the baseline: EXPERIMENTS.md records the ratio there);
+//   * BM_MaxLoadWindows — the closed form for ring and block layouts
+//     (O(m^2) window scan, no LP), on BM_MaxLoad's cell with every machine
+//     up: what the replication controller pays per candidate and the
+//     Fig. 10 sweep and the planner pay per cell.
 //     Both series include m = 64, the faults-adaptive cluster size.
 //
 // Custom main: `micro_lp --json out.json` writes the google-benchmark JSON
@@ -42,7 +40,7 @@ std::vector<double> popularity_for(int m, std::uint64_t seed) {
   return make_popularity(PopularityCase::kShuffled, m, 1.0, rng);
 }
 
-void BM_MaxLoadRevisedCold(benchmark::State& state) {
+void BM_MaxLoad(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   const auto pop = popularity_for(m, 7);
   const auto sets = replica_sets(ReplicationStrategy::kOverlapping, kReplication, m);
@@ -50,7 +48,7 @@ void BM_MaxLoadRevisedCold(benchmark::State& state) {
     benchmark::DoNotOptimize(max_load_lp(pop, sets));
   }
 }
-BENCHMARK(BM_MaxLoadRevisedCold)
+BENCHMARK(BM_MaxLoad)
     ->Arg(8)->Arg(15)->Arg(30)->Arg(64)->Arg(128)->Arg(512)->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
@@ -64,18 +62,6 @@ void BM_MaxLoadTableau(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxLoadTableau)
     ->Arg(8)->Arg(15)->Arg(30)->Arg(128)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_MaxLoadFlowBisection(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  const auto pop = popularity_for(m, 7);
-  const auto sets = replica_sets(ReplicationStrategy::kOverlapping, kReplication, m);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(max_load_flow(pop, sets));
-  }
-}
-BENCHMARK(BM_MaxLoadFlowBisection)
-    ->Arg(8)->Arg(15)->Arg(30)->Arg(128)->Arg(512)->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_MaxLoadWindows(benchmark::State& state) {

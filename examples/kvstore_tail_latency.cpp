@@ -33,8 +33,9 @@ int main(int argc, char** argv) {
 
     const double lp_load =
         100.0 *
-        max_load_flow(store.machine_popularity(),
-                      replica_sets(strategy, sc.k, sc.m)) /
+        max_load_lp(store.machine_popularity(),
+                    replica_sets(strategy, sc.k, sc.m))
+            .lambda /
         sc.m;
     std::printf("=== %s replication (k=%d) — LP max load %.0f%% ===\n",
                 to_string(strategy).c_str(), sc.k, lp_load);

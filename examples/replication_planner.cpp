@@ -24,7 +24,7 @@ double median_load_percent(int m, double s, int k, ReplicationStrategy strategy,
   Rng rng(31337);
   for (int p = 0; p < permutations; ++p) {
     const auto pop = make_popularity(PopularityCase::kShuffled, m, s, rng);
-    loads.push_back(100.0 * max_load_flow(pop, replica_sets(strategy, k, m)) / m);
+    loads.push_back(100.0 * max_load_lp(pop, replica_sets(strategy, k, m)).lambda / m);
   }
   return median(loads);
 }

@@ -53,13 +53,15 @@ int main(int argc, char** argv) {
 
     const double lp_over =
         100.0 *
-        max_load_flow(machine_pop,
-                      replica_sets(ReplicationStrategy::kOverlapping, k, m)) /
+        max_load_lp(machine_pop,
+                    replica_sets(ReplicationStrategy::kOverlapping, k, m))
+            .lambda /
         m;
     const double lp_disj =
         100.0 *
-        max_load_flow(machine_pop,
-                      replica_sets(ReplicationStrategy::kDisjoint, k, m)) /
+        max_load_lp(machine_pop,
+                    replica_sets(ReplicationStrategy::kDisjoint, k, m))
+            .lambda /
         m;
 
     StoreConfig sc;

@@ -739,10 +739,10 @@ std::vector<std::string> check_control(const Instance& inst,
   return out;
 }
 
-// LP-vs-Dinic differential on a fresh random replica system: the revised
-// simplex (lp/maxload.hpp) and the max-flow bisection solve the same
-// max-load LP by disjoint code paths, so agreement is a strong check on
-// both.
+// Hall-vs-simplex differential on a fresh random replica system: the
+// max-flow Hall ratio (max_load_lp) and the dense tableau
+// (max_load_lp_tableau) solve the same max-load LP by disjoint code paths,
+// so agreement is a strong check on both.
 std::optional<std::string> lp_differential(Rng& rng) {
   const int m = static_cast<int>(rng.uniform_int(3, 8));
   std::vector<int> pool(static_cast<std::size_t>(m));
@@ -757,20 +757,19 @@ std::optional<std::string> lp_differential(Rng& rng) {
     sets.emplace_back(std::vector<int>(pool.begin(), pool.begin() + k));
     popularity.push_back(rng.uniform(0.0, 1.0));
   }
-  const double lp = max_load_lp(popularity, sets).lambda;
-  const double flow = max_load_flow(popularity, sets);
-  const double scale = std::max(1.0, std::abs(lp));
-  if (std::abs(lp - flow) > 1e-6 * scale) {
-    return "[diff-lp] simplex lambda " + fmt(lp) +
-           " != max-flow lambda " + fmt(flow) + " (m=" + std::to_string(m) +
-           ")";
+  const double hall = max_load_lp(popularity, sets).lambda;
+  const double tableau = max_load_lp_tableau(popularity, sets).lambda;
+  const double scale = std::max(1.0, std::abs(tableau));
+  if (std::abs(hall - tableau) > 1e-6 * scale) {
+    return "[diff-lp] Hall lambda " + fmt(hall) + " != simplex lambda " +
+           fmt(tableau) + " (m=" + std::to_string(m) + ")";
   }
   return std::nullopt;
 }
 
 // Closed-form differential: a random ring or block layout with random
-// popularity and random crashes, scored by max_load_windows and by the two
-// general solvers on the degraded replica sets. An owner left with no up
+// popularity and random crashes, scored by max_load_windows and by the Hall
+// oracle and the tableau on the degraded replica sets. An owner left with no up
 // replica must give lambda = 0 (the general solvers reject empty sets).
 std::optional<std::string> lp_window_differential(Rng& rng) {
   const int m = static_cast<int>(rng.uniform_int(2, 16));
@@ -805,13 +804,13 @@ std::optional<std::string> lp_window_differential(Rng& rng) {
     return "[diff-lp] window lambda " + fmt(windows) +
            " != 0 with an owner left no up replica" + where;
   }
-  const double lp = max_load_lp(popularity, degraded).lambda;
-  const double flow = max_load_flow(popularity, degraded);
-  const double scale = std::max(1.0, std::abs(lp));
-  if (std::abs(windows - lp) > 1e-6 * scale ||
-      std::abs(windows - flow) > 1e-6 * scale) {
-    return "[diff-lp] window lambda " + fmt(windows) + " != simplex lambda " +
-           fmt(lp) + " / max-flow lambda " + fmt(flow) + where;
+  const double hall = max_load_lp(popularity, degraded).lambda;
+  const double tableau = max_load_lp_tableau(popularity, degraded).lambda;
+  const double scale = std::max(1.0, std::abs(tableau));
+  if (std::abs(windows - hall) > 1e-6 * scale ||
+      std::abs(windows - tableau) > 1e-6 * scale) {
+    return "[diff-lp] window lambda " + fmt(windows) + " != Hall lambda " +
+           fmt(hall) + " / simplex lambda " + fmt(tableau) + where;
   }
   return std::nullopt;
 }

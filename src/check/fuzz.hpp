@@ -19,11 +19,12 @@
 //                      Fmax <= (3 - 2/kmax) * OPT against the exact
 //                      optimum (generalizing [diff-th1-exact]; an
 //                      unrestricted instance is one group with kmax = m)
-//   [diff-lp]          LP max-load optimum == Dinic max-flow optimum
-//                      (lp/maxload.hpp's two independent solvers), run on
-//                      a fresh random replica system every lp_every runs;
-//                      the same cadence also scores a random crashed ring
-//                      or block layout with max_load_windows against both
+//   [diff-lp]          max-flow Hall-ratio max load == simplex tableau
+//                      optimum (lp/maxload.hpp's two independent solvers),
+//                      run on a fresh random replica system every lp_every
+//                      runs; the same cadence also scores a random crashed
+//                      ring or block layout with max_load_windows against
+//                      both
 //   [diff-streaming]   the bare StreamingEngine core (sched/streaming.hpp)
 //                      commits the bit-identical (machine, start) sequence
 //                      as OnlineEngine's retention layer for every
@@ -130,7 +131,7 @@ struct FuzzConfig {
   bool bound_oracles = true;
   /// Run the offline-oracle differential checks ([diff-*] above).
   bool differential = true;
-  /// Run the LP-vs-Dinic max-load differential and the closed-form window
+  /// Run the Hall-vs-simplex max-load differential and the closed-form window
   /// case every `lp_every` runs (0 disables both).
   int lp_every = 16;
   /// Run the batch-vs-streaming engine differential ([diff-streaming],

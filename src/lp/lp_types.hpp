@@ -1,14 +1,12 @@
 // Shared vocabulary of the LP layer: relations, solver statuses, solutions,
-// and the sparse constraint-row representation both solvers consume.
+// and the sparse constraint-row representation the solver consumes.
 //
 // LP (15) has k+1 nonzeros per conservation row and k per capacity row, so
 // rows are stored as (var, coeff) term lists — building the m-machine
 // program is O(mk) memory instead of the O(m^2 k) a dense row per
-// constraint costs. The dense tableau oracle (lp/tableau.hpp) densifies on
-// entry; the revised solver (lp/revised.hpp) never does.
+// constraint costs. The tableau (lp/tableau.hpp) densifies on entry.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace flowsched {
@@ -21,8 +19,6 @@ struct LpSolution {
   LpStatus status = LpStatus::kInfeasible;
   Scalar objective{};
   std::vector<Scalar> x;  ///< Structural variable values (optimal only).
-  /// Simplex pivots spent (revised solver only; 0 from the tableau).
-  std::size_t iterations = 0;
 };
 
 /// One `coeff * x[var]` term of a sparse constraint row.

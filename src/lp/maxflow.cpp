@@ -21,7 +21,6 @@ int MaxFlow::add_edge(int from, int to, double capacity) {
   fwd_list.push_back(Edge{to, capacity, static_cast<int>(rev_list.size())});
   rev_list.push_back(Edge{from, 0.0, static_cast<int>(fwd_list.size()) - 1});
   edge_ref_.emplace_back(from, static_cast<int>(fwd_list.size()) - 1);
-  original_cap_.push_back(capacity);
   return static_cast<int>(edge_ref_.size()) - 1;
 }
 
@@ -31,7 +30,6 @@ void MaxFlow::set_capacity(int id, double capacity) {
   Edge& fwd = adj_[static_cast<std::size_t>(node)][static_cast<std::size_t>(slot)];
   fwd.cap = capacity;
   adj_[static_cast<std::size_t>(fwd.to)][static_cast<std::size_t>(fwd.rev)].cap = 0.0;
-  original_cap_[static_cast<std::size_t>(id)] = capacity;
 }
 
 bool MaxFlow::bfs(int s, int t) {
@@ -88,8 +86,29 @@ double MaxFlow::solve(int s, int t) {
 
 double MaxFlow::flow_on(int id) const {
   const auto& [node, slot] = edge_ref_.at(static_cast<std::size_t>(id));
+  // The reverse edge's residual starts at 0 and moves by exactly the flow
+  // pushed or cancelled, so it is the flow without the rounding of
+  // capacity - residual on a wide edge.
   const Edge& e = adj_[static_cast<std::size_t>(node)][static_cast<std::size_t>(slot)];
-  return original_cap_[static_cast<std::size_t>(id)] - e.cap;
+  const auto& back = adj_[static_cast<std::size_t>(e.to)];
+  return back[static_cast<std::size_t>(e.rev)].cap;
+}
+
+std::vector<std::uint8_t> MaxFlow::source_side(int s) const {
+  std::vector<std::uint8_t> reached(adj_.size(), 0);
+  std::vector<int> stack{s};
+  reached.at(static_cast<std::size_t>(s)) = 1;
+  while (!stack.empty()) {
+    const int v = stack.back();
+    stack.pop_back();
+    for (const Edge& e : adj_[static_cast<std::size_t>(v)]) {
+      if (e.cap > kFlowEps && !reached[static_cast<std::size_t>(e.to)]) {
+        reached[static_cast<std::size_t>(e.to)] = 1;
+        stack.push_back(e.to);
+      }
+    }
+  }
+  return reached;
 }
 
 }  // namespace flowsched

@@ -1,12 +1,13 @@
 // Dinic max-flow on small dense-ish graphs (double capacities).
 //
-// Used as the independent cross-check of the simplex solution of the
-// max-load LP (15): for a fixed cluster load lambda, feasibility of the
-// work-transfer constraints is a bipartite transportation problem, i.e. a
-// max-flow instance; bisecting on lambda then reproduces the LP optimum.
+// The engine of the max-load LP (15) (lp/maxload.hpp): for a fixed cluster
+// load lambda, feasibility of the work-transfer constraints is a bipartite
+// transportation problem, i.e. a max-flow instance, and the source side of
+// a minimum cut names the owner set that caps lambda.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace flowsched {
@@ -20,9 +21,8 @@ class MaxFlow {
   int add_edge(int from, int to, double capacity);
 
   /// Resets edge `id` to an un-flowed state with the given capacity. After
-  /// resetting every edge the instance is solvable again — the repeat-probe
-  /// path of max_load_flow's bisection, which scales capacities in lambda
-  /// instead of rebuilding the graph.
+  /// resetting every edge the instance is solvable again — max_load_lp
+  /// rescales its source edges per lambda instead of rebuilding the graph.
   void set_capacity(int id, double capacity);
 
   /// Computes the max flow from s to t. Consumes the capacities: call again
@@ -31,6 +31,10 @@ class MaxFlow {
 
   /// Flow routed on edge `id` after solve().
   double flow_on(int id) const;
+
+  /// Nodes reachable from `s` over residual capacity (1) or not (0). After
+  /// solve(s, t) this is the source side of a minimum s-t cut.
+  std::vector<std::uint8_t> source_side(int s) const;
 
   int num_nodes() const { return static_cast<int>(adj_.size()); }
 
@@ -46,7 +50,6 @@ class MaxFlow {
 
   std::vector<std::vector<Edge>> adj_;
   std::vector<std::pair<int, int>> edge_ref_;  ///< id -> (node, slot).
-  std::vector<double> original_cap_;
   std::vector<int> level_;
   std::vector<std::size_t> iter_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -42,11 +43,10 @@ void check_inputs(const std::vector<double>& popularity,
   }
 }
 
-/// LP (15) for one popularity vector, with the crash basis max_load_lp
-/// starts from and the (machine, var) list of each owner's transfers.
+/// LP (15) for one popularity vector, with the (machine, var) list of each
+/// owner's transfers.
 struct Lp15 {
   LpProblemD lp;
-  std::vector<int> crash;
   std::vector<std::vector<std::pair<int, int>>> vars;
 };
 
@@ -67,44 +67,42 @@ Lp15 build_lp15(const std::vector<double>& popularity,
       capacity_terms[static_cast<std::size_t>(i)].emplace_back(v, 1.0);
     }
   }
-  // (15b) conservation: sum_i a_ij - lambda P(E_j) = 0, row j. The crash
-  // basis pairs row j with one of owner j's transfer variables, rotating
-  // through the replica set so no machine's capacity row collects all the
-  // picks. Triangular, hence nonsingular, and feasible at a = 0,
-  // lambda = 0, so phase 1 is skipped.
+  // (15b) conservation: sum_i a_ij - lambda P(E_j) = 0, row j.
   for (int j = 0; j < m; ++j) {
-    const auto& owner_vars = out.vars[static_cast<std::size_t>(j)];
     std::vector<std::pair<int, double>> terms;
-    terms.reserve(owner_vars.size() + 1);
-    for (const auto& [i, v] : owner_vars) terms.emplace_back(v, 1.0);
+    for (const auto& [i, v] : out.vars[static_cast<std::size_t>(j)]) {
+      terms.emplace_back(v, 1.0);
+    }
     terms.emplace_back(lambda_var, -popularity[static_cast<std::size_t>(j)]);
     lp.add_constraint(terms, Relation::kEq, 0.0);
-    out.crash.push_back(
-        owner_vars[static_cast<std::size_t>(j) % owner_vars.size()].second);
   }
-  // (15c) capacity: sum_j a_ij <= 1. These rows keep their slack (-1).
+  // (15c) capacity: sum_j a_ij <= 1.
   for (int i = 0; i < m; ++i) {
     const auto& terms = capacity_terms[static_cast<std::size_t>(i)];
     if (!terms.empty()) lp.add_constraint(terms, Relation::kLe, 1.0);
   }
-  out.crash.resize(static_cast<std::size_t>(lp.num_constraints()), -1);
   return out;
 }
 
-MaxLoadResult extract_result(
-    const LpSolution<double>& sol, int m,
-    const std::vector<std::vector<std::pair<int, int>>>& vars) {
-  MaxLoadResult result;
-  result.lambda = sol.objective;
-  result.transfer.assign(static_cast<std::size_t>(m),
-                         std::vector<double>(static_cast<std::size_t>(m), 0.0));
-  for (int j = 0; j < m; ++j) {
-    for (const auto& [i, v] : vars[static_cast<std::size_t>(j)]) {
-      result.transfer[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          sol.x[static_cast<std::size_t>(v)];
+/// |N(S)| / p(S) for the owners with in_s[j] != 0; infinity when p(S) = 0.
+double hall_ratio(const std::vector<double>& popularity,
+                  const std::vector<ProcSet>& sets,
+                  const std::vector<std::uint8_t>& in_s) {
+  const std::size_t m = popularity.size();
+  std::vector<std::uint8_t> served(m, 0);
+  int neighbours = 0;
+  double mass = 0.0;
+  for (std::size_t j = 0; j < m; ++j) {
+    if (!in_s[j]) continue;
+    mass += popularity[j];
+    for (int i : sets[j].machines()) {
+      if (!served[static_cast<std::size_t>(i)]) {
+        served[static_cast<std::size_t>(i)] = 1;
+        ++neighbours;
+      }
     }
   }
-  return result;
+  return mass > 0 ? neighbours / mass : std::numeric_limits<double>::infinity();
 }
 
 }  // namespace
@@ -112,68 +110,85 @@ MaxLoadResult extract_result(
 MaxLoadResult max_load_lp(const std::vector<double>& popularity,
                           const std::vector<ProcSet>& replica_sets) {
   check_inputs(popularity, replica_sets);
-  const Lp15 lp15 = build_lp15(popularity, replica_sets);
-  const auto sol = lp15.lp.solve(lp15.crash);
-  if (sol.status != LpStatus::kOptimal) {
-    throw std::runtime_error("max_load_lp: simplex did not reach optimality");
+  const int m = static_cast<int>(popularity.size());
+  // source -> owner j (lambda * P(E_j)) -> its replicas -> sink (1). An
+  // owner edge carries at most 1, so capacity m + 1 is never saturated and
+  // a min cut only ever crosses source and sink edges: the source side is
+  // an owner set S plus exactly N(S), and the cut costs
+  // lambda * p(not S) + |N(S)|.
+  MaxFlow flow(2 * m + 2);
+  const int source = 2 * m;
+  const int sink = 2 * m + 1;
+  const double unsaturated = static_cast<double>(m) + 1.0;
+  std::vector<int> source_edges;
+  std::vector<int> owner_edges;  // owner-major, replica-set order
+  std::vector<int> sink_edges;
+  for (int j = 0; j < m; ++j) {
+    source_edges.push_back(flow.add_edge(source, j, 0.0));
+    for (int i : replica_sets[static_cast<std::size_t>(j)].machines()) {
+      owner_edges.push_back(flow.add_edge(j, m + i, unsaturated));
+    }
   }
-  return extract_result(sol, static_cast<int>(replica_sets.size()), lp15.vars);
+  for (int i = 0; i < m; ++i) {
+    sink_edges.push_back(flow.add_edge(m + i, sink, 1.0));
+  }
+
+  // Dinkelbach: lambda is feasible iff no owner set has a smaller ratio.
+  // A flow short of lambda * p(all) leaves a min cut whose owner set S has
+  // |N(S)| < lambda * p(S), i.e. a strictly smaller ratio; a saturating
+  // flow leaves S empty. Each step strictly lowers lambda over finitely
+  // many ratios, so the loop ends.
+  std::vector<std::uint8_t> in_s(static_cast<std::size_t>(m));
+  for (int j = 0; j < m; ++j) {
+    in_s[static_cast<std::size_t>(j)] =
+        popularity[static_cast<std::size_t>(j)] > 0 ? 1 : 0;
+  }
+  double lambda = hall_ratio(popularity, replica_sets, in_s);
+  while (true) {
+    for (int j = 0; j < m; ++j) {
+      flow.set_capacity(source_edges[static_cast<std::size_t>(j)],
+                        lambda * popularity[static_cast<std::size_t>(j)]);
+    }
+    for (int id : owner_edges) flow.set_capacity(id, unsaturated);
+    for (int id : sink_edges) flow.set_capacity(id, 1.0);
+    flow.solve(source, sink);
+    const std::vector<std::uint8_t> side = flow.source_side(source);
+    std::copy_n(side.begin(), m, in_s.begin());
+    const double ratio = hall_ratio(popularity, replica_sets, in_s);
+    if (!(ratio < lambda)) break;
+    lambda = ratio;
+  }
+
+  MaxLoadResult result;
+  result.lambda = lambda;
+  result.transfer.resize(static_cast<std::size_t>(m));
+  std::size_t edge = 0;
+  for (int j = 0; j < m; ++j) {
+    auto& moves = result.transfer[static_cast<std::size_t>(j)];
+    for (int i : replica_sets[static_cast<std::size_t>(j)].machines()) {
+      moves.emplace_back(i, flow.flow_on(owner_edges[edge++]));
+    }
+  }
+  return result;
 }
 
 MaxLoadResult max_load_lp_tableau(const std::vector<double>& popularity,
                                   const std::vector<ProcSet>& replica_sets) {
   check_inputs(popularity, replica_sets);
   const Lp15 lp15 = build_lp15(popularity, replica_sets);
-  const auto sol = lp15.lp.solve_tableau();
+  const auto sol = lp15.lp.solve();
   if (sol.status != LpStatus::kOptimal) {
     throw std::runtime_error("max_load_lp_tableau: no optimum");
   }
-  return extract_result(sol, static_cast<int>(replica_sets.size()), lp15.vars);
-}
-
-double max_load_flow(const std::vector<double>& popularity,
-                     const std::vector<ProcSet>& replica_sets, double tol) {
-  check_inputs(popularity, replica_sets);
-  const int m = static_cast<int>(popularity.size());
-  double total_pop = 0;
-  for (double p : popularity) total_pop += p;
-
-  // Feasibility oracle: route lambda*P(E_j) from each owner through its
-  // replicas, each machine serving at most 1 unit of work per time unit.
-  // Every capacity is linear in lambda (or constant), so the network is
-  // built once and probes only rescale capacities — no per-probe graph
-  // rebuild (the edge lists alone are ~m*k allocations).
-  MaxFlow flow(2 * m + 2);
-  const int source = 2 * m;
-  const int sink = 2 * m + 1;
-  std::vector<std::pair<int, double>> scaled;  // (edge id, capacity at lambda=1)
-  std::vector<int> unit_edges;                 // machine->sink, capacity 1
-  double unit_demand = 0;
-  for (int j = 0; j < m; ++j) {
-    const double d = popularity[static_cast<std::size_t>(j)];
-    unit_demand += d;
-    scaled.emplace_back(flow.add_edge(source, j, d), d);
-    for (int i : replica_sets[static_cast<std::size_t>(j)].machines()) {
-      scaled.emplace_back(flow.add_edge(j, m + i, d), d);
+  MaxLoadResult result;
+  result.lambda = sol.objective;
+  for (const auto& owner_vars : lp15.vars) {
+    auto& moves = result.transfer.emplace_back();
+    for (const auto& [i, v] : owner_vars) {
+      moves.emplace_back(i, sol.x[static_cast<std::size_t>(v)]);
     }
   }
-  for (int i = 0; i < m; ++i) {
-    unit_edges.push_back(flow.add_edge(m + i, sink, 1.0));
-  }
-  const auto feasible = [&](double lambda) {
-    for (const auto& [id, cap] : scaled) flow.set_capacity(id, lambda * cap);
-    for (int id : unit_edges) flow.set_capacity(id, 1.0);
-    return flow.solve(source, sink) >= lambda * unit_demand - 1e-9;
-  };
-
-  double lo = 0.0;
-  double hi = static_cast<double>(m) / total_pop;  // machines can't do more
-  if (feasible(hi)) return hi;
-  while (hi - lo > tol) {
-    const double mid = 0.5 * (lo + hi);
-    (feasible(mid) ? lo : hi) = mid;
-  }
-  return lo;
+  return result;
 }
 
 double max_load_unreplicated(const std::vector<double>& popularity) {

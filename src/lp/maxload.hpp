@@ -10,15 +10,18 @@
 //           for all machines i:   sum_j a_ij <= 1
 //           a_ij = 0 when M_i not in I_k(j),   a_ij >= 0.
 //
-// Three solvers handle arbitrary replica sets: the sparse revised simplex,
-// the dense tableau oracle, and a bisection on lambda over a max-flow
-// feasibility oracle. They agree to ~1e-7 and are cross-checked in the test
-// suite. For ring and block layouts (optionally degraded to the machines
-// that are up) max_load_windows() gives the same optimum in closed form;
-// the Fig. 10 sweep and the capacity planner use it.
+// By max-flow/min-cut (Hall's condition for fractional demands) the optimum
+// is lambda* = min over owner sets S with p(S) > 0 of |N(S)| / p(S), N(S)
+// the machines serving S (docs/lp.md). max_load_lp finds the binding set
+// with Dinkelbach's iteration over one Dinic network; the dense simplex
+// tableau (max_load_lp_tableau) is the reference oracle that checks it.
+// For ring and block layouts (optionally degraded to the machines that are
+// up) max_load_windows() gives the same optimum in closed form; the Fig. 10
+// sweep and the capacity planner use it.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "model/procset.hpp"
@@ -30,12 +33,18 @@ namespace flowsched {
 /// m gives the sustainable average cluster load in [0, 1] when sum P = 1.
 struct MaxLoadResult {
   double lambda = 0.0;
-  /// a[i][j]: work per time unit moved from owner j to machine i.
-  std::vector<std::vector<double>> transfer;
+  /// transfer[j]: (machine i, work per time unit moved from owner j to i)
+  /// for every i in I_k(j), in replica-set order.
+  std::vector<std::vector<std::pair<int, double>>> transfer;
 };
 
-/// Solves LP (15) with the revised simplex, started from a crash basis that
-/// pairs each owner's conservation row with one of its transfer variables.
+/// Solves LP (15) as a Hall ratio. Dinkelbach's iteration starts at the
+/// ratio of all owners with positive popularity; each step routes
+/// lambda * P(E_j) out of every owner on one Dinic network (only the source
+/// capacities change between steps) and, when the flow falls short, moves
+/// lambda to the strictly smaller ratio of the min cut's owner set. It
+/// stops when no smaller ratio appears, so lambda is always the exact
+/// |N(S)| / p(S) of a concrete owner set S.
 /// `replica_sets[j]` = I_k(j), one non-empty set within [0, m) per owner.
 /// More generally, each index j is an *origin* of work (a machine in the
 /// paper; a key works too, as in bench_ext_ring) while replica-set members
@@ -44,19 +53,11 @@ struct MaxLoadResult {
 MaxLoadResult max_load_lp(const std::vector<double>& popularity,
                           const std::vector<ProcSet>& replica_sets);
 
-/// Same program through the dense tableau oracle — O(rows*cols) per priced
-/// column, only viable at small m. Kept for cross-checks and the micro_lp
-/// speedup baseline.
+/// Same program through the dense simplex tableau — O(rows*cols) per
+/// priced column, only viable at small m. The reference oracle of the
+/// cross-checks and the micro_lp baseline.
 MaxLoadResult max_load_lp_tableau(const std::vector<double>& popularity,
                                   const std::vector<ProcSet>& replica_sets);
-
-/// Same optimum via bisection on lambda with a Dinic feasibility oracle.
-/// The flow network is built once and only its capacities are rescaled
-/// between probes (they are linear in lambda). `tol` is the absolute
-/// bisection tolerance on lambda.
-double max_load_flow(const std::vector<double>& popularity,
-                     const std::vector<ProcSet>& replica_sets,
-                     double tol = 1e-10);
 
 /// Max load without replication: lambda <= 1 / max_j P(E_j) (Section 7.2).
 double max_load_unreplicated(const std::vector<double>& popularity);

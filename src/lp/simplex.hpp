@@ -4,24 +4,16 @@
 //
 // Constraints are stored sparse — (var, coeff) term lists — so building
 // LP (15) on m machines with replication degree k costs O(mk) memory, not
-// the O(m^2 k) of one dense row per constraint. Two solver backends share
-// that storage:
+// the O(m^2 k) of one dense row per constraint. solve() densifies them into
+// the two-phase tableau of lp/tableau.hpp: Bland's rule throughout,
+// O(rows*cols) per candidate column, simple enough to trust as the
+// reference oracle (max_load_lp_tableau checks the max-flow LP (15)
+// solver against it).
 //
-//   * solve() — sparse revised simplex (lp/revised.hpp): product-form
-//     basis inverse, partial pricing off a maintained dual vector,
-//     automatic Bland fallback after a degeneracy streak, and an optional
-//     crash start. This is the production path for arbitrary replica sets.
-//   * solve_tableau() — the original dense two-phase tableau
-//     (lp/tableau.hpp), O(rows*cols) per candidate column. Kept as the
-//     independent reference oracle; tests/test_simplex_revised.cpp
-//     cross-checks the two on randomized programs.
-//
-// Both backends are templated on the scalar type:
+// Templated on the scalar type:
 //   * double   — tolerance 1e-9 on reduced costs and ratios.
 //   * Rational — exact arithmetic (util/rational.hpp); tolerance zero.
 //     Used to certify the double solutions on small programs.
-//
-// Crash-start contract and determinism guarantees: docs/lp.md.
 #pragma once
 
 #include <algorithm>
@@ -31,7 +23,6 @@
 #include <vector>
 
 #include "lp/lp_types.hpp"
-#include "lp/revised.hpp"
 #include "lp/tableau.hpp"
 #include "util/rational.hpp"
 
@@ -80,26 +71,9 @@ class LpProblem {
   const std::vector<LpRow<Scalar>>& rows() const { return rows_; }
   const std::vector<Scalar>& objective() const { return objective_; }
 
-  /// Sparse revised simplex from the all-logical basis.
+  /// Dense two-phase tableau with unconditional Bland's rule; reports
+  /// kIterLimit after `max_iters` pivots.
   LpSolution<Scalar> solve(std::size_t max_iters = 100000) const {
-    detail::RevisedSimplex<Scalar> solver(rows_, objective_);
-    return solver.solve(nullptr, max_iters);
-  }
-
-  /// Sparse revised simplex from a crash basis: `start[r]` is the column
-  /// basic in row r, -1 meaning the row's own slack/artificial, so a
-  /// partial guess is legal. A start that is malformed, singular or not
-  /// primal feasible is dropped for the all-logical basis, so this is
-  /// always safe to call.
-  LpSolution<Scalar> solve(const std::vector<int>& start,
-                           std::size_t max_iters = 100000) const {
-    detail::RevisedSimplex<Scalar> solver(rows_, objective_);
-    return solver.solve(&start, max_iters);
-  }
-
-  /// Dense two-phase tableau with unconditional Bland's rule — the slow,
-  /// simple reference oracle (see lp/tableau.hpp).
-  LpSolution<Scalar> solve_tableau(std::size_t max_iters = 100000) const {
     detail::DenseTableau<Scalar> solver(rows_, objective_);
     return solver.solve(max_iters);
   }

@@ -1,13 +1,12 @@
 // Dense two-phase primal tableau simplex — the reference oracle.
 //
-// This is the original solver of the LP layer, kept verbatim in behaviour:
-// explicit artificial variables, Bland's rule (smallest eligible index)
+// Explicit artificial variables, Bland's rule (smallest eligible index)
 // unconditionally, and an entering scan that recomputes every reduced cost
 // from the tableau. That makes it O(rows*cols) per candidate column — far
 // too slow past m ~ 100 on LP (15) — but also simple enough to trust, so it
-// survives as the cross-check of the sparse revised solver
-// (lp/revised.hpp): tests/test_simplex_revised.cpp asserts both agree on
-// randomized programs, exactly in Rational and to 1e-7 relative in double.
+// is the oracle the max-flow LP (15) solver is checked against;
+// tests/test_simplex.cpp asserts its double and Rational instantiations
+// agree on randomized programs to 1e-7 relative.
 //
 // Solves   maximize c^T x   subject to   A x {<=,=,>=} b,   x >= 0.
 #pragma once

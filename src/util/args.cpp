@@ -1,6 +1,8 @@
 #include "util/args.hpp"
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace flowsched {
@@ -50,11 +52,36 @@ double ArgParser::num(const std::string& key, double fallback) const {
 
 int ArgParser::integer(const std::string& key, int fallback) const {
   const double value = num(key, fallback);
-  const int as_int = static_cast<int>(value);
-  if (value != as_int) {
+  // Range-check before the cast: NaN and out-of-range doubles have no int.
+  if (!(value >= std::numeric_limits<int>::min() &&
+        value <= std::numeric_limits<int>::max()) ||
+      value != std::trunc(value)) {
     throw std::invalid_argument("ArgParser: --" + key + " expects an integer");
   }
-  return as_int;
+  return static_cast<int>(value);
+}
+
+std::uint64_t ArgParser::uint64(const std::string& key,
+                                std::uint64_t fallback) const {
+  queried_.insert(key);
+  const auto it = options_.find(key);
+  if (it == options_.end()) return fallback;
+  const std::string& text = it->second;
+  const auto reject = [&] {
+    return std::invalid_argument("ArgParser: --" + key +
+                                 " expects an unsigned 64-bit integer, got '" +
+                                 text + "'");
+  };
+  if (text.empty()) throw reject();
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') throw reject();
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (kMax - digit) / 10) throw reject();
+    value = value * 10 + digit;
+  }
+  return value;
 }
 
 void ArgParser::reject_unknown() const {

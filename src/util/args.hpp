@@ -4,6 +4,7 @@
 // silently fall back to defaults.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -28,6 +29,9 @@ class ArgParser {
   std::string get(const std::string& key, const std::string& fallback) const;
   double num(const std::string& key, double fallback) const;
   int integer(const std::string& key, int fallback) const;
+  /// Decimal digits only (no sign, fraction or exponent) fitting in 64
+  /// bits — for seeds, which a double would round past 2^53.
+  std::uint64_t uint64(const std::string& key, std::uint64_t fallback) const;
 
   /// Call after all lookups: throws std::invalid_argument listing any
   /// option that was provided but never queried (typo protection).

@@ -277,8 +277,8 @@ TEST(Planner, SaturationScanRaisesMinK) {
 }
 
 TEST(Planner, SaturationKMatchesTheSimplexScan) {
-  // The scan scores each k in closed form; the simplex on the same
-  // worst-case popularity must put the frontier at the same k.
+  // The scan scores each k in closed form; the simplex tableau on the
+  // same worst-case popularity must put the frontier at the same k.
   const int m = 16;
   Rng rng(0);
   const auto pop = make_popularity(PopularityCase::kWorstCase, m, 1.0, rng);
@@ -295,7 +295,8 @@ TEST(Planner, SaturationKMatchesTheSimplexScan) {
       q.zipf_s = 1.0;
       int expected = 0;
       for (int k = 1; k <= m && expected == 0; ++k) {
-        const double lambda = max_load_lp(pop, replica_sets(strategy, k, m)).lambda;
+        const double lambda =
+            max_load_lp_tableau(pop, replica_sets(strategy, k, m)).lambda;
         if (load * m <= lambda + 1e-9) expected = k;
       }
       EXPECT_EQ(bounds::min_feasible_k(q).saturation_k, expected)

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace flowsched {
 namespace {
 
@@ -74,6 +77,20 @@ TEST(MaxFlow, FractionalCapacities) {
   f.add_edge(0, 1, 0.5);
   f.add_edge(1, 2, 1.0);
   EXPECT_DOUBLE_EQ(f.solve(0, 2), 0.75);
+}
+
+TEST(MaxFlow, SourceSideIsAMinimumCut) {
+  // 0 -> 1 -> 3 and 0 -> 2 -> 3 with a wide 0 -> 2: after solve() node 2 is
+  // still reachable over residual capacity, node 1 is not, and the edges
+  // leaving {0, 2} carry exactly the max flow.
+  MaxFlow f(4);
+  f.add_edge(0, 1, 1.0);
+  f.add_edge(1, 3, 1.0);
+  f.add_edge(0, 2, 5.0);
+  f.add_edge(2, 3, 1.0);
+  EXPECT_EQ(f.source_side(0), (std::vector<std::uint8_t>{1, 1, 1, 1}));
+  EXPECT_DOUBLE_EQ(f.solve(0, 3), 2.0);
+  EXPECT_EQ(f.source_side(0), (std::vector<std::uint8_t>{1, 0, 1, 0}));
 }
 
 TEST(MaxFlow, RejectsBadConstruction) {

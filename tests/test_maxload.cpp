@@ -51,34 +51,42 @@ TEST(MaxLoad, ReplicationLiftsBottleneck) {
   EXPECT_GT(lam_ring, lam_none + 0.5);
 }
 
-TEST(MaxLoad, TransferMatrixIsConsistent) {
-  const std::vector<double> pop{0.5, 0.3, 0.2};
-  const auto sets = replica_sets(ReplicationStrategy::kOverlapping, 2, 3);
-  const auto result = max_load_lp(pop, sets);
-  // (15b): column sums equal lambda * P(E_j).
-  for (int j = 0; j < 3; ++j) {
-    double col = 0;
-    for (int i = 0; i < 3; ++i) col += result.transfer[i][j];
-    EXPECT_NEAR(col, result.lambda * pop[j], 1e-6);
-  }
-  // (15c): row sums at most 1.
-  for (int i = 0; i < 3; ++i) {
-    double row = 0;
-    for (int j = 0; j < 3; ++j) row += result.transfer[i][j];
-    EXPECT_LE(row, 1.0 + 1e-6);
-  }
-  // (15d): transfers only within replica sets.
-  for (int i = 0; i < 3; ++i) {
-    for (int j = 0; j < 3; ++j) {
-      if (!sets[j].contains(i)) {
-        EXPECT_EQ(result.transfer[i][j], 0.0);
-      }
+// A transfer solves (15b)-(15d): entries only on replica-set members, each
+// owner's row summing to lambda * P(E_j), each machine's load at most 1.
+void expect_consistent_transfer(const std::vector<double>& pop,
+                                const std::vector<ProcSet>& sets,
+                                const MaxLoadResult& result) {
+  ASSERT_EQ(result.transfer.size(), pop.size());
+  std::vector<double> load(pop.size(), 0.0);
+  for (std::size_t j = 0; j < pop.size(); ++j) {
+    const auto& moves = result.transfer[j];
+    ASSERT_EQ(moves.size(), sets[j].machines().size()) << "owner " << j;
+    double sent = 0;
+    for (std::size_t r = 0; r < moves.size(); ++r) {
+      const auto [i, a] = moves[r];
+      EXPECT_EQ(i, sets[j].machines()[r]) << "owner " << j;
+      EXPECT_GE(a, 0.0) << "owner " << j;
+      sent += a;
+      load[static_cast<std::size_t>(i)] += a;
     }
+    const double demand = result.lambda * pop[j];
+    EXPECT_NEAR(sent, demand, 1e-9 * demand) << "owner " << j;
+  }
+  for (std::size_t i = 0; i < load.size(); ++i) {
+    EXPECT_LE(load[i], 1.0 + 1e-9) << "machine " << i;
   }
 }
 
-// Cross-validation: the simplex LP and the max-flow bisection must agree on
-// random popularity/replication combinations.
+TEST(MaxLoad, TransferMatrixIsConsistent) {
+  const std::vector<double> pop{0.5, 0.3, 0.2};
+  const auto sets = replica_sets(ReplicationStrategy::kOverlapping, 2, 3);
+  expect_consistent_transfer(pop, sets, max_load_lp(pop, sets));
+  expect_consistent_transfer(pop, sets, max_load_lp_tableau(pop, sets));
+}
+
+// Cross-validation: the max-flow Hall oracle and the simplex tableau must
+// agree on random popularity/replication combinations, and the Hall
+// oracle's transfer must be feasible.
 struct CrossCase {
   int m;
   int k;
@@ -91,16 +99,31 @@ struct CrossCase {
   }
 };
 
-class MaxLoadCross : public ::testing::TestWithParam<CrossCase> {};
+class MaxLoadCross : public ::testing::TestWithParam<CrossCase> {
+ protected:
+  std::vector<double> popularity() const {
+    const auto c = GetParam();
+    Rng rng(1000 + c.m * 17 + c.k);
+    return make_popularity(PopularityCase::kShuffled, c.m, c.s, rng);
+  }
+  std::vector<ProcSet> sets() const {
+    const auto c = GetParam();
+    return replica_sets(c.strategy, c.k, c.m);
+  }
+};
 
 TEST_P(MaxLoadCross, SimplexAgreesWithFlowBisection) {
   const auto c = GetParam();
-  Rng rng(1000 + c.m * 17 + c.k);
-  const auto pop = make_popularity(PopularityCase::kShuffled, c.m, c.s, rng);
-  const auto sets = replica_sets(c.strategy, c.k, c.m);
-  const double lp = max_load_lp(pop, sets).lambda;
-  const double flow = max_load_flow(pop, sets);
-  EXPECT_NEAR(lp, flow, 1e-6) << "m=" << c.m << " k=" << c.k << " s=" << c.s;
+  const auto pop = popularity();
+  const double hall = max_load_lp(pop, sets()).lambda;
+  const double tableau = max_load_lp_tableau(pop, sets()).lambda;
+  EXPECT_NEAR(hall, tableau, 1e-9 * tableau)
+      << "m=" << c.m << " k=" << c.k << " s=" << c.s;
+}
+
+TEST_P(MaxLoadCross, TransferMatrixIsConsistent) {
+  const auto pop = popularity();
+  expect_consistent_transfer(pop, sets(), max_load_lp(pop, sets()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -152,6 +175,57 @@ TEST(MaxLoad, NoBiasMeansNoStrategyDifference) {
   }
 }
 
+TEST(MaxLoad, BindingSetNeedNotBeAWindow) {
+  // Owners 0 and 3 share machine 0 alone; the others spread over 1..5.
+  // The binding set {0, 3} is not a cyclic window of owners (any window
+  // joining them takes in owners whose sets add machines), and the Hall
+  // oracle returns its ratio exactly: 1 / (0.3 + 0.3).
+  const std::vector<double> pop{0.3, 0.1, 0.1, 0.3, 0.1, 0.1};
+  const ProcSet wide({1, 2, 3, 4, 5});
+  const std::vector<ProcSet> sets{ProcSet({0}), wide, wide,
+                                  ProcSet({0}), wide, wide};
+  const auto result = max_load_lp(pop, sets);
+  EXPECT_EQ(result.lambda, 1.0 / (0.3 + 0.3));
+  EXPECT_NEAR(max_load_lp_tableau(pop, sets).lambda, result.lambda,
+              1e-9 * result.lambda);
+  expect_consistent_transfer(pop, sets, result);
+}
+
+TEST(MaxLoad, ZeroPopularityOwnersCarryNoWork) {
+  // Ring k = 2 on 5 machines, owners 1 and 3 idle. Owner 0 alone binds:
+  // 2 machines / 0.5 = 4 (owners {0, 4} tie at 3 / 0.75), below the 5 of
+  // all positive owners that the iteration starts from.
+  const std::vector<double> pop{0.5, 0.0, 0.25, 0.0, 0.25};
+  const auto sets = replica_sets(ReplicationStrategy::kOverlapping, 2, 5);
+  const auto result = max_load_lp(pop, sets);
+  EXPECT_EQ(result.lambda, 4.0);
+  EXPECT_NEAR(max_load_lp_tableau(pop, sets).lambda, 4.0, 1e-9);
+  expect_consistent_transfer(pop, sets, result);
+  for (std::size_t j : {1u, 3u}) {
+    for (const auto& [i, a] : result.transfer[j]) EXPECT_EQ(a, 0.0);
+  }
+}
+
+TEST(MaxLoad, MoreOriginsThanMachines) {
+  // bench_ext_ring's shape: 600 key origins on 15 machines, key j served by
+  // the ring arc of 3 machines from j % 15. The 40 keys on arc {0, 1, 2}
+  // weigh 4, the rest 1, so those keys (origins 0, 15, 30, ...) bind at
+  // 3 / 160, below the 15 / 720 of the whole cluster.
+  const int keys = 600;
+  const int machines = 15;
+  std::vector<double> pop;
+  std::vector<ProcSet> sets;
+  for (int j = 0; j < keys; ++j) {
+    const int first = j % machines;
+    pop.push_back(first == 0 ? 4.0 : 1.0);
+    sets.push_back(replica_set(ReplicationStrategy::kOverlapping, first, 3,
+                               machines));
+  }
+  const auto result = max_load_lp(pop, sets);
+  EXPECT_EQ(result.lambda, 3.0 / 160.0);
+  expect_consistent_transfer(pop, sets, result);
+}
+
 TEST(MaxLoad, InputValidation) {
   EXPECT_THROW(max_load_lp({}, {}), std::invalid_argument);
   EXPECT_THROW(max_load_lp({0.5, 0.5}, {ProcSet({0})}), std::invalid_argument);
@@ -173,7 +247,6 @@ TEST(MaxLoad, RejectsNonFiniteAndAllZeroPopularity) {
         std::vector<double>{0.0, 0.0, 0.0}}) {
     EXPECT_THROW(max_load_lp(pop, sets), std::invalid_argument);
     EXPECT_THROW(max_load_lp_tableau(pop, sets), std::invalid_argument);
-    EXPECT_THROW(max_load_flow(pop, sets), std::invalid_argument);
     EXPECT_THROW(max_load_unreplicated(pop), std::invalid_argument);
     EXPECT_THROW(
         max_load_windows(pop, ReplicationStrategy::kOverlapping, 2, up),
@@ -181,8 +254,8 @@ TEST(MaxLoad, RejectsNonFiniteAndAllZeroPopularity) {
   }
 }
 
-// max_load_windows against the simplex and the flow bisection on degraded
-// ring and block layouts. One case per (m, strategy, s); inside it Fig. 10's
+// max_load_windows against the max-flow Hall oracle on degraded ring and
+// block layouts. One case per (m, strategy, s); inside it Fig. 10's
 // k grid (every k <= m up to m = 16, powers of two plus m beyond) and down
 // fractions of 0, 15 and 30 %. With every machine up and m <= 64 the dense
 // tableau oracle joins in.
@@ -257,10 +330,8 @@ TEST_P(MaxLoadWindows, AgreesWithSimplexAndFlow) {
         EXPECT_EQ(w.count, 1) << where;
         continue;
       }
-      const double lp = max_load_lp(pop, degraded).lambda;
-      const double flow = max_load_flow(pop, degraded);
-      EXPECT_NEAR(w.lambda, lp, 1e-9 * lp) << where;
-      EXPECT_NEAR(w.lambda, flow, 1e-9 * flow) << where;
+      const double hall = max_load_lp(pop, degraded).lambda;
+      EXPECT_NEAR(w.lambda, hall, 1e-9 * hall) << where;
       if (down == 0 && c.m <= 64) {
         const double oracle = max_load_lp_tableau(pop, degraded).lambda;
         EXPECT_NEAR(w.lambda, oracle, 1e-9 * oracle) << where;

@@ -34,9 +34,9 @@ CLI="$BUILD_DIR/tools/flowsched_cli"
 "$CLI" check-trace --input "$SMOKE_DIR/trace.ndjson"
 
 # LP smoke under ASan: a small parallel Fig. 10 sweep drives the window
-# scan across threads and its spot checks drive the revised simplex (eta
-# file, refactorization, crash basis), the tableau and the flow bisection,
-# plus one CLI maxload solve with the transfer extraction.
+# scan across threads and its spot checks drive the Hall ratio (Dinkelbach
+# steps over one rescaled Dinic network) and the tableau, plus one CLI
+# maxload solve with the transfer extraction.
 "$BUILD_DIR/bench/bench_fig10_maxload" --m 10 --permutations 2 --threads 4 \
   > "$SMOKE_DIR/fig10.out"
 "$CLI" maxload --m 12 --k 4 --s 1.5 --transfer > "$SMOKE_DIR/maxload.out"

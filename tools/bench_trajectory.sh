@@ -4,8 +4,8 @@
 #
 #   BENCH_micro_sched.json  — scheduler hot-path series + streaming
 #                             requests/sec (BM_StreamingThroughput)
-#   BENCH_micro_lp.json     — LP (15) solver series (one-shot revised,
-#                             tableau baseline, flow bisection, closed-form
+#   BENCH_micro_lp.json     — LP (15) solver series (one-shot Hall ratio
+#                             over max-flow, tableau baseline, closed-form
 #                             window scan)
 #   BENCH_micro_stream.json — streaming-engine hot loop + sharded epoch
 #                             pipeline across shard counts (docs/sharding.md)

@@ -10,7 +10,11 @@
 #      the README links EXPERIMENTS.md and EXPERIMENTS.md links back;
 #   4. every theorem cited in the documentation ("Th. 8", "Theorem 3",
 #      "Theorems 3, 4", "Cor. 1", "Prop. 1") names a result PAPER.md
-#      actually states — a renumbered or misremembered theorem fails here.
+#      actually states — a renumbered or misremembered theorem fails here;
+#   5. every backticked source path (`dir/name.hpp`, `.cpp`, `.sh`,
+#      `.cmake`) in README.md, DESIGN.md and docs/*.md exists, as given
+#      from the repo root or under src/ — a deleted or renamed file fails
+#      here.
 #
 # Usage: tools/check_docs.sh   (from anywhere; cds to the repo root)
 set -euo pipefail
@@ -115,6 +119,21 @@ fi
 audit_citations Theorem Th "$paper_theorems"
 audit_citations Corollary Cor "$paper_corollaries"
 audit_citations Proposition Prop "$paper_propositions"
+
+# --- 5. backticked source paths resolve -----------------------------------
+# A span is a path when it is one token of path characters with a
+# directory part and a source extension. Bare file names (`x.cpp`), globs
+# (`sched/preemptive.*`) and prose are skipped.
+for doc in README.md DESIGN.md docs/*.md; do
+  [ -f "$doc" ] || continue
+  for path in $(grep -o '`[A-Za-z0-9_./-]*/[A-Za-z0-9_.-]*\.\(hpp\|cpp\|sh\|cmake\)`' "$doc" \
+                  | tr -d '`' | sort -u); do
+    if [ ! -e "$path" ] && [ ! -e "src/$path" ]; then
+      say "check_docs: $doc names \`$path\`, which exists neither as given nor under src/"
+      fail=1
+    fi
+  done
+done
 
 if [ "$fail" -ne 0 ]; then
   say "check_docs: FAILED"

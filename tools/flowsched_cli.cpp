@@ -18,7 +18,7 @@
 //   flowsched_cli check-trace --input FILE
 //   flowsched_cli maxload [--m N] [--k N] [--s X]
 //                         [--strategy overlapping|disjoint|spread|none]
-//                         [--seed N] [--solver lp|flow] [--transfer]
+//                         [--seed N] [--transfer]
 //   flowsched_cli faultsim [--input FILE] [--algo <name>] [--seed N]
 //                          [--mtbf X] [--mean-down X] [--horizon X]
 //                          [--recovery immediate|backoff|checkpoint]
@@ -162,7 +162,7 @@ int cmd_run(const ArgParser& args) {
   // misspelled flag must not leave the CLI waiting on stdin.
   const std::string input = args.get("input", "");
   const std::string algo = args.get("algo", "eft-min");
-  const auto seed = static_cast<std::uint64_t>(args.num("seed", 0));
+  const std::uint64_t seed = args.uint64("seed", 0);
   const bool want_csv = args.has("csv");
   const bool want_gantt = args.has("gantt");
   args.reject_unknown();
@@ -196,7 +196,7 @@ int cmd_trace(const ArgParser& args) {
   std::string path = args.get("instance", "");
   if (path.empty()) path = args.get("input", "");
   const std::string algo = args.get("algo", "eft-min");
-  const auto seed = static_cast<std::uint64_t>(args.num("seed", 0));
+  const std::uint64_t seed = args.uint64("seed", 0);
   const std::string out_path = args.get("out", "trace.json");
   const std::string metrics_path = args.get("metrics", "");
   const bool want_ndjson = args.has("ndjson");
@@ -323,7 +323,7 @@ int cmd_gen(const ArgParser& args) {
     std::fprintf(stderr, "unknown --strategy '%s'\n", strategy.c_str());
     return 2;
   }
-  const auto seed = static_cast<std::uint64_t>(args.num("seed", 1));
+  const std::uint64_t seed = args.uint64("seed", 1);
   const double s = args.num("s", 1.0);
   args.reject_unknown();
   Rng rng(seed);
@@ -338,8 +338,7 @@ int cmd_maxload(const ArgParser& args) {
   int k = args.integer("k", 3);
   const double s = args.num("s", 1.0);
   const std::string strategy_name = args.get("strategy", "overlapping");
-  const auto seed = static_cast<std::uint64_t>(args.num("seed", 1));
-  const std::string solver = args.get("solver", "lp");
+  const std::uint64_t seed = args.uint64("seed", 1);
   const bool want_transfer = args.has("transfer");
   args.reject_unknown();
   if (m < 1 || k < 1 || k > m) {
@@ -360,39 +359,21 @@ int cmd_maxload(const ArgParser& args) {
     std::fprintf(stderr, "unknown --strategy '%s'\n", strategy_name.c_str());
     return 2;
   }
-  if (solver != "lp" && solver != "flow") {
-    std::fprintf(stderr, "--solver must be lp or flow\n");
-    return 2;
-  }
-  if (want_transfer && solver != "lp") {
-    std::fprintf(stderr, "--transfer needs --solver lp (the bisection only "
-                         "certifies lambda, not a transfer matrix)\n");
-    return 2;
-  }
   Rng rng(seed);
   const auto pop = make_popularity(PopularityCase::kShuffled, m, s, rng);
   const auto sets = replica_sets(strategy, k, m);
 
-  std::printf("m=%d k=%d s=%g strategy=%s solver=%s seed=%llu\n", m, k, s,
-              strategy_name.c_str(), solver.c_str(),
-              static_cast<unsigned long long>(seed));
+  std::printf("m=%d k=%d s=%g strategy=%s seed=%llu\n", m, k, s,
+              strategy_name.c_str(), static_cast<unsigned long long>(seed));
   std::printf("unreplicated max load: lambda=%.6g (%.2f%% of m)\n",
               max_load_unreplicated(pop), 100.0 * max_load_unreplicated(pop) / m);
-  if (solver == "flow") {
-    const double lambda = max_load_flow(pop, sets);
-    std::printf("replicated max load:   lambda=%.6g (%.2f%% of m)\n", lambda,
-                100.0 * lambda / m);
-    return 0;
-  }
   const MaxLoadResult result = max_load_lp(pop, sets);
   std::printf("replicated max load:   lambda=%.6g (%.2f%% of m)\n",
               result.lambda, 100.0 * result.lambda / m);
   if (want_transfer) {
     std::printf("transfer (machine <- owner: work/time at lambda):\n");
-    for (int i = 0; i < m; ++i) {
-      for (int j = 0; j < m; ++j) {
-        const double a = result.transfer[static_cast<std::size_t>(i)]
-                                        [static_cast<std::size_t>(j)];
+    for (int j = 0; j < m; ++j) {
+      for (const auto& [i, a] : result.transfer[static_cast<std::size_t>(j)]) {
         if (a > 1e-12) std::printf("  %d <- %d: %.6g\n", i, j, a);
       }
     }
@@ -403,7 +384,7 @@ int cmd_maxload(const ArgParser& args) {
 int cmd_faultsim(const ArgParser& args) {
   const std::string input = args.get("input", "");
   const std::string algo = args.get("algo", "eft-min");
-  const auto seed = static_cast<std::uint64_t>(args.num("seed", 1));
+  const std::uint64_t seed = args.uint64("seed", 1);
   const double mtbf = args.num("mtbf", 16.0);
   const double mean_down = args.num("mean-down", 2.0);
   const double horizon = args.num("horizon", 64.0);
@@ -570,7 +551,7 @@ int cmd_stream(const ArgParser& args) {
   const std::string strategy_name = args.get("strategy", "overlapping");
   const std::string dist_name = args.get("dist", "exponential");
   const std::string algo = args.get("algo", "eft-min");
-  const auto seed = static_cast<std::uint64_t>(args.num("seed", 1));
+  const std::uint64_t seed = args.uint64("seed", 1);
   const int reps = args.integer("reps", 1);
   const int threads = args.integer("threads", 1);
   const bool want_json = args.has("json");

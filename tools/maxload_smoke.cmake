@@ -1,11 +1,10 @@
 # End-to-end smoke of the LP layer through the CLI, registered as the
 # cli_maxload_smoke ctest by tools/CMakeLists.txt:
 #
-#   1. flowsched_cli maxload --solver lp (with --transfer) and
-#      --solver flow on the same cell;
-#   2. the two "replicated max load" lines must agree exactly as printed
-#      (both solvers round to the same 6 significant digits — they agree
-#      to ~1e-9 on lambda, see docs/lp.md).
+#   1. flowsched_cli maxload --transfer on a ring cell and plain maxload on
+#      a spread cell; each "replicated max load" line must match its
+#      pinned text byte for byte;
+#   2. --transfer must print at least one owner -> machine move;
 #   3. a NaN Zipf exponent (--s nan) is rejected with exit 2, not
 #      reported as a lambda.
 #
@@ -24,36 +23,28 @@ set(dir ${WORK_DIR}/maxload_smoke)
 file(REMOVE_RECURSE ${dir})
 file(MAKE_DIRECTORY ${dir})
 
-foreach(solver lp flow)
-  set(extra)
-  if(solver STREQUAL "lp")
-    set(extra --transfer)
-  endif()
+set(ring_args --m 15 --k 6 --s 1.25 --strategy overlapping --seed 7 --transfer)
+set(ring_lambda "replicated max load:   lambda=15 (100.00% of m)")
+set(spread_args --m 15 --k 4 --strategy spread)
+set(spread_lambda "replicated max load:   lambda=11.0664 (73.78% of m)")
+
+foreach(cell ring spread)
   execute_process(
-    COMMAND ${CLI} maxload --m 15 --k 6 --s 1.25 --strategy overlapping
-            --seed 7 --solver ${solver} ${extra}
-    OUTPUT_FILE ${dir}/${solver}.out
+    COMMAND ${CLI} maxload ${${cell}_args}
+    OUTPUT_FILE ${dir}/${cell}.out
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "maxload_smoke: --solver ${solver} failed (rc=${rc})")
+    message(FATAL_ERROR "maxload_smoke: ${cell} cell failed (rc=${rc})")
+  endif()
+  file(STRINGS ${dir}/${cell}.out lines REGEX "^replicated max load")
+  if(NOT lines STREQUAL ${cell}_lambda)
+    message(FATAL_ERROR
+        "maxload_smoke: ${cell} cell printed\n  ${lines}\nexpected\n"
+        "  ${${cell}_lambda}")
   endif()
 endforeach()
 
-foreach(solver lp flow)
-  file(STRINGS ${dir}/${solver}.out lines REGEX "replicated max load")
-  if(lines STREQUAL "")
-    message(FATAL_ERROR "maxload_smoke: no lambda line in ${solver}.out")
-  endif()
-  set(lambda_${solver} "${lines}")
-endforeach()
-
-if(NOT lambda_lp STREQUAL lambda_flow)
-  message(FATAL_ERROR
-      "maxload_smoke: lp and flow disagree:\n  lp:   ${lambda_lp}\n"
-      "  flow: ${lambda_flow}")
-endif()
-
-file(STRINGS ${dir}/lp.out transfer_lines REGEX "^  [0-9]+ <- [0-9]+: ")
+file(STRINGS ${dir}/ring.out transfer_lines REGEX "^  [0-9]+ <- [0-9]+: ")
 list(LENGTH transfer_lines n_moves)
 if(n_moves EQUAL 0)
   message(FATAL_ERROR "maxload_smoke: --transfer printed no moves")
@@ -68,4 +59,5 @@ if(NOT nan_rc EQUAL 2)
       "maxload_smoke: --s nan exited ${nan_rc}, expected 2:\n${nan_out}")
 endif()
 message(STATUS
-    "maxload_smoke: lp == flow, ${n_moves} transfer moves, --s nan rejected")
+    "maxload_smoke: pinned lambdas match, ${n_moves} transfer moves, "
+    "--s nan rejected")
