@@ -164,7 +164,7 @@ BENCHMARK(BM_RoundRobinDispatch);
 
 // The streaming kvstore pipeline end to end (docs/streaming.md): Poisson
 // arrivals -> alias-method key draw -> EFT dispatch through the
-// StreamingEngine's calendar queue -> P2 latency sketches. items/sec IS
+// StreamingEngine's calendar queue -> log-linear flow histogram. items/sec IS
 // requests/sec — the headline EXPERIMENTS.md quotes. Load is pinned at
 // rho = 0.75 with mild skew so every cell is stable and the backlog (and
 // the engine's O(backlog) memory) stays bounded as m grows.

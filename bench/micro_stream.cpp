@@ -1,6 +1,7 @@
 // Google-benchmark micro benches of the streaming/sharded hot path: the
-// alias-method key draw, the StreamingEngine release loop (calendar-queue
-// settle + dispatch) on a pre-generated stream, and the ShardedEngine
+// alias-method key draw, one flow sample into the report's histogram, the
+// StreamingEngine release loop (calendar-queue settle + dispatch) on a
+// pre-generated stream, and the ShardedEngine
 // epoch pipeline
 // (route -> parallel execute -> merge) at growing shard counts with a
 // pinned worker team. items/sec IS dispatched tasks/sec, so the sharded
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/sketch.hpp"
 #include "sched/dispatchers.hpp"
 #include "sched/sharded/sharded.hpp"
 #include "sched/streaming.hpp"
@@ -54,6 +56,24 @@ void BM_AliasSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AliasSample)->Arg(25600)->Arg(409600);
+
+// One Exp(1) flow into StreamingQuantiles: the per-request cost of the
+// sketch regime's quantiles (obs.aggregate_ns_per_req in bench/e2e).
+void BM_StreamingQuantilesAdd(benchmark::State& state) {
+  std::vector<double> flows(std::size_t{1} << 16);
+  Rng rng(11);
+  for (double& f : flows) f = rng.exponential(1.0);
+  StreamingQuantiles sq;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    sq.add(flows[i]);
+    benchmark::ClobberMemory();
+    i = (i + 1) & (flows.size() - 1);
+  }
+  benchmark::DoNotOptimize(sq.p99());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StreamingQuantilesAdd);
 
 void BM_StreamingEngineHotLoop(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));

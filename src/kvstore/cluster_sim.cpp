@@ -106,7 +106,7 @@ void for_each_request(const KeyValueStore& store, const StreamConfig& config,
 
 // Report assembly shared by the three drivers, fed the flows in global
 // request order. Exact regime: retain latencies and compute type-7
-// quantiles. Sketch regime (streaming only): O(1) aggregation.
+// quantiles. Sketch regime (streaming only): the flow histogram.
 class StreamAggregate {
  public:
   StreamAggregate(const StreamConfig& config, int m)
@@ -285,7 +285,7 @@ SimReport simulate_cluster(const KeyValueStore& store, const SimConfig& config,
 std::string StreamReport::str() const {
   std::ostringstream out;
   out << sim.str() << " p999=" << p999
-      << " quantiles=" << (exact_quantiles ? "exact" : "p2")
+      << " quantiles=" << (exact_quantiles ? "exact" : "hist")
       << " peak-backlog=" << peak_backlog;
   return out.str();
 }

@@ -97,8 +97,9 @@ struct StreamConfig {
   ServiceDist dist = ServiceDist::kConstant;
   /// Streams up to this length retain per-request latencies and compute
   /// exact type-7 quantiles — byte-identical to simulate_cluster on the
-  /// same seed. Longer streams switch to the O(1)-memory P² sketches
-  /// (obs/sketch.hpp); mean and max stay exact in both regimes.
+  /// same seed. Longer streams switch to the log-linear histogram
+  /// (obs/sketch.hpp, 2^-8 relative error); mean and max stay exact in
+  /// both regimes.
   long long exact_quantile_cap = 1 << 16;
   /// Weighted mode, identical semantics to SimConfig::heavy_keys /
   /// heavy_weight: key-derived weights, no extra RNG draws, weighted
@@ -131,10 +132,10 @@ struct StreamReport {
 /// OnlineEngine, and aggregates latencies streamingly. For
 /// requests <= exact_quantile_cap the returned sim fields are byte-identical
 /// to the batch path on the same seed (asserted across the corpus grid by
-/// tests/test_streaming.cpp); beyond the cap quantiles come from P²
-/// sketches with documented error bounds. A non-null observer receives run
-/// brackets plus the per-task milestones (no machine busy/idle events —
-/// see StreamingEngine::set_observer).
+/// tests/test_streaming.cpp); beyond the cap quantiles come from a
+/// log-linear histogram within 2^-8 relative of the order statistic. A
+/// non-null observer receives run brackets plus the per-task milestones (no
+/// machine busy/idle events — see StreamingEngine::set_observer).
 StreamReport simulate_cluster_streaming(const KeyValueStore& store,
                                         const StreamConfig& config,
                                         Dispatcher& dispatcher, Rng& rng,

@@ -114,12 +114,13 @@ class MetricsCollector final : public SchedObserver {
   double weighted_mean_flow() const;
   const FlowHistogram& flow_histogram() const { return flow_hist_; }
 
-  /// \brief Streaming flow-time quantile estimates (P² sketches).
+  /// \brief Streaming flow-time quantiles (log-linear histogram).
   ///
-  /// Fed one sample per completion, O(1) memory — the collector's only
-  /// quantile source that never retains per-request records, which is what
-  /// the streaming pipeline reports p50/p99/p999 from (obs/sketch.hpp for
-  /// the error guarantees; max is exact).
+  /// Fed one sample per completion, memory bounded by the flows' range —
+  /// the collector's only quantile source that never retains per-request
+  /// records, which is what the streaming pipeline reports p50/p99/p999
+  /// from (obs/sketch.hpp: within 2^-8 relative of the order statistic;
+  /// max is exact).
   double flow_p50() const { return flow_sketch_.p50(); }
   double flow_p90() const { return flow_sketch_.p90(); }
   double flow_p99() const { return flow_sketch_.p99(); }

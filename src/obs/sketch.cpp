@@ -1,94 +1,40 @@
 #include "obs/sketch.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
+#include <utility>
 
 namespace flowsched {
 
-P2Quantile::P2Quantile(double q) : q_(q) {
-  if (!(q > 0.0) || !(q < 1.0)) {
-    throw std::invalid_argument("P2Quantile: q must be in (0, 1)");
-  }
-  want_ = {1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0};
-  dwant_ = {0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0};
+namespace {
+
+constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+// The index keeps the key's top 12 + b bits.
+constexpr int kShift = 64 - 12 - StreamingQuantiles::kSubBucketBits;
+constexpr std::uint64_t kBuckets = std::uint64_t{1} << (64 - kShift);
+
+// Monotone in x over the finite doubles: positives above negatives, and
+// the magnitude order of negatives reversed.
+std::uint64_t key_of(double x) {
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
 }
 
-void P2Quantile::add(double x) {
-  if (n_ < 5) {
-    h_[n_] = x;
-    ++n_;
-    if (n_ == 5) {
-      std::sort(h_.begin(), h_.end());
-      for (std::size_t i = 0; i < 5; ++i) pos_[i] = static_cast<double>(i + 1);
-    }
-    return;
-  }
-
-  // Locate the cell and bump the end markers.
-  std::size_t k;
-  if (x < h_[0]) {
-    h_[0] = x;
-    k = 0;
-  } else if (x < h_[1]) {
-    k = 0;
-  } else if (x < h_[2]) {
-    k = 1;
-  } else if (x < h_[3]) {
-    k = 2;
-  } else if (x <= h_[4]) {
-    k = 3;
-  } else {
-    h_[4] = x;
-    k = 3;
-  }
-  for (std::size_t i = k + 1; i < 5; ++i) pos_[i] += 1.0;
-  for (std::size_t i = 0; i < 5; ++i) want_[i] += dwant_[i];
-  ++n_;
-
-  // Nudge the three interior markers toward their desired positions with
-  // the piecewise-parabolic (P²) height update, falling back to linear
-  // interpolation when the parabola would cross a neighbor.
-  for (std::size_t i = 1; i <= 3; ++i) {
-    const double d = want_[i] - pos_[i];
-    if ((d >= 1.0 && pos_[i + 1] - pos_[i] > 1.0) ||
-        (d <= -1.0 && pos_[i - 1] - pos_[i] < -1.0)) {
-      const double s = d >= 0 ? 1.0 : -1.0;
-      const double hp = h_[i] +
-                        s / (pos_[i + 1] - pos_[i - 1]) *
-                            ((pos_[i] - pos_[i - 1] + s) *
-                                 (h_[i + 1] - h_[i]) / (pos_[i + 1] - pos_[i]) +
-                             (pos_[i + 1] - pos_[i] - s) *
-                                 (h_[i] - h_[i - 1]) / (pos_[i] - pos_[i - 1]));
-      if (h_[i - 1] < hp && hp < h_[i + 1]) {
-        h_[i] = hp;
-      } else {
-        // Linear step toward the neighbor in the direction of travel.
-        const std::size_t j = d >= 0 ? i + 1 : i - 1;
-        h_[i] += s * (h_[j] - h_[i]) / (pos_[j] - pos_[i]);
-      }
-      pos_[i] += s;
-    }
-  }
+// A bucket holds the doubles that share sign, exponent and the first b
+// mantissa bits. The mantissa is linear within a binade, so keeping those
+// bits and setting the first dropped one gives the bucket's arithmetic
+// midpoint, exactly.
+double midpoint(std::uint64_t index) {
+  constexpr std::uint64_t kDropped = (std::uint64_t{1} << kShift) - 1;
+  const std::uint64_t key = index << kShift;
+  const std::uint64_t bits = (key & kSignBit) != 0 ? key & ~kSignBit : ~key;
+  return std::bit_cast<double>((bits & ~kDropped) |
+                               (std::uint64_t{1} << (kShift - 1)));
 }
 
-double P2Quantile::value() const {
-  if (n_ == 0) return 0.0;
-  if (n_ < 5) {
-    // Exact small-sample quantile: ceil(q * n)-th smallest.
-    std::array<double, 5> sorted = h_;
-    std::sort(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(n_));
-    const auto rank = static_cast<std::size_t>(
-        std::ceil(q_ * static_cast<double>(n_)));
-    return sorted[std::min(n_ - 1, static_cast<std::uint64_t>(
-                                       rank > 0 ? rank - 1 : 0))];
-  }
-  return h_[2];
-}
-
-StreamingQuantiles::StreamingQuantiles()
-    : p50_(0.50), p90_(0.90), p99_(0.99), p999_(0.999) {}
+}  // namespace
 
 void StreamingQuantiles::add(double x) {
   if (n_ == 0) {
@@ -100,10 +46,44 @@ void StreamingQuantiles::add(double x) {
   }
   sum_ += x;
   ++n_;
-  p50_.add(x);
-  p90_.add(x);
-  p99_.add(x);
-  p999_.add(x);
+  if (!std::isfinite(x)) {
+    ++(std::isnan(x) ? nan_ : x < 0 ? neg_inf_ : pos_inf_);
+    return;
+  }
+  const std::uint64_t index = key_of(x) >> kShift;
+  // Unsigned wrap-around sends index < lo_ here too.
+  if (index - lo_ >= counts_.size()) widen(index);
+  ++counts_[index - lo_];
+}
+
+// Grows the window to cover `index`, with half the current width as slack
+// on the growing side (amortised O(1) per add), clamped to the index range.
+void StreamingQuantiles::widen(std::uint64_t index) {
+  if (counts_.empty()) lo_ = index;
+  const std::uint64_t slack = counts_.size() / 2;
+  const std::uint64_t hi = lo_ + counts_.size();
+  const std::uint64_t new_lo =
+      index >= lo_ ? lo_ : index - std::min(index, slack);
+  const std::uint64_t new_hi =
+      index < hi ? hi : std::min(index + 1 + slack, kBuckets);
+  std::vector<std::uint64_t> grown(new_hi - new_lo, 0);
+  std::ranges::copy(counts_,
+                    grown.begin() + static_cast<std::ptrdiff_t>(lo_ - new_lo));
+  counts_ = std::move(grown);
+  lo_ = new_lo;
+}
+
+double StreamingQuantiles::quantile(double q) const {
+  if (n_ == 0) return 0.0;
+  auto rank = static_cast<std::uint64_t>(q * static_cast<double>(n_ - 1));
+  if (rank < neg_inf_) return -std::numeric_limits<double>::infinity();
+  rank -= neg_inf_;
+  for (std::size_t j = 0; j < counts_.size(); ++j) {
+    if (rank < counts_[j]) return std::clamp(midpoint(lo_ + j), min_, max_);
+    rank -= counts_[j];
+  }
+  return rank < pos_inf_ ? std::numeric_limits<double>::infinity()
+                         : std::numeric_limits<double>::quiet_NaN();
 }
 
 double StreamingQuantiles::mean() const {

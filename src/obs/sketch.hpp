@@ -1,58 +1,40 @@
-// Streaming quantile estimation: the P² algorithm (Jain & Chlamtac 1985).
+// Streaming flow-time quantiles from one log-linear histogram.
 //
-// P² tracks one quantile with five markers — heights and positions — that
-// are nudged toward the ideal marker positions by a piecewise-parabolic
-// interpolation at every observation. O(1) memory and O(1) update, no
-// buffers, no merging: exactly the footprint contract of the streaming
-// simulation (docs/streaming.md).
+// Each finite sample is mapped to an order-preserving 64-bit key (its IEEE
+// bits, sign-folded). The bucket index is the key's top 12 + b bits: the
+// sign, the 11 exponent bits and the first b mantissa bits. Every binade is
+// therefore split into 2^b equal sub-buckets, and bucketing is exact by
+// construction — bit shifts only, no division and no rounding.
 //
-// Error guarantees: P² is exact until the 5th observation (it sorts the
-// first five). Beyond that it is a heuristic estimator; for smooth
-// unimodal distributions the relative error is well under a percent at
-// n >= 10^4, degrading toward the extreme tails (p999 needs ~10^5
-// observations to stabilize — the regime the streaming engine runs in).
-// tests/test_streaming.cpp pins the error against exact quantiles on
-// seeded exponential/uniform workloads. Every update is deterministic, so
-// sketch outputs inherit the engine's byte-identical replay contract.
+// Error guarantee: a quantile query returns the midpoint of the bucket that
+// holds the order statistic of 0-based rank floor(q (n - 1)) (the lower
+// neighbour of the exact regime's type-7 position), clamped to [min, max].
+// For a normal order statistic x the answer is within 2^-(b+1) |x| of it;
+// subnormals and zero are within 2^-1030 absolutely. Counts are integers,
+// so the quantiles do not depend on the order of the samples.
 //
-// StreamingQuantiles bundles the sketch battery the serving reports need —
+// Memory: one std::uint64_t per bucket over the occupied index window —
+// 2^b = 128 buckets (1 KiB) per binade the samples span — grown on demand
+// with half its width as slack, so never more than 3x the occupied span.
+// Non-finite samples get their own counters and never widen it.
+//
+// StreamingQuantiles bundles what the serving reports need —
 // p50/p90/p99/p999 plus exact running min/max/mean — behind one add().
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <vector>
 
 namespace flowsched {
 
-class P2Quantile {
- public:
-  /// Tracks the q-quantile, q in (0, 1).
-  explicit P2Quantile(double q);
-
-  void add(double x);
-
-  /// Current estimate: exact for n <= 5, P² marker height beyond.
-  double value() const;
-
-  std::uint64_t count() const { return n_; }
-
- private:
-  double q_;
-  std::uint64_t n_ = 0;
-  std::array<double, 5> h_{};   // marker heights
-  std::array<double, 5> pos_{};  // actual marker positions (1-based)
-  std::array<double, 5> want_{};  // desired marker positions
-  std::array<double, 5> dwant_{};  // desired-position increments
-};
-
-/// The latency battery of the streaming report: four P² sketches plus the
-/// exact extremes and the running mean (summed in arrival order, so the
-/// mean is bit-identical to a batch mean over the same stream).
+/// The latency battery of the streaming report: the histogram quantiles
+/// plus the exact extremes and the running mean (summed in arrival order,
+/// so the mean is bit-identical to a batch mean over the same stream).
 class StreamingQuantiles {
  public:
-  StreamingQuantiles();
+  /// Mantissa bits per bucket index: relative error at most 2^-(b+1).
+  static constexpr int kSubBucketBits = 7;
 
   void add(double x);
 
@@ -60,20 +42,31 @@ class StreamingQuantiles {
   double mean() const;
   double min() const;
   double max() const { return max_; }
-  double p50() const { return p50_.value(); }
-  double p90() const { return p90_.value(); }
-  double p99() const { return p99_.value(); }
-  double p999() const { return p999_.value(); }
+  /// Midpoint of the bucket holding the rank-floor(q (n - 1)) sample,
+  /// clamped to [min, max]; q in [0, 1]. 0 when empty.
+  double quantile(double q) const;
+  double p50() const { return quantile(0.50); }
+  double p90() const { return quantile(0.90); }
+  double p99() const { return quantile(0.99); }
+  double p999() const { return quantile(0.999); }
+
+  /// Bytes held by the bucket window.
+  std::size_t memory_bytes() const {
+    return counts_.capacity() * sizeof(std::uint64_t);
+  }
 
  private:
+  void widen(std::uint64_t index);
+
   std::uint64_t n_ = 0;
   double sum_ = 0;
   double min_ = 0;
   double max_ = 0;
-  P2Quantile p50_;
-  P2Quantile p90_;
-  P2Quantile p99_;
-  P2Quantile p999_;
+  std::uint64_t lo_ = 0;                // bucket index of counts_[0]
+  std::vector<std::uint64_t> counts_;   // the occupied index window
+  std::uint64_t neg_inf_ = 0;
+  std::uint64_t pos_inf_ = 0;
+  std::uint64_t nan_ = 0;               // ranked above +inf
 };
 
 }  // namespace flowsched

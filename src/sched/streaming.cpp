@@ -60,7 +60,8 @@ void StreamingEngine::set_clairvoyance(Clairvoyance c, double setup) {
 }
 
 void StreamingEngine::admit(const Task& task) {
-  if (task.release < last_release_) {
+  // Negated, so a NaN release is rejected instead of disabling the check.
+  if (!(task.release >= last_release_)) {
     throw std::invalid_argument(
         "StreamingEngine::release: releases must be non-decreasing");
   }

@@ -1,4 +1,4 @@
-// StreamingEngine + P2 sketches + simulate_cluster_streaming
+// StreamingEngine + histogram quantiles + simulate_cluster_streaming
 // (docs/streaming.md): the bit-equivalence contract against OnlineEngine /
 // simulate_cluster, the sketch error bounds, and the windowed StreamAuditor.
 #include "sched/streaming.hpp"
@@ -6,8 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <functional>
 #include <iterator>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -106,60 +112,174 @@ TEST(Streaming, RejectsDecreasingReleases) {
   engine.release(5.0, 1.0, all);
   EXPECT_THROW(engine.release(4.0, 1.0, all), std::invalid_argument);
   EXPECT_THROW(engine.release(6.0, 0.0, all), std::invalid_argument);
+  // NaN compares false both ways: rejected, and the order check survives.
+  EXPECT_THROW(engine.release(std::nan(""), 1.0, all), std::invalid_argument);
+  EXPECT_THROW(engine.release(5.5, 1.0, all), std::invalid_argument);
+  engine.release(6.0, 1.0, all);
 }
 
-// --- P2 sketches -----------------------------------------------------------
+// --- Histogram quantiles ---------------------------------------------------
+
+// Every quantile against the order statistic of 0-based rank floor(q(n-1)):
+// within 2^-(b+1) relative for normal values, 2^-1030 absolute for zero and
+// subnormals, exact for infinities.
+void expect_within_bound(const StreamingQuantiles& sq, std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const double rel = std::ldexp(1.0, -(StreamingQuantiles::kSubBucketBits + 1));
+  for (double q : {0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    const double x =
+        xs[static_cast<std::size_t>(q * static_cast<double>(xs.size() - 1))];
+    if (std::isinf(x)) {
+      EXPECT_EQ(sq.quantile(q), x) << "q=" << q;
+      continue;
+    }
+    const double tol =
+        std::isnormal(x) ? rel * std::abs(x) : std::ldexp(1.0, -1030);
+    EXPECT_LE(std::abs(sq.quantile(q) - x), tol) << "q=" << q << " x=" << x;
+  }
+  EXPECT_EQ(sq.p50(), sq.quantile(0.50));
+  EXPECT_EQ(sq.p90(), sq.quantile(0.90));
+  EXPECT_EQ(sq.p99(), sq.quantile(0.99));
+  EXPECT_EQ(sq.p999(), sq.quantile(0.999));
+}
 
 TEST(Sketch, ExactForFirstFiveObservations) {
-  P2Quantile q(0.5);
+  // Count, min, max and mean are exact at any n; the quantiles carry the
+  // bucket bound from the first sample on.
+  StreamingQuantiles sq;
+  EXPECT_EQ(sq.p50(), 0.0);  // empty
   const std::vector<double> xs = {9.0, 1.0, 5.0, 3.0, 7.0};
-  for (double x : xs) q.add(x);
-  EXPECT_EQ(q.count(), 5);
-  EXPECT_DOUBLE_EQ(q.value(), 5.0);  // exact median of {1,3,5,7,9}
+  for (double x : xs) sq.add(x);
+  EXPECT_EQ(sq.count(), 5);
+  EXPECT_EQ(sq.min(), 1.0);
+  EXPECT_EQ(sq.max(), 9.0);
+  EXPECT_EQ(sq.mean(), 5.0);
+  expect_within_bound(sq, xs);
+  EXPECT_GE(sq.quantile(0.0), 1.0);  // clamped to the exact extremes
+  EXPECT_LE(sq.quantile(1.0), 9.0);
+
+  StreamingQuantiles negated;  // sign-folded keys keep the order
+  std::vector<double> ys;
+  for (double x : xs) ys.push_back(-x);
+  for (double y : ys) negated.add(y);
+  expect_within_bound(negated, ys);
 }
 
 TEST(Sketch, UniformQuantilesWithinOnePercent) {
-  P2Quantile p50(0.5), p90(0.9), p99(0.99);
+  StreamingQuantiles sq;
+  std::vector<double> xs;
   Rng rng(3);
   for (int i = 0; i < 100000; ++i) {
-    const double x = rng.uniform();
-    p50.add(x);
-    p90.add(x);
-    p99.add(x);
+    xs.push_back(rng.uniform());
+    sq.add(xs.back());
   }
-  EXPECT_NEAR(p50.value(), 0.50, 0.01);
-  EXPECT_NEAR(p90.value(), 0.90, 0.01);
-  EXPECT_NEAR(p99.value(), 0.99, 0.01);
+  expect_within_bound(sq, xs);
+  EXPECT_NEAR(sq.p50(), 0.50, 0.01);
+  EXPECT_NEAR(sq.p90(), 0.90, 0.01);
+  EXPECT_NEAR(sq.p99(), 0.99, 0.01);
 }
 
 TEST(Sketch, ExponentialTailWithinFivePercent) {
   // Heavier tail than uniform; p99 of Exp(1) = ln(100) ~ 4.605.
-  P2Quantile p99(0.99);
+  StreamingQuantiles sq;
+  std::vector<double> xs;
   Rng rng(4);
-  for (int i = 0; i < 200000; ++i) p99.add(rng.exponential(1.0));
-  EXPECT_NEAR(p99.value(), 4.60517, 0.05 * 4.60517);
+  for (int i = 0; i < 200000; ++i) {
+    xs.push_back(rng.exponential(1.0));
+    sq.add(xs.back());
+  }
+  expect_within_bound(sq, xs);
+  EXPECT_NEAR(sq.p99(), 4.60517, 0.05 * 4.60517);
 }
 
 TEST(Sketch, StreamingQuantilesKeepExactMeanMinMax) {
   StreamingQuantiles sq;
+  std::vector<double> xs;
   Rng rng(5);
   double sum = 0, lo = 1e300, hi = -1e300;
   for (int i = 0; i < 10000; ++i) {
     const double x = rng.uniform(2.0, 9.0);
     sq.add(x);
+    xs.push_back(x);
     sum += x;
     lo = std::min(lo, x);
     hi = std::max(hi, x);
   }
   EXPECT_EQ(sq.count(), 10000);
-  EXPECT_DOUBLE_EQ(sq.mean(), sum / 10000);
-  EXPECT_DOUBLE_EQ(sq.min(), lo);
-  EXPECT_DOUBLE_EQ(sq.max(), hi);
+  EXPECT_EQ(sq.mean(), sum / 10000);  // arrival-order sum, bit-identical
+  EXPECT_EQ(sq.min(), lo);
+  EXPECT_EQ(sq.max(), hi);
+  expect_within_bound(sq, xs);
   EXPECT_LE(sq.p50(), sq.p90());
   EXPECT_LE(sq.p90(), sq.p99());
   EXPECT_LE(sq.p99(), sq.p999());
   EXPECT_GE(sq.p50(), lo);
   EXPECT_LE(sq.p999(), hi);
+}
+
+TEST(Sketch, ShuffledInsertionGivesIdenticalQuantiles) {
+  std::vector<double> xs;
+  Rng rng(6);
+  for (int i = 0; i < 50000; ++i) xs.push_back(rng.exponential(0.5));
+  std::vector<double> shuffled = xs;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(7));
+  std::vector<double> descending = xs;
+  std::sort(descending.begin(), descending.end(), std::greater<>());
+  StreamingQuantiles a, b, c;
+  for (double x : xs) a.add(x);
+  for (double x : shuffled) b.add(x);
+  for (double x : descending) c.add(x);  // grows the window downward only
+  for (double q : {0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    const auto bits = std::bit_cast<std::uint64_t>(a.quantile(q));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.quantile(q)), bits) << "q=" << q;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(c.quantile(q)), bits) << "q=" << q;
+  }
+  EXPECT_EQ(b.min(), a.min());
+  EXPECT_EQ(b.max(), a.max());
+}
+
+TEST(Sketch, WideRangeKeepsTheWindowBounded) {
+  // The window holds 2^b buckets per binade spanned, with at most 3x slack.
+  const auto window_cap = [](int binades) {
+    return std::size_t{3} * static_cast<std::size_t>(binades)
+           << (StreamingQuantiles::kSubBucketBits + 3);
+  };
+  StreamingQuantiles sq;
+  std::vector<double> xs;
+  Rng rng(8);
+  for (int i = 0; i < 20000; ++i) {
+    xs.push_back(std::pow(10.0, rng.uniform(-9.0, 6.0)));  // 1e-9 .. 1e6
+    sq.add(xs.back());
+  }
+  expect_within_bound(sq, xs);
+  const int binades = std::ilogb(1e6) - std::ilogb(1e-9) + 1;
+  EXPECT_LE(sq.memory_bytes(), window_cap(binades));
+
+  // Non-finite samples have their own counters: the window stays put.
+  const std::size_t before = sq.memory_bytes();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < 100; ++i) {
+    sq.add(inf);
+    xs.push_back(inf);
+  }
+  EXPECT_EQ(sq.memory_bytes(), before);
+  EXPECT_EQ(sq.max(), inf);
+  EXPECT_EQ(sq.quantile(1.0), inf);
+
+  // Subnormals stretch the window down to the bottom binade, no further.
+  for (double x : {std::numeric_limits<double>::denorm_min(), 1e-310, 4e-320,
+                   0.0, std::numeric_limits<double>::min()}) {
+    for (int i = 0; i < 50; ++i) {
+      sq.add(x);
+      xs.push_back(x);
+    }
+  }
+  expect_within_bound(sq, xs);
+  EXPECT_EQ(sq.min(), 0.0);
+  EXPECT_EQ(sq.count(), xs.size());
+  const int all_binades =
+      std::ilogb(1e6) + std::numeric_limits<double>::max_exponent;
+  EXPECT_LE(sq.memory_bytes(), window_cap(all_binades));
 }
 
 // --- simulate_cluster_streaming -------------------------------------------

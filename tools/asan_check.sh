@@ -54,9 +54,10 @@ fi
 "$FUZZ" replay --input tests/corpus/prop1-tiebreak.txt > /dev/null
 
 # Streaming pipeline under ASan: the alias tables, the calendar queue's
-# grow/drain churn, the slot arena recycling, and the P2 sketches, in both
-# quantile regimes (80k requests crosses the 2^16 exact cap), with the
-# stream auditor riding along inside the fuzz campaigns above.
+# grow/drain churn, the slot arena recycling, and the flow histogram's
+# on-demand window growth, in both quantile regimes (80k requests crosses
+# the 2^16 exact cap), with the stream auditor riding along inside the fuzz
+# campaigns above.
 "$CLI" stream --requests 30000 --m 16 --lambda 12 --reps 2 --seed 7 \
   > "$SMOKE_DIR/stream.out"
 "$CLI" stream --requests 80000 --m 64 --lambda 48 --seed 7 --json \

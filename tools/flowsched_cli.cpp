@@ -534,10 +534,12 @@ double peak_rss_mb() {
 
 int cmd_stream(const ArgParser& args) {
   // Range-check the parsed double before the integer cast: converting an
-  // out-of-range double (say 1e20) is undefined behaviour.
+  // out-of-range double (say 1e20) is undefined behaviour, and a fraction
+  // (2.5) would be truncated silently. 1e7 is integral, so it stays valid.
   const double requests_arg = args.num("requests", 100000);
-  if (!(requests_arg >= 0 && requests_arg <= std::numeric_limits<int>::max())) {
-    std::fprintf(stderr, "need 0 <= requests <= %d\n",
+  if (!(requests_arg >= 0 && requests_arg <= std::numeric_limits<int>::max()) ||
+      requests_arg != std::floor(requests_arg)) {
+    std::fprintf(stderr, "need an integer 0 <= requests <= %d\n",
                  std::numeric_limits<int>::max());
     return 2;
   }
@@ -671,7 +673,7 @@ int cmd_stream(const ArgParser& args) {
           "\"quantiles\": \"%s\", \"peak_backlog\": %zu}",
           rep == 0 ? "" : ",", rep, r.sim.requests, r.sim.mean_latency,
           r.sim.p50, r.sim.p90, r.sim.p99, r.p999, r.sim.max_latency,
-          r.sim.makespan, r.exact_quantiles ? "exact" : "p2", r.peak_backlog);
+          r.sim.makespan, r.exact_quantiles ? "exact" : "hist", r.peak_backlog);
     }
     std::printf("\n]\n");
   } else {

@@ -3,7 +3,7 @@
 #
 #   1. a short exact-regime stream (requests below the exact-quantile cap)
 #      reports quantiles=exact and a sane per-rep line;
-#   2. a stream past the cap engages the P2 sketch path (quantiles=p2)
+#   2. a stream past the cap engages the histogram path (quantiles=hist)
 #      while keeping the RSS bound (--assert-rss-mb turns it into the exit
 #      status);
 #   3. --json emits the machine-readable report with the p999 field;
@@ -12,7 +12,9 @@
 #      stdout at --shards 1 and --shards 4 (with a 4-worker team) is
 #      byte-identical to the legacy single-queue path;
 #   6. an out-of-range shard count fails fast;
-#   7. a request count above INT_MAX exits 2 instead of wrapping the report.
+#   7. a request count above INT_MAX exits 2 instead of wrapping the report;
+#   8. a non-integral request count exits 2 instead of being truncated, while
+#      an integral one in exponent form (1e3) still runs.
 #
 # Usable standalone:
 #
@@ -58,9 +60,9 @@ if(NOT rc EQUAL 0)
       "(rc=${rc})")
 endif()
 file(READ ${dir}/sketch.txt sketch_out)
-if(NOT sketch_out MATCHES "quantiles=p2")
+if(NOT sketch_out MATCHES "quantiles=hist")
   message(FATAL_ERROR
-      "stream_smoke: past-cap stream did not engage the sketches:\n"
+      "stream_smoke: past-cap stream did not engage the histogram:\n"
       "${sketch_out}")
 endif()
 
@@ -140,6 +142,23 @@ execute_process(
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR
       "stream_smoke: --requests 1e20 did not exit 2 (rc=${rc})")
+endif()
+
+# --- 8. request counts must be integral -----------------------------------
+execute_process(
+  COMMAND ${CLI} stream --requests 2.5 --m 4
+  OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR
+      "stream_smoke: --requests 2.5 did not exit 2 (rc=${rc})")
+endif()
+execute_process(
+  COMMAND ${CLI} stream --requests 1e3 --m 4
+  OUTPUT_VARIABLE integral_out ERROR_QUIET RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0 OR NOT integral_out MATCHES "requests=1000 ")
+  message(FATAL_ERROR
+      "stream_smoke: --requests 1e3 was not run as 1000 requests "
+      "(rc=${rc}):\n${integral_out}")
 endif()
 
 message(STATUS

@@ -57,8 +57,8 @@ fi
 
 # Streaming pipeline under UBSan: bucket-index arithmetic in the calendar
 # queue (floor/int64 casts at the ring boundaries), the alias table's
-# uniform-to-index mapping, and the P2 parabolic marker updates, across
-# both quantile regimes.
+# uniform-to-index mapping, and the flow histogram's bit-shift bucketing and
+# unsigned window arithmetic, across both quantile regimes.
 "$CLI" stream --requests 30000 --m 16 --lambda 12 --reps 2 --seed 7 > /dev/null
 "$CLI" stream --requests 80000 --m 64 --lambda 48 --seed 7 --json > /dev/null
 
