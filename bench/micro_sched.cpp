@@ -45,7 +45,7 @@ Instance make_kv(int m, int n, RandomSets sets) {
 // per task, so with k fixed the series exposes the engine's per-release
 // costs as m grows: any O(m) per-release sweep would dwarf the O(k)
 // dispatch at m = 4096, so the engine core settles queue depths from
-// completion events (O(1) amortized per task).
+// per-machine finish FIFOs (O(1) amortized per task).
 Instance make_restricted(int m, int n, int k, double load = 1.0) {
   Rng rng(42);
   std::vector<Task> tasks;

@@ -1,10 +1,9 @@
 // Google-benchmark micro benches of the streaming/sharded hot path: the
 // alias-method key draw, one flow sample into the report's histogram, the
-// StreamingEngine release loop (calendar-queue settle + dispatch) on a
-// pre-generated stream, and the ShardedEngine
-// epoch pipeline
-// (route -> parallel execute -> merge) at growing shard counts with a
-// pinned worker team. items/sec IS dispatched tasks/sec, so the sharded
+// StreamingEngine release loop (settle + dispatch) on a pre-generated
+// stream, balanced and with one overloaded replica set, and the
+// ShardedEngine epoch pipeline (route -> parallel execute -> merge) at
+// growing shard counts with a pinned worker team. items/sec IS dispatched tasks/sec, so the sharded
 // series over S divided by the S=1 row is the intra-run parallel speedup
 // tools/bench_trajectory.sh tracks (the full layout grid with Fmax cost
 // lives in bench_ext_shard).
@@ -90,6 +89,46 @@ void BM_StreamingEngineHotLoop(benchmark::State& state) {
                           static_cast<std::int64_t>(tasks.size()));
 }
 BENCHMARK(BM_StreamingEngineHotLoop)->Arg(16)->Arg(256)->Arg(4096);
+
+// stream-hot's shape at a micro scale: ring replica sets of three at 0.75 m
+// arrivals per unit, with one request in ten on the hot set {0, 1, 2}. That
+// set gets about 6x its capacity, so its three machines' queues grow to
+// ~10^4 each by the end of a run, while the rest of the cluster drains.
+std::vector<Task> make_hot_stream(int m, int n) {
+  Rng rng(43);
+  std::vector<Task> tasks;
+  tasks.reserve(static_cast<std::size_t>(n));
+  double t = 0;
+  for (int i = 0; i < n; ++i) {
+    t += rng.exponential(0.75 * m);
+    const int first = rng.uniform() < 0.1
+                          ? 0
+                          : static_cast<int>(rng.uniform_int(0, m - 3));
+    tasks.push_back({.release = t,
+                     .proc = rng.exponential(1.0),
+                     .eligible = ProcSet::interval(first, first + 2)});
+  }
+  return tasks;
+}
+
+void BM_StreamingEngineDeepBacklog(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const std::vector<Task> tasks = make_hot_stream(m, 200000);
+  std::size_t peak = 0;
+  for (auto _ : state) {
+    auto policy = make_eft_min();
+    StreamingEngine engine(m, *policy);
+    for (const Task& task : tasks) {
+      benchmark::DoNotOptimize(engine.release(task));
+    }
+    peak = engine.peak_in_flight();
+    engine.drain();
+  }
+  state.counters["peak_backlog"] = static_cast<double>(peak);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(tasks.size()));
+}
+BENCHMARK(BM_StreamingEngineDeepBacklog)->Arg(256);
 
 // Shard-count series at m = 4096 (worker team pinned to S; engine
 // construction — thread spawn included — is inside the timed region and

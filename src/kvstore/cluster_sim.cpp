@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -74,6 +75,11 @@ double draw_service(ServiceDist dist, double service_time, Rng& rng) {
 void check_stream_config(const StreamConfig& config, const std::string& who) {
   if (!(config.lambda > 0)) {
     throw std::invalid_argument(who + ": lambda <= 0");
+  }
+  // Negated, so NaN is rejected; an infinite service time would make every
+  // flow infinite.
+  if (!(config.service_time > 0) || !std::isfinite(config.service_time)) {
+    throw std::invalid_argument(who + ": service_time must be finite and > 0");
   }
   if (config.requests < 0) {
     throw std::invalid_argument(who + ": requests < 0");

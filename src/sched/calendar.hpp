@@ -107,14 +107,22 @@ class CalendarQueue {
     locate();
     Bucket& bucket = ring_[ring_index(cursor_)];
     T payload = std::move(bucket.entries[bucket.head].payload);
-    ++bucket.head;
-    --size_;
-    if (bucket.head == bucket.entries.size()) {
-      bucket.entries.clear();
-      bucket.head = 0;
-      bucket.sorted = false;
-    }
+    consume(bucket);
     return payload;
+  }
+
+  /// \brief Removes the earliest entry if its time is <= `time`: the same
+  /// entry top_time() then pop() would remove, found with one bucket scan
+  /// instead of two.
+  /// \return whether an entry was removed into `payload`.
+  bool pop_due(double time, T& payload) {
+    if (size_ == 0) return false;
+    locate();
+    Bucket& bucket = ring_[ring_index(cursor_)];
+    if (!(bucket.entries[bucket.head].time <= time)) return false;
+    payload = std::move(bucket.entries[bucket.head].payload);
+    consume(bucket);
+    return true;
   }
 
   /// \return live footprint estimate in bytes (ring headers + entries +
@@ -154,6 +162,17 @@ class CalendarQueue {
   const Entry& head_entry() const {
     const Bucket& bucket = ring_[ring_index(cursor_)];
     return bucket.entries[bucket.head];
+  }
+
+  // Drops the open bucket's head entry, whose payload was moved out.
+  void consume(Bucket& bucket) {
+    ++bucket.head;
+    --size_;
+    if (bucket.head == bucket.entries.size()) {
+      bucket.entries.clear();
+      bucket.head = 0;
+      bucket.sorted = false;
+    }
   }
 
   // Doubles the ring until bucket b fits (rebucketing live entries), or

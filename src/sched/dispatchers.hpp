@@ -39,8 +39,8 @@ struct MachineState {
   std::span<const int> count;
   /// Number of tasks assigned to j and not finished at the release instant
   /// (a task finishing exactly then counts as finished). Current for every
-  /// machine: the engine core settles its completion events before each
-  /// dispatch (sched/streaming.hpp).
+  /// machine: the engine core settles the finished segments of every
+  /// machine before each dispatch (sched/streaming.hpp).
   std::span<const int> queued;
   /// Global index of the task being dispatched (-1 when the engine does not
   /// track one). Keys the counter-based per-task RNG streams of randomized

@@ -185,8 +185,9 @@ void OnlineEngine::dispatch_attempt(int id, int attempt, double now,
   }
 
   // Queue depths at the attempt instant. Attempt times are globally
-  // non-decreasing, and every segment end (killed or completed) is a core
-  // completion event, so a killed segment stays queued until its crash.
+  // non-decreasing, and every segment (killed or completed) joins its
+  // machine's finish FIFO in the core, so a killed segment stays queued
+  // until its crash.
   core_.settle_until(now);
   const int u = core_.choose(probe_, id);
 

@@ -2,7 +2,7 @@
 // retention.
 //
 // Every release is decided by the StreamingEngine core (sched/streaming.hpp):
-// validation, settling completion events, the (possibly censored) policy
+// validation, settling finished segments, the (possibly censored) policy
 // view, dispatch, setup charging, and the task events. OnlineEngine adds what
 // the core deliberately forgets — every task, its assignment and its setup,
 // for snapshots, oracles, audits and adversaries — plus machine busy/idle

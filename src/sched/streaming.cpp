@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace flowsched {
@@ -14,28 +15,38 @@ StreamingEngine::StreamingEngine(int m, Dispatcher& dispatcher)
       load_(static_cast<std::size_t>(m > 0 ? m : 1), 0.0),
       count_(static_cast<std::size_t>(m > 0 ? m : 1), 0),
       queued_(static_cast<std::size_t>(m > 0 ? m : 1), 0),
-      events_(0.125, kInitialBuckets) {
+      rings_(static_cast<std::size_t>(m > 0 ? m : 1)),
+      fronts_(kFrontWidth, kInitialBuckets) {
   if (m <= 0) throw std::invalid_argument("StreamingEngine: m <= 0");
   dispatcher_->reset(m);
 }
 
 void StreamingEngine::settle_until(double time) {
-  // Completion events at exactly `time` settle: a task finishing at the
-  // release instant is no longer queued there.
+  // Segments ending at exactly `time` settle: a task finishing at the
+  // release instant is no longer queued there. Per machine, segments
+  // settle in push order, so the finished-work sum is accumulated in one
+  // fixed order.
   const bool nc = clairvoyance_ == Clairvoyance::kNonClairvoyant;
-  while (!events_.empty() && events_.top_time() <= time) {
-    const std::uint32_t slot = events_.pop();
-    const int machine = slot_machine_[static_cast<std::size_t>(slot)];
-    --queued_[static_cast<std::size_t>(machine)];
-    if (nc) {
-      // Per-machine settle order is push order (each task on a machine
-      // finishes after its predecessor), so the finished-work sum is
-      // accumulated in one fixed order.
-      finished_work_[static_cast<std::size_t>(machine)] +=
-          slot_work_[static_cast<std::size_t>(slot)];
+  int machine;
+  while (fronts_.pop_due(time, machine)) {
+    const auto j = static_cast<std::size_t>(machine);
+    if (nc) finished_work_[j] += front_work_[j];
+    int retired = 1;
+    Ring& ring = rings_[j];
+    while (ring.size > 0) {
+      const std::uint32_t head = ring.head;
+      ring.head = (head + 1) & (ring.cap - 1);
+      --ring.size;
+      if (ring.buf[head] > time) {
+        fronts_.push(ring.buf[head], machine);
+        if (nc) front_work_[j] = ring.buf[ring.cap + head];
+        break;
+      }
+      if (nc) finished_work_[j] += ring.buf[ring.cap + head];
+      ++retired;
     }
-    --in_flight_;
-    free_slots_.push_back(slot);
+    queued_[j] -= retired;
+    in_flight_ -= static_cast<std::size_t>(retired);
   }
 }
 
@@ -52,6 +63,7 @@ void StreamingEngine::set_clairvoyance(Clairvoyance c, double setup) {
   if (c == Clairvoyance::kNonClairvoyant) {
     const auto um = static_cast<std::size_t>(m_);
     finished_work_.assign(um, 0.0);
+    front_work_.assign(um, 0.0);
     censored_completion_.assign(um, 0.0);
     censored_load_.assign(um, 0.0);
     last_set_.assign(um, ProcSet());
@@ -72,6 +84,9 @@ void StreamingEngine::admit(const Task& task) {
   }
   if (!(task.proc > 0)) {
     throw std::invalid_argument("StreamingEngine::release: proc <= 0");
+  }
+  if (!std::isfinite(task.proc)) {
+    throw std::invalid_argument("StreamingEngine::release: proc not finite");
   }
 }
 
@@ -138,6 +153,11 @@ StreamingEngine::Decision StreamingEngine::decide(const Task& task,
   // the [setup-accounting] audit recomputes; with setup = 0 this is
   // bit-identical to the clairvoyant start + proc.
   d.finish = (d.start + d.setup) + task.proc;
+  if (!std::isfinite(d.finish)) {
+    // Only a fault-mode segment may never end.
+    throw std::invalid_argument(
+        "StreamingEngine::release: completion time overflows to +inf");
+  }
   if (observer_ != nullptr) {
     ObsEvent e = task_event(d);
     e.kind = ObsEventKind::kTaskDispatched;
@@ -178,32 +198,78 @@ void StreamingEngine::commit(const Decision& d) {
 }
 
 void StreamingEngine::occupy(int machine, double end, double work) {
-  completion_[static_cast<std::size_t>(machine)] = end;
-  ++queued_[static_cast<std::size_t>(machine)];
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slot_machine_.size());
-    slot_machine_.push_back(0);
-    slot_work_.push_back(0);
+  const auto j = static_cast<std::size_t>(machine);
+  // Settling retires each machine's segments from the front, which is only
+  // sound while its ends never decrease.
+  if (!(end >= completion_[j])) {
+    throw std::logic_error(
+        "StreamingEngine: segment on machine " + std::to_string(machine) +
+        " ends before the machine's previous end");
   }
-  slot_machine_[static_cast<std::size_t>(slot)] = machine;
-  slot_work_[static_cast<std::size_t>(slot)] = work;
-  // A fault-mode segment whose machine never comes back up never ends: it
-  // stays queued for the rest of the run.
-  if (std::isfinite(end)) events_.push(end, slot);
+  completion_[j] = end;
   ++in_flight_;
   peak_in_flight_ = std::max(peak_in_flight_, in_flight_);
+  const bool nc = clairvoyance_ == Clairvoyance::kNonClairvoyant;
+  if (++queued_[j] == 1) {
+    // A fault-mode segment that never ends stays queued for the rest of
+    // the run, and so does everything behind it: neither needs storing.
+    if (std::isfinite(end)) {
+      fronts_.push(end, machine);
+      if (fronts_.size() > refine_at_) refine_fronts();
+    }
+    if (nc) front_work_[j] = work;
+    return;
+  }
+  if (!std::isfinite(end)) return;
+  Ring& ring = rings_[j];
+  if (ring.size == ring.cap) grow(ring);
+  const std::uint32_t tail = (ring.head + ring.size) & (ring.cap - 1);
+  ring.buf[tail] = end;
+  if (nc) ring.buf[ring.cap + tail] = work;
+  ++ring.size;
+}
+
+void StreamingEngine::refine_fronts() {
+  // Fronts spread over a few service times, so at unit service time a
+  // bucket holds about width x (busy machines) of them. Past eight, sorting
+  // and ordered inserts into long buckets cost more than stepping over
+  // empty ones. The width halves down to 2^-5, rebucketing the at most m
+  // fronts once per halving.
+  const double width = front_width_ / 2;
+  CalendarQueue<int> finer(width, kInitialBuckets);
+  while (!fronts_.empty()) {
+    const double front = fronts_.top_time();
+    finer.push(front, fronts_.pop());
+  }
+  fronts_ = std::move(finer);
+  front_width_ = width;
+  refine_at_ = width > kFinestFrontWidth
+                   ? static_cast<std::size_t>(8 / width)
+                   : std::numeric_limits<std::size_t>::max();
+}
+
+void StreamingEngine::grow(Ring& ring) const {
+  const std::uint32_t cap = ring.cap == 0 ? kInitialRing : 2 * ring.cap;
+  const std::uint32_t halves =
+      clairvoyance_ == Clairvoyance::kNonClairvoyant ? 2 : 1;
+  auto buf = std::make_unique<double[]>(std::size_t{halves} * cap);
+  for (std::uint32_t h = 0; h < halves; ++h) {
+    for (std::uint32_t i = 0; i < ring.size; ++i) {
+      buf[h * cap + i] =
+          ring.buf[h * ring.cap + ((ring.head + i) & (ring.cap - 1))];
+    }
+  }
+  ring.buf = std::move(buf);
+  ring.cap = cap;
+  ring.head = 0;
 }
 
 Assignment StreamingEngine::release(double time, double proc,
                                     const ProcSet& eligible,
                                     long long task_id, double weight) {
-  // The probe Task handed to the dispatcher is a member, so copying M_i
-  // into it reuses its capacity instead of allocating per request;
-  // `weight` rides along for the observer events only.
+  // The probe Task handed to the dispatcher is a member, and assigning M_i
+  // to it shares the caller's ProcSet block, so a request allocates
+  // nothing; `weight` rides along for the observer events only.
   probe_.release = time;
   probe_.proc = proc;
   probe_.eligible = eligible.empty() ? all_ : eligible;
@@ -214,13 +280,7 @@ Assignment StreamingEngine::release(double time, double proc,
 }
 
 void StreamingEngine::drain() {
-  while (!events_.empty()) {
-    const std::uint32_t slot = events_.pop();
-    --queued_[static_cast<std::size_t>(
-        slot_machine_[static_cast<std::size_t>(slot)])];
-    --in_flight_;
-    free_slots_.push_back(slot);
-  }
+  settle_until(std::numeric_limits<double>::max());
 }
 
 std::size_t StreamingEngine::memory_bytes() const {
@@ -229,12 +289,13 @@ std::size_t StreamingEngine::memory_bytes() const {
   bytes += load_.capacity() * sizeof(double);
   bytes += count_.capacity() * sizeof(int);
   bytes += queued_.capacity() * sizeof(int);
-  bytes += slot_machine_.capacity() * sizeof(int);
-  bytes += slot_work_.capacity() * sizeof(double);
-  bytes += free_slots_.capacity() * sizeof(std::uint32_t);
+  bytes += rings_.capacity() * sizeof(Ring);
+  const std::size_t halves =
+      clairvoyance_ == Clairvoyance::kNonClairvoyant ? 2 : 1;
+  for (const Ring& ring : rings_) bytes += halves * ring.cap * sizeof(double);
   bytes += all_.machines().capacity() * sizeof(int);
   bytes += probe_.eligible.machines().capacity() * sizeof(int);
-  bytes += events_.memory_bytes();
+  bytes += fronts_.memory_bytes();
   return bytes;
 }
 

@@ -1,18 +1,20 @@
 // StreamingEngine: the immediate-dispatch decision core, O(backlog) memory.
 //
 // Every release in the repo is decided here. The core validates the task,
-// settles completion events up to the release instant, hands the dispatcher
+// settles finished segments up to the release instant, hands the dispatcher
 // its view of the machines (true or censored, see Clairvoyance), checks the
 // choice against M_i, charges non-clairvoyant setups, commits
 // start = max(release, C_j), and narrates the four task events. It retains
-// nothing per task beyond the task's pending completion event:
+// nothing per task beyond the task's pending finish:
 //
-//  * task state lives in a recycled SoA slot arena (machine and settled
-//    work per slot, free-list reuse), so live slots == in-flight tasks, not
-//    released tasks;
-//  * completions are a CalendarQueue (sched/calendar.hpp) of
-//    (completion time, slot) events on the dyadic 2^-3 grid, popped at each
-//    release to decrement queue depths and recycle slots;
+//  * each machine runs its tasks in dispatch order, so its finishes only
+//    ever increase and its unfinished segments form a FIFO;
+//  * a CalendarQueue (sched/calendar.hpp) holds the front finish of each
+//    busy machine, at most m entries however deep the backlog;
+//  * a per-machine ring holds the finish times of the segments behind the
+//    front (and, non-clairvoyant only, their setup+proc). A release pops
+//    the machines whose front is due, retires every due entry of their
+//    rings, and queues each ring's next finish as the new front;
 //  * per-machine aggregates (completion frontier, load, count, queue depth)
 //    are plain arrays, exactly the spans MachineState hands to dispatchers.
 //
@@ -28,6 +30,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "model/instance.hpp"
@@ -78,9 +81,10 @@ class StreamingEngine {
   /// [nc-no-peek] counterfactual replay; never enable it outside tests.
   void set_unsafe_nc_leak(bool v) { nc_leak_ = v; }
 
-  /// Releases one task; releases must be non-decreasing. Completion events
-  /// up to the release instant are settled first (slots recycled, queue
-  /// depths decremented). Returns the committed (machine, start).
+  /// Releases one task; releases must be non-decreasing and proc finite and
+  /// positive. Segments finishing up to the release instant are settled
+  /// first (queue depths decremented). Returns the committed
+  /// (machine, start).
   Assignment release(double time, double proc, const ProcSet& eligible) {
     return release(time, proc, eligible, released_);
   }
@@ -108,7 +112,7 @@ class StreamingEngine {
   /// Tasks assigned to each machine so far.
   const std::vector<int>& counts() const { return count_; }
 
-  /// Settles every in-flight completion event (end of stream).
+  /// Settles every segment with a finite end (end of stream).
   void drain();
 
   /// Tasks released and not yet past their completion on the sim clock.
@@ -116,8 +120,10 @@ class StreamingEngine {
   /// High-water mark of in_flight() — the backlog peak of the run.
   std::size_t peak_in_flight() const { return peak_in_flight_; }
 
-  /// Live footprint estimate: slot arena + event queue + per-machine
-  /// arrays. Independent of released() by construction.
+  /// Live footprint estimate: finish rings + front queue + per-machine
+  /// arrays. Independent of released() by construction: a ring doubles
+  /// when full, so it holds under 2 x 8 B per task at its own peak (twice
+  /// that in non-clairvoyant mode), plus O(m).
   std::size_t memory_bytes() const;
 
   /// \brief Attaches a borrowed event sink (nullptr detaches).
@@ -147,23 +153,41 @@ class StreamingEngine {
     double finish;
   };
 
+  // The segments of one machine queued behind its front, in dispatch
+  // order: `size` entries from `head` in a ring of `cap` slots (a power of
+  // two), allocated when the machine first queues a second segment. `buf`
+  // holds the finishes in [0, cap) and, in non-clairvoyant mode only,
+  // their setup+proc in [cap, 2 cap).
+  struct Ring {
+    std::unique_ptr<double[]> buf;
+    std::uint32_t head = 0;
+    std::uint32_t size = 0;
+    std::uint32_t cap = 0;
+  };
+
   // Release-order, processing-set and proc checks; `task.eligible` must be
   // resolved (non-empty).
   void admit(const Task& task);
+  // Retires every segment ending at or before `time`.
   void settle_until(double time);
   // The dispatcher's machine choice for `probe` under the active view,
   // checked against probe.eligible.
   int choose(const Task& probe, long long task_id);
   // admit + settle + released event + choose + setup + dispatched event.
   Decision decide(const Task& task, long long task_id);
-  // started/completed events, then the machine arrays and completion event.
+  // started/completed events, then the machine arrays and the finish ring.
   void commit(const Decision& d);
   // The fields every per-machine task event of `d` carries.
   static ObsEvent task_event(const Decision& d);
-  // Machine `machine` is busy until `end`: new frontier, one more queued
-  // task until the completion event at `end` settles `work` into the
-  // censored finished-work view.
+  // Machine `machine` is busy until `end` (>= its previous end; +inf for a
+  // fault-mode segment that never ends): new frontier, one more queued
+  // segment until `end` settles `work` into the censored finished-work
+  // view.
   void occupy(int machine, double end, double work);
+  // Reallocates a full ring at twice its capacity.
+  void grow(Ring& ring) const;
+  // Rebuilds the front queue at half its bucket width.
+  void refine_fronts();
 
   int m_;
   Dispatcher* dispatcher_;
@@ -176,29 +200,33 @@ class StreamingEngine {
   std::vector<double> completion_;
   std::vector<double> load_;
   std::vector<int> count_;
-  std::vector<int> queued_;
+  std::vector<int> queued_;  // unfinished segments: front + ring + never-ending
 
   // Non-clairvoyant state (empty/unused in clairvoyant mode).
   Clairvoyance clairvoyance_ = Clairvoyance::kClairvoyant;
   double setup_ = 0.0;
   bool nc_leak_ = false;
   std::vector<double> finished_work_;        // per machine, settled setup+proc
+  std::vector<double> front_work_;           // per machine, front setup+proc
   std::vector<double> censored_completion_;  // scratch, eligible slots only
   std::vector<double> censored_load_;        // scratch, eligible slots only
   std::vector<ProcSet> last_set_;            // per machine, previous M_i
   std::vector<bool> has_last_set_;
 
-  // Slot arena (SoA) + free list: the per-task state a completion event
-  // needs to settle.
-  std::vector<int> slot_machine_;
-  std::vector<double> slot_work_;  // setup+proc per live slot
-  std::vector<std::uint32_t> free_slots_;
+  static constexpr std::uint32_t kInitialRing = 4;
+  std::vector<Ring> rings_;
 
-  // Completion events live a few service times ahead of the clock, so the
-  // ring starts small (two time units) and doubles on demand; a small ring
-  // keeps a short run's bucket storage hot and reused.
+  // Front finishes live a few service times ahead of the clock, so the
+  // calendar's bucket ring starts small and doubles on demand. Its bucket
+  // width starts on the dyadic 2^-3 grid and halves (refine_fronts) each
+  // time the fronts outnumber eight per bucket at unit service time.
   static constexpr std::size_t kInitialBuckets = 16;
-  CalendarQueue<std::uint32_t> events_;  // (completion time, slot)
+  static constexpr double kFrontWidth = 0.125;
+  static constexpr double kFinestFrontWidth = 1.0 / 32;
+  CalendarQueue<int> fronts_;  // (front finish, machine) per machine with a
+                               // finite front
+  double front_width_ = kFrontWidth;
+  std::size_t refine_at_ = 8 / kFrontWidth;
 
   std::size_t in_flight_ = 0;
   std::size_t peak_in_flight_ = 0;

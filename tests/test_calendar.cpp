@@ -1,7 +1,7 @@
 // CalendarQueue (sched/calendar.hpp): bit-exact pop-order equality against
 // a std::priority_queue ordered by (time, insertion seq) — the contract
 // that let it replace the retry heap in OnlineEngine and carry the
-// completion events of StreamingEngine. The reference model assigns seq in
+// machine fronts of StreamingEngine. The reference model assigns seq in
 // push order, exactly as the calendar does internally.
 #include "sched/calendar.hpp"
 
@@ -97,6 +97,45 @@ TEST(Calendar, MatchesHeapManySeeds) {
   for (std::uint64_t seed = 10; seed < 16; ++seed) {
     stress(seed, 0.125, 16, 256, true);
   }
+}
+
+// pop_due(t) removes exactly what `top_time() <= t ? pop()` removes, and
+// leaves the queue alone otherwise. Cutoffs fall below, on and above the
+// head, often on the dyadic grid the pushes share.
+TEST(Calendar, PopDueMatchesTopThenPop) {
+  CalendarQueue<int> calendar(0.125, 8, 64);
+  ReferenceQueue reference;
+  Rng rng(21);
+  double watermark = 0;
+  int next_payload = 0;
+  int popped = 0;
+  for (int op = 0; op < 20000; ++op) {
+    if (reference.empty() || rng.uniform() < 0.5) {
+      double t = watermark + rng.uniform(0.0, rng.uniform() < 0.9 ? 2.0 : 40.0);
+      if (rng.uniform() < 0.5) t = std::floor(t * 8.0) / 8.0;
+      calendar.push(t, next_payload);
+      reference.push(t, next_payload);
+      ++next_payload;
+      continue;
+    }
+    const double cutoff =
+        std::floor((reference.top_time() + rng.uniform(-0.5, 0.5)) * 8.0) / 8.0;
+    int payload = -1;
+    const bool due = reference.top_time() <= cutoff;
+    ASSERT_EQ(calendar.pop_due(cutoff, payload), due) << "op " << op;
+    if (due) {
+      watermark = reference.top_time();
+      ASSERT_EQ(payload, reference.pop()) << "op " << op;
+      ++popped;
+    }
+    ASSERT_EQ(calendar.size(), static_cast<std::size_t>(next_payload - popped));
+  }
+  int payload = -1;
+  while (!reference.empty()) {
+    ASSERT_TRUE(calendar.pop_due(reference.top_time(), payload));
+    ASSERT_EQ(payload, reference.pop());
+  }
+  EXPECT_FALSE(calendar.pop_due(1e300, payload));
 }
 
 TEST(Calendar, FifoAmongEqualTimes) {

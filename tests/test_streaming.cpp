@@ -13,12 +13,15 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <queue>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "check/gen.hpp"
 #include "check/stream_audit.hpp"
+#include "fault/plan.hpp"
+#include "fault/recovery.hpp"
 #include "kvstore/cluster_sim.hpp"
 #include "obs/sketch.hpp"
 #include "sched/dispatchers.hpp"
@@ -74,7 +77,7 @@ TEST(Streaming, EngineMatchesOnlineEngineAcrossPolicies) {
   }
 }
 
-// Slot recycling: memory tracks the backlog peak, not the stream length.
+// Memory tracks the backlog peak, not the stream length.
 TEST(Streaming, MemoryTracksBacklogNotStreamLength) {
   auto policy = make_policy("eft-min");
   StreamingEngine engine(4, *policy);
@@ -88,15 +91,34 @@ TEST(Streaming, MemoryTracksBacklogNotStreamLength) {
   EXPECT_LT(engine.memory_bytes(), 1u << 20);
 }
 
-// release() reuses one probe Task for the dispatcher; the capacity it keeps
-// for the widest M_i seen is part of the engine's footprint.
+// Under a deep backlog the engine holds one finish per waiting task in its
+// machine's ring, at most 16 B each (a ring doubles when full), plus
+// per-machine state: no per-task slot or queue entry.
+TEST(Streaming, MemoryTracksDeepBacklog) {
+  const int m = 8;
+  auto policy = make_policy("eft-min");
+  StreamingEngine engine(m, *policy);
+  // Six unit tasks per time unit on a three-machine replica set: the
+  // backlog grows by three per unit.
+  const ProcSet hot = ProcSet::interval(0, 2);
+  const int n = 420000;
+  for (int i = 0; i < n; ++i) engine.release(i / 6.0, 1.0, hot);
+  ASSERT_GE(engine.peak_in_flight(), 200000u);
+  EXPECT_LE(engine.memory_bytes(),
+            16 * engine.peak_in_flight() + 64 * 1024);
+  engine.drain();
+  EXPECT_EQ(engine.in_flight(), 0u);
+}
+
+// release() reuses one probe Task for the dispatcher; the M_i block it
+// shares with the caller is part of the engine's footprint.
 TEST(Streaming, MemoryCountsTheReusedProbe) {
   auto narrow_policy = make_policy("eft-min");
   auto wide_policy = make_policy("eft-min");
   StreamingEngine narrow(1024, *narrow_policy);
   StreamingEngine wide(1024, *wide_policy);
   // Every machine idle, so EFT-Min picks machine 0 from either set and
-  // both engines hold the same slots and events.
+  // both engines hold the same rings and fronts.
   for (int i = 0; i < 100; ++i) {
     narrow.release(i * 10.0, 1.0, ProcSet::single(0));
     wide.release(i * 10.0, 1.0, ProcSet::interval(0, 999));
@@ -116,6 +138,252 @@ TEST(Streaming, RejectsDecreasingReleases) {
   EXPECT_THROW(engine.release(std::nan(""), 1.0, all), std::invalid_argument);
   EXPECT_THROW(engine.release(5.5, 1.0, all), std::invalid_argument);
   engine.release(6.0, 1.0, all);
+}
+
+// An infinite proc would leave its machine busy forever, and a finite one
+// whose completion overflows would too: both are rejected at release.
+TEST(Streaming, RejectsNonFiniteProcAndOverflowingCompletion) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double big = std::numeric_limits<double>::max();
+  auto policy = make_policy("eft-min");
+  StreamingEngine engine(2, *policy);
+  const ProcSet all = ProcSet::all(2);
+  EXPECT_THROW(engine.release(1.0, inf, all), std::invalid_argument);
+  EXPECT_THROW(engine.release(1.0, std::nan(""), all), std::invalid_argument);
+  engine.release(1.0, big, ProcSet::single(0));
+  // Machine 0 is busy until ~DBL_MAX; a second maximal task there ends at
+  // +inf.
+  EXPECT_THROW(engine.release(2.0, big, ProcSet::single(0)),
+               std::invalid_argument);
+  engine.release(2.0, 1.0, ProcSet::single(1));
+  EXPECT_EQ(engine.in_flight(), 2u);
+}
+
+// Wraps a policy and records what it sees at every dispatch: the instant,
+// every machine's queue depth, and the load of each eligible machine (the
+// settled finished work in non-clairvoyant mode).
+class RecordingDispatcher final : public Dispatcher {
+ public:
+  struct View {
+    double time;
+    std::vector<int> queued;
+    std::vector<std::pair<int, double>> load;
+  };
+
+  explicit RecordingDispatcher(std::unique_ptr<Dispatcher> inner)
+      : inner_(std::move(inner)) {}
+
+  void reset(int m) override { inner_->reset(m); }
+  int dispatch(const Task& t, const MachineState& state) override {
+    View view{t.release, {state.queued.begin(), state.queued.end()}, {}};
+    for (int j : t.eligible.machines()) {
+      view.load.emplace_back(j, state.load[static_cast<std::size_t>(j)]);
+    }
+    views.push_back(std::move(view));
+    return inner_->dispatch(t, state);
+  }
+  bool needs_queue_depths() const override {
+    return inner_->needs_queue_depths();
+  }
+  std::string name() const override { return inner_->name(); }
+
+  std::vector<View> views;
+
+ private:
+  std::unique_ptr<Dispatcher> inner_;
+};
+
+// The reference settle: every segment's finish in one binary heap ordered
+// by (finish, push order), popped up to each dispatch instant. Per machine,
+// pops come in push order, so the finished-work sums add in the engine's
+// order and compare bit for bit.
+class ReferenceSettle {
+ public:
+  explicit ReferenceSettle(int m)
+      : queued_(static_cast<std::size_t>(m), 0),
+        finished_(static_cast<std::size_t>(m), 0.0) {}
+
+  void push(int machine, double finish, double work) {
+    ++queued_[static_cast<std::size_t>(machine)];
+    ++in_flight_;
+    peak_ = std::max(peak_, in_flight_);
+    // A segment that never ends stays queued.
+    if (std::isfinite(finish)) heap_.push({finish, seq_++, machine, work});
+  }
+  void settle_until(double time) {
+    while (!heap_.empty() && heap_.top().finish <= time) {
+      const Entry e = heap_.top();
+      heap_.pop();
+      --queued_[static_cast<std::size_t>(e.machine)];
+      finished_[static_cast<std::size_t>(e.machine)] += e.work;
+      --in_flight_;
+    }
+  }
+  // Compares a recorded dispatch view, settling to its instant first.
+  void expect_view(const RecordingDispatcher::View& view, bool nc,
+                   const std::string& where) {
+    settle_until(view.time);
+    ASSERT_EQ(view.queued, queued_) << where;
+    if (!nc) return;
+    for (const auto& [j, load] : view.load) {
+      ASSERT_EQ(load, finished_[static_cast<std::size_t>(j)])
+          << where << " machine " << j;
+    }
+  }
+
+  std::size_t in_flight() const { return in_flight_; }
+  std::size_t peak() const { return peak_; }
+
+ private:
+  struct Entry {
+    double finish;
+    long long seq;
+    int machine;
+    double work;
+    bool operator>(const Entry& o) const {
+      return finish != o.finish ? finish > o.finish : seq > o.seq;
+    }
+  };
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
+  long long seq_ = 0;
+  std::vector<int> queued_;
+  std::vector<double> finished_;
+  std::size_t in_flight_ = 0;
+  std::size_t peak_ = 0;
+};
+
+// Records each task's (machine, finish, setup + proc) from its completed
+// event.
+class CompletionRecorder final : public SchedObserver {
+ public:
+  void on_run_begin(const RunInfo&) override {}
+  void on_event(const ObsEvent& e) override {
+    if (e.kind == ObsEventKind::kTaskCompleted) {
+      last = {e.machine, e.time, e.setup + e.proc};
+    }
+  }
+  void on_run_end(double) override {}
+
+  struct Segment {
+    int machine;
+    double finish;
+    double work;
+  };
+  Segment last{};
+};
+
+// Releases on the 2^-2 grid with procs and setups on the same grid, so
+// finishes land exactly on later release instants all the time.
+std::vector<Task> grid_stream(int m, int n, double load, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Task> tasks;
+  double t = 0;
+  for (int i = 0; i < n; ++i) {
+    t += std::floor(rng.exponential(load * m) * 4.0) / 4.0;
+    const int first = static_cast<int>(rng.uniform_int(0, m - 1));
+    const int width = static_cast<int>(rng.uniform_int(1, 3));
+    std::vector<int> set;
+    for (int d = 0; d < width; ++d) set.push_back((first + d) % m);
+    std::sort(set.begin(), set.end());
+    tasks.push_back({.release = t,
+                     .proc = 0.25 * static_cast<double>(rng.uniform_int(1, 8)),
+                     .eligible = ProcSet(set)});
+  }
+  return tasks;
+}
+
+TEST(Streaming, SettleMatchesReferenceEventQueue) {
+  const int m = 6;
+  struct Case {
+    const char* policy;
+    Clairvoyance mode;
+    double setup;
+  };
+  const Case cases[] = {{"eft-min", Clairvoyance::kClairvoyant, 0.0},
+                        {"jsq", Clairvoyance::kClairvoyant, 0.0},
+                        {"eft-min", Clairvoyance::kNonClairvoyant, 0.5},
+                        {"jsq", Clairvoyance::kNonClairvoyant, 0.25}};
+  for (const Case& c : cases) {
+    // Light to overloaded: 0.6 keeps machines draining, 1.5 builds queues.
+    for (const double load : {0.6, 1.5}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const std::string where = std::string(c.policy) +
+                                  (c.mode == Clairvoyance::kNonClairvoyant
+                                       ? " nc"
+                                       : "") +
+                                  " load=" + std::to_string(load) +
+                                  " seed=" + std::to_string(seed);
+        RecordingDispatcher recorder(make_policy(c.policy));
+        StreamingEngine engine(m, recorder);
+        engine.set_clairvoyance(c.mode, c.setup);
+        CompletionRecorder completions;
+        engine.set_observer(&completions);
+        ReferenceSettle reference(m);
+        long long at_release = 0;
+        for (const Task& task : grid_stream(m, 400, load, seed)) {
+          engine.release(task);
+          ASSERT_EQ(recorder.views.size(),
+                    static_cast<std::size_t>(++at_release));
+          reference.expect_view(recorder.views.back(),
+                                c.mode == Clairvoyance::kNonClairvoyant, where);
+          const CompletionRecorder::Segment& s = completions.last;
+          reference.push(s.machine, s.finish, s.work);
+          ASSERT_EQ(engine.in_flight(), reference.in_flight()) << where;
+        }
+        EXPECT_EQ(engine.peak_in_flight(), reference.peak()) << where;
+        EXPECT_GT(reference.peak(), static_cast<std::size_t>(m)) << where;
+        engine.drain();
+        EXPECT_EQ(engine.in_flight(), 0u) << where;
+      }
+    }
+  }
+
+  // The same reference for OnlineEngine's fault layer, which occupies
+  // machines with killed segments (ending at their crash, often exactly at a
+  // later dispatch instant) and with segments that never end (the machine
+  // went down for good before they could start). Dispatch k is the k-th
+  // non-parked attempt of the fault log.
+  {
+    const double inf = std::numeric_limits<double>::infinity();
+    const int fault_m = 4;
+    int killed = 0;
+    int never_end = 0;
+    for (const char* policy : {"eft-min", "jsq"}) {
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        const std::string where =
+            std::string(policy) + " seed=" + std::to_string(seed);
+        const std::vector<Task> tasks = grid_stream(fault_m, 200, 1.2, seed);
+        FaultPlan plan(fault_m);
+        plan.add_down(0, 2.0, 5.0);
+        plan.add_down(0, 9.0, inf);  // machine 0 never recovers
+        plan.add_down(1, 3.0, 3.5);
+        plan.add_down(2, 6.0, 6.25);
+        RecoveryPolicy recovery;
+        recovery.kind =
+            seed % 2 == 0 ? RecoveryKind::kCheckpoint : RecoveryKind::kBackoff;
+        RecordingDispatcher recorder(make_policy(policy));
+        const OnlineEngine engine = run_dispatcher_faulty(
+            Instance(fault_m, tasks), recorder, plan, recovery);
+
+        ReferenceSettle reference(fault_m);
+        std::size_t k = 0;
+        for (const FaultAttempt& a : engine.fault_log().attempts()) {
+          if (a.machine < 0) continue;  // parked: no dispatch
+          ASSERT_LT(k, recorder.views.size()) << where;
+          ASSERT_EQ(recorder.views[k].time, a.scheduled) << where;
+          reference.expect_view(recorder.views[k], false,
+                                where + " dispatch " + std::to_string(k));
+          reference.push(a.machine, a.end, a.end - a.start);
+          ++k;
+          killed += a.killed ? 1 : 0;
+          never_end += std::isinf(a.end) ? 1 : 0;
+        }
+        EXPECT_EQ(k, recorder.views.size()) << where;
+      }
+    }
+    EXPECT_GT(killed, 0);
+    EXPECT_GT(never_end, 0);
+  }
 }
 
 // --- Histogram quantiles ---------------------------------------------------
@@ -406,6 +674,44 @@ TEST(Streaming, RejectsRequestCountsAboveIntMax) {
   EXPECT_THROW(simulate_cluster_streaming_sharded(store, config, factory,
                                                   ShardedEngine::Options{}, rng),
                std::invalid_argument);
+}
+
+// A NaN or infinite service time is rejected up front, naming the field,
+// by every driver (an infinite one used to run and report mean=inf).
+TEST(Streaming, RejectsNonFiniteServiceTimes) {
+  Rng rng(56);
+  KeyValueStore store(small_store(8), rng);
+  auto policy = make_policy("eft-min");
+  const ShardedEngine::DispatcherFactory factory = [](int) {
+    return make_policy("eft-min");
+  };
+  for (const double service : {std::numeric_limits<double>::infinity(),
+                               std::nan(""), 0.0, -1.0}) {
+    for (const ServiceDist dist :
+         {ServiceDist::kConstant, ServiceDist::kExponential}) {
+      StreamConfig config;
+      config.requests = 10;
+      config.service_time = service;
+      config.dist = dist;
+      try {
+        simulate_cluster_streaming(store, config, *policy, rng);
+        ADD_FAILURE() << "service_time " << service << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("service_time"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_THROW(simulate_cluster_streaming_sharded(
+                       store, config, factory, ShardedEngine::Options{}, rng),
+                   std::invalid_argument);
+      SimConfig batch;
+      batch.requests = 10;
+      batch.service_time = service;
+      batch.dist = dist;
+      EXPECT_THROW(simulate_cluster(store, batch, *policy, rng),
+                   std::invalid_argument);
+    }
+  }
 }
 
 // --- StreamAuditor ---------------------------------------------------------

@@ -575,8 +575,14 @@ int cmd_stream(const ArgParser& args) {
     std::fprintf(stderr, "need 0 <= shards <= m, shard-workers >= 0\n");
     return 2;
   }
-  if (reps < 1 || lambda <= 0 || service <= 0) {
-    std::fprintf(stderr, "need reps >= 1, lambda > 0, service > 0\n");
+  if (reps < 1 || lambda <= 0 || !(service > 0) || !std::isfinite(service)) {
+    std::fprintf(stderr, "need reps >= 1, lambda > 0, finite service > 0\n");
+    return 2;
+  }
+  // 0 switches the bound off; NaN or a negative bound must not do so
+  // silently.
+  if (!(assert_rss_mb >= 0)) {
+    std::fprintf(stderr, "need --assert-rss-mb >= 0 (0 = off)\n");
     return 2;
   }
   if (heavy_keys < 0 || heavy_keys > keys || heavy_weight <= 0) {

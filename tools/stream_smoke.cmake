@@ -14,7 +14,12 @@
 #   6. an out-of-range shard count fails fast;
 #   7. a request count above INT_MAX exits 2 instead of wrapping the report;
 #   8. a non-integral request count exits 2 instead of being truncated, while
-#      an integral one in exponent form (1e3) still runs.
+#      an integral one in exponent form (1e3) still runs;
+#   9. an overloaded hot-key stream (about 2*10^4 requests waiting at the
+#      peak) stays under a 10 MB RSS bound: the engine holds 8 B per waiting
+#      request, not a queue entry and a task slot each;
+#  10. a NaN or negative RSS bound and an infinite service time exit 2
+#      instead of switching the bound off or reporting mean=inf.
 #
 # Usable standalone:
 #
@@ -161,5 +166,30 @@ if(NOT rc EQUAL 0 OR NOT integral_out MATCHES "requests=1000 ")
       "(rc=${rc}):\n${integral_out}")
 endif()
 
+# --- 9. a deep backlog under an RSS bound ---------------------------------
+# Zipf 1.2 over 1600 keys overloads the hottest replica set. Peak RSS reads
+# about 4.5 MB with per-machine finish rings; the global completion queue
+# and slot arena they replaced read about 15.5 MB on the same run.
+execute_process(
+  COMMAND ${CLI} stream --requests 2000000 --m 16 --zipf-s 1.2 --lambda 12
+          --seed 7 --assert-rss-mb 10
+  OUTPUT_FILE ${dir}/hot.txt RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR
+      "stream_smoke: hot-key stream failed or broke the 10 MB RSS bound "
+      "(rc=${rc})")
+endif()
+
+# --- 10. bad bounds and service times exit 2 --------------------------------
+foreach(bad "--assert-rss-mb;nan" "--assert-rss-mb;-5"
+            "--dist;constant;--service;inf" "--service;nan")
+  execute_process(
+    COMMAND ${CLI} stream --requests 100 --m 4 ${bad}
+    OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "stream_smoke: stream ${bad} did not exit 2 (rc=${rc})")
+  endif()
+endforeach()
+
 message(STATUS
-    "stream_smoke: exact + sketch regimes, JSON, RSS bound, sharded path OK")
+    "stream_smoke: exact + sketch regimes, JSON, RSS bounds, sharded path OK")
