@@ -167,14 +167,17 @@ BENCHMARK(BM_RoundRobinDispatch);
 // StreamingEngine's calendar queue -> log-linear flow histogram. items/sec IS
 // requests/sec — the headline EXPERIMENTS.md quotes. Load is pinned at
 // rho = 0.75 with mild skew so every cell is stable and the backlog (and
-// the engine's O(backlog) memory) stays bounded as m grows.
+// the engine's O(backlog) memory) stays bounded as m grows. Arguments are
+// (m, k): the k = 3 ring cells, plus the e2e `stream-wide` shape
+// (m = 4096, k = 64), whose 6.5 MB alias table is far out of cache: the
+// cell where the request loop's block-ahead prefetching matters.
 void BM_StreamingThroughput(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   StoreConfig store_config;
   store_config.m = m;
   store_config.keys = 100 * m;
   store_config.zipf_s = 0.5;
-  store_config.k = 3;
+  store_config.k = static_cast<int>(state.range(1));
   Rng store_rng(42);
   const KeyValueStore store(store_config, store_rng);
   StreamConfig config;
@@ -189,7 +192,11 @@ void BM_StreamingThroughput(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * config.requests);
 }
-BENCHMARK(BM_StreamingThroughput)->Arg(16)->Arg(256)->Arg(4096);
+BENCHMARK(BM_StreamingThroughput)
+    ->Args({16, 3})
+    ->Args({256, 3})
+    ->Args({4096, 3})
+    ->Args({4096, 64});
 
 // Guard for the overflow-heap drain (sched/calendar.hpp): a tiny capped
 // ring with far-future pushes forces every entry through the overflow heap

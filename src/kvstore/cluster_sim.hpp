@@ -80,6 +80,12 @@ struct SimReport {
 /// SimReport::dropped, and latency becomes submission-to-final-completion
 /// (retries included). A fault-free plan takes the exact fault-free code
 /// path, so attaching one never perturbs the report.
+///
+/// All three drivers draw requests a block at a time (32 requests: every
+/// draw of the block, in per-request order, then the releases), so `rng`
+/// ends exactly where a per-request loop would leave it. If a driver
+/// throws, `rng` has been advanced to the end of the block being released,
+/// not to the request that failed.
 SimReport simulate_cluster(const KeyValueStore& store, const SimConfig& config,
                            Dispatcher& dispatcher, Rng& rng,
                            SchedObserver* observer = nullptr,

@@ -56,10 +56,22 @@ class KeyValueStore {
   /// O(1) via the Walker/Vose alias tables (workload/alias.hpp); exactly one
   /// Rng::uniform() per draw — the same deviate budget as the previous
   /// inverse-CDF lookup, so the arrival/service draws that follow each key
-  /// in cluster_sim read the same stream positions as before.
+  /// in cluster_sim read the same stream positions as before. Equal to
+  /// resolve_key(rng.uniform()).
   int sample_key(Rng& rng) const {
     return static_cast<int>(key_sampler_->sample(rng));
   }
+
+  /// The key a draw of uniform `u` in [0, 1) selects
+  /// (AliasSampler::resolve). cluster_sim draws a block of uniforms, then
+  /// resolves them, so a key's alias column can be fetched while the
+  /// requests before it are still being drawn.
+  int resolve_key(double u) const {
+    return static_cast<int>(key_sampler_->resolve(u));
+  }
+
+  /// Hints the cache to load the alias column resolve_key(u) will read.
+  void prefetch_key(double u) const { key_sampler_->prefetch(u); }
 
   /// Induced machine popularity P(E_j): total popularity of keys owned by
   /// each server. Sums to 1.

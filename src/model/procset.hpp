@@ -99,6 +99,13 @@ class ProcSet {
     return rep_ != nullptr ? rep_->hash : kEmptyHash;
   }
 
+  /// Hints the cache to load the shared block (count, hash and member
+  /// vector header), which a copy writes and a dispatch reads. No effect on
+  /// any result; a no-op on the empty set.
+  void prefetch() const {
+    if (rep_ != nullptr) __builtin_prefetch(rep_);
+  }
+
   /// 1-based rendering, e.g. "{M2,M3,M4}".
   std::string str() const;
 

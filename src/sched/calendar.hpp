@@ -146,6 +146,11 @@ class CalendarQueue {
     }
     bool operator>(const Entry& o) const { return o < *this; }
   };
+  // Entry capacity a drained bucket keeps. A bucket of the engine's front
+  // queue holds about eight fronts (StreamingEngine::refine_fronts), so
+  // keeping eight spares it the allocations of refilling.
+  static constexpr std::size_t kKeptEntries = 8;
+
   struct Bucket {
     std::vector<Entry> entries;
     std::size_t head = 0;  // consumed prefix once sorted
@@ -164,12 +169,21 @@ class CalendarQueue {
     return bucket.entries[bucket.head];
   }
 
-  // Drops the open bucket's head entry, whose payload was moved out.
+  // Drops the open bucket's head entry, whose payload was moved out. A
+  // drained bucket keeps at most kKeptEntries of capacity: the ring reuses
+  // every bucket once per period, so storage a burst grew would otherwise
+  // stay allocated for the rest of the run.
   void consume(Bucket& bucket) {
     ++bucket.head;
     --size_;
     if (bucket.head == bucket.entries.size()) {
-      bucket.entries.clear();
+      if (bucket.entries.capacity() > kKeptEntries) {
+        std::vector<Entry> kept;
+        kept.reserve(kKeptEntries);
+        bucket.entries.swap(kept);
+      } else {
+        bucket.entries.clear();
+      }
       bucket.head = 0;
       bucket.sorted = false;
     }

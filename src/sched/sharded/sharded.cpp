@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
+#include <exception>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "runner/thread_pool.hpp"
 #include "sched/sharded/steal_deque.hpp"
@@ -65,7 +68,10 @@ ShardMap ShardMap::build(int m, int shards) {
 // worker; worker 0 is the caller thread. run() deals jobs round-robin,
 // publishes the epoch under the mutex, drains as worker 0, then waits for
 // the team. Which worker runs which shard job is a race by design — the
-// deques only balance wall-clock, never decisions.
+// deques only balance wall-clock, never decisions. A job that throws (a
+// lane's StreamingEngine rejecting a completion that overflows) still
+// counts as done, so the epoch ends; run() then rethrows the first such
+// exception on the caller thread instead of letting it end the process.
 class ShardedEngine::WorkerTeam {
  public:
   WorkerTeam(ShardedEngine* engine, int workers) : engine_(engine) {
@@ -121,6 +127,7 @@ class ShardedEngine::WorkerTeam {
     cv_done_.wait(lock, [this] {
       return jobs_remaining_.load(std::memory_order_acquire) == 0;
     });
+    if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
   }
 
   std::size_t memory_bytes() const {
@@ -139,7 +146,12 @@ class ShardedEngine::WorkerTeam {
         job = deques_[static_cast<std::size_t>((self + k) % W)]->steal_top();
       }
       if (!job) return;
-      engine_->run_lane(*job);
+      try {
+        engine_->run_lane(*job);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (!error_) error_ = std::current_exception();
+      }
       if (jobs_remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         // Take the mutex before notifying so the epoch driver is either not
         // yet waiting (its predicate re-check sees 0) or reliably woken.
@@ -178,6 +190,7 @@ class ShardedEngine::WorkerTeam {
   std::uint64_t epoch_seq_ = 0;  // guarded by mu_
   bool shutdown_ = false;        // guarded by mu_
   int draining_ = 0;             // guarded by mu_; workers not yet parked
+  std::exception_ptr error_;     // guarded by mu_; first job exception
   std::atomic<int> jobs_remaining_{0};
 };
 
@@ -240,14 +253,20 @@ void ShardedEngine::set_shard_observer(int shard, SchedObserver* observer) {
 
 void ShardedEngine::release(double time, double proc, const ProcSet& eligible,
                             double weight) {
-  if (time < last_release_) {
+  // The lane engines' admit() checks, made here so bad input throws at the
+  // call that passed it rather than later, inside an epoch. Negated, so a
+  // NaN release time is rejected too.
+  if (!(time >= last_release_)) {
     throw std::invalid_argument(
         "ShardedEngine::release: releases must be non-decreasing");
   }
-  last_release_ = time;
   if (!(proc > 0)) {
     throw std::invalid_argument("ShardedEngine::release: proc <= 0");
   }
+  if (!std::isfinite(proc)) {
+    throw std::invalid_argument("ShardedEngine::release: proc not finite");
+  }
+  last_release_ = time;
   EpochTask& et = epoch_buf_[static_cast<std::size_t>(epoch_count_)];
   et.time = time;
   et.proc = proc;
@@ -472,11 +491,12 @@ std::size_t ShardedEngine::memory_bytes() const {
     bytes += lane.engine->memory_bytes();
     bytes += lane.batch.capacity() * sizeof(std::uint32_t);
   }
+  // Each buffered task's M_i shares its block with the caller (the store's
+  // replica sets), so only the boundary views this engine builds are its own.
   for (const EpochTask& et : epoch_buf_) {
-    bytes += sizeof(EpochTask);
-    bytes += et.eligible.machines().capacity() * sizeof(int);
     bytes += et.exec_view.machines().capacity() * sizeof(int);
   }
+  bytes += epoch_buf_.capacity() * sizeof(EpochTask);
   bytes += epoch_results_.capacity() * sizeof(Assignment);
   bytes += backlog_events_.memory_bytes();
   if (team_ != nullptr) bytes += team_->memory_bytes();

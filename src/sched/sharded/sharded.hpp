@@ -139,11 +139,16 @@ class ShardedEngine {
   /// Lane 0's dispatcher name (all lanes share the factory).
   const std::string& algo_name() const { return algo_name_; }
 
-  /// Buffers one release; releases must be non-decreasing. Flushes the
-  /// epoch (route -> parallel execute -> merge) when full. Assignments are
-  /// observable through the flow sink / observer after the owning epoch
+  /// Buffers one release; releases must be non-decreasing (a NaN time is
+  /// rejected) and proc finite and > 0, checked here, at the call. Flushes
+  /// the epoch (route -> parallel execute -> merge) when full. Assignments
+  /// are observable through the flow sink / observer after the owning epoch
   /// merges, not per call — immediate dispatch still holds in *model* time
-  /// (every decision uses only state from releases before it).
+  /// (every decision uses only state from releases before it). An
+  /// exception a lane raises during an epoch (a completion that overflows
+  /// to +inf) is rethrown on the calling thread from whichever of
+  /// release/flush/drain ran the epoch; the engine is then unusable except
+  /// for destruction.
   void release(double time, double proc, const ProcSet& eligible,
                double weight = 1.0);
 
@@ -181,7 +186,12 @@ class ShardedEngine {
   std::vector<double> completions() const;
   /// Merged per-machine busy time (load) from each machine's owning lane.
   std::vector<double> loads() const;
-  /// Live footprint: lanes + epoch buffers + deques + backlog sweep.
+  /// Live footprint: lanes + epoch buffers + deques + backlog sweep. The
+  /// epoch buffers are fixed at epoch_tasks × (56 + 16) B (one EpochTask and
+  /// one Assignment per slot; 590 KB at the default 8192), so on short
+  /// streams they dominate. A buffered task's M_i shares the caller's
+  /// ProcSet block and is not counted; the boundary views the router builds
+  /// are the engine's own and are.
   std::size_t memory_bytes() const;
   /// Lane accessors for tests and the metrics merge.
   const StreamingEngine& lane(int shard) const {
@@ -204,7 +214,7 @@ class ShardedEngine {
     double proc = 0;
     double weight = 1.0;
     long long id = 0;
-    ProcSet eligible;   // copy (capacity reused across epochs); kWhole skips
+    ProcSet eligible;   // shares the caller's block; kWhole skips
     ProcSet exec_view;  // boundary tasks: eligible ∩ executor range
     TaskKind kind = TaskKind::kLocal;
     int executor = 0;

@@ -15,6 +15,12 @@
 // arrival-time and service-time draws of cluster_sim stay untouched). The
 // construction itself is a deterministic function of the weights — no RNG.
 //
+// sample(rng) is resolve(rng.uniform()), the one sampling path. A caller
+// that can draw ahead (cluster_sim draws a block of requests before
+// releasing any) keeps the uniform, calls prefetch(u) so the column loads
+// while it draws on, and resolves u later: the same index, and no stall on
+// a table far larger than the cache.
+//
 // The sampled *values* differ from the inverse-CDF sampler for the same
 // uniform (the methods partition [0,1) differently), but the distribution
 // is exactly the same: tests/test_alias.cpp reconstructs the per-index
@@ -43,14 +49,26 @@ class AliasSampler {
 
   /// One uniform draw, one column read. Same Rng budget as
   /// ZipfSampler::sample.
-  std::size_t sample(Rng& rng) const {
-    const double u = rng.uniform() * static_cast<double>(columns_.size());
-    std::size_t i = static_cast<std::size_t>(u);
-    if (i >= columns_.size()) i = columns_.size() - 1;  // u == n after rounding
+  std::size_t sample(Rng& rng) const { return resolve(rng.uniform()); }
+
+  /// The index a draw of uniform `u` in [0, 1) maps to: sample(rng) is
+  /// exactly resolve(rng.uniform()). Splitting the draw from the lookup lets
+  /// a caller draw a block of uniforms first and resolve them once their
+  /// columns are in cache (see prefetch).
+  std::size_t resolve(double u) const {
+    const double x = u * static_cast<double>(columns_.size());
+    const std::size_t i = column_of(x);
     const Column& c = columns_[i];
-    return (u - static_cast<double>(i)) < c.prob
+    return (x - static_cast<double>(i)) < c.prob
                ? i
                : static_cast<std::size_t>(c.alias);
+  }
+
+  /// Hints the cache to load the column resolve(u) will read. No effect on
+  /// any result.
+  void prefetch(double u) const {
+    __builtin_prefetch(
+        &columns_[column_of(u * static_cast<double>(columns_.size()))]);
   }
 
   std::size_t size() const { return columns_.size(); }
@@ -69,6 +87,12 @@ class AliasSampler {
     double prob;          // column-local acceptance threshold
     std::uint32_t alias;  // column-overflow target
   };
+
+  // floor(x) for x = u * n, clamped: u * n can round up to n.
+  std::size_t column_of(double x) const {
+    const std::size_t i = static_cast<std::size_t>(x);
+    return i < columns_.size() ? i : columns_.size() - 1;
+  }
 
   void build();
 

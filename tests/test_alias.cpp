@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -208,6 +209,44 @@ TEST(Alias, ColumnBuildDrawsTheTwoArrayKeys) {
   rng.shuffle(holes);
   for (std::size_t i = 0; i < holes.size(); i += 3) holes[i] = 0.0;
   expect_same_draws(holes, "zipf with every third weight zeroed");
+}
+
+// resolve(u) is the lookup sample(rng) makes of rng.uniform(): the two
+// agree draw for draw, and at the column edges, where u * n rounds onto or
+// just below an integer (and up to n - 1 + 1 ulp at the top), resolve
+// picks what the verbatim two-array sample() formula picks for that u.
+TEST(Alias, ResolveMatchesSample) {
+  for (int n : {1, 3, 7, 100, 25600, 409600}) {
+    const AliasSampler sampler(zipf_weights(n, 0.9));
+    Rng a(77), b(77);
+    for (int i = 0; i < 200'000; ++i) {
+      const std::size_t want = sampler.sample(a);
+      ASSERT_EQ(sampler.resolve(b.uniform()), want) << "n=" << n << " i=" << i;
+    }
+    EXPECT_EQ(a(), b());  // both consumed one uniform per draw
+
+    const TwoArrayAlias reference(sampler.weights());
+    const auto reference_resolve = [&](double u) {
+      const double x = u * static_cast<double>(n);
+      std::size_t i = static_cast<std::size_t>(x);
+      if (i >= reference.prob.size()) i = reference.prob.size() - 1;
+      return (x - static_cast<double>(i)) < reference.prob[i]
+                 ? i
+                 : static_cast<std::size_t>(reference.alias[i]);
+    };
+    std::vector<double> edges = {0.0, std::nextafter(1.0, 0.0)};
+    const int step = std::max(1, n / 64);
+    for (int k = 1; k < n; k += step) {
+      const double edge = static_cast<double>(k) / n;
+      edges.insert(edges.end(), {std::nextafter(edge, 0.0), edge,
+                                 std::nextafter(edge, 1.0)});
+    }
+    for (double u : edges) {
+      const std::size_t got = sampler.resolve(u);
+      ASSERT_LT(got, static_cast<std::size_t>(n));
+      ASSERT_EQ(got, reference_resolve(u)) << "n=" << n << " u=" << u;
+    }
+  }
 }
 
 }  // namespace

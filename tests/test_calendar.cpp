@@ -173,5 +173,25 @@ TEST(Calendar, MemoryBytesIsBoundedByGeometry) {
   EXPECT_LT(q.memory_bytes(), 1u << 20);
 }
 
+// A burst fills a few buckets far past their usual size. Once it drains,
+// each bucket keeps at most a small floor of entry capacity instead of the
+// burst's, so the footprint returns to about the idle queue's.
+TEST(Calendar, DrainedBurstReleasesBucketStorage) {
+  CalendarQueue<int> q(0.125, 16);
+  const std::size_t idle = q.memory_bytes();
+  for (int i = 0; i < 4096; ++i) q.push(0.125 * (i % 4), i);
+  const std::size_t burst = q.memory_bytes();
+  while (!q.empty()) q.pop();
+  // 16 buckets, each keeping at most eight entries of at most 32 B.
+  const std::size_t floor = 16 * 8 * 32;
+  EXPECT_GT(burst, idle + 16 * floor);
+  EXPECT_LE(q.memory_bytes(), idle + floor);
+  // The kept capacity is reused: a second burst pops in the same order.
+  for (int i = 0; i < 64; ++i) q.push(0.125 * (i % 4), i);
+  for (int b = 0; b < 4; ++b) {
+    for (int i = b; i < 64; i += 4) ASSERT_EQ(q.pop(), i);
+  }
+}
+
 }  // namespace
 }  // namespace flowsched

@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -495,6 +497,70 @@ TEST(Sharded, SingleMachineShards) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(engine.boundary_tasks(), 1);
   EXPECT_TRUE(events[0].machine == 2 || events[0].machine == 3);
+}
+
+// Bad input is rejected at the release that passes it, with the lane
+// engines' messages, at one worker and two: a NaN release time and an
+// infinite proc used to reach a lane's admit() inside the epoch (std::
+// terminate on a worker thread). A rejected release buffers nothing.
+TEST(Sharded, RejectsNanReleaseAndInfiniteProcAtTheCall) {
+  for (int workers : {1, 2}) {
+    ShardedEngine::Options opts;
+    opts.shards = 2;
+    opts.shard_workers = workers;
+    opts.epoch_tasks = 4;
+    ShardedEngine engine(4, eft_factory(), opts);
+    engine.release(0.0, 1.0, ProcSet::single(0));
+    EXPECT_THROW(engine.release(std::nan(""), 1.0, ProcSet::single(3)),
+                 std::invalid_argument);
+    EXPECT_THROW(engine.release(1.0, std::numeric_limits<double>::infinity(),
+                                ProcSet::single(3)),
+                 std::invalid_argument);
+    EXPECT_THROW(engine.release(1.0, std::nan(""), ProcSet::single(3)),
+                 std::invalid_argument);
+    engine.release(1.0, 1.0, ProcSet::single(3));
+    engine.drain();
+    EXPECT_EQ(engine.released(), 2) << "workers=" << workers;
+  }
+}
+
+// An error no up-front check can see, a completion that overflows to +inf,
+// is raised inside a lane. It reaches the caller as the lane's exception,
+// whichever thread ran the lane, and the engine still destroys cleanly.
+TEST(Sharded, LaneExceptionIsRethrownOnTheCaller) {
+  const double big = std::numeric_limits<double>::max();
+  for (int workers : {1, 2}) {
+    ShardedEngine::Options opts;
+    opts.shards = 2;
+    opts.shard_workers = workers;
+    opts.epoch_tasks = 1 << 14;
+    ShardedEngine engine(4, eft_factory(), opts);
+    // Both lanes get work, so the two-worker team runs the epoch. The
+    // caller deals itself lane 0's long job, so lane 1, which overflows,
+    // runs on the other worker.
+    for (int i = 0; i < 8000; ++i) {
+      engine.release(0.0, 1.0, ProcSet::single(0));
+    }
+    engine.release(0.0, big, ProcSet::single(3));
+    engine.release(1.0, big, ProcSet::single(3));
+    EXPECT_THROW(engine.flush(), std::invalid_argument)
+        << "workers=" << workers;
+  }
+}
+
+// A buffered task's M_i is a handle to the caller's shared block, so
+// memory_bytes() does not grow with the number of tasks holding it (it
+// used to add the members once per buffered task).
+TEST(Sharded, MemoryCountsSharedSetsOnce) {
+  ShardedEngine::Options opts;
+  opts.shards = 1;
+  opts.shard_workers = 1;
+  opts.epoch_tasks = 256;
+  ShardedEngine engine(1024, eft_factory(), opts);
+  const std::size_t idle = engine.memory_bytes();
+  const ProcSet wide = ProcSet::interval(0, 1023);
+  for (int i = 0; i < 200; ++i) engine.release(0.01 * i, 1.0, wide);
+  EXPECT_EQ(engine.memory_bytes(), idle);  // 200 buffered, none flushed
 }
 
 // --- [shard-equiv] for randomized dispatchers ------------------------------

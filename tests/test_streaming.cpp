@@ -27,6 +27,7 @@
 #include "sched/dispatchers.hpp"
 #include "sched/engine.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace flowsched {
 namespace {
@@ -710,6 +711,195 @@ TEST(Streaming, RejectsNonFiniteServiceTimes) {
       batch.dist = dist;
       EXPECT_THROW(simulate_cluster(store, batch, *policy, rng),
                    std::invalid_argument);
+    }
+  }
+}
+
+// --- The block request loop ------------------------------------------------
+
+// The drivers draw requests a block at a time, then release them. This is
+// the per-request loop they must stay equal to: each request draws its
+// arrival gap, key and service, in that order, and is released at once.
+struct ReferenceRequest {
+  double release;
+  double proc;
+  ProcSet eligible;
+};
+
+std::vector<ReferenceRequest> per_request_stream(const KeyValueStore& store,
+                                                 const StreamConfig& config,
+                                                 Rng& rng) {
+  std::vector<ReferenceRequest> out;
+  double t = 0.0;
+  for (long long i = 0; i < config.requests; ++i) {
+    t += rng.exponential(config.lambda);
+    const int key = store.sample_key(rng);
+    const double p = rng.exponential(1.0 / config.service_time);
+    out.push_back({t, p > 1e-9 ? p : 1e-9, store.replicas_of_key(key)});
+  }
+  return out;
+}
+
+// The report the drivers assemble, from flows in request order.
+StreamReport reference_report(const StreamConfig& config,
+                              std::vector<double> flows,
+                              const std::vector<double>& busy,
+                              double makespan, std::size_t peak,
+                              std::size_t memory) {
+  StreamReport r;
+  r.sim.requests = static_cast<int>(flows.size());
+  r.exact_quantiles = config.requests <= config.exact_quantile_cap;
+  if (r.exact_quantiles && !flows.empty()) {
+    r.sim.mean_latency = mean(flows);
+    std::sort(flows.begin(), flows.end());
+    r.sim.p50 = quantile_sorted(flows, 0.50);
+    r.sim.p90 = quantile_sorted(flows, 0.90);
+    r.sim.p99 = quantile_sorted(flows, 0.99);
+    r.sim.max_latency = quantile_sorted(flows, 1.0);
+    r.p999 = quantile_sorted(flows, 0.999);
+  } else if (!r.exact_quantiles) {
+    StreamingQuantiles sketch;
+    for (double f : flows) sketch.add(f);
+    r.sim.mean_latency = sketch.mean();
+    r.sim.p50 = sketch.p50();
+    r.sim.p90 = sketch.p90();
+    r.sim.p99 = sketch.p99();
+    r.sim.max_latency = sketch.max();
+    r.p999 = sketch.p999();
+  }
+  r.sim.makespan = makespan;
+  for (double b : busy) {
+    r.sim.utilization.push_back(makespan > 0 ? b / makespan : 0.0);
+  }
+  r.peak_backlog = peak;
+  r.memory_bytes = memory;
+  return r;
+}
+
+void expect_same_report(const StreamReport& got, const StreamReport& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.str(), want.str()) << what;
+  EXPECT_EQ(got.sim.str(), want.sim.str()) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.sim.makespan),
+            std::bit_cast<std::uint64_t>(want.sim.makespan))
+      << what;
+  EXPECT_EQ(got.sim.utilization, want.sim.utilization) << what;
+  EXPECT_EQ(got.memory_bytes, want.memory_bytes) << what;
+}
+
+// The caller's Rng ends where the per-request loop leaves it.
+void expect_same_rng(Rng got, Rng want, const std::string& what) {
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(got(), want()) << what;
+}
+
+// All three drivers against the per-request loop, at lengths around the
+// block size and past the exact-quantile prefix (the default cap), where
+// the streaming reports switch to the histogram.
+TEST(Streaming, BlockLoopMatchesPerRequestReference) {
+  constexpr long long kPrefix = 1 << 16;
+  const int m = 12;
+  const std::uint64_t seed = 91;
+  ShardedEngine::Options shard_opts;
+  shard_opts.shards = 3;
+  shard_opts.shard_workers = 2;
+  shard_opts.epoch_tasks = 50;  // epochs end mid-block
+  for (long long n : {0LL, 1LL, 31LL, 32LL, 33LL, 1000LL, kPrefix + 5}) {
+    const std::string what = "n=" + std::to_string(n);
+    StreamConfig config;
+    config.lambda = 0.7 * m;
+    config.requests = n;
+    config.dist = ServiceDist::kExponential;
+    Rng store_rng(seed);
+    const KeyValueStore store(small_store(m), store_rng);
+    Rng ref_rng(seed + 1);
+    const std::vector<ReferenceRequest> stream =
+        per_request_stream(store, config, ref_rng);
+
+    {  // simulate_cluster: the record-all engine, always exact.
+      SimConfig batch;
+      batch.lambda = config.lambda;
+      batch.requests = static_cast<int>(n);
+      batch.dist = config.dist;
+      auto policy = make_policy("eft-min");
+      Rng rng(seed + 1);
+      const SimReport got = simulate_cluster(store, batch, *policy, rng);
+      expect_same_rng(rng, ref_rng, what + " batch");
+
+      auto ref_policy = make_policy("eft-min");
+      OnlineEngine engine(m, *ref_policy);
+      std::vector<double> flows;
+      std::vector<double> busy(m, 0.0);
+      for (const ReferenceRequest& r : stream) {
+        const Assignment a = engine.release(
+            Task{.release = r.release, .proc = r.proc, .eligible = r.eligible});
+        flows.push_back(a.start + r.proc - r.release);
+        busy[static_cast<std::size_t>(a.machine)] += r.proc;
+      }
+      StreamConfig exact = config;
+      exact.exact_quantile_cap = n;
+      const SimReport want =
+          reference_report(exact, flows, busy,
+                           std::ranges::max(engine.completions()), 0, 0)
+              .sim;
+      EXPECT_EQ(got.str(), want.str()) << what;
+      EXPECT_EQ(got.makespan, want.makespan) << what;
+      EXPECT_EQ(got.utilization, want.utilization) << what;
+    }
+
+    {  // simulate_cluster_streaming.
+      auto policy = make_policy("eft-min");
+      Rng rng(seed + 1);
+      const StreamReport got =
+          simulate_cluster_streaming(store, config, *policy, rng);
+      expect_same_rng(rng, ref_rng, what + " streaming");
+
+      auto ref_policy = make_policy("eft-min");
+      StreamingEngine engine(m, *ref_policy);
+      std::vector<double> flows;
+      std::vector<double> busy(m, 0.0);
+      long long i = 0;
+      for (const ReferenceRequest& r : stream) {
+        const Assignment a =
+            engine.release(r.release, r.proc, r.eligible, i++);
+        flows.push_back(a.start + r.proc - r.release);
+        busy[static_cast<std::size_t>(a.machine)] += r.proc;
+      }
+      const std::size_t live = engine.memory_bytes();
+      engine.drain();
+      expect_same_report(
+          got,
+          reference_report(config, flows, busy,
+                           std::ranges::max(engine.completions()),
+                           engine.peak_in_flight(), live),
+          what + " streaming");
+    }
+
+    {  // simulate_cluster_streaming_sharded.
+      const ShardedEngine::DispatcherFactory factory = [](int) {
+        return make_policy("eft-min");
+      };
+      Rng rng(seed + 1);
+      const StreamReport got = simulate_cluster_streaming_sharded(
+          store, config, factory, shard_opts, rng);
+      expect_same_rng(rng, ref_rng, what + " sharded");
+
+      ShardedEngine engine(m, factory, shard_opts);
+      std::vector<double> flows;
+      std::vector<double> busy(m, 0.0);
+      engine.set_flow_sink([&](const ShardedEngine::FlowEvent& e) {
+        flows.push_back(e.start + e.proc - e.release);
+        busy[static_cast<std::size_t>(e.machine)] += e.proc;
+      });
+      for (const ReferenceRequest& r : stream) {
+        engine.release(r.release, r.proc, r.eligible);
+      }
+      const std::size_t live = engine.memory_bytes();
+      engine.drain();
+      expect_same_report(got,
+                         reference_report(config, flows, busy,
+                                          engine.makespan(),
+                                          engine.peak_backlog(), live),
+                         what + " sharded");
     }
   }
 }
