@@ -2,7 +2,9 @@
 // and the FIFO event loop, plus a large-m scaling series (m up to 4096,
 // fixed-size ring-interval sets) that isolates the engine hot path — the
 // per-release queue-depth bookkeeping and the per-dispatch candidate scan —
-// and the fault path's timeline queries as the down-interval list grows.
+// and the fault path's timeline queries as the down-interval list grows;
+// plus the record-all observers: MetricsCollector on a replayed event
+// stream and the auditor's end-of-run sweeps.
 //
 // Custom main: `micro_sched --json out.json` writes the google-benchmark
 // JSON report alongside the usual ASCII console table (it is shorthand for
@@ -19,6 +21,8 @@
 #include "fault/plan.hpp"
 #include "fault/recovery.hpp"
 #include "kvstore/cluster_sim.hpp"
+#include "kvstore/store.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sched/calendar.hpp"
 #include "sched/engine.hpp"
@@ -287,6 +291,61 @@ BENCHMARK(BM_AuditorRunEnd)
     ->Arg(256)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
+
+// Records a run's events for replay; the processing-set pointer is
+// callback-scoped, so it is dropped.
+class EventRecorder final : public SchedObserver {
+ public:
+  void on_run_begin(const RunInfo& info) override { info_ = info; }
+  void on_event(const ObsEvent& e) override {
+    events_.push_back(e);
+    events_.back().eligible = nullptr;
+  }
+  void on_run_end(double makespan) override { makespan_ = makespan; }
+
+  void replay(SchedObserver& sink) const {
+    sink.on_run_begin(info_);
+    for (const ObsEvent& e : events_) sink.on_event(e);
+    sink.on_run_end(makespan_);
+  }
+  std::size_t events() const { return events_.size(); }
+
+ private:
+  RunInfo info_;
+  std::vector<ObsEvent> events_;
+  double makespan_ = 0;
+};
+
+// MetricsCollector alone on the e2e `batch-audited` shape at 100k
+// requests (m = 64, ring k = 3, Zipf 0.5, exponential service, load 0.75):
+// one recorded EFT-Min event stream replayed into a fresh collector, so
+// only on_event and on_run_end are timed. Non-dyadic flows at unit weight
+// are the collector's common case: the unit-weight flow term and the
+// shift-binned flow histogram both serve it without Rational arithmetic.
+void BM_MetricsCollectorEvents(benchmark::State& state) {
+  StoreConfig store_config;
+  store_config.m = 64;
+  store_config.keys = 6400;
+  store_config.zipf_s = 0.5;
+  Rng store_rng(42);
+  const KeyValueStore store(store_config, store_rng);
+  SimConfig config;
+  config.lambda = 48;
+  config.requests = 100000;
+  config.dist = ServiceDist::kExponential;
+  EftDispatcher eft(TieBreakKind::kMin);
+  Rng rng(7);
+  EventRecorder recorded;
+  simulate_cluster(store, config, eft, rng, &recorded);
+  for (auto _ : state) {
+    MetricsCollector metrics;
+    recorded.replay(metrics);
+    benchmark::DoNotOptimize(metrics.mean_flow());
+  }
+  state.SetItemsProcessed(state.iterations() * config.requests);
+  state.counters["events"] = static_cast<double>(recorded.events());
+}
+BENCHMARK(BM_MetricsCollectorEvents)->Unit(benchmark::kMillisecond);
 
 // The fault path of OnlineEngine (degraded set, park, kill at the crash)
 // on 10k unit tasks, m = 16, k = 3 ring sets at 0.8 load, under a plan

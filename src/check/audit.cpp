@@ -504,19 +504,30 @@ void InvariantAuditor::check_work_conservation(const MachineSpans& by_machine) {
   // can meet (r_i, S_i) are a contiguous range: skip those ending by r_i,
   // stop at the first starting at or after S_i. Every skipped gap overlaps
   // the wait by at most 0 <= eps, so the first witness is the one a full
-  // scan finds.
+  // scan finds. Releases do not decrease, so each machine keeps a cursor at
+  // its first gap ending after the last release it served and only moves
+  // it forward; a release below that (a [protocol] violation) re-finds its
+  // place by bisection instead.
+  std::vector<std::size_t> cursor(gap_offset.begin(), gap_offset.end() - 1);
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     const TaskRecord& rec = tasks_[i];
     if (rec.phase != 3 || rec.start <= rec.release + config_.eps) continue;
+    const auto ends_by_release = [&](const auto& gap) {
+      return gap.second <= rec.release;
+    };
     for (int j : rec.eligible.machines()) {
       if (j < 0 || j >= static_cast<int>(m)) continue;
       const auto uj = static_cast<std::size_t>(j);
       const auto* const first = gaps.data() + gap_offset[uj];
       const auto* const last = gaps.data() + gap_offset[uj + 1];
-      for (const auto* it = std::partition_point(
-               first, last,
-               [&](const auto& gap) { return gap.second <= rec.release; });
-           it != last; ++it) {
+      const auto* it = gaps.data() + cursor[uj];
+      if (it != first && !ends_by_release(it[-1])) {
+        it = std::partition_point(first, last, ends_by_release);
+      } else {
+        while (it != last && ends_by_release(*it)) ++it;
+        cursor[uj] = static_cast<std::size_t>(it - gaps.data());
+      }
+      for (; it != last; ++it) {
         const auto [lo, hi] = *it;
         if (lo >= rec.start) break;
         const double olo = std::max(lo, rec.release);

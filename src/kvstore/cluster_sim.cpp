@@ -172,7 +172,7 @@ class StreamAggregate {
     busy_[static_cast<std::size_t>(machine)] += work;
   }
 
-  // Sorts the retained latencies in place: call once, after the last add.
+  // Permutes the retained latencies in place: call once, after the last add.
   StreamReport report(double makespan, std::size_t peak_backlog,
                       std::size_t memory_bytes, double wall_s) {
     StreamReport report;
@@ -180,14 +180,15 @@ class StreamAggregate {
     report.exact_quantiles = exact_;
     if (exact_) {
       if (!latencies_.empty()) {
-        // The mean sums in request order, before the sort.
+        // The mean sums in request order, before the selection permutes.
         report.sim.mean_latency = mean(latencies_);
-        std::sort(latencies_.begin(), latencies_.end());
-        report.sim.p50 = quantile_sorted(latencies_, 0.50);
-        report.sim.p90 = quantile_sorted(latencies_, 0.90);
-        report.sim.p99 = quantile_sorted(latencies_, 0.99);
-        report.sim.max_latency = quantile_sorted(latencies_, 1.0);
-        report.p999 = quantile_sorted(latencies_, 0.999);
+        static constexpr double kQs[] = {0.50, 0.90, 0.99, 0.999, 1.0};
+        const std::vector<double> qv = select_quantiles(latencies_, kQs);
+        report.sim.p50 = qv[0];
+        report.sim.p90 = qv[1];
+        report.sim.p99 = qv[2];
+        report.p999 = qv[3];
+        report.sim.max_latency = qv[4];
       }
     } else {
       report.sim.mean_latency = sketch_.mean();

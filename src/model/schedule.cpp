@@ -92,6 +92,10 @@ double Schedule::total_flow() const {
 }
 
 double weighted_flow_term(double w, double f) {
+  // Unit weight: a double converts to its binary rational and back without
+  // loss, so the Rational product below is f itself (+ 0.0 maps -0 to the
+  // +0 that path returns).
+  if (w == 1.0) return f + 0.0;
   const auto rw = rational_from_double(w);
   const auto rf = rational_from_double(f);
   if (rw && rf) {

@@ -21,6 +21,7 @@ struct Assignment {
 
 /// w * f with a Rational-exact product when both factors are representable
 /// (dyadic-grid weights and flows always are), double fallback otherwise.
+/// At w == 1 that product is f exactly, returned without the Rational detour.
 /// Shared by Schedule, MetricsCollector, and the auditor so their weighted
 /// aggregates are comparable bitwise, not just within an epsilon.
 double weighted_flow_term(double w, double f);

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,16 +9,43 @@
 
 namespace flowsched {
 
+namespace {
+
+// A double bin index clamped into [0, last] before the cast: a NaN-free
+// index beyond size_t (±inf, 1e300) never reaches static_cast.
+std::size_t clamp_bin(double idx, std::size_t last) {
+  if (!(idx > 0)) return 0;
+  return idx >= static_cast<double>(last) ? last
+                                          : static_cast<std::size_t>(idx);
+}
+
+}  // namespace
+
 FlowHistogram::FlowHistogram(Rational lo, Rational hi, std::size_t bins)
     : lo_(lo), hi_(hi), width_((hi - lo) / Rational(static_cast<std::int64_t>(bins))) {
   if (bins == 0) throw std::invalid_argument("FlowHistogram: bins == 0");
   if (!(lo < hi)) throw std::invalid_argument("FlowHistogram: lo >= hi");
   counts_.assign(bins, 0);
+  // w = num/den in lowest terms is a power of two iff one side is 1 and the
+  // other a power of two; then 1/w is exact in a double.
+  const auto num = static_cast<std::uint64_t>(width_.num());
+  const auto den = static_cast<std::uint64_t>(width_.den());
+  if (lo_ == Rational(0) && (num == 1 || den == 1) &&
+      std::has_single_bit(num) && std::has_single_bit(den)) {
+    inv_width_ = Rational(width_.den(), width_.num()).to_double();
+  }
 }
 
 void FlowHistogram::add(double x) {
+  if (std::isnan(x)) throw std::invalid_argument("FlowHistogram: NaN sample");
   ++total_;
   const auto last = counts_.size() - 1;
+  if (inv_width_ != 0) {
+    // x * 2^-s is ldexp(x, -s): exact unless it underflows, and then it is
+    // below 1 either way — floor gives the exact bin.
+    ++counts_[clamp_bin(std::floor(x * inv_width_), last)];
+    return;
+  }
   std::size_t bin = 0;
   bool exact = false;
   if (const auto r = rational_from_double(x)) {
@@ -40,11 +68,8 @@ void FlowHistogram::add(double x) {
     }
   }
   if (!exact) {
-    const double lo = lo_.to_double();
-    const double w = width_.to_double();
-    const double idx = std::floor((x - lo) / w);
-    bin = idx <= 0 ? 0
-                   : std::min(static_cast<std::size_t>(idx), last);
+    bin = clamp_bin(std::floor((x - lo_.to_double()) / width_.to_double()),
+                    last);
   }
   ++counts_[bin];
 }
@@ -57,8 +82,8 @@ double FlowHistogram::bin_hi(std::size_t b) const {
   return (lo_ + width_ * Rational(static_cast<std::int64_t>(b + 1))).to_double();
 }
 
-MetricsCollector::MetricsCollector(std::int64_t flow_hi, std::size_t flow_bins)
-    : flow_hist_(Rational(0), Rational(flow_hi), flow_bins) {}
+MetricsCollector::MetricsCollector()
+    : flow_hist_(Rational(0), Rational(64), 64) {}
 
 void MetricsCollector::on_run_begin(const RunInfo& info) {
   if (begun_) {

@@ -39,11 +39,18 @@ namespace flowsched {
 /// instances (integer and power-of-two times) always take the exact path.
 /// Samples or bounds that cannot be represented as int64 rationals fall
 /// back to double bucketing.
+///
+/// Shift path: when lo == 0 and w == 2^s (MetricsCollector's [0, 64) in 64
+/// bins), x / w = x * 2^-s is exact in doubles, so the bin is floor(x * 2^-s)
+/// clamped into range — the same bin as the Rational path, for every finite
+/// sample, at float cost. The constructor decides once which path runs.
 class FlowHistogram {
  public:
   /// Bounds as exact rationals; requires lo < hi and bins >= 1.
   FlowHistogram(Rational lo, Rational hi, std::size_t bins);
 
+  /// Files one sample. +inf clamps into the last bin and -inf into bin 0;
+  /// NaN has no bin and throws std::invalid_argument.
   void add(double x);
 
   std::size_t total() const { return total_; }
@@ -57,6 +64,7 @@ class FlowHistogram {
   Rational lo_;
   Rational hi_;
   Rational width_;  // (hi - lo) / bins
+  double inv_width_ = 0;  // 2^-s on the shift path (lo == 0, w == 2^s), else 0
   std::vector<std::size_t> counts_;
   std::size_t total_ = 0;
 };
@@ -76,10 +84,8 @@ struct SeriesPoint {
 /// logic error (on_run_begin() throws on the second call).
 class MetricsCollector final : public SchedObserver {
  public:
-  /// Flow histogram over [0, flow_hi) with `flow_bins` bins. flow_hi must
-  /// be a positive integer so the bounds always convert exactly.
-  explicit MetricsCollector(std::int64_t flow_hi = 64,
-                            std::size_t flow_bins = 64);
+  /// Flow histogram over [0, 64) in 64 unit bins (the shift path).
+  MetricsCollector();
 
   void on_run_begin(const RunInfo& info) override;
   void on_event(const ObsEvent& event) override;

@@ -529,6 +529,49 @@ TEST(InvariantAuditor, EndOfRunSweepsMatchReference) {
     }
   }
   EXPECT_GT(findings, 150);  // the comparison is not vacuous
+
+  // A decreasing release. Task 2 (r = 10) waits on M2 while it is busy, so
+  // M2's gap cursor moves past its gap [4, 6); task 3 (r = 3, a [protocol]
+  // violation) then needs exactly that gap for its witness.
+  struct Run {
+    double release, proc, start;
+  };
+  const std::vector<Run> runs = {{0, 4, 0}, {6, 14, 6}, {10, 1, 20}, {3, 1, 21}};
+  const ProcSet m2({1});
+  AuditConfig config;
+  config.max_violations = 1 << 20;
+  config.force_work_conservation = true;
+  InvariantAuditor auditor(config);
+  ReferenceSweeps reference(config.eps);
+  MulticastObserver both({&auditor, &reference});
+  both.on_run_begin(RunInfo{2, "FIFO-eligible", {}});
+  const auto emit = [&](ObsEventKind kind, double time, int task) {
+    const Run& r = runs[static_cast<std::size_t>(task)];
+    both.on_event(ObsEvent{.kind = kind, .time = time, .task = task,
+                           .machine = kind == ObsEventKind::kTaskReleased ? -1 : 1,
+                           .release = r.release, .proc = r.proc,
+                           .eligible = &m2});
+  };
+  const auto machine = [&](ObsEventKind kind, double time) {
+    both.on_event(ObsEvent{.kind = kind, .time = time, .machine = 1});
+  };
+  machine(ObsEventKind::kMachineBusy, 0);
+  for (int i = 0; i < static_cast<int>(runs.size()); ++i) {
+    const Run& r = runs[static_cast<std::size_t>(i)];
+    emit(ObsEventKind::kTaskReleased, r.release, i);
+    emit(ObsEventKind::kTaskDispatched, r.release, i);
+    emit(ObsEventKind::kTaskStarted, r.start, i);
+    emit(ObsEventKind::kTaskCompleted, r.start + r.proc, i);
+  }
+  machine(ObsEventKind::kMachineIdle, 4);
+  machine(ObsEventKind::kMachineBusy, 6);
+  machine(ObsEventKind::kMachineIdle, 22);
+  both.on_run_end(22);
+  EXPECT_EQ(sweep_findings(auditor.violations()), reference.lines());
+  EXPECT_EQ(reference.lines(),
+            (std::vector<std::string>{
+                "run#0 FIFO-eligible: [work-conservation] task 3 waits in "
+                "[3, 21) while eligible machine M2 idles in [4, 6)"}));
 }
 
 // --- generators: families land in the advertised class ---------------------

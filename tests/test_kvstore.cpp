@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fault/plan.hpp"
 #include "fault/recovery.hpp"
 #include "kvstore/store.hpp"
+#include "obs/observer.hpp"
+#include "util/stats.hpp"
 
 namespace flowsched {
 namespace {
@@ -197,6 +201,54 @@ TEST(ClusterSim, RejectsNegativeRequestCount) {
   sim.requests = -1;
   EftDispatcher eft(TieBreakKind::kMin);
   EXPECT_THROW(simulate_cluster(store, sim, eft, rng), std::invalid_argument);
+}
+
+// Records each request's flow, in request order, from the engine's
+// completion events.
+class FlowRecorder final : public SchedObserver {
+ public:
+  void on_run_begin(const RunInfo&) override {}
+  void on_event(const ObsEvent& e) override {
+    if (e.kind != ObsEventKind::kTaskCompleted) return;
+    const auto i = static_cast<std::size_t>(e.task);
+    if (flows.size() <= i) flows.resize(i + 1);
+    flows[i] = e.time - e.release;
+  }
+  void on_run_end(double) override {}
+  std::vector<double> flows;
+};
+
+// The exact regime selects its order statistics instead of sorting: the
+// report equals sort + quantile_sorted bit for bit, at tiny n and in a
+// constant-service run full of ties.
+TEST(ClusterSim, ExactQuantilesEqualSortedReference) {
+  for (ServiceDist dist : {ServiceDist::kConstant, ServiceDist::kExponential}) {
+    for (int n : {1, 2, 3, 1000}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " dist=" +
+                   std::to_string(static_cast<int>(dist)));
+      Rng rng(23);
+      const KeyValueStore store(small_store(), rng);
+      SimConfig sim;
+      sim.lambda = 2.0;
+      sim.requests = n;
+      sim.dist = dist;
+      EftDispatcher eft(TieBreakKind::kMin);
+      FlowRecorder recorder;
+      const auto report = simulate_cluster(store, sim, eft, rng, &recorder);
+      std::vector<double> flows = recorder.flows;
+      ASSERT_EQ(flows.size(), static_cast<std::size_t>(n));
+      EXPECT_EQ(report.mean_latency, mean(flows));
+      std::sort(flows.begin(), flows.end());
+      EXPECT_EQ(report.p50, quantile_sorted(flows, 0.50));
+      EXPECT_EQ(report.p90, quantile_sorted(flows, 0.90));
+      EXPECT_EQ(report.p99, quantile_sorted(flows, 0.99));
+      EXPECT_EQ(report.max_latency, quantile_sorted(flows, 1.0));
+      if (dist == ServiceDist::kConstant && n == 1000) {
+        // Ties: most requests are served at once, with flow exactly 1.
+        EXPECT_GT(std::count(flows.begin(), flows.end(), 1.0), n / 2);
+      }
+    }
+  }
 }
 
 // Pins the whole fault-mode report of a weighted run in which crashes,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 namespace flowsched {
@@ -67,6 +70,36 @@ TEST(Stats, QuantileRejectsOutOfRange) {
   const std::vector<double> xs{1.0};
   EXPECT_THROW(quantile(xs, -0.1), std::invalid_argument);
   EXPECT_THROW(quantile(xs, 1.1), std::invalid_argument);
+}
+
+// Selection reads the same order statistics a full sort does: adjacent and
+// repeated positions (small n, q = 0 and 1, equal q), ties and random data.
+TEST(Stats, SelectQuantilesMatchSort) {
+  const std::vector<double> qs{0.0, 0.0, 0.25, 0.5, 0.5, 0.9, 0.99, 0.999, 1.0};
+  std::uint64_t state = 12345;
+  for (std::size_t n : {1u, 2u, 3u, 4u, 7u, 100u, 1001u}) {
+    for (int ties = 0; ties < 2; ++ties) {
+      std::vector<double> xs(n);
+      for (double& x : xs) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        x = ties ? static_cast<double>(state >> 62)
+                 : static_cast<double>(state >> 11) * 0x1p-53;
+      }
+      std::vector<double> sorted = xs;
+      std::sort(sorted.begin(), sorted.end());
+      const std::vector<double> got = select_quantiles(xs, qs);
+      ASSERT_EQ(got.size(), qs.size());
+      for (std::size_t i = 0; i < qs.size(); ++i) {
+        EXPECT_EQ(got[i], quantile_sorted(sorted, qs[i]))
+            << "n=" << n << " ties=" << ties << " q=" << qs[i];
+      }
+    }
+  }
+  std::vector<double> xs{3, 1, 2};
+  const std::vector<double> descending{0.9, 0.5};
+  EXPECT_THROW(select_quantiles(xs, descending), std::invalid_argument);
+  std::vector<double> empty;
+  EXPECT_THROW(select_quantiles(empty, qs), std::invalid_argument);
 }
 
 TEST(Stats, StddevMatchesOnline) {

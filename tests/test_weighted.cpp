@@ -9,6 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +27,7 @@
 #include "sched/dispatchers.hpp"
 #include "sched/engine.hpp"
 #include "sched/sharded/sharded.hpp"
+#include "util/rational.hpp"
 #include "util/rng.hpp"
 
 namespace flowsched {
@@ -49,6 +54,31 @@ TEST(Weighted, FlowTermUnitIdentity) {
   }
   EXPECT_EQ(weighted_flow_term(0.25, 3.0), 0.75);  // dyadic exact product
   EXPECT_EQ(weighted_flow_term(8.0, 0.125), 1.0);
+}
+
+// The unit-weight shortcut returns what the Rational product returns, bit
+// for bit, wherever that product is defined (-0 included, which it maps to
+// +0); elsewhere (subnormals, beyond int64) the flow itself, as w * f did.
+TEST(Weighted, UnitWeightTermIsTheFlow) {
+  std::vector<double> fs = {0.0,    -0.0,   0.125,  1.0,    3.625,
+                            1e6 + 0.25,     0x1p-62, 0x1p62, 0x1p63,
+                            1e300,  std::numeric_limits<double>::max(),
+                            std::numeric_limits<double>::denorm_min(),
+                            0x1p-1030, 0.1, 1.0 / 3.0};
+  Rng rng(31);
+  for (int i = 0; i < 200; ++i) {
+    fs.push_back(std::ldexp(rng.uniform(),
+                            static_cast<int>(rng.uniform_int(-80, 80))));
+  }
+  for (double f : fs) {
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    const double got = weighted_flow_term(1.0, f);
+    if (const auto rf = rational_from_double(f)) {
+      EXPECT_EQ(bits(got), bits((Rational(1) * *rf).to_double())) << f;
+    } else {
+      EXPECT_EQ(bits(got), bits(f)) << f;
+    }
+  }
 }
 
 // Schedule aggregates: max_weighted_flow is the max of per-task

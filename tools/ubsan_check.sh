@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # UndefinedBehaviorSanitizer gate for the fault-injection subsystem:
-# configures a standalone UBSan build (-DFLOWSCHED_SANITIZE=undefined,
-# trap-on-error so any report is a hard failure), builds the CLI, fuzzer,
-# test and failure-bench binaries, and drives the fault paths end to end —
+# configures a standalone UBSan build (-DFLOWSCHED_SANITIZE=undefined plus
+# float-cast-overflow, trap-on-error so any report is a hard failure),
+# builds the CLI, fuzzer, test and failure-bench binaries, and drives the
+# fault paths end to end —
 # plan generation and quantization, kill/requeue/park arithmetic in the
 # engine (infinities on the dyadic grid are deliberate; UBSan proves the
 # boundary comparisons never leave defined territory), backoff jitter
@@ -25,9 +26,11 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 CLI="$BUILD_DIR/tools/flowsched_cli"
 FUZZ="$BUILD_DIR/tools/flowsched_fuzz"
 
-# Fault unit suites plus the runner/checkpoint hardening tests.
+# Fault unit suites plus the runner/checkpoint hardening tests, and the
+# record-all observers: the flow histogram's clamped bin casts (Metrics),
+# the unit-weight flow term (Weighted) and the auditor's sweeps.
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'FaultPlan|FaultCase|FaultEngine|RunnerHardening|SweepCheckpoint|Alias|Calendar|Streaming|Sketch|StreamAudit|StealDeque|CoreBudget|Sharded|ReplicationController|AdaptiveSim|RingResize'
+  -R 'FaultPlan|FaultCase|FaultEngine|RunnerHardening|SweepCheckpoint|Alias|Calendar|Streaming|Sketch|StreamAudit|StealDeque|CoreBudget|Sharded|ReplicationController|AdaptiveSim|RingResize|Metrics|Weighted|InvariantAuditor'
 
 # faultsim CLI on the committed corpus cases (scripted plans, both
 # replication schemes) and on a seeded random plan per recovery policy.
