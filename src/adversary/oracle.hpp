@@ -8,9 +8,8 @@
 //
 //   * DispatcherOracle wraps an immediate-dispatch policy (the assignment
 //     is fixed at release, so completions are known immediately);
-//   * FifoEligibleOracle wraps the queue-based FIFO-eligible scheduler by
-//     re-simulating it on the releases so far (FIFO's decisions never use
-//     future information, so the re-simulation reproduces its true state).
+//   * the tests add an oracle over the queue-based FIFO-eligible scheduler
+//     (tests/support/fifo_oracle.hpp).
 #pragma once
 
 #include <memory>
@@ -54,31 +53,6 @@ class DispatcherOracle final : public OnlineOracle {
 
  private:
   OnlineEngine engine_;
-};
-
-/// Oracle over the queue-based FIFO-eligible scheduler (sched/fifo.hpp).
-class FifoEligibleOracle final : public OnlineOracle {
- public:
-  explicit FifoEligibleOracle(int m, TieBreakKind tie = TieBreakKind::kMin,
-                              std::uint64_t seed = 0);
-
-  int m() const override { return m_; }
-  int released() const override { return static_cast<int>(tasks_.size()); }
-  void release(Task task) override;
-  double completion(int idx) override;
-  Schedule snapshot() override;
-
- private:
-  void refresh();  ///< Re-simulates if new tasks arrived since last query.
-
-  int m_;
-  TieBreakKind tie_;
-  std::uint64_t seed_;
-  std::vector<Task> tasks_;
-  double last_release_ = 0.0;
-  std::size_t simulated_count_ = 0;
-  std::shared_ptr<Instance> cached_instance_;
-  std::unique_ptr<Schedule> cached_schedule_;
 };
 
 }  // namespace flowsched

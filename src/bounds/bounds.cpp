@@ -79,10 +79,6 @@ Rational theorem1_ratio(int m) {
   return Rational(3) - Rational(2, m);
 }
 
-Rational theorem1_upper(int m, const Rational& opt_fmax) {
-  return theorem1_ratio(m) * opt_fmax;
-}
-
 Rational corollary1_ratio(int k) {
   require(k >= 1, "corollary1_ratio: k >= 1");
   return Rational(3) - Rational(2, k);
@@ -154,15 +150,6 @@ Rational theorem8_predicted_fmax(int m, int k) {
 }
 
 Rational theorem8_ratio(int m, int k) { return theorem8_predicted_fmax(m, k); }
-
-Rational theorem10_opt_upper(int m) {
-  require(m >= 2, "theorem10_opt_upper: m >= 2");
-  require(m <= 1024, "theorem10_opt_upper: m too large for epsilon margin");
-  // 1 + m(m+1)/2 * delta with delta = 2^-20 (kTh10Delta). m(m+1)/2 is an
-  // integer <= 524800, so the sum is exact in Rational and in double.
-  return Rational(1) +
-         Rational(static_cast<std::int64_t>(m) * (m + 1) / 2, std::int64_t{1} << 20);
-}
 
 BoundCell evaluate_cell(const BoundQuery& q) {
   require(q.m >= 2, "evaluate_cell: m >= 2");

@@ -94,12 +94,6 @@ bool algo_within(AlgoClass query, AlgoClass bound_class);
 /// \return the exact ratio as a Rational.
 Rational theorem1_ratio(int m);
 
-/// \brief Theorem 1 Fmax ceiling: (3 - 2/m) * opt_fmax.
-/// \param m number of machines, m >= 1.
-/// \param opt_fmax the offline optimum (or any upper estimate of it).
-/// \return an upper bound on FIFO/EFT's max flow time.
-Rational theorem1_upper(int m, const Rational& opt_fmax);
-
 /// \brief Corollary 1 ratio 3 - 2/k for EFT on disjoint sets of size <= k.
 /// \param k largest group size, k >= 1.
 Rational corollary1_ratio(int k);
@@ -173,14 +167,9 @@ Rational theorem7_ratio(const Rational& p);
 Rational theorem8_predicted_fmax(int m, int k);
 
 /// \brief Theorem 8/9/10 ratio m - k + 1 (OPT of the stream is 1; Theorem
-/// 10's padded variant has OPT = 1 + o(1), see theorem10_opt_upper).
+/// 10's padded variant has OPT = 1 + m(m+1)/2 * 2^-20, the "1 + o(1)" of
+/// the proof).
 Rational theorem8_ratio(int m, int k);
-
-/// \brief Upper bound 1 + m(m+1)/2 * 2^-20 on the offline optimum of the
-/// Theorem 10 padded stream (the "1 + o(1)" of the proof; delta = 2^-20 is
-/// kTh10Delta in src/adversary/smalltask.cpp). Exact in Rational and in
-/// double for every m <= 1024.
-Rational theorem10_opt_upper(int m);
 
 // --- Cell evaluation ---------------------------------------------------------
 

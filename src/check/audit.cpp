@@ -1076,10 +1076,6 @@ std::string InvariantAuditor::report() const {
   return out;
 }
 
-void InvariantAuditor::throw_if_violated() const {
-  if (!ok()) throw std::runtime_error("InvariantAuditor: " + report());
-}
-
 std::vector<std::string> audit_schedule(const Schedule& sched,
                                         const std::string& algo,
                                         AuditConfig config) {

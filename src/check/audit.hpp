@@ -151,8 +151,6 @@ class InvariantAuditor final : public SchedObserver {
   int runs() const { return runs_; }
   /// All violations joined with newlines ("" when ok()).
   std::string report() const;
-  /// Throws std::runtime_error carrying report() unless ok().
-  void throw_if_violated() const;
 
   /// Weighted aggregates of the last completed run, recomputed from the
   /// event stream with the shared weighted_flow_term / exact-sum recipe —

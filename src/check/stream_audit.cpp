@@ -187,12 +187,4 @@ void StreamAuditor::on_run_end(double /*makespan*/) {
   begun_ = false;
 }
 
-double StreamAuditor::window_max_flow() const {
-  double fmax = 0;
-  for (const WindowRecord& r : window_) {
-    fmax = std::max(fmax, r.finish - r.release);
-  }
-  return fmax;
-}
-
 }  // namespace flowsched

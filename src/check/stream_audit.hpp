@@ -33,7 +33,7 @@
 //
 // The sliding window additionally retains completed-task records for
 // `horizon` time units (eviction keyed on the release clock) and exposes
-// window_max_flow() / window_size() — the bounded-memory view of the tail
+// window_size() / peak_window_size() — the bounded-memory view of the tail
 // that a soak run can watch without any per-request log.
 #pragma once
 
@@ -69,8 +69,6 @@ class StreamAuditor final : public SchedObserver {
   const std::vector<std::string>& violations() const { return violations_; }
 
   long long tasks_seen() const { return next_task_; }
-  /// Max flow time among the records currently retained in the window.
-  double window_max_flow() const;
   /// Records currently retained / high-water mark of the window.
   std::size_t window_size() const { return window_.size(); }
   std::size_t peak_window_size() const { return peak_window_; }

@@ -30,15 +30,6 @@ std::string LayoutSpec::str() const {
   return to_string(strategy) + "/k=" + std::to_string(k);
 }
 
-std::string ControlConfig::str() const {
-  std::ostringstream out;
-  out << "period=" << fmt(period) << " hysteresis=" << fmt(hysteresis)
-      << " cooldown=" << cooldown << " k=[" << k_min << ","
-      << (k_max == 0 ? std::string("m") : std::to_string(k_max))
-      << "] max-move=" << max_move << " setup=" << fmt(setup_cost);
-  return out.str();
-}
-
 std::string ControlObservation::str() const {
   std::ostringstream out;
   out << "t=" << fmt(time) << " lambda=" << fmt(arrival_rate) << " up=";

@@ -68,8 +68,6 @@ struct ControlConfig {
   /// overloaded even if its LP score still covers the arrival rate
   /// (0 disables the backlog trigger).
   double overload_backlog = 0.0;
-
-  std::string str() const;
 };
 
 /// What the controller sees at one decision instant. Assembled by the

@@ -1,7 +1,6 @@
 #include "fault/plan_io.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -162,14 +161,6 @@ FaultCase parse_fault_case(const std::string& text) {
     }
   }
   return fc;
-}
-
-FaultCase load_fault_case(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot read fault case: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse_fault_case(ss.str());
 }
 
 void write_fault_case(std::ostream& out, const Instance& inst,

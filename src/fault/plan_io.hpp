@@ -41,9 +41,6 @@ bool has_fault_directives(const std::string& text);
 /// parse_instance_string throws for the instance part.
 FaultCase parse_fault_case(const std::string& text);
 
-/// Reads a file; throws std::runtime_error when unreadable.
-FaultCase load_fault_case(const std::string& path);
-
 /// Writes instance + recovery + down directives (round-trips through
 /// parse_fault_case).
 void write_fault_case(std::ostream& out, const Instance& inst,

@@ -57,16 +57,6 @@ std::string RecoveryPolicy::str() const {
   return buf;
 }
 
-FaultStats& FaultStats::operator+=(const FaultStats& o) {
-  attempts += o.attempts;
-  kills += o.kills;
-  parked += o.parked;
-  completed += o.completed;
-  dropped += o.dropped;
-  wasted_work += o.wasted_work;
-  return *this;
-}
-
 void FaultLog::begin_task(int task) {
   if (task != tasks())
     throw std::logic_error("FaultLog: tasks must be registered in order");
@@ -107,13 +97,6 @@ double FaultLog::completion(int task) const {
   if (fate(task) != TaskFate::kCompleted)
     throw std::logic_error("FaultLog: completion of a non-completed task");
   return completions_[static_cast<std::size_t>(task)];
-}
-
-std::vector<FaultAttempt> FaultLog::attempts_of(int task) const {
-  std::vector<FaultAttempt> out;
-  for (const FaultAttempt& a : attempts_)
-    if (a.task == task) out.push_back(a);
-  return out;
 }
 
 }  // namespace flowsched

@@ -88,8 +88,6 @@ struct FaultStats {
   long long completed = 0;
   long long dropped = 0;
   double wasted_work = 0;   ///< Killed-segment work not retained.
-
-  FaultStats& operator+=(const FaultStats& o);
 };
 
 /// What a drained run reports about its faults, shared by every driver that
@@ -126,9 +124,6 @@ class FaultLog {
   void add_wasted(double work) { stats_.wasted_work += work; }
 
   const std::vector<FaultAttempt>& attempts() const { return attempts_; }
-
-  /// Attempts of one task, in attempt order.
-  std::vector<FaultAttempt> attempts_of(int task) const;
 
   const FaultStats& stats() const { return stats_; }
 

@@ -144,10 +144,4 @@ void write_schedule_csv(std::ostream& out, const Schedule& sched) {
   }
 }
 
-std::string schedule_to_csv(const Schedule& sched) {
-  std::ostringstream out;
-  write_schedule_csv(out, sched);
-  return out.str();
-}
-
 }  // namespace flowsched

@@ -39,6 +39,5 @@ std::string instance_to_string(const Instance& inst);
 
 /// Schedule CSV with a header row.
 void write_schedule_csv(std::ostream& out, const Schedule& sched);
-std::string schedule_to_csv(const Schedule& sched);
 
 }  // namespace flowsched

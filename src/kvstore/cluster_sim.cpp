@@ -73,11 +73,12 @@ double draw_service(ServiceDist dist, double service_time, Rng& rng) {
 // Input checks shared by the three drivers. SimReport counts requests in
 // an int, so a longer stream is rejected up front instead of wrapping.
 void check_stream_config(const StreamConfig& config, const std::string& who) {
-  if (!(config.lambda > 0)) {
-    throw std::invalid_argument(who + ": lambda <= 0");
+  // Negated, so NaN is rejected; an infinite rate would release every
+  // request at t = 0, and an infinite service time would make every flow
+  // infinite.
+  if (!(config.lambda > 0) || !std::isfinite(config.lambda)) {
+    throw std::invalid_argument(who + ": lambda must be finite and > 0");
   }
-  // Negated, so NaN is rejected; an infinite service time would make every
-  // flow infinite.
   if (!(config.service_time > 0) || !std::isfinite(config.service_time)) {
     throw std::invalid_argument(who + ": service_time must be finite and > 0");
   }

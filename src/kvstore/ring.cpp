@@ -4,32 +4,8 @@
 #include <stdexcept>
 
 #include "util/rng.hpp"
-#include "workload/replication.hpp"
 
 namespace flowsched {
-namespace {
-
-// Accumulates the placement diff of one key: additions, drops, and the
-// touched/moved classification RingResizeDelta aggregates.
-void diff_placement(const ProcSet& before, const ProcSet& after,
-                    RingResizeDelta* delta) {
-  if (before == after) return;
-  long long added = 0;
-  long long dropped = 0;
-  for (int j : after.machines()) {
-    if (!before.contains(j)) ++added;
-  }
-  for (int j : before.machines()) {
-    if (!after.contains(j)) ++dropped;
-  }
-  if (added == 0 && dropped == 0) return;
-  ++delta->keys_touched;
-  if (dropped > 0) ++delta->keys_moved;
-  delta->replicas_added += added;
-  delta->replicas_dropped += dropped;
-}
-
-}  // namespace
 
 HashRing::HashRing(int m, int vnodes, std::uint64_t seed)
     : m_(m), vnodes_(vnodes) {
@@ -58,13 +34,6 @@ std::uint64_t HashRing::hash_key(std::uint64_t key) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
-}
-
-int HashRing::primary_at(std::uint64_t point) const {
-  const auto it = std::lower_bound(
-      tokens_.begin(), tokens_.end(), point,
-      [](const Token& t, std::uint64_t p) { return t.position < p; });
-  return it == tokens_.end() ? tokens_.front().machine : it->machine;
 }
 
 ProcSet HashRing::replicas_at(std::uint64_t point, int k) const {
@@ -103,42 +72,6 @@ std::vector<double> HashRing::ownership() const {
     arcs[static_cast<std::size_t>(tokens_[i].machine)] += arc / kRing;
   }
   return arcs;
-}
-
-RingResizeDelta ring_resize_delta(const HashRing& ring, int keys, int k_from,
-                                  int k_to) {
-  if (keys < 0) throw std::invalid_argument("ring_resize_delta: keys < 0");
-  if (k_from < 1 || k_from > ring.m() || k_to < 1 || k_to > ring.m()) {
-    throw std::invalid_argument("ring_resize_delta: need 1 <= k <= m");
-  }
-  RingResizeDelta delta;
-  for (int key = 0; key < keys; ++key) {
-    const std::uint64_t point = HashRing::hash_key(static_cast<std::uint64_t>(key));
-    diff_placement(ring.replicas_at(point, k_from), ring.replicas_at(point, k_to),
-                   &delta);
-  }
-  return delta;
-}
-
-RingResizeDelta ring_to_blocks_delta(const HashRing& ring, int keys, int k,
-                                     int owner_lo, int owner_hi) {
-  if (keys < 0) throw std::invalid_argument("ring_to_blocks_delta: keys < 0");
-  if (k < 1 || k > ring.m()) {
-    throw std::invalid_argument("ring_to_blocks_delta: need 1 <= k <= m");
-  }
-  if (owner_lo < 0 || owner_hi > ring.m() || owner_lo > owner_hi) {
-    throw std::invalid_argument("ring_to_blocks_delta: bad owner range");
-  }
-  RingResizeDelta delta;
-  for (int key = 0; key < keys; ++key) {
-    const std::uint64_t point = HashRing::hash_key(static_cast<std::uint64_t>(key));
-    const int owner = ring.primary_at(point);
-    if (owner < owner_lo || owner >= owner_hi) continue;  // not yet migrated
-    diff_placement(ring.replicas_at(point, k),
-                   replica_set(ReplicationStrategy::kDisjoint, owner, k, ring.m()),
-                   &delta);
-  }
-  return delta;
 }
 
 }  // namespace flowsched

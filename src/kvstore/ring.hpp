@@ -30,10 +30,6 @@ class HashRing {
   /// Stable 64-bit hash of a key id (splitmix64 finalizer).
   static std::uint64_t hash_key(std::uint64_t key);
 
-  /// Machine owning the ring position `point` (successor token).
-  int primary_at(std::uint64_t point) const;
-  int primary_of_key(std::uint64_t key) const { return primary_at(hash_key(key)); }
-
   /// The preference list: the first k distinct machines clockwise from
   /// `point`. Requires 1 <= k <= m.
   ProcSet replicas_at(std::uint64_t point, int k) const;
@@ -55,38 +51,5 @@ class HashRing {
   int vnodes_;
   std::vector<Token> tokens_;  ///< Sorted by position.
 };
-
-/// \brief Key-movement accounting of an incremental replica-layout resize,
-/// counted over the keys 0..keys-1 (docs/control.md).
-///
-/// A key is *touched* when its replica set changes at all and *moved* when
-/// it loses a machine it was previously placed on — the expensive event (a
-/// copy must land somewhere new before the old copy retires). The adaptive
-/// replication controller bounds `keys_moved` per decision step; these
-/// deltas are how tests/test_ring_resize.cpp pins that bound.
-struct RingResizeDelta {
-  long long keys_touched = 0;
-  long long keys_moved = 0;       ///< Keys that lost >= 1 held replica.
-  long long replicas_added = 0;   ///< New (key, machine) placements.
-  long long replicas_dropped = 0; ///< Retired (key, machine) placements.
-};
-
-/// Delta of resizing the replication factor k_from -> k_to in place on
-/// `ring`. Clockwise preference lists are prefix-stable — replicas_at(p, k)
-/// is a prefix of replicas_at(p, k+1) — so growing k only adds placements
-/// (keys_moved == 0, replicas_added <= keys * (k_to - k_from)) and
-/// shrinking only drops them: the minimal-movement property of the
-/// consistent-hashing resize. Requires 1 <= k <= m on both factors.
-RingResizeDelta ring_resize_delta(const HashRing& ring, int keys, int k_from,
-                                  int k_to);
-
-/// Delta of migrating keys 0..keys-1 from the ring layout at factor k to
-/// disjoint blocks (workload/replication.hpp, kDisjoint) keyed on the
-/// ring primary, restricted to primaries in [owner_lo, owner_hi) — the
-/// frontier slice one adaptive migration step moves. Keys owned outside
-/// the slice keep their ring placement and contribute nothing, which is
-/// what bounds per-step movement during a layout flip.
-RingResizeDelta ring_to_blocks_delta(const HashRing& ring, int keys, int k,
-                                     int owner_lo, int owner_hi);
 
 }  // namespace flowsched

@@ -4,59 +4,12 @@
 
 namespace flowsched {
 
-std::vector<double> machine_frontier(const Schedule& sched, int first_n) {
-  const Instance& inst = sched.instance();
-  std::vector<double> frontier(static_cast<std::size_t>(inst.m()), 0.0);
-  const int limit = std::min(first_n, inst.n());
-  for (int i = 0; i < limit; ++i) {
-    if (!sched.assigned(i)) continue;
-    auto& f = frontier[static_cast<std::size_t>(sched.machine(i))];
-    f = std::max(f, sched.completion(i));
-  }
-  return frontier;
-}
-
-std::vector<double> profile_at(const Schedule& sched, int first_n, double t) {
-  auto w = machine_frontier(sched, first_n);
-  for (auto& v : w) v = std::max(0.0, v - t);
-  return w;
-}
-
 std::vector<double> stable_profile(int m, int k) {
   std::vector<double> w(static_cast<std::size_t>(m));
   for (int j = 0; j < m; ++j) {
     w[static_cast<std::size_t>(j)] = std::min(m - 1 - j, m - k);
   }
   return w;
-}
-
-bool profile_leq(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t j = 0; j < a.size(); ++j) {
-    if (a[j] > b[j] + 1e-9) return false;
-  }
-  return true;
-}
-
-bool profile_lt(const std::vector<double>& a, const std::vector<double>& b) {
-  if (!profile_leq(a, b)) return false;
-  for (std::size_t j = 0; j < a.size(); ++j) {
-    if (a[j] < b[j] - 1e-9) return true;
-  }
-  return false;
-}
-
-bool profile_nonincreasing(const std::vector<double>& w) {
-  for (std::size_t j = 0; j + 1 < w.size(); ++j) {
-    if (w[j + 1] > w[j] + 1e-9) return false;
-  }
-  return true;
-}
-
-double profile_total(const std::vector<double>& w) {
-  double s = 0;
-  for (double v : w) s += v;
-  return s;
 }
 
 }  // namespace flowsched

@@ -1,38 +1,18 @@
-// Schedule profiles (Section 6 of the paper).
+// The stable profile of Theorem 8 (Section 6 of the paper).
 //
 // The profile w_t(j) = max(0, C_{j,mt} - t) is the amount of allocated work
 // still waiting on machine M_j at time t, considering only the first i tasks
 // of the instance. The EFT-Min lower-bound proof (Theorem 8) shows the
 // profile converges to the stable profile w_tau(j) = min(m - j, m - k)
-// (1-based j) under the Theorem-8 adversary; these helpers compute and
-// compare profiles so the convergence can be tested and plotted (Figure 4).
+// (1-based j) under the Theorem-8 adversary; the benches plot runs against
+// it (Figure 4).
 #pragma once
 
 #include <vector>
 
-#include "model/schedule.hpp"
-
 namespace flowsched {
-
-/// Completion frontier C_{j, first_n}: for each machine, the completion time
-/// of its last task among the first `first_n` tasks (0 when it has none).
-std::vector<double> machine_frontier(const Schedule& sched, int first_n);
-
-/// Profile w_t(j) = max(0, C_{j,first_n} - t).
-std::vector<double> profile_at(const Schedule& sched, int first_n, double t);
 
 /// Stable profile of Theorem 8, 0-based: w_tau(j) = min(m - 1 - j, m - k).
 std::vector<double> stable_profile(int m, int k);
-
-/// Pointwise comparisons of Definition 1. `profile_lt` is "strictly behind":
-/// <= everywhere and < somewhere.
-bool profile_leq(const std::vector<double>& a, const std::vector<double>& b);
-bool profile_lt(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Lemma 2 invariant: w_t(j+1) <= w_t(j) for all j.
-bool profile_nonincreasing(const std::vector<double>& w);
-
-/// Total waiting work sum_j w(j).
-double profile_total(const std::vector<double>& w);
 
 }  // namespace flowsched

@@ -54,13 +54,6 @@ double Schedule::flow(int i) const {
   return completion(i) - inst_->task(i).release;
 }
 
-bool Schedule::complete() const {
-  for (int i = 0; i < inst_->n(); ++i) {
-    if (!assigned(i)) return false;
-  }
-  return true;
-}
-
 double Schedule::max_flow() const { return max_flow_prefix(inst_->n()); }
 
 double Schedule::max_flow_prefix(int count) const {
@@ -81,14 +74,6 @@ double Schedule::mean_flow() const {
     }
   }
   return cnt == 0 ? 0.0 : sum / cnt;
-}
-
-double Schedule::total_flow() const {
-  double sum = 0;
-  for (int i = 0; i < inst_->n(); ++i) {
-    if (assigned(i)) sum += flow(i);
-  }
-  return sum;
 }
 
 double weighted_flow_term(double w, double f) {
@@ -155,18 +140,6 @@ double Schedule::max_stretch() const {
   return s;
 }
 
-double Schedule::mean_stretch() const {
-  double sum = 0;
-  int cnt = 0;
-  for (int i = 0; i < inst_->n(); ++i) {
-    if (assigned(i)) {
-      sum += stretch(i);
-      ++cnt;
-    }
-  }
-  return cnt == 0 ? 0.0 : sum / cnt;
-}
-
 std::vector<double> Schedule::flows() const {
   std::vector<double> fs;
   fs.reserve(asg_.size());
@@ -182,14 +155,6 @@ double Schedule::makespan() const {
     if (assigned(i)) c = std::max(c, completion(i));
   }
   return c;
-}
-
-std::vector<double> Schedule::machine_loads() const {
-  std::vector<double> loads(static_cast<std::size_t>(inst_->m()), 0.0);
-  for (int i = 0; i < inst_->n(); ++i) {
-    if (assigned(i)) loads[static_cast<std::size_t>(machine(i))] += inst_->task(i).proc;
-  }
-  return loads;
 }
 
 ValidationResult Schedule::validate() const {

@@ -55,16 +55,11 @@ class Schedule {
   /// Weighted flow time w_i * F_i (Rational-exact when representable).
   double weighted_flow(int i) const;
 
-  /// True when every task has an assignment.
-  bool complete() const;
-
   /// Fmax over assigned tasks (0 when none assigned).
   double max_flow() const;
   /// Fmax over the first `count` tasks (the paper's Fmax,i prefix).
   double max_flow_prefix(int count) const;
   double mean_flow() const;
-  /// Total flow time sum_i F_i over assigned tasks.
-  double total_flow() const;
   /// Weighted Fmax^w = max_i w_i * F_i over assigned tasks (0 when none).
   double max_weighted_flow() const;
   /// Weighted total flow sum_i w_i * F_i (Rational-exact accumulation when
@@ -74,13 +69,10 @@ class Schedule {
   /// the task never waited).
   double stretch(int i) const;
   double max_stretch() const;
-  double mean_stretch() const;
   /// All flow times of assigned tasks, in task order.
   std::vector<double> flows() const;
   /// Completion time of the last task, 0 when none assigned.
   double makespan() const;
-  /// Total busy time per machine.
-  std::vector<double> machine_loads() const;
 
   /// Checks: every task assigned, machine eligible, start >= release, and
   /// no two tasks overlap on a machine (touching intervals allowed).

@@ -59,15 +59,6 @@ bool is_interval_family(std::span<const ProcSet> sets, int m) {
                      [m](const ProcSet& s) { return s.is_interval(m); });
 }
 
-bool is_uniform_size_family(std::span<const ProcSet> sets, int* k_out) {
-  int k = sets.empty() ? 0 : sets.front().size();
-  for (const auto& s : sets) {
-    if (s.size() != k) return false;
-  }
-  if (k_out != nullptr) *k_out = k;
-  return true;
-}
-
 std::string StructureFlags::most_specific() const {
   if (disjoint && inclusive) return "disjoint+inclusive";
   if (disjoint) return "disjoint";

@@ -32,10 +32,6 @@ bool is_nested_family(std::span<const ProcSet> sets);
 /// (contiguous, or contiguous complement for the wrapped form).
 bool is_interval_family(std::span<const ProcSet> sets, int m);
 
-/// True when all sets have the same cardinality k; returns that k through
-/// `k_out` (k_out may be null). An empty family is uniform with k = 0.
-bool is_uniform_size_family(std::span<const ProcSet> sets, int* k_out = nullptr);
-
 /// Structure flags of a family, most-specific kind included.
 struct StructureFlags {
   bool disjoint = false;

@@ -22,7 +22,7 @@ std::size_t clamp_bin(double idx, std::size_t last) {
 }  // namespace
 
 FlowHistogram::FlowHistogram(Rational lo, Rational hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / Rational(static_cast<std::int64_t>(bins))) {
+    : lo_(lo), width_((hi - lo) / Rational(static_cast<std::int64_t>(bins))) {
   if (bins == 0) throw std::invalid_argument("FlowHistogram: bins == 0");
   if (!(lo < hi)) throw std::invalid_argument("FlowHistogram: lo >= hi");
   counts_.assign(bins, 0);
@@ -74,14 +74,6 @@ void FlowHistogram::add(double x) {
   ++counts_[bin];
 }
 
-double FlowHistogram::bin_lo(std::size_t b) const {
-  return (lo_ + width_ * Rational(static_cast<std::int64_t>(b))).to_double();
-}
-
-double FlowHistogram::bin_hi(std::size_t b) const {
-  return (lo_ + width_ * Rational(static_cast<std::int64_t>(b + 1))).to_double();
-}
-
 MetricsCollector::MetricsCollector()
     : flow_hist_(Rational(0), Rational(64), 64) {}
 
@@ -99,11 +91,10 @@ void MetricsCollector::on_event(const ObsEvent& e) {
   switch (e.kind) {
     case ObsEventKind::kTaskReleased:
       ++released_;
-      deltas_.push_back({e.time, -1, +1});
+      deltas_.push_back({e.time, +1});
       break;
     case ObsEventKind::kTaskDispatched:
       ++dispatched_;
-      deltas_.push_back({e.time, e.machine, +1});
       break;
     case ObsEventKind::kTaskStarted:
       break;
@@ -117,7 +108,6 @@ void MetricsCollector::on_event(const ObsEvent& e) {
       max_flow_ = std::max(max_flow_, flow);
       flow_sum_ += flow;
       if (e.weight != 1.0) any_weighted_ = true;
-      weight_sum_ += e.weight;
       const double wterm = weighted_flow_term(e.weight, flow);
       max_weighted_flow_ = std::max(max_weighted_flow_, wterm);
       weighted_flow_approx_ += wterm;
@@ -137,7 +127,7 @@ void MetricsCollector::on_event(const ObsEvent& e) {
       flow_hist_.add(flow);
       flow_sketch_.add(flow);
       makespan_ = std::max(makespan_, e.time);
-      deltas_.push_back({e.time, e.machine, -1});
+      deltas_.push_back({e.time, -1});
       break;
     }
     case ObsEventKind::kMachineBusy:
@@ -168,49 +158,26 @@ double MetricsCollector::total_weighted_flow() const {
                             : weighted_flow_approx_;
 }
 
-double MetricsCollector::weighted_mean_flow() const {
-  return weight_sum_ > 0 ? total_weighted_flow() / weight_sum_ : 0.0;
-}
-
-std::vector<SeriesPoint> MetricsCollector::series_of(int machine) const {
-  // machine == -1: global backlog (releases +1, completions -1).
-  // machine >= 0: that machine's queue (dispatches +1, completions -1).
-  std::vector<Delta> relevant;
-  for (const Delta& d : deltas_) {
-    const bool is_dispatch = d.delta == +1 && d.machine >= 0;
-    const bool keep = machine == -1 ? !is_dispatch  // releases + completions
-                                    : d.machine == machine;
-    if (keep) relevant.push_back(d);
-  }
-  // Completions sort before releases/dispatches at the same instant: a task
-  // completing exactly when another arrives does not inflate the peak.
-  std::stable_sort(relevant.begin(), relevant.end(),
+std::vector<SeriesPoint> MetricsCollector::backlog_series() const {
+  std::vector<Delta> deltas = deltas_;
+  // Completions sort before releases at the same instant: a task completing
+  // exactly when another arrives does not inflate the peak.
+  std::stable_sort(deltas.begin(), deltas.end(),
                    [](const Delta& a, const Delta& b) {
                      if (a.time != b.time) return a.time < b.time;
                      return a.delta < b.delta;
                    });
   std::vector<SeriesPoint> series;
   int depth = 0;
-  for (std::size_t i = 0; i < relevant.size(); ++i) {
-    depth += relevant[i].delta;
+  for (std::size_t i = 0; i < deltas.size(); ++i) {
+    depth += deltas[i].delta;
     // Collapse simultaneous deltas into one step.
-    if (i + 1 < relevant.size() && relevant[i + 1].time == relevant[i].time) {
+    if (i + 1 < deltas.size() && deltas[i + 1].time == deltas[i].time) {
       continue;
     }
-    series.push_back({relevant[i].time, depth});
+    series.push_back({deltas[i].time, depth});
   }
   return series;
-}
-
-std::vector<SeriesPoint> MetricsCollector::backlog_series() const {
-  return series_of(-1);
-}
-
-std::vector<SeriesPoint> MetricsCollector::queue_depth_series(int j) const {
-  if (j < 0 || j >= info_.m) {
-    throw std::out_of_range("MetricsCollector::queue_depth_series");
-  }
-  return series_of(j);
 }
 
 int MetricsCollector::max_backlog() const {

@@ -56,13 +56,9 @@ class FlowHistogram {
   std::size_t total() const { return total_; }
   std::size_t bins() const { return counts_.size(); }
   std::size_t bin_count(std::size_t b) const { return counts_.at(b); }
-  /// Inclusive lower / exclusive upper bound of bin b, as doubles.
-  double bin_lo(std::size_t b) const;
-  double bin_hi(std::size_t b) const;
 
  private:
   Rational lo_;
-  Rational hi_;
   Rational width_;  // (hi - lo) / bins
   double inv_width_ = 0;  // 2^-s on the shift path (lo == 0, w == 2^s), else 0
   std::vector<std::size_t> counts_;
@@ -116,8 +112,6 @@ class MetricsCollector final : public SchedObserver {
   double max_weighted_flow() const { return max_weighted_flow_; }
   /// Sum_i w_i * F_i, Rational-exact while every term is representable.
   double total_weighted_flow() const;
-  /// total_weighted_flow() / sum_i w_i (0 when nothing completed).
-  double weighted_mean_flow() const;
   const FlowHistogram& flow_histogram() const { return flow_hist_; }
 
   /// \brief Streaming flow-time quantiles (log-linear histogram).
@@ -138,9 +132,6 @@ class MetricsCollector final : public SchedObserver {
   /// Piecewise-constant global backlog: value from point.time until the
   /// next point. The Theorem 8 staircase read directly off a run.
   std::vector<SeriesPoint> backlog_series() const;
-  /// Queue depth of machine j (dispatched to j, not yet completed) over
-  /// time.
-  std::vector<SeriesPoint> queue_depth_series(int j) const;
 
   /// One-line JSON summary (docs/trace-format.md, "metrics row"): run tag,
   /// task counts, makespan, Fmax, mean flow, max backlog, per-machine
@@ -150,11 +141,8 @@ class MetricsCollector final : public SchedObserver {
  private:
   struct Delta {
     double time;
-    int machine;  // -1: global backlog delta only
-    int delta;    // +1 release/dispatch, -1 completion
+    int delta;  // +1 release, -1 completion
   };
-
-  std::vector<SeriesPoint> series_of(int machine) const;
 
   RunInfo info_;
   bool begun_ = false;
@@ -168,16 +156,13 @@ class MetricsCollector final : public SchedObserver {
   double flow_sum_ = 0;
   bool any_weighted_ = false;
   double max_weighted_flow_ = 0;
-  double weight_sum_ = 0;
   double weighted_flow_approx_ = 0;   // double fallback accumulator
   bool weighted_exact_ok_ = true;     // Rational path still representable
   Rational weighted_flow_exact_{0};   // order-independent exact sum
   FlowHistogram flow_hist_;
   StreamingQuantiles flow_sketch_;
   std::vector<double> busy_;
-  // Backlog deltas: (release, -1, +1) and (completion, machine, -1); the
-  // completion delta serves both the global backlog and machine j's queue.
-  // Dispatch deltas: (release instant, machine, +1).
+  // Backlog deltas: (release, +1) and (completion, -1).
   std::vector<Delta> deltas_;
 };
 

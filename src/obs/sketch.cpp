@@ -90,6 +90,4 @@ double StreamingQuantiles::mean() const {
   return n_ == 0 ? 0.0 : sum_ / static_cast<double>(n_);
 }
 
-double StreamingQuantiles::min() const { return n_ == 0 ? 0.0 : min_; }
-
 }  // namespace flowsched

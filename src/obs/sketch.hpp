@@ -40,7 +40,6 @@ class StreamingQuantiles {
 
   std::uint64_t count() const { return n_; }
   double mean() const;
-  double min() const;
   double max() const { return max_; }
   /// Midpoint of the bucket holding the rank-floor(q (n - 1)) sample,
   /// clamped to [min, max]; q in [0, 1]. 0 when empty.

@@ -11,10 +11,8 @@ namespace {
 struct SearchState {
   const Instance* inst;
   std::vector<double> machine_free;   // completion frontier per machine
-  std::vector<int> chosen;            // machine per task (prefix)
   double current_fmax = 0.0;
   double best = std::numeric_limits<double>::infinity();
-  std::vector<int> best_chosen;
 };
 
 // Tasks are release-sorted; assigning in index order and starting each task
@@ -24,7 +22,6 @@ void search(SearchState& s, int i) {
   if (s.current_fmax >= s.best) return;  // bound
   if (i == s.inst->n()) {
     s.best = s.current_fmax;
-    s.best_chosen = s.chosen;
     return;
   }
   const Task& t = s.inst->task(i);
@@ -44,7 +41,6 @@ void search(SearchState& s, int i) {
 
     s.machine_free[static_cast<std::size_t>(j)] = completion;
     s.current_fmax = std::max(s.current_fmax, flow);
-    s.chosen[static_cast<std::size_t>(i)] = j;
     search(s, i + 1);
     s.machine_free[static_cast<std::size_t>(j)] = saved_free;
     s.current_fmax = saved_fmax;
@@ -58,7 +54,6 @@ SearchState run(const Instance& inst, int max_n) {
   SearchState s;
   s.inst = &inst;
   s.machine_free.assign(static_cast<std::size_t>(inst.m()), 0.0);
-  s.chosen.assign(static_cast<std::size_t>(inst.n()), -1);
   search(s, 0);
   return s;
 }
@@ -68,22 +63,6 @@ SearchState run(const Instance& inst, int max_n) {
 double brute_force_opt_fmax(const Instance& inst, int max_n) {
   if (inst.n() == 0) return 0.0;
   return run(inst, max_n).best;
-}
-
-Schedule brute_force_opt_schedule(const Instance& inst, int max_n) {
-  Schedule sched(inst);
-  if (inst.n() == 0) return sched;
-  const SearchState s = run(inst, max_n);
-  // Replay the best assignment to recover start times.
-  std::vector<double> machine_free(static_cast<std::size_t>(inst.m()), 0.0);
-  for (int i = 0; i < inst.n(); ++i) {
-    const int j = s.best_chosen[static_cast<std::size_t>(i)];
-    const double start =
-        std::max(inst.task(i).release, machine_free[static_cast<std::size_t>(j)]);
-    machine_free[static_cast<std::size_t>(j)] = start + inst.task(i).proc;
-    sched.assign(i, j, start);
-  }
-  return sched;
 }
 
 }  // namespace flowsched

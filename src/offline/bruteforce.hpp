@@ -18,7 +18,4 @@ namespace flowsched {
 /// Exact optimal Fmax by branch-and-bound.
 double brute_force_opt_fmax(const Instance& inst, int max_n = 14);
 
-/// A schedule realizing brute_force_opt_fmax.
-Schedule brute_force_opt_schedule(const Instance& inst, int max_n = 14);
-
 }  // namespace flowsched

@@ -28,7 +28,6 @@ namespace flowsched {
 
 /// Core feasibility test: is there a preemptive schedule completing every
 /// task i by deadlines[i] (aligned with the instance's task order)?
-/// Exposed for the Lmax oracles (offline/lmax.hpp).
 bool preemptive_deadline_feasible(const Instance& inst,
                                   const std::vector<double>& deadlines);
 

@@ -82,14 +82,4 @@ int unit_optimal_fmax(const Instance& inst) {
   return lo;
 }
 
-Schedule unit_optimal_schedule(const Instance& inst) {
-  Schedule sched(inst);
-  if (inst.n() == 0) return sched;
-  const int opt = unit_optimal_fmax(inst);
-  if (!unit_fmax_feasible(inst, opt, &sched)) {
-    throw std::logic_error("unit_optimal_schedule: optimum infeasible (bug)");
-  }
-  return sched;
-}
-
 }  // namespace flowsched

@@ -27,7 +27,4 @@ bool unit_fmax_feasible(const Instance& inst, int F, Schedule* out = nullptr);
 /// Optimal Fmax. Requires unit tasks and integer releases.
 int unit_optimal_fmax(const Instance& inst);
 
-/// Optimal schedule realizing unit_optimal_fmax.
-Schedule unit_optimal_schedule(const Instance& inst);
-
 }  // namespace flowsched

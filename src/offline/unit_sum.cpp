@@ -1,6 +1,5 @@
 #include "offline/unit_sum.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 #include <stdexcept>
@@ -69,25 +68,6 @@ double solve_assignment(const Instance& inst, CostFn cost_of, Schedule* out) {
 }
 
 }  // namespace
-
-double unit_min_weighted_tardiness(const DeadlineInstance& inst,
-                                   const std::vector<double>& weights,
-                                   Schedule* out) {
-  const Instance& plain = inst.instance();
-  if (static_cast<int>(weights.size()) != plain.n()) {
-    throw std::invalid_argument("unit_min_weighted_tardiness: weights size");
-  }
-  for (double w : weights) {
-    if (w < 0) throw std::invalid_argument("unit_min_weighted_tardiness: negative weight");
-  }
-  return solve_assignment(
-      plain,
-      [&inst, &weights](int i, double completion) {
-        return weights[static_cast<std::size_t>(i)] *
-               std::max(0.0, completion - inst.deadline(i));
-      },
-      out);
-}
 
 double unit_min_total_flow(const Instance& inst, Schedule* out) {
   return solve_assignment(

@@ -1,35 +1,25 @@
-// Exact SUM objectives for unit tasks with processing sets.
+// Exact SUM objective for unit tasks with processing sets.
 //
 // The paper derives the polynomiality of P|r_i, p_i=1, M_i|Fmax from
 // Brucker, Jurisch & Krämer's result that P|r_i, p_i=1, M_i|sum w_i T_i is
 // polynomial; the algorithm is an assignment problem — match each task to
 // a (time slot, machine) pair, paying that pair's contribution to the
-// objective. This module implements that route directly, giving
+// objective. This module implements that route for
 //
-//   * unit_min_weighted_tardiness — min sum w_i max(0, C_i - d_i);
-//   * unit_min_total_flow         — min sum (C_i - r_i), i.e. the exact
-//     minimum mean flow time, the complement of the paper's max-flow
-//     objective (and a reference point for EFT's mean flow in benches).
+//   * unit_min_total_flow — min sum (C_i - r_i), i.e. the exact minimum
+//     mean flow time, the complement of the paper's max-flow objective
+//     (and a reference point for EFT's mean flow in benches).
 //
-// Requires unit tasks with integer releases (and deadlines).
+// Requires unit tasks with integer releases.
 #pragma once
-
-#include <vector>
 
 #include "model/instance.hpp"
 #include "model/schedule.hpp"
-#include "offline/lmax.hpp"
 
 namespace flowsched {
 
-/// Minimum total weighted tardiness; weights must be non-negative and
-/// aligned with the DeadlineInstance's (release-sorted) task order. If
-/// `out` is non-null it receives an optimal schedule.
-double unit_min_weighted_tardiness(const DeadlineInstance& inst,
-                                   const std::vector<double>& weights,
-                                   Schedule* out = nullptr);
-
-/// Minimum total flow time sum_i (C_i - r_i).
+/// Minimum total flow time sum_i (C_i - r_i). If `out` is non-null it
+/// receives an optimal schedule.
 double unit_min_total_flow(const Instance& inst, Schedule* out = nullptr);
 
 }  // namespace flowsched

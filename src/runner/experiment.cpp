@@ -207,16 +207,7 @@ void ExperimentRunner::record_hung(int index, double elapsed_seconds) {
   entry += "rep=" + std::to_string(index) + " exceeded the " +
            std::to_string(watchdog_seconds_) + "s watchdog (running " +
            std::to_string(elapsed_seconds) + "s)";
-  {
-    std::lock_guard<std::mutex> lock(hung_mu_);
-    hung_.push_back(entry);
-  }
   std::fprintf(stderr, "[watchdog] %s\n", entry.c_str());
-}
-
-std::vector<std::string> ExperimentRunner::hung_replicates() const {
-  std::lock_guard<std::mutex> lock(hung_mu_);
-  return hung_;
 }
 
 double ExperimentRunner::median_replicates(

@@ -198,7 +198,7 @@ class ExperimentRunner {
   /// default).
   ///
   /// A job running longer than `seconds` is reported once to stderr with
-  /// its context and recorded in hung_replicates(). The job is NOT killed —
+  /// its context. The job is NOT killed —
   /// C++ cannot cancel a thread safely — so a hung cell is *marked*, and
   /// the caller decides whether to abandon the sweep. On the serial path
   /// (threads == 1) overruns are detected after the job returns.
@@ -207,9 +207,6 @@ class ExperimentRunner {
   /// Context prefix for watchdog reports of subsequent map() calls
   /// (replicates() sets "experiment=0x... cell=0x..." automatically).
   void set_watch_label(std::string label) { watch_label_ = std::move(label); }
-
-  /// Watchdog reports accumulated so far ("<label> job <i> exceeded ...").
-  std::vector<std::string> hung_replicates() const;
 
  private:
   struct WatchdogState;  // defined in experiment.cpp
@@ -233,8 +230,6 @@ class ExperimentRunner {
   std::unique_ptr<ThreadPool> pool_;  // null when threads_ == 1
   double watchdog_seconds_ = 0;
   std::string watch_label_;
-  std::vector<std::string> hung_;  // guarded by hung_mu_
-  mutable std::mutex hung_mu_;
   double inline_job_begin_ = 0;  // steady-clock seconds; serial watchdog
 };
 

@@ -14,11 +14,6 @@ ThreadPool::ThreadPool(int threads, std::size_t max_queue)
 
 ThreadPool::~ThreadPool() { shutdown(); }
 
-std::size_t ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
 void ThreadPool::shutdown() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -55,26 +50,6 @@ CoreBudget::CoreBudget() {
 CoreBudget& CoreBudget::instance() {
   static CoreBudget budget;
   return budget;
-}
-
-void CoreBudget::set_total(int total) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (total > 0) {
-    total_ = total;
-  } else {
-    const unsigned hw = std::thread::hardware_concurrency();
-    total_ = hw == 0 ? 1 : static_cast<int>(hw);
-  }
-}
-
-int CoreBudget::total() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return total_;
-}
-
-int CoreBudget::claimed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return claimed_;
 }
 
 void CoreBudget::reserve(int n) {

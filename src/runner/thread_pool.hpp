@@ -43,9 +43,6 @@ class ThreadPool {
 
   int size() const { return static_cast<int>(workers_.size()); }
 
-  /// Number of tasks submitted but not yet picked up by a worker.
-  std::size_t pending() const;
-
   /// Enqueues `fn` and returns a future of its result. Blocks while the
   /// queue is full; throws std::runtime_error after shutdown().
   template <typename F>
@@ -104,12 +101,6 @@ class CoreBudget {
  public:
   /// The process-wide instance (function-local static, thread-safe init).
   static CoreBudget& instance();
-
-  /// Overrides the budget total; `total <= 0` restores the hardware default.
-  void set_total(int total);
-  int total() const;
-  /// Cores currently claimed (reserved + granted).
-  int claimed() const;
 
   /// Records an outer claim of `n` cores (n >= 0; never capped).
   void reserve(int n);

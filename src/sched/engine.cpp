@@ -51,11 +51,6 @@ void OnlineEngine::set_clairvoyance(Clairvoyance c, double setup) {
   core_.set_clairvoyance(c, setup);
 }
 
-double OnlineEngine::setup_of(int i) const {
-  if (clairvoyance() != Clairvoyance::kNonClairvoyant) return 0.0;
-  return setups_.at(static_cast<std::size_t>(i));
-}
-
 void OnlineEngine::finish_observation() {
   SchedObserver* observer = core_.observer_;
   if (observer == nullptr) return;
@@ -104,8 +99,6 @@ const FaultLog& OnlineEngine::fault_log() const {
     throw std::logic_error("OnlineEngine::fault_log: faults not active");
   return *fault_log_;
 }
-
-TaskFate OnlineEngine::fate_of(int i) const { return fault_log().fate(i); }
 
 Assignment OnlineEngine::release_faulty(Task task) {
   if (task.eligible.empty()) task.eligible = ProcSet::all(m());
@@ -270,7 +263,7 @@ Schedule OnlineEngine::snapshot() const {
   }
   if (clairvoyance() == Clairvoyance::kNonClairvoyant && setup_time() != 0.0) {
     // A Schedule's completion is start + proc; a nonzero setup does not fit
-    // it. Read assignments / completion_of / setup_of directly instead.
+    // it. Read assignments / completion_of directly instead.
     throw std::logic_error(
         "OnlineEngine::snapshot: unavailable with nonzero setup time");
   }

@@ -49,9 +49,6 @@ class OnlineEngine {
   Clairvoyance clairvoyance() const { return core_.clairvoyance(); }
   double setup_time() const { return core_.setup_time(); }
 
-  /// Setup charged before task i (0 outside nc mode).
-  double setup_of(int i) const;
-
   /// C_{j, released()}: machine completion frontier.
   const std::vector<double>& completions() const { return core_.completions(); }
 
@@ -124,9 +121,6 @@ class OnlineEngine {
 
   /// Ground-truth attempt log of the current fault run. Fault mode only.
   const FaultLog& fault_log() const;
-
-  /// Terminal state of task i (kPending before drain_faults() settles it).
-  TaskFate fate_of(int i) const;
 
   /// \brief Testing backdoor: dispatch on the *undegraded* eligible set and
   /// run segments straight through down intervals. This is the planted bug

@@ -40,7 +40,8 @@ class NcDispatcher final : public Dispatcher {
 ///
 /// The engine — not a Schedule — is the result of an nc run: with a nonzero
 /// setup C_i = S_i + setup_i + p_i does not fit the Schedule model, so
-/// callers read machine_of / start_of / setup_of / completion_of directly.
+/// callers read machine_of / start_of / completion_of directly, and each
+/// task's setup from the observer's task events.
 /// When `observer` is non-null the run brackets are emitted around the
 /// release loop (on_run_end reports the completion-frontier makespan).
 /// `unsafe_nc_leak` arms the planted peeking bug (testing only; see

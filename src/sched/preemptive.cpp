@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 namespace flowsched {
@@ -36,96 +35,6 @@ double ExecutionLog::max_flow() const {
   double f = 0;
   for (int i = 0; i < inst_->n(); ++i) f = std::max(f, flow(i));
   return f;
-}
-
-double ExecutionLog::mean_flow() const {
-  if (inst_->n() == 0) return 0;
-  double f = 0;
-  for (int i = 0; i < inst_->n(); ++i) f += flow(i);
-  return f / inst_->n();
-}
-
-std::vector<std::string> ExecutionLog::validate() const {
-  std::vector<std::string> violations;
-  auto complain = [&violations](const std::string& msg) {
-    violations.push_back(msg);
-  };
-
-  std::vector<double> work(static_cast<std::size_t>(inst_->n()), 0.0);
-  for (const auto& s : slices_) {
-    if (s.to <= s.from) complain("empty or inverted slice");
-    if (s.from < inst_->task(s.task).release - 1e-9) {
-      complain("task " + std::to_string(s.task) + " runs before release");
-    }
-    if (!inst_->task(s.task).eligible.contains(s.machine)) {
-      complain("task " + std::to_string(s.task) + " on ineligible machine");
-    }
-    work[static_cast<std::size_t>(s.task)] += s.to - s.from;
-  }
-  for (int i = 0; i < inst_->n(); ++i) {
-    if (std::abs(work[static_cast<std::size_t>(i)] - inst_->task(i).proc) > 1e-6) {
-      std::ostringstream msg;
-      msg << "task " << i << " received " << work[static_cast<std::size_t>(i)]
-          << " of " << inst_->task(i).proc << " work";
-      complain(msg.str());
-    }
-  }
-
-  // No machine overlap and no task self-parallelism.
-  auto check_overlap = [&](auto key_of, const std::string& what) {
-    auto sorted = slices_;
-    std::sort(sorted.begin(), sorted.end(),
-              [&](const ExecSlice& a, const ExecSlice& b) {
-                if (key_of(a) != key_of(b)) return key_of(a) < key_of(b);
-                return a.from < b.from;
-              });
-    for (std::size_t x = 0; x + 1 < sorted.size(); ++x) {
-      if (key_of(sorted[x]) == key_of(sorted[x + 1]) &&
-          sorted[x].to > sorted[x + 1].from + 1e-9) {
-        complain(what + " " + std::to_string(key_of(sorted[x])) +
-                 " has overlapping slices");
-      }
-    }
-  };
-  check_overlap([](const ExecSlice& s) { return s.machine; }, "machine");
-  check_overlap([](const ExecSlice& s) { return s.task; }, "task");
-  return violations;
-}
-
-std::string ExecutionLog::gantt(int resolution, double t_end) const {
-  if (resolution < 1) throw std::invalid_argument("gantt: resolution < 1");
-  if (t_end < 0) {
-    for (const auto& s : slices_) t_end = std::max(t_end, s.to);
-  }
-  const int cells = static_cast<int>(std::ceil(t_end * resolution));
-  int width = 2;
-  for (int w = inst_->n(); w >= 10; w /= 10) ++width;
-
-  std::ostringstream out;
-  for (int j = 0; j < inst_->m(); ++j) {
-    out << 'M' << j + 1 << " |";
-    for (int c = 0; c < cells; ++c) {
-      const double mid = (c + 0.5) / resolution;
-      int occupant = -1;
-      for (const auto& s : slices_) {
-        if (s.machine == j && s.from <= mid && mid < s.to) {
-          occupant = s.task;
-          break;
-        }
-      }
-      if (occupant >= 0) {
-        std::ostringstream cell;
-        cell << occupant;
-        std::string text = cell.str();
-        text.resize(static_cast<std::size_t>(width), ' ');
-        out << text << '|';
-      } else {
-        out << std::string(static_cast<std::size_t>(width), '.') << '|';
-      }
-    }
-    out << '\n';
-  }
-  return out.str();
 }
 
 ExecutionLog preemptive_schedule(const Instance& inst,

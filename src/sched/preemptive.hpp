@@ -14,7 +14,6 @@
 // than a Schedule (a preempted task has several slices).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "model/instance.hpp"
@@ -38,17 +37,6 @@ class ExecutionLog {
   double completion(int task) const;
   double flow(int task) const;
   double max_flow() const;
-  double mean_flow() const;
-
-  /// Checks: slices within [release, inf), machines eligible, no machine
-  /// runs two tasks at once, no task runs on two machines at once, and
-  /// every task receives exactly its processing time.
-  std::vector<std::string> validate() const;
-
-  /// ASCII Gantt chart on a `resolution`-cells-per-time-unit grid; each
-  /// cell shows the task occupying the machine (preempted tasks appear as
-  /// several runs).
-  std::string gantt(int resolution = 2, double t_end = -1) const;
 
  private:
   const Instance* inst_;

@@ -247,10 +247,6 @@ ShardedEngine::~ShardedEngine() {
   if (budget_claim_ > 0) CoreBudget::instance().release(budget_claim_);
 }
 
-void ShardedEngine::set_shard_observer(int shard, SchedObserver* observer) {
-  lanes_.at(static_cast<std::size_t>(shard)).engine->set_observer(observer);
-}
-
 void ShardedEngine::release(double time, double proc, const ProcSet& eligible,
                             double weight) {
   // The lane engines' admit() checks, made here so bad input throws at the
@@ -461,26 +457,6 @@ double ShardedEngine::makespan() const {
   double out = 0;
   for (const Lane& lane : lanes_) {
     for (double c : lane.engine->completions()) out = std::max(out, c);
-  }
-  return out;
-}
-
-std::vector<double> ShardedEngine::completions() const {
-  std::vector<double> out(static_cast<std::size_t>(m_), 0.0);
-  for (int j = 0; j < m_; ++j) {
-    out[static_cast<std::size_t>(j)] =
-        lanes_[static_cast<std::size_t>(map_.shard_of(j))]
-            .engine->completions()[static_cast<std::size_t>(j)];
-  }
-  return out;
-}
-
-std::vector<double> ShardedEngine::loads() const {
-  std::vector<double> out(static_cast<std::size_t>(m_), 0.0);
-  for (int j = 0; j < m_; ++j) {
-    out[static_cast<std::size_t>(j)] =
-        lanes_[static_cast<std::size_t>(map_.shard_of(j))]
-            .engine->loads()[static_cast<std::size_t>(j)];
   }
   return out;
 }

@@ -165,10 +165,6 @@ class ShardedEngine {
   /// Run brackets stay with the driver, as everywhere else.
   void set_observer(SchedObserver* observer) { observer_ = observer; }
 
-  /// Borrowed per-shard sink: lane `shard`'s milestones (global task ids),
-  /// in lane-local order — the tagged per-shard trace streams.
-  void set_shard_observer(int shard, SchedObserver* observer);
-
   // --- Merged statistics (deterministic; see the contract above) ----------
   long long released() const { return released_; }
   long long boundary_tasks() const { return boundary_tasks_; }
@@ -182,10 +178,6 @@ class ShardedEngine {
   std::size_t peak_backlog() const { return peak_backlog_; }
   /// Max completion frontier across all lanes (flushed releases only).
   double makespan() const;
-  /// Merged per-machine completion frontier (each machine from its owner).
-  std::vector<double> completions() const;
-  /// Merged per-machine busy time (load) from each machine's owning lane.
-  std::vector<double> loads() const;
   /// Live footprint: lanes + epoch buffers + deques + backlog sweep. The
   /// epoch buffers are fixed at epoch_tasks × (56 + 16) B (one EpochTask and
   /// one Assignment per slot; 590 KB at the default 8192), so on short

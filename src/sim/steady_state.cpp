@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "model/profile.hpp"
 #include "util/stats.hpp"
 
 namespace flowsched {
@@ -62,30 +61,6 @@ BatchMeansResult batch_means_ci(std::span<const double> samples, int batches) {
   }
   result.batch_autocorrelation = den > 0 ? num / den : 0.0;
   return result;
-}
-
-double total_backlog_at(const Schedule& sched, double t) {
-  const Instance& inst = sched.instance();
-  // Tasks are release-sorted; count those released by t.
-  int released = 0;
-  while (released < inst.n() && inst.task(released).release <= t) ++released;
-  const auto w = profile_at(sched, released, t);
-  double total = 0;
-  for (double v : w) total += v;
-  return total;
-}
-
-std::vector<std::pair<double, double>> backlog_timeseries(const Schedule& sched,
-                                                          int points) {
-  if (points < 1) throw std::invalid_argument("backlog_timeseries: points < 1");
-  const double horizon = sched.makespan();
-  std::vector<std::pair<double, double>> series;
-  series.reserve(static_cast<std::size_t>(points));
-  for (int i = 0; i < points; ++i) {
-    const double t = horizon * (i + 1) / points;
-    series.emplace_back(t, total_backlog_at(sched, t));
-  }
-  return series;
 }
 
 }  // namespace flowsched

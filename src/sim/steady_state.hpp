@@ -3,15 +3,11 @@
 // The paper states 10,000 generated tasks "is sufficient to reach a steady
 // state" (Section 7.4); this module provides the standard machinery to
 // check such claims: warm-up deletion and the method of batch means with a
-// Student-t confidence interval for the steady-state mean, plus a backlog
-// time series extracted from a schedule (the queueing trajectory behind
-// Fmax).
+// Student-t confidence interval for the steady-state mean.
 #pragma once
 
 #include <span>
 #include <vector>
-
-#include "model/schedule.hpp"
 
 namespace flowsched {
 
@@ -36,13 +32,5 @@ BatchMeansResult batch_means_ci(std::span<const double> samples, int batches = 2
 /// Two-sided 95% Student-t critical value for `df` degrees of freedom
 /// (exact table for small df, 1.96 asymptote).
 double t_critical_95(int df);
-
-/// Total backlog (allocated-but-unfinished work, summed over machines) at
-/// time t, counting only tasks released by t — the w_t profile aggregated.
-double total_backlog_at(const Schedule& sched, double t);
-
-/// Backlog sampled at `points` evenly spaced times across the makespan.
-std::vector<std::pair<double, double>> backlog_timeseries(const Schedule& sched,
-                                                          int points);
 
 }  // namespace flowsched

@@ -3,8 +3,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -71,12 +69,6 @@ double Rational::to_double() const {
   return static_cast<double>(num_) / static_cast<double>(den_);
 }
 
-std::string Rational::str() const {
-  std::ostringstream out;
-  out << *this;
-  return out.str();
-}
-
 Rational Rational::operator-() const {
   Rational r;
   r.num_ = -num_;
@@ -112,12 +104,6 @@ std::strong_ordering operator<=>(const Rational& a, const Rational& b) {
   if (lhs < rhs) return std::strong_ordering::less;
   if (lhs > rhs) return std::strong_ordering::greater;
   return std::strong_ordering::equal;
-}
-
-std::ostream& operator<<(std::ostream& os, const Rational& r) {
-  os << r.num();
-  if (r.den() != 1) os << '/' << r.den();
-  return os;
 }
 
 std::optional<Rational> rational_from_double(double x) {

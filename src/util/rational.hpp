@@ -9,9 +9,7 @@
 
 #include <compare>
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
-#include <string>
 
 namespace flowsched {
 
@@ -25,7 +23,6 @@ class Rational {
   std::int64_t den() const { return den_; }
 
   double to_double() const;
-  std::string str() const;
 
   Rational operator-() const;
   Rational& operator+=(const Rational& o);
@@ -54,8 +51,6 @@ class Rational {
   std::int64_t num_ = 0;
   std::int64_t den_ = 1;
 };
-
-std::ostream& operator<<(std::ostream& os, const Rational& r);
 
 /// Exact conversion of a double to the Rational it represents. Every finite
 /// double is a binary rational mantissa * 2^e; the conversion succeeds iff

@@ -87,13 +87,4 @@ std::size_t Rng::weighted_index(std::span<const double> weights) {
   return weights.size() - 1;
 }
 
-std::vector<std::size_t> Rng::permutation(std::size_t n) {
-  std::vector<std::size_t> p(n);
-  for (std::size_t i = 0; i < n; ++i) p[i] = i;
-  shuffle(p);
-  return p;
-}
-
-Rng Rng::split() { return Rng((*this)()); }
-
 }  // namespace flowsched

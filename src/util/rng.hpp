@@ -66,13 +66,6 @@ class Rng {
     }
   }
 
-  /// Uniformly random permutation of {0, ..., n-1}.
-  std::vector<std::size_t> permutation(std::size_t n);
-
-  /// A new generator whose state is derived from this one's stream.
-  /// Use to give independent sub-streams to parallel components.
-  Rng split();
-
  private:
   std::array<std::uint64_t, 4> state_;
 };

@@ -1,36 +1,13 @@
 // Descriptive statistics used by the benchmark harnesses and the key-value
-// store latency tracker: streaming moments (Welford), order statistics
-// (median / arbitrary quantiles), and fixed-bin histograms.
+// store latency tracker: mean, standard deviation and order statistics
+// (median / arbitrary quantiles).
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace flowsched {
-
-/// Streaming mean/variance accumulator (Welford's algorithm).
-/// Numerically stable; O(1) memory; does not retain samples.
-class OnlineStats {
- public:
-  void add(double x);
-
-  std::size_t count() const { return n_; }
-  double mean() const;
-  /// Sample variance (n-1 denominator); 0 when fewer than 2 samples.
-  double variance() const;
-  double stddev() const;
-  double min() const;
-  double max() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0;
-  double m2_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-};
 
 /// Arithmetic mean; 0 for an empty span.
 double mean(std::span<const double> xs);
@@ -58,28 +35,5 @@ std::vector<double> select_quantiles(std::span<double> xs,
 
 /// Sample standard deviation (n-1); 0 when fewer than 2 samples.
 double stddev(std::span<const double> xs);
-
-/// Equal-width histogram over [lo, hi] with `bins` bins; values outside the
-/// range are clamped into the boundary bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t total() const { return total_; }
-  std::size_t bin_count(std::size_t b) const { return counts_.at(b); }
-  std::size_t bins() const { return counts_.size(); }
-  double bin_lo(std::size_t b) const;
-  double bin_hi(std::size_t b) const;
-
-  /// Multi-line ASCII rendering, one row per bin, bar scaled to `width`.
-  std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace flowsched

@@ -16,14 +16,7 @@ AccessPattern::AccessPattern(std::vector<double> weights)
     total += w;
   }
   if (!(total > 0)) throw std::invalid_argument("AccessPattern: zero mass");
-  cdf_.resize(weights_.size());
-  double acc = 0;
-  for (std::size_t i = 0; i < weights_.size(); ++i) {
-    weights_[i] /= total;
-    acc += weights_[i];
-    cdf_[i] = acc;
-  }
-  cdf_.back() = 1.0;
+  for (double& w : weights_) w /= total;
 }
 
 AccessPattern AccessPattern::uniform(int keys) {
@@ -62,12 +55,6 @@ AccessPattern AccessPattern::hotspot(int keys, double hot_set_fraction,
 
 AccessPattern AccessPattern::from_weights(std::vector<double> weights) {
   return AccessPattern(std::move(weights));
-}
-
-int AccessPattern::sample(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<int>(it - cdf_.begin());
 }
 
 std::vector<double> AccessPattern::machine_popularity(int m) const {

@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "util/rng.hpp"
-
 namespace flowsched {
 
 class AccessPattern {
@@ -35,9 +33,6 @@ class AccessPattern {
   int keys() const { return static_cast<int>(weights_.size()); }
   const std::vector<double>& weights() const { return weights_; }
 
-  /// Draws a key id.
-  int sample(Rng& rng) const;
-
   /// Machine popularity P(E_j) induced by round-robin key placement on m
   /// machines (owner of key i = i mod m).
   std::vector<double> machine_popularity(int m) const;
@@ -46,7 +41,6 @@ class AccessPattern {
   explicit AccessPattern(std::vector<double> weights);
 
   std::vector<double> weights_;
-  std::vector<double> cdf_;
 };
 
 }  // namespace flowsched

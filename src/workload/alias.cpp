@@ -67,13 +67,4 @@ void AliasSampler::build() {
   for (std::size_t i = large; i < n; ++i) columns_[stacks[i]].prob = 1.0;
 }
 
-double AliasSampler::table_probability(std::size_t i) const {
-  const double n = static_cast<double>(columns_.size());
-  double p = columns_[i].prob / n;
-  for (std::size_t j = 0; j < columns_.size(); ++j) {
-    if (columns_[j].alias == i && j != i) p += (1.0 - columns_[j].prob) / n;
-  }
-  return p;
-}
-
 }  // namespace flowsched

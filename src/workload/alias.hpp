@@ -1,16 +1,16 @@
 // Walker/Vose alias-method sampler: O(1) draws from an arbitrary discrete
 // distribution (Walker 1977, Vose 1991).
 //
-// The inverse-CDF ZipfSampler (workload/zipf.hpp) costs O(log m) per draw
-// and, more importantly for the streaming engine, a cache-hostile binary
-// search over an m-entry table. The alias method precomputes, in O(m), a
-// pair of tables (prob, alias) such that one uniform deviate picks a column
-// i = floor(u * m) and a biased coin inside the column decides between i
-// and alias[i]. Both live in one 16-byte column, so a sample reads one
-// cache line, independent of m.
+// An inverse-CDF sampler costs O(log m) per draw and, more importantly for
+// the streaming engine, a cache-hostile binary search over an m-entry
+// table. The alias method precomputes, in O(m), a pair of tables (prob,
+// alias) such that one uniform deviate picks a column i = floor(u * m) and
+// a biased coin inside the column decides between i and alias[i]. Both
+// live in one 16-byte column, so a sample reads one cache line,
+// independent of m.
 //
 // Determinism contract: sample() consumes exactly ONE Rng::uniform() call,
-// the same RNG budget as ZipfSampler::sample and KeyValueStore::sample_key,
+// the same RNG budget as an inverse-CDF draw and KeyValueStore::sample_key,
 // so swapping samplers never shifts the downstream deviate stream (the
 // arrival-time and service-time draws of cluster_sim stay untouched). The
 // construction itself is a deterministic function of the weights — no RNG.
@@ -24,10 +24,10 @@
 // The sampled *values* differ from the inverse-CDF sampler for the same
 // uniform (the methods partition [0,1) differently), but the distribution
 // is exactly the same: tests/test_alias.cpp reconstructs the per-index
-// probability from the tables and asserts it equals the input weights to
-// ~1 ulp, and cross-checks the empirical stream against ZipfSampler with a
-// chi-square-style tolerance (the documented equivalence of the two
-// samplers; see docs/streaming.md).
+// probability from resolve() and asserts it equals the input weights to
+// ~1e-12, and cross-checks the empirical stream against an inverse-CDF
+// reference sampler kept with the tests, with a chi-square-style tolerance
+// (the documented equivalence of the two samplers; see docs/streaming.md).
 #pragma once
 
 #include <cstddef>
@@ -44,11 +44,10 @@ class AliasSampler {
   /// positive total). O(n) time and space.
   explicit AliasSampler(std::vector<double> weights);
 
-  /// Zipf(s) over ranks 0..m-1 — the drop-in for ZipfSampler(m, s).
+  /// Zipf(s) over ranks 0..m-1 (weights zipf_weights(m, s)).
   AliasSampler(int m, double s);
 
-  /// One uniform draw, one column read. Same Rng budget as
-  /// ZipfSampler::sample.
+  /// One uniform draw, one column read.
   std::size_t sample(Rng& rng) const { return resolve(rng.uniform()); }
 
   /// The index a draw of uniform `u` in [0, 1) maps to: sample(rng) is
@@ -73,13 +72,8 @@ class AliasSampler {
 
   std::size_t size() const { return columns_.size(); }
 
-  /// Normalized input weights (sums to 1), matching ZipfSampler::weights().
+  /// Normalized input weights (sums to 1).
   const std::vector<double>& weights() const { return weights_; }
-
-  /// Probability of drawing `i` as reconstructed from the alias tables:
-  /// prob[i]/n plus the overflow mass every column aliases back to i. Used
-  /// by tests to assert the tables encode exactly the input distribution.
-  double table_probability(std::size_t i) const;
 
  private:
   // One column per index: a draw reads both fields from one cache line.

@@ -10,8 +10,9 @@ Instance generate_kv_instance(const KvWorkloadConfig& config,
   if (static_cast<int>(popularity.size()) != config.m) {
     throw std::invalid_argument("generate_kv_instance: popularity size != m");
   }
-  if (!(config.lambda > 0)) {
-    throw std::invalid_argument("generate_kv_instance: lambda <= 0");
+  if (!(config.lambda > 0) || !std::isfinite(config.lambda)) {
+    throw std::invalid_argument(
+        "generate_kv_instance: lambda must be finite and > 0");
   }
   const auto sets = replica_sets(config.strategy, config.k, config.m);
 

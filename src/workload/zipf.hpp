@@ -5,10 +5,7 @@
 // distribution; larger s concentrates popularity on low ranks.
 #pragma once
 
-#include <cstddef>
 #include <vector>
-
-#include "util/rng.hpp"
 
 namespace flowsched {
 
@@ -17,19 +14,5 @@ double generalized_harmonic(int m, double s);
 
 /// The probability vector {P(E_1), ..., P(E_m)} (sums to 1, decreasing).
 std::vector<double> zipf_weights(int m, double s);
-
-/// Sampler over ranks 0..m-1 with Zipf(s) probabilities (0-based rank 0 is
-/// the most popular). Uses inverse-CDF lookup, O(log m) per draw.
-class ZipfSampler {
- public:
-  ZipfSampler(int m, double s);
-
-  std::size_t sample(Rng& rng) const;
-  const std::vector<double>& weights() const { return weights_; }
-
- private:
-  std::vector<double> weights_;
-  std::vector<double> cdf_;
-};
 
 }  // namespace flowsched

@@ -1,4 +1,4 @@
-#include "adversary/oracle.hpp"
+#include "support/fifo_oracle.hpp"
 
 #include <stdexcept>
 

@@ -54,15 +54,6 @@ TEST(AccessPattern, WeightsAlwaysNormalized) {
   }
 }
 
-TEST(AccessPattern, SampleFollowsWeights) {
-  const auto p = AccessPattern::hotspot(10, 0.1, 0.7);
-  Rng rng(8);
-  int hot_hits = 0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) hot_hits += p.sample(rng) == 0 ? 1 : 0;
-  EXPECT_NEAR(hot_hits / static_cast<double>(n), 0.7, 0.01);
-}
-
 TEST(AccessPattern, MachinePopularityAggregatesByOwner) {
   // 4 keys on 2 machines, weights (0.4, 0.3, 0.2, 0.1): owners 0,1,0,1.
   const auto p = AccessPattern::from_weights({0.4, 0.3, 0.2, 0.1});

@@ -13,6 +13,8 @@
 #include "offline/unit_optimal.hpp"
 #include "sched/engine.hpp"
 #include "sched/fifo.hpp"
+#include "support/checks.hpp"
+#include "support/fifo_oracle.hpp"
 #include "util/rng.hpp"
 #include "workload/replication.hpp"
 

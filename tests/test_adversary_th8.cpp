@@ -6,6 +6,8 @@
 #include "model/structure.hpp"
 #include "offline/unit_optimal.hpp"
 #include "sched/engine.hpp"
+#include "support/checks.hpp"
+#include "support/profile.hpp"
 
 namespace flowsched {
 namespace {

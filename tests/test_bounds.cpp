@@ -15,6 +15,7 @@
 #include "check/fuzz.hpp"
 #include "lp/maxload.hpp"
 #include "sched/dispatchers.hpp"
+#include "support/checks.hpp"
 #include "util/rng.hpp"
 #include "workload/popularity.hpp"
 #include "workload/replication.hpp"
@@ -34,8 +35,6 @@ TEST(Bounds, Theorem1RatioExact) {
   EXPECT_EQ(bounds::theorem1_ratio(2), Rational(2));
   EXPECT_EQ(bounds::theorem1_ratio(4), Rational(5, 2));
   EXPECT_EQ(bounds::theorem1_ratio(16), Rational(23, 8));
-  // Ceiling scales linearly in the optimum.
-  EXPECT_EQ(bounds::theorem1_upper(4, Rational(6)), Rational(15));
 }
 
 TEST(Bounds, Corollary1RatioExact) {
@@ -205,9 +204,7 @@ TEST(BoundGrid, IntervalLowerBoundNonIncreasingInK) {
 }
 
 TEST(BoundGrid, UpperCeilingsMonotoneInOpt) {
-  // Both ceilings are linear in the optimum: non-decreasing in opt (load).
-  EXPECT_LE(bounds::theorem1_upper(8, Rational(2)),
-            bounds::theorem1_upper(8, Rational(3)));
+  // The ceiling is linear in the optimum: non-decreasing in opt (load).
   EXPECT_LE(bounds::theorem6_disjoint_upper(4, Rational(2)),
             bounds::theorem6_disjoint_upper(4, Rational(3)));
   // And the ratios grow with m / k toward their limits.

@@ -38,21 +38,6 @@ TEST(BruteForce, KnowsToReserveMachines) {
   EXPECT_DOUBLE_EQ(brute_force_opt_fmax(inst), 5.0);  // T1 -> M2, others M0/M1
 }
 
-TEST(BruteForce, ScheduleRealizesOptimum) {
-  Rng rng(7);
-  RandomInstanceOptions opts;
-  opts.m = 3;
-  opts.n = 7;
-  opts.sets = RandomSets::kArbitrary;
-  for (int trial = 0; trial < 10; ++trial) {
-    const auto inst = random_instance(opts, rng);
-    const double opt = brute_force_opt_fmax(inst);
-    const auto sched = brute_force_opt_schedule(inst);
-    EXPECT_TRUE(sched.validate().ok()) << sched.validate().str();
-    EXPECT_NEAR(sched.max_flow(), opt, 1e-9);
-  }
-}
-
 TEST(BruteForce, NeverWorseThanEft) {
   Rng rng(13);
   RandomInstanceOptions opts;

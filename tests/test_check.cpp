@@ -22,6 +22,7 @@
 #include "sched/dispatchers.hpp"
 #include "sched/engine.hpp"
 #include "sched/fifo.hpp"
+#include "support/checks.hpp"
 #include "util/rng.hpp"
 
 namespace flowsched {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "sched/engine.hpp"
+#include "support/checks.hpp"
 #include "workload/generator.hpp"
 
 namespace flowsched {
@@ -202,7 +203,7 @@ TEST(LeastLoadedDispatcher, BalancesTotalWork) {
   const auto inst = Instance::unrestricted(2, {{0, 1}, {0, 1}, {0, 1}, {0, 1}});
   LeastLoadedDispatcher d(TieBreakKind::kMin);
   const auto sched = run_dispatcher(inst, d);
-  const auto loads = sched.machine_loads();
+  const auto loads = machine_loads(sched);
   EXPECT_DOUBLE_EQ(loads[0], 2.0);
   EXPECT_DOUBLE_EQ(loads[1], 2.0);
 }

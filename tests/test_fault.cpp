@@ -27,6 +27,7 @@
 #include "runner/experiment.hpp"
 #include "sched/dispatchers.hpp"
 #include "sched/engine.hpp"
+#include "support/checks.hpp"
 #include "util/rng.hpp"
 
 namespace flowsched {
@@ -508,7 +509,7 @@ TEST(FaultEngine, FaultFreePlanMatchesTheNormalPath) {
   EXPECT_EQ(stats.kills, 0);
   EXPECT_EQ(stats.parked, 0);
   for (int i = 0; i < inst.n(); ++i) {
-    EXPECT_EQ(engine.fate_of(i), TaskFate::kCompleted);
+    EXPECT_EQ(engine.fault_log().fate(i), TaskFate::kCompleted);
     EXPECT_DOUBLE_EQ(engine.completion_of(i), reference.completion(i)) << i;
     EXPECT_EQ(engine.machine_of(i), reference.machine(i)) << i;
   }
@@ -525,9 +526,9 @@ TEST(FaultEngine, ImmediateRecoveryRedoesKilledWork) {
   // Attempt 0 runs [0, 1) and is killed; the immediate retry at t=1 finds
   // the machine still down and parks until 1.5; the rerun owes the full
   // p=2 again, so C = 3.5.
-  EXPECT_EQ(engine.fate_of(0), TaskFate::kCompleted);
+  EXPECT_EQ(log.fate(0), TaskFate::kCompleted);
   EXPECT_DOUBLE_EQ(log.completion(0), 3.5);
-  const auto attempts = log.attempts_of(0);
+  const auto attempts = attempts_of(log, 0);
   ASSERT_EQ(attempts.size(), 3u);
   EXPECT_TRUE(attempts[0].killed);
   EXPECT_DOUBLE_EQ(attempts[0].end, 1.0);
@@ -554,7 +555,7 @@ TEST(FaultEngine, CheckpointRecoveryRetainsCompletedWork) {
   EXPECT_DOUBLE_EQ(log.completion(0), 2.5);
   EXPECT_DOUBLE_EQ(log.stats().wasted_work, 0.0);
   double executed = 0;
-  for (const FaultAttempt& a : log.attempts_of(0)) executed += a.work();
+  for (const FaultAttempt& a : attempts_of(log, 0)) executed += a.work();
   EXPECT_DOUBLE_EQ(executed, 2.0);  // total machine time equals p exactly
 }
 
@@ -566,7 +567,7 @@ TEST(FaultEngine, BackoffRetriesAtThePolicyInstant) {
   EftDispatcher eft(TieBreakKind::kMin);
   const OnlineEngine engine =
       run_dispatcher_faulty(one_machine(2.0), eft, plan, recovery);
-  const auto attempts = engine.fault_log().attempts_of(0);
+  const auto attempts = attempts_of(engine.fault_log(), 0);
   ASSERT_GE(attempts.size(), 2u);
   // The retry is scheduled exactly where the pure policy function says —
   // this is the contract the [fault-backoff] audit recomputes.
@@ -583,10 +584,10 @@ TEST(FaultEngine, WholeSetOutageParksInsteadOfDropping) {
   const OnlineEngine engine =
       run_dispatcher_faulty(inst, eft, plan, RecoveryPolicy{});
   const FaultLog& log = engine.fault_log();
-  EXPECT_EQ(engine.fate_of(0), TaskFate::kCompleted);
+  EXPECT_EQ(log.fate(0), TaskFate::kCompleted);
   EXPECT_DOUBLE_EQ(log.completion(0), 5.0);  // parked [0,4), then p=1
-  ASSERT_EQ(log.attempts_of(0).size(), 2u);
-  EXPECT_EQ(log.attempts_of(0)[0].machine, -1);
+  ASSERT_EQ(attempts_of(log, 0).size(), 2u);
+  EXPECT_EQ(attempts_of(log, 0)[0].machine, -1);
   EXPECT_EQ(log.stats().parked, 1);
   EXPECT_EQ(log.stats().dropped, 0);
 }
@@ -598,7 +599,7 @@ TEST(FaultEngine, StrandedTaskIsDroppedNotLost) {
   const OnlineEngine engine =
       run_dispatcher_faulty(one_machine(2.0), eft, plan, RecoveryPolicy{});
   // Killed at 0.5, and the only machine never recovers: explicit drop.
-  EXPECT_EQ(engine.fate_of(0), TaskFate::kDropped);
+  EXPECT_EQ(engine.fault_log().fate(0), TaskFate::kDropped);
   EXPECT_EQ(engine.fault_log().stats().dropped, 1);
   EXPECT_THROW(engine.fault_log().completion(0), std::logic_error);
 }
@@ -614,7 +615,7 @@ TEST(FaultEngine, RetryBudgetExhaustionDrops) {
       run_dispatcher_faulty(one_machine(1.0), eft, plan, recovery);
   // Kill at 0.5 (attempt 0), retry killed again at 1.5 (attempt 1 ==
   // max_retries): dropped with both kills on the books.
-  EXPECT_EQ(engine.fate_of(0), TaskFate::kDropped);
+  EXPECT_EQ(engine.fault_log().fate(0), TaskFate::kDropped);
   EXPECT_EQ(engine.fault_log().stats().kills, 2);
   EXPECT_EQ(engine.fault_log().stats().dropped, 1);
 }
@@ -649,7 +650,7 @@ TEST(FaultEngine, JsqQueueDepthsCountKilledSegmentsUntilTheCrash) {
       {{2, 3.5, 4.5, false}},
   };
   for (int i = 0; i < inst.n(); ++i) {
-    const auto attempts = log.attempts_of(i);
+    const auto attempts = attempts_of(log, i);
     const auto& want = expected[static_cast<std::size_t>(i)];
     ASSERT_EQ(attempts.size(), want.size()) << "task " << i;
     for (std::size_t a = 0; a < want.size(); ++a) {
@@ -658,7 +659,7 @@ TEST(FaultEngine, JsqQueueDepthsCountKilledSegmentsUntilTheCrash) {
       EXPECT_EQ(attempts[a].end, want[a].end) << i << "/" << a;
       EXPECT_EQ(attempts[a].killed, want[a].killed) << i << "/" << a;
     }
-    EXPECT_EQ(engine.fate_of(i), TaskFate::kCompleted) << "task " << i;
+    EXPECT_EQ(log.fate(i), TaskFate::kCompleted) << "task " << i;
   }
   EXPECT_EQ(log.stats().kills, 1);
 }
@@ -733,15 +734,17 @@ TEST(RunnerHardening, WatchdogReportsSlowReplicatesWithoutKillingThem) {
     ExperimentRunner runner(threads);
     runner.set_watchdog(0.01);
     runner.set_watch_label("unit-test");
+    testing::internal::CaptureStderr();
     const auto out = runner.map<int>(2, [](int i) {
       if (i == 1) std::this_thread::sleep_for(std::chrono::milliseconds(60));
       return i;
     });
+    const std::string report = testing::internal::GetCapturedStderr();
     ASSERT_EQ(out.size(), 2u);  // the slow job completed, not killed
     EXPECT_EQ(out[1], 1);
-    const auto hung = runner.hung_replicates();
-    ASSERT_FALSE(hung.empty()) << "threads=" << threads;
-    EXPECT_NE(hung.front().find("unit-test"), std::string::npos);
+    EXPECT_NE(report.find("[watchdog] unit-test rep=1 exceeded"),
+              std::string::npos)
+        << "threads=" << threads << ": " << report;
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "workload/zipf.hpp"
 
 namespace flowsched {
@@ -77,9 +79,13 @@ TEST(Generator, KvRejectsBadInput) {
   config.m = 4;
   EXPECT_THROW(generate_kv_instance(config, {0.5, 0.5}, rng),
                std::invalid_argument);
-  config.lambda = 0.0;
-  EXPECT_THROW(generate_kv_instance(config, std::vector<double>(4, 0.25), rng),
-               std::invalid_argument);
+  for (const double lambda : {0.0, std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    config.lambda = lambda;
+    EXPECT_THROW(generate_kv_instance(config, std::vector<double>(4, 0.25), rng),
+                 std::invalid_argument)
+        << "lambda=" << lambda;
+  }
 }
 
 TEST(Generator, RandomInstanceHonorsOptions) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -188,10 +189,14 @@ TEST(ClusterSim, ReportStringMentionsKeyFigures) {
 TEST(ClusterSim, RejectsNonPositiveLambda) {
   Rng rng(15);
   const KeyValueStore store(small_store(), rng);
-  SimConfig sim;
-  sim.lambda = 0.0;
   EftDispatcher eft(TieBreakKind::kMin);
-  EXPECT_THROW(simulate_cluster(store, sim, eft, rng), std::invalid_argument);
+  for (const double lambda : {0.0, std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    SimConfig sim;
+    sim.lambda = lambda;
+    EXPECT_THROW(simulate_cluster(store, sim, eft, rng), std::invalid_argument)
+        << "lambda=" << lambda;
+  }
 }
 
 TEST(ClusterSim, RejectsNegativeRequestCount) {

@@ -17,6 +17,7 @@
 #include "sched/dispatchers.hpp"
 #include "sched/engine.hpp"
 #include "sched/streaming.hpp"
+#include "support/checks.hpp"
 
 namespace flowsched {
 namespace {
@@ -34,20 +35,21 @@ TEST(NonClairvoyant, SetupChargedOnProcSetSwitch) {
   const Instance inst(2, std::move(tasks));
   auto policy = make_eft_min();
   NcDispatcher ncd(*policy);
-  const OnlineEngine engine = run_dispatcher_nc(inst, ncd, setup);
+  SetupLog setups;
+  const OnlineEngine engine = run_dispatcher_nc(inst, ncd, setup, &setups);
 
-  EXPECT_EQ(engine.setup_of(0), 0.0);  // first task on its machine is free
+  EXPECT_EQ(setups.setup_of(0), 0.0);  // first task on its machine is free
   for (int i = 0; i < inst.n(); ++i) {
     EXPECT_EQ(engine.completion_of(i),
-              (engine.start_of(i) + engine.setup_of(i)) + inst.task(i).proc)
+              (engine.start_of(i) + setups.setup_of(i)) + inst.task(i).proc)
         << "task " << i;
-    EXPECT_TRUE(engine.setup_of(i) == 0.0 || engine.setup_of(i) == setup)
+    EXPECT_TRUE(setups.setup_of(i) == 0.0 || setups.setup_of(i) == setup)
         << "task " << i;
   }
   // At least one set switch happened somewhere (tasks 1 and 2 cannot both
   // avoid it on a 2-machine EFT run where task 2's set differs).
   double charged = 0;
-  for (int i = 0; i < inst.n(); ++i) charged += engine.setup_of(i);
+  for (int i = 0; i < inst.n(); ++i) charged += setups.setup_of(i);
   EXPECT_GT(charged, 0.0);
   EXPECT_GE(nc_max_flow(engine), 1.0);  // task 0 alone flows p = 1
 }
@@ -113,11 +115,12 @@ TEST(NonClairvoyant, ObliviousPolicyMatchesClairvoyantAtZeroSetup) {
 
   RoundRobinDispatcher inner;
   NcDispatcher ncd(inner);
-  const OnlineEngine nc = run_dispatcher_nc(inst, ncd, /*setup=*/0.0);
+  SetupLog setups;
+  const OnlineEngine nc = run_dispatcher_nc(inst, ncd, /*setup=*/0.0, &setups);
   for (int i = 0; i < inst.n(); ++i) {
     ASSERT_EQ(nc.machine_of(i), ref.machine(i)) << "task " << i;
     ASSERT_EQ(nc.start_of(i), ref.start(i)) << "task " << i;
-    ASSERT_EQ(nc.setup_of(i), 0.0) << "task " << i;
+    ASSERT_EQ(setups.setup_of(i), 0.0) << "task " << i;
   }
 }
 

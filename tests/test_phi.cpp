@@ -2,7 +2,7 @@
 // non-increasing along EFT runs of the Theorem 8 adversary, for every
 // tie-break policy, and hits its floor exactly when the profile reaches
 // the stable profile.
-#include "adversary/phi.hpp"
+#include "support/profile.hpp"
 
 #include <gtest/gtest.h>
 

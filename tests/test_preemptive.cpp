@@ -4,6 +4,7 @@
 
 #include "offline/preemptive_optimal.hpp"
 #include "sched/fifo.hpp"
+#include "support/checks.hpp"
 #include "workload/generator.hpp"
 
 namespace flowsched {
@@ -12,7 +13,7 @@ namespace {
 TEST(Preemptive, SingleTaskRunsToCompletion) {
   const auto inst = Instance::unrestricted(2, {{1.0, 3.0}});
   const auto log = preemptive_schedule(inst, PreemptivePriority::kFifo);
-  EXPECT_TRUE(log.validate().empty());
+  EXPECT_TRUE(validate_execution(inst, log).empty());
   EXPECT_DOUBLE_EQ(log.completion(0), 4.0);
   EXPECT_DOUBLE_EQ(log.flow(0), 3.0);
 }
@@ -22,7 +23,7 @@ TEST(Preemptive, FifoPreemptsNewerTasks) {
   // must NOT preempt it under FIFO (older release wins).
   const auto inst = Instance::unrestricted(1, {{0.0, 5.0}, {1.0, 1.0}});
   const auto log = preemptive_schedule(inst, PreemptivePriority::kFifo);
-  EXPECT_TRUE(log.validate().empty());
+  EXPECT_TRUE(validate_execution(inst, log).empty());
   EXPECT_DOUBLE_EQ(log.completion(0), 5.0);
   EXPECT_DOUBLE_EQ(log.completion(1), 6.0);
 }
@@ -31,7 +32,7 @@ TEST(Preemptive, ShortestFirstPreempts) {
   // Under shortest-first the short arrival takes the machine immediately.
   const auto inst = Instance::unrestricted(1, {{0.0, 5.0}, {1.0, 1.0}});
   const auto log = preemptive_schedule(inst, PreemptivePriority::kShortestFirst);
-  EXPECT_TRUE(log.validate().empty());
+  EXPECT_TRUE(validate_execution(inst, log).empty());
   EXPECT_DOUBLE_EQ(log.completion(1), 2.0);  // preempts at t=1
   EXPECT_DOUBLE_EQ(log.completion(0), 6.0);  // resumes after
   // The long task has two slices.
@@ -48,7 +49,7 @@ TEST(Preemptive, RespectsProcessingSets) {
   };
   const Instance inst(2, std::move(tasks));
   const auto log = preemptive_schedule(inst, PreemptivePriority::kFifo);
-  EXPECT_TRUE(log.validate().empty());
+  EXPECT_TRUE(validate_execution(inst, log).empty());
   EXPECT_DOUBLE_EQ(log.completion(1), 4.0);  // serialized on M0
   EXPECT_DOUBLE_EQ(log.completion(2), 2.0);
 }
@@ -81,7 +82,7 @@ TEST(Preemptive, ValidOnRandomRestrictedInstances) {
     const auto inst = random_instance(opts, rng);
     for (auto prio : {PreemptivePriority::kFifo, PreemptivePriority::kShortestFirst}) {
       const auto log = preemptive_schedule(inst, prio);
-      const auto violations = log.validate();
+      const auto violations = validate_execution(inst, log);
       EXPECT_TRUE(violations.empty())
           << "trial " << trial << ": " << violations.front();
     }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/profile.hpp"
+
 namespace flowsched {
 namespace {
 

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <vector>
 
+#include "support/checks.hpp"
 #include "util/rng.hpp"
 
 namespace flowsched {

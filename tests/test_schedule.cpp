@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "support/checks.hpp"
+
 namespace flowsched {
 namespace {
 
@@ -25,7 +27,6 @@ TEST(Schedule, FlowAndCompletion) {
   EXPECT_DOUBLE_EQ(s.max_flow_prefix(2), 2.0);
   EXPECT_DOUBLE_EQ(s.mean_flow(), (2.0 + 1.0 + 4.0) / 3.0);
   EXPECT_DOUBLE_EQ(s.makespan(), 5.0);
-  EXPECT_TRUE(s.complete());
 }
 
 TEST(Schedule, MachineLoads) {
@@ -34,7 +35,7 @@ TEST(Schedule, MachineLoads) {
   s.assign(0, 0, 0.0);
   s.assign(1, 1, 1.0);
   s.assign(2, 0, 2.0);
-  const auto loads = s.machine_loads();
+  const auto loads = machine_loads(s);
   EXPECT_DOUBLE_EQ(loads[0], 5.0);
   EXPECT_DOUBLE_EQ(loads[1], 1.0);
 }

@@ -24,7 +24,6 @@
 #include "kvstore/cluster_sim.hpp"
 #include "model/schedule.hpp"
 #include "obs/metrics.hpp"
-#include "obs/shard_merge.hpp"
 #include "runner/thread_pool.hpp"
 #include "sched/dispatchers.hpp"
 #include "sched/engine.hpp"
@@ -105,22 +104,18 @@ TEST(StealDeque, ConcurrentStealsDrainExactly) {
 
 TEST(CoreBudget, ReserveAndAcquire) {
   CoreBudget& budget = CoreBudget::instance();
-  const int orig_total = budget.total();
-  const int base = budget.claimed();
-
-  budget.set_total(base + 8);
-  budget.reserve(3);  // outer claim: never capped
-  EXPECT_EQ(budget.claimed(), base + 3);
-  EXPECT_EQ(budget.try_acquire(100), 5);  // inner claim: capped at remainder
-  EXPECT_EQ(budget.claimed(), base + 8);
+  // Commit the uncommitted remainder, whatever this host's core count, so
+  // the ledger is exactly full.
+  const int rest = budget.try_acquire(std::numeric_limits<int>::max());
+  EXPECT_GE(rest, 0);
   EXPECT_EQ(budget.try_acquire(1), 0);  // nothing left
-  budget.reserve(2);                    // outer claims still go through
-  EXPECT_EQ(budget.claimed(), base + 10);
-  budget.release(10);
-  EXPECT_EQ(budget.claimed(), base);
+  budget.reserve(2);                    // outer claim: never capped
+  EXPECT_EQ(budget.try_acquire(1), 0);
+  budget.release(3);  // the reservation and one granted core come back
+  EXPECT_EQ(budget.try_acquire(100), 1);  // inner claim: capped at remainder
+  EXPECT_EQ(budget.try_acquire(1), 0);
+  budget.release(rest);
   EXPECT_THROW(budget.reserve(-1), std::invalid_argument);
-
-  budget.set_total(orig_total);
 }
 
 // --- ShardMap --------------------------------------------------------------
@@ -331,69 +326,6 @@ TEST(Sharded, AuditedMergedSchedule) {
   EXPECT_TRUE(violations.empty()) << violations.front();
 }
 
-// Per-shard MetricsCollectors merged in shard order equal one collector on
-// the single-queue engine, on a shard-local workload (obs/shard_merge.hpp).
-TEST(Sharded, MergedMetricsMatchUnsharded) {
-  const int m = 16;
-  Rng rng(31);
-  std::vector<Task> tasks;
-  double time = 0;
-  for (int i = 0; i < 500; ++i) {
-    time += rng.exponential(1.0 / 8.0);
-    const int block = rng.uniform_int(0, 3) * 4;
-    tasks.push_back({.release = time,
-                     .proc = rng.uniform(0.5, 1.5),
-                     .eligible = ProcSet::interval(block, block + 3)});
-  }
-  const Instance inst(m, std::move(tasks));
-
-  ShardedEngine::Options opts;
-  opts.shards = 4;
-  opts.epoch_tasks = 32;
-  ShardedEngine engine(inst.m(), eft_factory(), opts);
-  std::vector<std::unique_ptr<MetricsCollector>> collectors;
-  for (int s = 0; s < opts.shards; ++s) {
-    collectors.push_back(std::make_unique<MetricsCollector>());
-    collectors.back()->on_run_begin(RunInfo{m, "EFT-Min", {}});
-    engine.set_shard_observer(s, collectors.back().get());
-  }
-  for (const Task& t : inst.tasks()) {
-    engine.release(t.release, t.proc, t.eligible);
-  }
-  engine.drain();
-  for (auto& c : collectors) c->on_run_end(engine.makespan());
-
-  auto policy = make_eft_min();
-  StreamingEngine single(inst.m(), *policy);
-  MetricsCollector reference;
-  reference.on_run_begin(RunInfo{m, "EFT-Min", {}});
-  single.set_observer(&reference);
-  for (const Task& t : inst.tasks()) single.release(t);
-  single.drain();
-  reference.on_run_end(engine.makespan());
-
-  std::vector<const MetricsCollector*> views;
-  for (const auto& c : collectors) views.push_back(c.get());
-  const ShardMetricsSummary merged = merge_shard_metrics(views);
-
-  EXPECT_EQ(merged.shards, 4);
-  EXPECT_EQ(merged.released, reference.released());
-  EXPECT_EQ(merged.dispatched, reference.dispatched());
-  EXPECT_EQ(merged.completed, reference.completed());
-  EXPECT_EQ(merged.makespan, reference.makespan());
-  EXPECT_EQ(merged.max_flow, reference.max_flow());
-  EXPECT_NEAR(merged.mean_flow, reference.mean_flow(),
-              1e-12 * (1.0 + reference.mean_flow()));
-  double busy = 0;
-  for (int j = 0; j < m; ++j) busy += reference.busy_time(j);
-  EXPECT_EQ(merged.busy_total, busy);
-  ASSERT_EQ(merged.flow_bins.size(), reference.flow_histogram().bins());
-  for (std::size_t b = 0; b < merged.flow_bins.size(); ++b) {
-    EXPECT_EQ(merged.flow_bins[b], reference.flow_histogram().bin_count(b));
-  }
-  EXPECT_THROW(merge_shard_metrics({}), std::invalid_argument);
-}
-
 // --- CoreBudget exhaustion / single-machine shards -------------------------
 
 // With the process-wide budget fully committed, an auto-sized team
@@ -402,12 +334,8 @@ TEST(Sharded, MergedMetricsMatchUnsharded) {
 // a pinned multi-worker team on the same stream.
 TEST(CoreBudget, ExhaustedBudgetFallsBackToCallerThread) {
   CoreBudget& budget = CoreBudget::instance();
-  const int orig_total = budget.total();
-  const int base = budget.claimed();
-  // set_total(<= 0) restores the hardware default, so exhaust the ledger
-  // via an outer reservation: total = base + 1, all of it claimed.
-  budget.set_total(base + 1);
-  budget.reserve(1);
+  // Exhaust the ledger: every uncommitted core claimed.
+  const int rest = budget.try_acquire(std::numeric_limits<int>::max());
   EXPECT_EQ(budget.try_acquire(4), 0);
 
   const Instance inst = overlapping_ring_instance(8, 200, 43);
@@ -428,16 +356,15 @@ TEST(CoreBudget, ExhaustedBudgetFallsBackToCallerThread) {
     }
     engine.drain();
   }
-  EXPECT_EQ(budget.claimed(), base + 1);  // the zero grant released cleanly
-
-  // Free the reserved core: the auto team takes exactly it (caller + 1).
+  // Free one core: the auto team takes exactly it (caller + 1), which it
+  // could not if the zero grant above had leaked a claim.
   budget.release(1);
   {
     ShardedEngine engine(inst.m(), eft_factory(), opts);
     EXPECT_EQ(engine.workers(), 2);
   }
-  EXPECT_EQ(budget.claimed(), base);
-  budget.set_total(orig_total);
+  EXPECT_EQ(budget.try_acquire(1), 1);  // and the team gave it back
+  budget.release(rest);
 
   opts.shard_workers = 4;  // pinned teams bypass the budget cap entirely
   const std::vector<Assignment> pinned = run_sharded(inst, eft_factory(), opts);

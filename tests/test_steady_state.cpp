@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sched/engine.hpp"
+#include "support/profile.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 

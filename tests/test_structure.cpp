@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "support/checks.hpp"
 #include "workload/replication.hpp"
 
 namespace flowsched {

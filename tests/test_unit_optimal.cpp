@@ -49,7 +49,8 @@ TEST(UnitOptimal, ScheduleRealizesOptimum) {
   for (int trial = 0; trial < 10; ++trial) {
     const auto inst = random_instance(opts, rng);
     const int opt = unit_optimal_fmax(inst);
-    const auto sched = unit_optimal_schedule(inst);
+    Schedule sched(inst);
+    ASSERT_TRUE(unit_fmax_feasible(inst, opt, &sched));
     EXPECT_TRUE(sched.validate().ok()) << sched.validate().str();
     EXPECT_NEAR(sched.max_flow(), opt, 1e-9);
   }

@@ -176,46 +176,6 @@ TEST(UnitSum, EftNeverBeatsTheExactMeanFlow) {
   }
 }
 
-TEST(UnitSum, WeightedTardinessZeroWhenSlack) {
-  // Deadlines far out: tardiness 0 regardless of weights.
-  std::vector<DeadlineTask> tasks{
-      DeadlineTask{Task{.release = 0, .proc = 1, .eligible = ProcSet({0})}, 100.0},
-      DeadlineTask{Task{.release = 0, .proc = 1, .eligible = ProcSet({0})}, 100.0}};
-  const DeadlineInstance inst(1, std::move(tasks));
-  EXPECT_DOUBLE_EQ(unit_min_weighted_tardiness(inst, {5.0, 2.0}), 0.0);
-}
-
-TEST(UnitSum, WeightedTardinessPrefersHeavyTasks) {
-  // Two tasks, one slot each at times 1 and 2; both due at 1. The heavy
-  // task must take the early slot: cost = light_weight * 1.
-  std::vector<DeadlineTask> tasks{
-      DeadlineTask{Task{.release = 0, .proc = 1, .eligible = ProcSet({0})}, 1.0},
-      DeadlineTask{Task{.release = 0, .proc = 1, .eligible = ProcSet({0})}, 1.0}};
-  const DeadlineInstance inst(1, std::move(tasks));
-  EXPECT_DOUBLE_EQ(unit_min_weighted_tardiness(inst, {10.0, 1.0}), 1.0);
-  EXPECT_DOUBLE_EQ(unit_min_weighted_tardiness(inst, {1.0, 10.0}), 1.0);
-}
-
-TEST(UnitSum, TardinessWithDeadlineAtReleaseEqualsTotalFlow) {
-  // d_i = r_i and w_i = 1: tardiness == flow for unit tasks (C_i > r_i
-  // always), the sum-objective face of the paper's Fmax reduction.
-  Rng rng(17);
-  RandomInstanceOptions opts;
-  opts.m = 2;
-  opts.n = 8;
-  opts.unit_tasks = true;
-  opts.integer_releases = true;
-  opts.sets = RandomSets::kArbitrary;
-  for (int trial = 0; trial < 5; ++trial) {
-    const auto plain = random_instance(opts, rng);
-    const auto view = DeadlineInstance::fmax_view(plain);
-    const std::vector<double> unit_weights(static_cast<std::size_t>(plain.n()), 1.0);
-    EXPECT_NEAR(unit_min_weighted_tardiness(view, unit_weights),
-                unit_min_total_flow(plain), 1e-9)
-        << "trial " << trial;
-  }
-}
-
 TEST(UnitSum, SparseReleasesStayCheap) {
   // Regression: a huge gap between releases must not blow the slot window
   // up (each task only needs n slots from its own release).
@@ -231,11 +191,6 @@ TEST(UnitSum, RejectsBadInput) {
   EXPECT_THROW(unit_min_total_flow(frac), std::invalid_argument);
   const auto nonunit = Instance::unrestricted(2, {{0.0, 2.0}});
   EXPECT_THROW(unit_min_total_flow(nonunit), std::invalid_argument);
-  std::vector<DeadlineTask> tasks{
-      DeadlineTask{Task{.release = 0, .proc = 1, .eligible = ProcSet({0})}, 1.0}};
-  const DeadlineInstance inst(1, std::move(tasks));
-  EXPECT_THROW(unit_min_weighted_tardiness(inst, {}), std::invalid_argument);
-  EXPECT_THROW(unit_min_weighted_tardiness(inst, {-1.0}), std::invalid_argument);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "support/zipf_sampler.hpp"
+
 namespace flowsched {
 namespace {
 

@@ -489,7 +489,7 @@ int cmd_faultsim(const ArgParser& args) {
     std::printf("Fmax=%.6g mean_flow=%.6g (over completed tasks)\n", fmax,
                 completed > 0 ? flow_sum / completed : 0.0);
     if (want_fates) {
-      // One pass over the log; attempts_of(i) per task would be quadratic.
+      // One pass over the log; a scan per task would be quadratic.
       std::vector<std::size_t> attempt_count(
           static_cast<std::size_t>(fc.instance.n()), 0);
       for (const FaultAttempt& a : log.attempts()) {
@@ -575,8 +575,10 @@ int cmd_stream(const ArgParser& args) {
     std::fprintf(stderr, "need 0 <= shards <= m, shard-workers >= 0\n");
     return 2;
   }
-  if (reps < 1 || lambda <= 0 || !(service > 0) || !std::isfinite(service)) {
-    std::fprintf(stderr, "need reps >= 1, lambda > 0, finite service > 0\n");
+  if (reps < 1 || !(lambda > 0) || !std::isfinite(lambda) || !(service > 0) ||
+      !std::isfinite(service)) {
+    std::fprintf(stderr,
+                 "need reps >= 1, finite lambda > 0, finite service > 0\n");
     return 2;
   }
   // 0 switches the bound off; NaN or a negative bound must not do so

@@ -18,8 +18,9 @@
 #   9. an overloaded hot-key stream (about 2*10^4 requests waiting at the
 #      peak) stays under a 10 MB RSS bound: the engine holds 8 B per waiting
 #      request, not a queue entry and a task slot each;
-#  10. a NaN or negative RSS bound and an infinite service time exit 2
-#      instead of switching the bound off or reporting mean=inf.
+#  10. a NaN or negative RSS bound, an infinite service time and an infinite
+#      arrival rate exit 2 instead of switching the bound off, reporting
+#      mean=inf or releasing every request at t = 0.
 #
 # Usable standalone:
 #
@@ -180,9 +181,9 @@ if(NOT rc EQUAL 0)
       "(rc=${rc})")
 endif()
 
-# --- 10. bad bounds and service times exit 2 --------------------------------
+# --- 10. bad bounds, service times and rates exit 2 -------------------------
 foreach(bad "--assert-rss-mb;nan" "--assert-rss-mb;-5"
-            "--dist;constant;--service;inf" "--service;nan")
+            "--dist;constant;--service;inf" "--service;nan" "--lambda;inf")
   execute_process(
     COMMAND ${CLI} stream --requests 100 --m 4 ${bad}
     OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)

@@ -23,8 +23,19 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" --target flowsched_tests flowsched_fuzz \
   flowsched_cli bench_fig10_maxload -j "$(nproc)"
-ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'ThreadPool|ExperimentRunner|ReplicateSeed|CellId|ResolveThreads|OnlineEngine|Fuzz\.|RunnerHardening|StealDeque|CoreBudget|Sharded|ProcSetSharing'
+# Every alternative of the suite filter must select at least one test, so
+# that a renamed or deleted suite fails here instead of silently dropping
+# out of the run.
+SUITES='ThreadPool|ExperimentRunner|ReplicateSeed|CellId|ResolveThreads|OnlineEngine|Fuzz\.|RunnerHardening|StealDeque|CoreBudget|Sharded|ProcSetSharing'
+IFS='|' read -ra suite_names <<< "$SUITES"
+for suite in "${suite_names[@]}"; do
+  if ! ctest --test-dir "$BUILD_DIR" -N -R "$suite" |
+      grep -q 'Total Tests: [1-9]'; then
+    echo "tsan_check: suite filter '$suite' selects no test" >&2
+    exit 1
+  fi
+done
+ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$SUITES"
 "$BUILD_DIR/bench/bench_fig10_maxload" --m 10 --permutations 2 --threads 4 \
   > /dev/null
 "$BUILD_DIR/tools/flowsched_fuzz" run --seed 11 --runs 60 --threads 4 \
@@ -53,7 +64,7 @@ cmake --build "$BUILD_DIR" --target bench_ext_shard -j "$(nproc)"
 # Fault campaign under TSan: fuzz workers running the fault battery own
 # their plans, fault logs and auditors privately, and the checkpointed
 # parallel failure sweep exercises the watchdog monitor thread against
-# the pool (the hung_replicates list is the one shared structure).
+# the pool.
 cmake --build "$BUILD_DIR" --target bench_ext_failures -j "$(nproc)"
 "$BUILD_DIR/tools/flowsched_fuzz" run --seed 13 --runs 24 --threads 4 \
   --fault-every 1 > /dev/null

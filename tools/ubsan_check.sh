@@ -29,8 +29,19 @@ FUZZ="$BUILD_DIR/tools/flowsched_fuzz"
 # Fault unit suites plus the runner/checkpoint hardening tests, and the
 # record-all observers: the flow histogram's clamped bin casts (Metrics),
 # the unit-weight flow term (Weighted) and the auditor's sweeps.
-ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'FaultPlan|FaultCase|FaultEngine|RunnerHardening|SweepCheckpoint|Alias|Calendar|Streaming|Sketch|StreamAudit|StealDeque|CoreBudget|Sharded|ReplicationController|AdaptiveSim|RingResize|Metrics|Weighted|InvariantAuditor'
+# Every alternative of the suite filter must select at least one test, so
+# that a renamed or deleted suite fails here instead of silently dropping
+# out of the run.
+SUITES='FaultPlan|FaultCase|FaultEngine|RunnerHardening|SweepCheckpoint|Alias|Calendar|Streaming|Sketch|StreamAudit|StealDeque|CoreBudget|Sharded|ReplicationController|AdaptiveSim|Metrics|Weighted|InvariantAuditor'
+IFS='|' read -ra suite_names <<< "$SUITES"
+for suite in "${suite_names[@]}"; do
+  if ! ctest --test-dir "$BUILD_DIR" -N -R "$suite" |
+      grep -q 'Total Tests: [1-9]'; then
+    echo "ubsan_check: suite filter '$suite' selects no test" >&2
+    exit 1
+  fi
+done
+ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$SUITES"
 
 # faultsim CLI on the committed corpus cases (scripted plans, both
 # replication schemes) and on a seeded random plan per recovery policy.
