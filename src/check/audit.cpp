@@ -178,7 +178,6 @@ void InvariantAuditor::on_event(const ObsEvent& e) {
       }
       if (e.kind == ObsEventKind::kTaskDispatched) {
         rec.machine = e.machine;
-        rec.dispatch_time = e.time;
         rec.setup = e.setup;
         if (e.machine < 0 || e.machine >= info_.m) {
           violation("eligibility", "task " + std::to_string(e.task) +

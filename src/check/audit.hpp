@@ -211,18 +211,19 @@ class InvariantAuditor final : public SchedObserver {
                          int m, const LayoutSpec& initial);
 
  private:
+  // One per task for the whole run, so it keeps only what a check reads.
   struct TaskRecord {
     double release = 0;
     double proc = 0;
     double weight = 1.0;
     double setup = 0;  // narrated nc setup charge (0 outside nc mode)
     ProcSet eligible;
-    int machine = -1;
-    double dispatch_time = 0;
     double start = 0;
     double completion = 0;
+    int machine = -1;
     int phase = 0;  // 0 released, 1 dispatched, 2 started, 3 completed
   };
+  static_assert(sizeof(TaskRecord) == 64);
   struct Transition {
     double time;
     bool busy;

@@ -43,14 +43,6 @@ void StreamAuditor::on_run_begin(const RunInfo& info) {
   next_task_ = 0;
   stage_ = 3;
   last_release_ = 0;
-  window_.clear();
-  peak_window_ = 0;
-}
-
-void StreamAuditor::evict(double now) {
-  while (!window_.empty() && window_.front().finish < now - config_.horizon) {
-    window_.pop_front();
-  }
 }
 
 void StreamAuditor::on_event(const ObsEvent& e) {
@@ -89,9 +81,6 @@ void StreamAuditor::on_event(const ObsEvent& e) {
         const auto& machines = e.eligible->machines();
         cur_eligible_.assign(machines.begin(), machines.end());
       }
-      // The release clock drives window eviction: everything finishing more
-      // than `horizon` before now can no longer interact with new arrivals.
-      evict(e.release);
       break;
     }
     case ObsEventKind::kTaskDispatched: {
@@ -162,15 +151,13 @@ void StreamAuditor::on_event(const ObsEvent& e) {
           static_cast<std::size_t>(cur_machine_) < frontier_.size()) {
         frontier_[static_cast<std::size_t>(cur_machine_)] = e.time;
       }
-      window_.push_back(WindowRecord{next_task_, cur_release_, e.time});
-      peak_window_ = std::max(peak_window_, window_.size());
       ++next_task_;
       break;
     }
     case ObsEventKind::kMachineBusy:
     case ObsEventKind::kMachineIdle:
-      // Full-schedule occupancy narration (not emitted by StreamingEngine);
-      // nothing for the windowed checks to do with it.
+      // Full-schedule occupancy narration (StreamingEngine emits it only
+      // when a driver asks); nothing for the online checks to do with it.
       break;
   }
 }

@@ -3,11 +3,10 @@
 // InvariantAuditor (check/audit.hpp) retains every task record so its
 // end-of-run oracles can replay the whole schedule — the right tool for
 // fuzz-sized instances, unusable against a 10^8-request stream. The
-// StreamAuditor is the windowed audit mode: it validates the engine
-// protocol online, holding O(m + window) state and evicting task records
-// on a sliding time horizon, so it can ride along any
-// StreamingEngine / simulate_cluster_streaming run at full scale
-// (docs/streaming.md).
+// StreamAuditor validates the engine protocol online, holding O(m) state
+// (the per-machine frontier and the one task between its milestones), so
+// it can ride along any StreamingEngine / simulate_cluster_streaming run
+// at full scale (docs/streaming.md).
 //
 // Checks, in the auditor's [tag] vocabulary:
 //
@@ -30,16 +29,8 @@
 //                         eligible machine could have started the task
 //                         earlier. Armed automatically from RunInfo::algo,
 //                         or forced via the config.
-//
-// The sliding window additionally retains completed-task records for
-// `horizon` time units (eviction keyed on the release clock) and exposes
-// window_size() / peak_window_size() — the bounded-memory view of the tail
-// that a soak run can watch without any per-request log.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -48,8 +39,6 @@
 namespace flowsched {
 
 struct StreamAuditConfig {
-  /// Sliding retention horizon in model-time units.
-  double horizon = 64.0;
   /// Arm [stream-work-conservation] regardless of the run's algo name.
   bool force_work_conservation = false;
   /// Violations recorded before the auditor goes quiet (the stream may be
@@ -69,13 +58,9 @@ class StreamAuditor final : public SchedObserver {
   const std::vector<std::string>& violations() const { return violations_; }
 
   long long tasks_seen() const { return next_task_; }
-  /// Records currently retained / high-water mark of the window.
-  std::size_t window_size() const { return window_.size(); }
-  std::size_t peak_window_size() const { return peak_window_; }
 
  private:
   void violation(const std::string& line);
-  void evict(double now);
 
   StreamAuditConfig config_;
   std::string algo_;
@@ -97,14 +82,6 @@ class StreamAuditor final : public SchedObserver {
   int cur_machine_ = -1;
   std::vector<int> cur_eligible_;  // copied at the released event
   double last_release_ = 0;
-
-  struct WindowRecord {
-    long long task;
-    double release;
-    double finish;
-  };
-  std::deque<WindowRecord> window_;
-  std::size_t peak_window_ = 0;
   std::vector<std::string> violations_;
 };
 

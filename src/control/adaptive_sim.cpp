@@ -6,6 +6,7 @@
 
 #include "model/instance.hpp"
 #include "sched/engine.hpp"
+#include "sched/streaming.hpp"
 #include "util/stats.hpp"
 
 namespace flowsched {
@@ -31,36 +32,22 @@ void validate_case(const ControlCase& c) {
   }
 }
 
-void collect_outcome(const ControlCase& c, OnlineEngine& engine,
-                     AdaptiveRunReport* rep) {
-  const int n = c.requests();
-  std::vector<double> latencies;
-  latencies.reserve(static_cast<std::size_t>(n));
-  if (c.faulty()) {
-    engine.drain_faults();
-    const FaultOutcome outcome =
-        engine.fault_log().outcome([&](int i, double completion) {
-          latencies.push_back(completion -
-                              c.release[static_cast<std::size_t>(i)]);
-        });
-    rep->completed = outcome.completed;
-    rep->dropped = outcome.dropped;
-    rep->parked = outcome.parked;
-    rep->retried = outcome.retried;
-    rep->wasted_work = outcome.wasted_work;
-  } else {
-    for (int i = 0; i < n; ++i) {
-      latencies.push_back(engine.completion_of(i) -
-                          c.release[static_cast<std::size_t>(i)]);
-    }
-    rep->completed = n;
+// Fills the flow statistics from the completed requests' flows, given in
+// request order.
+void set_flows(std::vector<double> flows, AdaptiveRunReport* rep) {
+  if (!flows.empty()) {
+    rep->mean_flow = mean(flows);
+    rep->fmax = *std::max_element(flows.begin(), flows.end());
   }
-  if (!latencies.empty()) {
-    rep->mean_flow = mean(latencies);
-    rep->fmax = *std::max_element(latencies.begin(), latencies.end());
-  }
-  rep->flows = std::move(latencies);
-  rep->makespan = std::ranges::max(engine.completions());
+  rep->flows = std::move(flows);
+}
+
+void set_outcome(const FaultOutcome& outcome, AdaptiveRunReport* rep) {
+  rep->completed = outcome.completed;
+  rep->dropped = outcome.dropped;
+  rep->parked = outcome.parked;
+  rep->retried = outcome.retried;
+  rep->wasted_work = outcome.wasted_work;
 }
 
 }  // namespace
@@ -92,11 +79,17 @@ AdaptiveRunReport run_adaptive(const ControlCase& c, Dispatcher& dispatcher,
 
   ReplicationController ctl(m, c.initial, c.control);
   if (unsafe_flap) ctl.set_unsafe_flap(true);
-  OnlineEngine engine(m, dispatcher);
-  if (faulty) engine.set_faults(&c.plan, c.recovery);
+  // The run reads nothing per request from the engine, so it drives the
+  // decision core directly: O(m + backlog) engine state in every mode.
+  StreamingEngine engine(m, dispatcher);
+  FlowsInTaskOrder fates(faulty ? n : 0);
+  if (faulty) {
+    engine.set_faults(&c.plan, c.recovery);
+    engine.set_fate_sink(&fates);
+  }
   if (observer != nullptr) {
     observer->on_run_begin(RunInfo{m, dispatcher.name(), {}});
-    engine.set_observer(observer);
+    engine.set_observer(observer, /*narrate_machines=*/true);
   }
 
   ControlLog log;
@@ -104,6 +97,8 @@ AdaptiveRunReport run_adaptive(const ControlCase& c, Dispatcher& dispatcher,
   // moved them, or -1. The debt is collected by the owner's next request.
   std::vector<int> pending(static_cast<std::size_t>(m), -1);
   double next_epoch = c.control.period;
+  std::vector<double> flows;
+  flows.reserve(static_cast<std::size_t>(n));
 
   for (int i = 0; i < n; ++i) {
     const double r = c.release[static_cast<std::size_t>(i)];
@@ -140,15 +135,25 @@ AdaptiveRunReport run_adaptive(const ControlCase& c, Dispatcher& dispatcher,
       pending[static_cast<std::size_t>(owner)] = -1;
     }
     // With control off the controller never leaves c.initial.
-    engine.release(
-        Task{.release = r, .proc = p, .eligible = ctl.eligible_for_owner(owner)});
+    const Assignment a = engine.release(r, p, ctl.eligible_for_owner(owner));
+    // A fault run's assignment is provisional (the request may still be
+    // killed and requeued): its flow arrives through the sink.
+    if (!faulty) flows.push_back(a.start + p - r);
   }
 
   AdaptiveRunReport rep;
   rep.requests = n;
   rep.final_layout = on ? (ctl.migrating() ? ctl.target() : ctl.active())
                         : c.initial;
-  collect_outcome(c, engine, &rep);
+  if (faulty) {
+    engine.drain_faults();
+    set_outcome(engine.fault_stats().outcome(n), &rep);
+    fates.for_each_completed([&](double, double flow) { flows.push_back(flow); });
+  } else {
+    rep.completed = n;
+  }
+  set_flows(std::move(flows), &rep);
+  rep.makespan = std::ranges::max(engine.completions());
   if (on) {
     rep.decisions = static_cast<int>(log.decisions().size());
     rep.switches = log.switches();
@@ -183,25 +188,27 @@ AdaptiveRunReport run_static(const ControlCase& c, Dispatcher& dispatcher,
   AdaptiveRunReport rep;
   rep.requests = n;
   rep.final_layout = c.initial;
+  std::vector<double> latencies;
+  latencies.reserve(static_cast<std::size_t>(n));
   if (c.faulty()) {
-    OnlineEngine engine = run_dispatcher_faulty(inst, dispatcher, c.plan,
-                                                c.recovery, observer);
-    collect_outcome(c, engine, &rep);
+    const OnlineEngine engine = run_dispatcher_faulty(
+        inst, dispatcher, c.plan, c.recovery, observer);
+    const FaultOutcome outcome =
+        engine.fault_log().outcome([&](int i, double completion) {
+          latencies.push_back(completion -
+                              c.release[static_cast<std::size_t>(i)]);
+        });
+    set_outcome(outcome, &rep);
+    rep.makespan = std::ranges::max(engine.completions());
   } else {
-    std::vector<double> latencies;
-    latencies.reserve(static_cast<std::size_t>(n));
     const Schedule sched = observer != nullptr
                                ? run_dispatcher(inst, dispatcher, *observer)
                                : run_dispatcher(inst, dispatcher);
     for (int i = 0; i < n; ++i) latencies.push_back(sched.flow(i));
     rep.completed = n;
-    if (!latencies.empty()) {
-      rep.mean_flow = mean(latencies);
-      rep.fmax = *std::max_element(latencies.begin(), latencies.end());
-    }
-    rep.flows = std::move(latencies);
     rep.makespan = sched.makespan();
   }
+  set_flows(std::move(latencies), &rep);
   return rep;
 }
 

@@ -7,11 +7,12 @@
 // case is replayable bit-for-bit from its serialization alone, and the
 // delta-debugging shrinker can minimize the stream like any instance.
 //
-// run_adaptive() drives the real OnlineEngine (fault path included): at
-// every dyadic decision boundary the controller observes the engine profile
-// w_t(j), the availability set, and the measured arrival rate, decides, and
-// the migration frontier actuates the decision incrementally; every moved
-// owner charges the setup cost on its next request. With `enabled = false`
+// run_adaptive() drives the StreamingEngine core (fault path included),
+// which keeps nothing per request: at every dyadic decision boundary the
+// controller observes the engine profile w_t(j), the availability set, and
+// the measured arrival rate, decides, and the migration frontier actuates
+// the decision incrementally; every moved owner charges the setup cost on
+// its next request. With `enabled = false`
 // no decision is ever taken and the run is byte-identical to the plain
 // static path (run_static) — the fuzzer's [diff-control] differential.
 #pragma once

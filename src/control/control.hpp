@@ -71,7 +71,7 @@ struct ControlConfig {
 };
 
 /// What the controller sees at one decision instant. Assembled by the
-/// adaptive simulation from OnlineEngine::profile / MetricsCollector and
+/// adaptive simulation from StreamingEngine::profile / MetricsCollector and
 /// FaultPlan::is_up; never from wall clock or thread state.
 struct ControlObservation {
   double time = 0;

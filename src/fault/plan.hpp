@@ -14,6 +14,7 @@
 // schedule is reproducible from the tuple alone (docs/faults.md).
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -117,6 +118,11 @@ class FaultPlan::Cursor {
   bool is_up(int machine, double t);
   double next_up(int machine, double t);
   double next_down(int machine, double t);
+
+  /// Footprint of the per-machine windows, O(m).
+  std::size_t memory_bytes() const {
+    return windows_.capacity() * sizeof(Window);
+  }
 
  private:
   struct Window {

@@ -61,31 +61,46 @@ void FaultLog::begin_task(int task) {
   if (task != tasks())
     throw std::logic_error("FaultLog: tasks must be registered in order");
   fates_.push_back(TaskFate::kPending);
-  completions_.push_back(-1.0);
+  completing_.push_back(0);
+}
+
+void FaultStats::count(const FaultAttempt& attempt) {
+  if (attempt.machine < 0) {
+    ++parked;
+  } else {
+    ++attempts;
+    if (attempt.killed) ++kills;
+  }
+}
+
+void FaultStats::count(TaskFate fate) {
+  if (fate == TaskFate::kCompleted) {
+    ++completed;
+  } else if (fate == TaskFate::kDropped) {
+    ++dropped;
+  }
 }
 
 void FaultLog::record(const FaultAttempt& attempt) {
   attempts_.push_back(attempt);
-  if (attempt.machine < 0) {
-    ++stats_.parked;
-  } else {
-    ++stats_.attempts;
-    if (attempt.killed) ++stats_.kills;
-  }
+  stats_.count(attempt);
 }
 
-void FaultLog::settle(int task, TaskFate fate, double completion) {
+void FaultLog::settle(int task, TaskFate fate) {
   if (task < 0 || task >= tasks()) throw std::logic_error("FaultLog: bad task");
   auto idx = static_cast<std::size_t>(task);
   if (fates_[idx] != TaskFate::kPending)
     throw std::logic_error("FaultLog: task settled twice");
-  fates_[idx] = fate;
   if (fate == TaskFate::kCompleted) {
-    completions_[idx] = completion;
-    ++stats_.completed;
-  } else if (fate == TaskFate::kDropped) {
-    ++stats_.dropped;
+    if (attempts_.empty() || attempts_.back().task != task ||
+        attempts_.back().machine < 0 || attempts_.back().killed) {
+      throw std::logic_error(
+          "FaultLog: a completed task's last attempt must complete it");
+    }
+    completing_[idx] = attempts_.size() - 1;
   }
+  fates_[idx] = fate;
+  stats_.count(fate);
 }
 
 TaskFate FaultLog::fate(int task) const {
@@ -96,7 +111,12 @@ TaskFate FaultLog::fate(int task) const {
 double FaultLog::completion(int task) const {
   if (fate(task) != TaskFate::kCompleted)
     throw std::logic_error("FaultLog: completion of a non-completed task");
-  return completions_[static_cast<std::size_t>(task)];
+  return attempts_[completing_[static_cast<std::size_t>(task)]].end;
+}
+
+const FaultAttempt* FaultLog::completing_segment(int task) const {
+  if (fate(task) != TaskFate::kCompleted) return nullptr;
+  return &attempts_[completing_[static_cast<std::size_t>(task)]];
 }
 
 }  // namespace flowsched

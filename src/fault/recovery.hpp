@@ -12,6 +12,7 @@
 // explicit fate — completed or dropped, never silently lost.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -80,18 +81,8 @@ enum class TaskFate {
   kDropped,    ///< Retry budget exhausted or no machine ever recovers.
 };
 
-/// Aggregate counters over one run, cheap to merge across replicates.
-struct FaultStats {
-  long long attempts = 0;   ///< Dispatch attempts that reached a machine.
-  long long kills = 0;      ///< Segments ended by a crash.
-  long long parked = 0;     ///< Attempts that found no machine up.
-  long long completed = 0;
-  long long dropped = 0;
-  double wasted_work = 0;   ///< Killed-segment work not retained.
-};
-
 /// What a drained run reports about its faults, shared by every driver that
-/// turns a FaultLog into a report.
+/// turns a fault run into a report.
 struct FaultOutcome {
   long long completed = 0;
   long long dropped = 0;
@@ -102,7 +93,31 @@ struct FaultOutcome {
   double wasted_work = 0;
 };
 
+/// Aggregate counters over one run, cheap to merge across replicates.
+struct FaultStats {
+  long long attempts = 0;   ///< Dispatch attempts that reached a machine.
+  long long kills = 0;      ///< Segments ended by a crash.
+  long long parked = 0;     ///< Attempts that found no machine up.
+  long long completed = 0;
+  long long dropped = 0;
+  double wasted_work = 0;   ///< Killed-segment work not retained.
+
+  /// Counts one attempt, or one task's terminal fate.
+  void count(const FaultAttempt& attempt);
+  void count(TaskFate fate);
+
+  /// The counters as a report of a drained run of `tasks` tasks.
+  FaultOutcome outcome(long long tasks) const {
+    return {completed, dropped, parked, attempts + parked - tasks,
+            wasted_work};
+  }
+};
+
 /// \brief Append-only record of every attempt in one engine run.
+///
+/// The engine writes into a log only when a reader attaches one
+/// (StreamingEngine::set_fault_log): it holds every attempt and every
+/// task's fate, so it grows with the run.
 class FaultLog {
  public:
   /// Registers task `task` (tasks arrive in index order).
@@ -110,14 +125,16 @@ class FaultLog {
 
   void record(const FaultAttempt& attempt);
 
-  /// Seals `task` with its fate; `completion` is meaningful only for
-  /// kCompleted.
-  void settle(int task, TaskFate fate, double completion);
+  /// Seals `task` with its fate. A kCompleted task's completing segment
+  /// must be the attempt recorded last (throws std::logic_error otherwise).
+  void settle(int task, TaskFate fate);
 
   int tasks() const { return static_cast<int>(fates_.size()); }
   TaskFate fate(int task) const;
   /// Completion time of a kCompleted task; throws otherwise.
   double completion(int task) const;
+  /// The segment that completed `task`; nullptr unless it is kCompleted.
+  const FaultAttempt* completing_segment(int task) const;
 
   /// Credits killed-segment work that the policy will redo (the engine
   /// calls this for non-checkpoint kills).
@@ -135,17 +152,16 @@ class FaultLog {
     for (int task = 0; task < tasks(); ++task) {
       const auto idx = static_cast<std::size_t>(task);
       if (fates_[idx] == TaskFate::kCompleted) {
-        on_completed(task, completions_[idx]);
+        on_completed(task, attempts_[completing_[idx]].end);
       }
     }
-    return {stats_.completed, stats_.dropped, stats_.parked,
-            stats_.attempts + stats_.parked - tasks(), stats_.wasted_work};
+    return stats_.outcome(tasks());
   }
 
  private:
   std::vector<FaultAttempt> attempts_;
   std::vector<TaskFate> fates_;
-  std::vector<double> completions_;
+  std::vector<std::size_t> completing_;  // per task, its completing attempt
   FaultStats stats_;
 };
 

@@ -10,7 +10,6 @@
 
 #include "model/schedule.hpp"
 #include "obs/sketch.hpp"
-#include "sched/engine.hpp"
 #include "sched/streaming.hpp"
 #include "util/rational.hpp"
 #include "util/stats.hpp"
@@ -268,35 +267,39 @@ SimReport simulate_cluster(const KeyValueStore& store, const SimConfig& config,
   // A fault-free plan takes the fault-free path outright, so attaching one
   // cannot perturb the report (byte-identical output, no fault overhead).
   const bool faulty = faults != nullptr && !faults->fault_free();
-  OnlineEngine engine(m, dispatcher);
-  if (faulty) engine.set_faults(faults, recovery);
+  // The report reads nothing per request from the engine, so the run drives
+  // the decision core directly.
+  StreamingEngine engine(m, dispatcher);
+  FlowsInTaskOrder fates(faulty ? config.requests : 0);
+  if (faulty) {
+    engine.set_faults(faults, recovery);
+    engine.set_fate_sink(&fates);
+  }
   if (observer != nullptr) {
     observer->on_run_begin(RunInfo{m, dispatcher.name(), {}});
-    engine.set_observer(observer);
+    engine.set_observer(observer, /*narrate_machines=*/true);
   }
 
   StreamAggregate agg(stream, m);
-  for_each_request(store, stream, rng, [&](long long, double t, double proc,
+  for_each_request(store, stream, rng, [&](long long i, double t, double proc,
                                            const ProcSet& eligible, double w) {
-    const Assignment a = engine.release(
-        Task{.release = t, .proc = proc, .eligible = eligible, .weight = w});
+    const Assignment a = engine.release(t, proc, eligible, i, w);
     // A fault run's assignment is provisional (the request may still be
-    // killed and requeued): its flow settles after the drain.
+    // killed and requeued): its flow settles through the fate sink.
     if (!faulty) agg.add(a.machine, proc, w, a.start + proc - t);
   });
 
   FaultOutcome outcome;
   if (faulty) {
     engine.drain_faults();
-    const FaultLog& log = engine.fault_log();
     // Dropped requests are excluded from every flow statistic.
-    outcome = log.outcome([&](int i, double completion) {
-      const Task& task = engine.tasks()[static_cast<std::size_t>(i)];
-      agg.add_flow(task.weight, completion - task.release);
-    });
+    fates.for_each_completed(
+        [&](double weight, double flow) { agg.add_flow(weight, flow); });
+    outcome = engine.fault_stats().outcome(config.requests);
     // Busy time is real occupancy: killed segments held the server too.
-    for (const FaultAttempt& a : log.attempts()) {
-      if (a.machine >= 0) agg.add_busy(a.machine, a.work());
+    const std::vector<double>& occupied = engine.occupied();
+    for (int j = 0; j < m; ++j) {
+      agg.add_busy(j, occupied[static_cast<std::size_t>(j)]);
     }
   }
 

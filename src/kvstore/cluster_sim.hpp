@@ -75,7 +75,7 @@ struct SimReport {
 /// exactly like a trace of a scheduling run.
 ///
 /// A non-null `faults` plan injects server crashes: requests are killed and
-/// recovered per `recovery` (sched/engine.hpp fault semantics), dropped
+/// recovered per `recovery` (sched/streaming.hpp fault semantics), dropped
 /// requests are excluded from the latency quantiles and counted in
 /// SimReport::dropped, and latency becomes submission-to-final-completion
 /// (retries included). A fault-free plan takes the exact fault-free code
@@ -134,8 +134,8 @@ struct StreamReport {
 /// dispatch decisions, bounded state.
 ///
 /// Consumes `rng` draw-for-draw like simulate_cluster (arrival gap, key,
-/// service per request), drives a StreamingEngine instead of an
-/// OnlineEngine, and aggregates latencies streamingly. For
+/// service per request), drives the same StreamingEngine core without
+/// machine narration or faults, and aggregates latencies streamingly. For
 /// requests <= exact_quantile_cap the returned sim fields are byte-identical
 /// to the batch path on the same seed (asserted across the corpus grid by
 /// tests/test_streaming.cpp); beyond the cap quantiles come from a

@@ -1,13 +1,14 @@
 // Engine observability: the event stream every sink hangs off.
 //
-// The scheduling engines (OnlineEngine, the FIFO simulators, the kvstore
-// cluster simulator) can narrate a run as a stream of typed events — task
-// released / dispatched / started / completed, machine busy/idle
-// transitions — to a borrowed SchedObserver. The stream is *zero-overhead
-// when disabled*: an engine holds a nullable observer pointer and every
-// emission site is guarded by one predictable null check, so a run without
-// an observer executes the exact pre-observability code path (asserted by
-// tests/test_obs.cpp against the engine suite's known schedules).
+// The scheduling engines (the StreamingEngine core and OnlineEngine, the
+// FIFO simulators, the kvstore cluster simulator) can narrate a run as a
+// stream of typed events — task released / dispatched / started /
+// completed, machine busy/idle transitions — to a borrowed SchedObserver.
+// The stream is *zero-overhead when disabled*: an engine holds a nullable
+// observer pointer and every emission site is guarded by one predictable
+// null check, so a run without an observer executes the exact
+// pre-observability code path (asserted by tests/test_obs.cpp against the
+// engine suite's known schedules).
 //
 // Timestamps are *model* time (the paper's time axis), not wall clock: an
 // immediate-dispatch engine knows a task's start and completion the moment

@@ -47,10 +47,15 @@ class CalendarQueue {
   ///        the overflow heap.
   /// \param max_buckets hard ring-size cap; entries beyond the capped
   ///        horizon wait in the overflow heap (the cold path).
+  /// \param kept_entries entry capacity a drained bucket keeps for its
+  ///        next use; 0 frees it, so the footprint follows the live entries.
   explicit CalendarQueue(double bucket_width = 0.125,
                          std::size_t buckets = 1024,
-                         std::size_t max_buckets = std::size_t{1} << 16)
-      : width_(bucket_width), max_buckets_(max_buckets) {
+                         std::size_t max_buckets = std::size_t{1} << 16,
+                         std::size_t kept_entries = 8)
+      : width_(bucket_width),
+        max_buckets_(max_buckets),
+        kept_entries_(kept_entries) {
     if (!(bucket_width > 0)) {
       throw std::invalid_argument("CalendarQueue: bucket_width <= 0");
     }
@@ -146,11 +151,6 @@ class CalendarQueue {
     }
     bool operator>(const Entry& o) const { return o < *this; }
   };
-  // Entry capacity a drained bucket keeps. A bucket of the engine's front
-  // queue holds about eight fronts (StreamingEngine::refine_fronts), so
-  // keeping eight spares it the allocations of refilling.
-  static constexpr std::size_t kKeptEntries = 8;
-
   struct Bucket {
     std::vector<Entry> entries;
     std::size_t head = 0;  // consumed prefix once sorted
@@ -170,16 +170,18 @@ class CalendarQueue {
   }
 
   // Drops the open bucket's head entry, whose payload was moved out. A
-  // drained bucket keeps at most kKeptEntries of capacity: the ring reuses
+  // drained bucket keeps at most kept_entries_ of capacity: the ring reuses
   // every bucket once per period, so storage a burst grew would otherwise
-  // stay allocated for the rest of the run.
+  // stay allocated for the rest of the run. The default of eight suits the
+  // engine's front queue, whose buckets hold about eight fronts
+  // (StreamingEngine::refine_fronts) and are refilled every period.
   void consume(Bucket& bucket) {
     ++bucket.head;
     --size_;
     if (bucket.head == bucket.entries.size()) {
-      if (bucket.entries.capacity() > kKeptEntries) {
+      if (bucket.entries.capacity() > kept_entries_) {
         std::vector<Entry> kept;
-        kept.reserve(kKeptEntries);
+        kept.reserve(kept_entries_);
         bucket.entries.swap(kept);
       } else {
         bucket.entries.clear();
@@ -309,6 +311,7 @@ class CalendarQueue {
 
   double width_;
   std::size_t max_buckets_;
+  std::size_t kept_entries_;
   std::vector<Bucket> ring_;
   std::int64_t cursor_ = 0;  // absolute bucket index of the open bucket
   std::uint64_t seq_ = 0;

@@ -7,6 +7,10 @@
 
 namespace flowsched {
 
+namespace {
+constexpr double kInfTime = std::numeric_limits<double>::infinity();
+}  // namespace
+
 StreamingEngine::StreamingEngine(int m, Dispatcher& dispatcher)
     : m_(m),
       dispatcher_(&dispatcher),
@@ -54,6 +58,10 @@ void StreamingEngine::set_clairvoyance(Clairvoyance c, double setup) {
   if (released_ > 0) {
     throw std::logic_error(
         "StreamingEngine::set_clairvoyance: switch before releases");
+  }
+  if (faults_ != nullptr && c == Clairvoyance::kNonClairvoyant) {
+    throw std::logic_error(
+        "StreamingEngine::set_clairvoyance: incompatible with fault injection");
   }
   if (setup < 0) {
     throw std::invalid_argument("StreamingEngine::set_clairvoyance: setup < 0");
@@ -180,6 +188,7 @@ ObsEvent StreamingEngine::task_event(const Decision& d) {
 
 void StreamingEngine::commit(const Decision& d) {
   if (observer_ != nullptr) {
+    if (narrate_machines_) narrate_busy(d.machine, d.start);
     // All four task milestones are known the moment the assignment commits
     // (immediate dispatch): started/completed carry future model times.
     ObsEvent e = task_event(d);
@@ -195,6 +204,41 @@ void StreamingEngine::commit(const Decision& d) {
   ++count_[uj];
   occupy(d.machine, d.finish, d.setup + d.proc);
   ++released_;
+}
+
+void StreamingEngine::narrate_busy(int machine, double start) {
+  // Machine occupancy sits between the dispatched and started events: a
+  // machine whose frontier the task starts past was idle in between.
+  const std::size_t uj = static_cast<std::size_t>(machine);
+  const double prev = completion_[uj];
+  if (observed_busy_[uj] && !(start > prev)) return;
+  if (observed_busy_[uj]) {
+    observer_->on_event(ObsEvent{
+        .kind = ObsEventKind::kMachineIdle, .time = prev, .machine = machine});
+  }
+  observer_->on_event(ObsEvent{
+      .kind = ObsEventKind::kMachineBusy, .time = start, .machine = machine});
+  observed_busy_[uj] = true;
+}
+
+void StreamingEngine::finish_observation() {
+  if (observer_ == nullptr) return;
+  for (std::size_t ji = 0; ji < observed_busy_.size(); ++ji) {
+    const int j = static_cast<int>(ji);
+    if (!observed_busy_[ji]) continue;
+    observer_->on_event(ObsEvent{.kind = ObsEventKind::kMachineIdle,
+                                 .time = completion_[ji],
+                                 .machine = j});
+    observed_busy_[ji] = false;
+  }
+}
+
+std::vector<double> StreamingEngine::profile(double t) const {
+  std::vector<double> w(completion_.size());
+  for (std::size_t j = 0; j < w.size(); ++j) {
+    w[j] = std::max(0.0, completion_[j] - t);
+  }
+  return w;
 }
 
 void StreamingEngine::occupy(int machine, double end, double work) {
@@ -274,6 +318,7 @@ Assignment StreamingEngine::release(double time, double proc,
   probe_.proc = proc;
   probe_.eligible = eligible.empty() ? all_ : eligible;
   probe_.weight = weight;
+  if (faults_ != nullptr) return release_faulty(task_id);
   const Decision d = decide(probe_, task_id);
   commit(d);
   return Assignment{d.machine, d.start};
@@ -296,7 +341,223 @@ std::size_t StreamingEngine::memory_bytes() const {
   bytes += all_.machines().capacity() * sizeof(int);
   bytes += probe_.eligible.machines().capacity() * sizeof(int);
   bytes += fronts_.memory_bytes();
+  bytes += observed_busy_.capacity() / 8;
+  if (faults_ != nullptr) {
+    const Faults& f = *faults_;
+    bytes += sizeof(Faults);
+    bytes += f.availability.memory_bytes();
+    bytes += f.retries.memory_bytes();
+    bytes += f.occupied.capacity() * sizeof(double);
+    bytes += f.up.capacity() * sizeof(int);
+  }
   return bytes;
+}
+
+// --- Fault layer ------------------------------------------------------------
+
+StreamingEngine::Faults::Faults(const FaultPlan& plan,
+                                const RecoveryPolicy& recovery, int m)
+    : availability(plan),
+      recovery(recovery),
+      retries(kRetryWidth, kRetryBuckets, kMaxRetryBuckets, 0),
+      occupied(static_cast<std::size_t>(m), 0.0) {}
+
+void StreamingEngine::set_faults(const FaultPlan* plan,
+                                 RecoveryPolicy recovery) {
+  if (released_ > 0) {
+    throw std::logic_error(
+        "StreamingEngine::set_faults: attach before releases");
+  }
+  if (plan != nullptr && clairvoyance_ == Clairvoyance::kNonClairvoyant) {
+    throw std::logic_error(
+        "StreamingEngine::set_faults: incompatible with non-clairvoyant mode");
+  }
+  if (plan != nullptr && plan->m() != m_) {
+    throw std::invalid_argument(
+        "StreamingEngine::set_faults: plan covers " + std::to_string(plan->m()) +
+        " machines, engine has " + std::to_string(m_));
+  }
+  faults_ = plan != nullptr ? std::make_unique<Faults>(*plan, recovery, m_)
+                            : nullptr;
+}
+
+const FaultStats& StreamingEngine::fault_stats() const {
+  if (faults_ == nullptr) {
+    throw std::logic_error("StreamingEngine::fault_stats: faults not active");
+  }
+  return faults_->stats;
+}
+
+const std::vector<double>& StreamingEngine::occupied() const {
+  if (faults_ == nullptr) {
+    throw std::logic_error("StreamingEngine::occupied: faults not active");
+  }
+  return faults_->occupied;
+}
+
+Assignment StreamingEngine::release_faulty(long long task_id) {
+  admit(probe_);
+  // From here on the probe is each attempt's dispatcher view, so the task
+  // itself moves into its first attempt.
+  Retry first{static_cast<int>(task_id), 0, probe_.proc, probe_.release,
+              probe_.proc, probe_.weight, std::move(probe_.eligible)};
+  const double now = first.release;
+
+  // Retries that fall due before this release dispatch first, so model time
+  // stays non-decreasing across all attempts (settling is monotone).
+  process_retries(now);
+
+  if (observer_ != nullptr) {
+    ObsEvent e;
+    e.kind = ObsEventKind::kTaskReleased;
+    e.time = now;
+    e.task = first.task;
+    e.release = first.release;
+    e.proc = first.proc;
+    e.weight = first.weight;
+    e.eligible = &first.eligible;
+    observer_->on_event(e);
+  }
+  ++released_;
+  if (fault_log_ != nullptr) fault_log_->begin_task(first.task);
+  return dispatch_attempt(std::move(first), now);
+}
+
+void StreamingEngine::process_retries(double until) {
+  CalendarQueue<Retry>& retries = faults_->retries;
+  while (!retries.empty() && retries.top_time() <= until) {
+    const double now = retries.top_time();
+    dispatch_attempt(retries.pop(), now);
+  }
+}
+
+void StreamingEngine::record(const FaultAttempt& attempt) {
+  Faults& f = *faults_;
+  f.stats.count(attempt);
+  if (attempt.machine >= 0) {
+    f.occupied[static_cast<std::size_t>(attempt.machine)] += attempt.work();
+  }
+  if (fault_log_ != nullptr) fault_log_->record(attempt);
+}
+
+void StreamingEngine::settle(const Retry& attempt, TaskFate fate,
+                             double completion) {
+  faults_->stats.count(fate);
+  if (fault_log_ != nullptr) fault_log_->settle(attempt.task, fate);
+  if (fate_sink_ != nullptr) {
+    fate_sink_->on_fate(
+        TaskEnd{attempt.task, fate, completion, attempt.release, attempt.weight});
+  }
+}
+
+Assignment StreamingEngine::dispatch_attempt(Retry a, double now) {
+  Faults& f = *faults_;
+  const Assignment none{-1, -1.0};
+
+  // Degraded eligible set M_i ∩ up(now); M_i itself while all of it is up.
+  // The view carries the remaining work and the default weight.
+  probe_.release = now;
+  probe_.proc = a.remaining;
+  probe_.weight = 1.0;
+  if (ignore_downtime_) {
+    probe_.eligible = a.eligible;
+  } else {
+    f.up.clear();
+    for (int j : a.eligible.machines()) {
+      if (f.availability.is_up(j, now)) f.up.push_back(j);
+    }
+    if (f.up.empty()) {
+      // Every eligible machine is down: park until the earliest recovery.
+      double wake = kInfTime;
+      for (int j : a.eligible.machines()) {
+        wake = std::min(wake, f.availability.next_up(j, now));
+      }
+      record(FaultAttempt{a.task, a.attempt, now, -1, now, wake, false});
+      if (wake == kInfTime) {
+        // No eligible machine ever recovers: reported drop, never a hang.
+        settle(a, TaskFate::kDropped, -1.0);
+      } else {
+        f.retries.push(wake, std::move(a));
+      }
+      return none;
+    }
+    if (static_cast<int>(f.up.size()) == a.eligible.size()) {
+      probe_.eligible = a.eligible;
+    } else {
+      probe_.eligible = ProcSet(f.up);
+    }
+  }
+
+  // Queue depths at the attempt instant. Attempt times are globally
+  // non-decreasing, and every segment (killed or completed) joins its
+  // machine's finish FIFO, so a killed segment stays queued until its
+  // crash.
+  settle_until(now);
+  const int u = choose(probe_, a.task);
+
+  const std::size_t uj = static_cast<std::size_t>(u);
+  double start = std::max(now, completion_[uj]);
+  // The machine frontier may sit inside a later down interval; execution
+  // can only begin once the machine is back up.
+  if (!ignore_downtime_) start = f.availability.next_up(u, start);
+  const double crash =
+      ignore_downtime_ ? kInfTime : f.availability.next_down(u, start);
+
+  if (start + a.remaining <= crash) {
+    const double finish = start + a.remaining;
+    occupy(u, finish, a.remaining);
+    load_[uj] += a.remaining;
+    ++count_[uj];
+    record(FaultAttempt{a.task, a.attempt, now, u, start, finish, false});
+    settle(a, TaskFate::kCompleted, finish);
+    if (observer_ != nullptr) {
+      // Only the successful attempt is narrated; killed segments and parks
+      // live in the fault log.
+      ObsEvent e;
+      e.task = a.task;
+      e.machine = u;
+      e.release = a.release;
+      e.proc = a.proc;
+      e.weight = a.weight;
+      e.kind = ObsEventKind::kTaskDispatched;
+      e.time = now;
+      observer_->on_event(e);
+      e.kind = ObsEventKind::kTaskStarted;
+      e.time = start;
+      observer_->on_event(e);
+      e.kind = ObsEventKind::kTaskCompleted;
+      e.time = finish;
+      observer_->on_event(e);
+    }
+    return Assignment{u, start};
+  }
+
+  // Killed at the crash: the machine was occupied up to the crash instant.
+  occupy(u, crash, crash - start);
+  load_[uj] += crash - start;
+  record(FaultAttempt{a.task, a.attempt, now, u, start, crash, true});
+  if (f.recovery.kind != RecoveryKind::kCheckpoint) {
+    f.stats.wasted_work += crash - start;
+    if (fault_log_ != nullptr) fault_log_->add_wasted(crash - start);
+  }
+  if (a.attempt >= f.recovery.max_retries) {
+    settle(a, TaskFate::kDropped, -1.0);
+    return none;
+  }
+  if (f.recovery.kind == RecoveryKind::kCheckpoint) {
+    a.remaining -= crash - start;
+  }
+  const double retry = f.recovery.retry_time(a.task, a.attempt, crash);
+  ++a.attempt;
+  f.retries.push(retry, std::move(a));
+  return none;
+}
+
+void StreamingEngine::drain_faults() {
+  if (faults_ == nullptr) {
+    throw std::logic_error("StreamingEngine::drain_faults: faults not active");
+  }
+  process_retries(kInfTime);
 }
 
 }  // namespace flowsched

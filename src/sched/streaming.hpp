@@ -1,11 +1,13 @@
-// StreamingEngine: the immediate-dispatch decision core, O(backlog) memory.
+// StreamingEngine: the immediate-dispatch decision core, O(m + backlog)
+// memory.
 //
 // Every release in the repo is decided here. The core validates the task,
 // settles finished segments up to the release instant, hands the dispatcher
 // its view of the machines (true or censored, see Clairvoyance), checks the
 // choice against M_i, charges non-clairvoyant setups, commits
-// start = max(release, C_j), and narrates the four task events. It retains
-// nothing per task beyond the task's pending finish:
+// start = max(release, C_j), and narrates the four task events (and, when
+// asked, the machine busy/idle transitions). It retains nothing per task
+// beyond the task's pending finish:
 //
 //  * each machine runs its tasks in dispatch order, so its finishes only
 //    ever increase and its unfinished segments form a FIFO;
@@ -18,21 +20,33 @@
 //  * per-machine aggregates (completion frontier, load, count, queue depth)
 //    are plain arrays, exactly the spans MachineState hands to dispatchers.
 //
+// The fault layer (set_faults, docs/faults.md) lives here too: the
+// availability cursor, the retry/park calendar, kill/requeue/drop, the
+// FaultStats counters and the per-machine occupied work. A queued retry
+// carries its task's release, proc, weight and M_i, so fault mode adds
+// O(queued retries) state and nothing per task. Each task's terminal fate
+// goes to the driver once, through a borrowed FateSink; attempts are
+// written only into a FaultLog that a reader attaches.
+//
 // Used directly, the core serves the 10^8-request simulations of the kvstore
-// layer (docs/streaming.md). OnlineEngine (sched/engine.hpp) is the same core
-// plus a retention layer: it keeps every task and assignment for snapshots,
-// audits, oracles and adversaries, narrates machine busy/idle transitions,
-// and runs fault injection, whose attempt log is unbounded by design. Both
-// engines therefore commit the same (machine, start) sequence for the same
-// release sequence — one code path, asserted end to end by
-// tests/test_streaming.cpp and the fuzzer's [diff-streaming] check.
+// layer (docs/streaming.md), the cluster simulator and the adaptive control
+// loop. OnlineEngine (sched/engine.hpp) is the same core plus retention: it
+// keeps every task, assignment and setup for snapshots, audits, oracles and
+// adversaries, and attaches a FaultLog in fault mode. Both engines therefore
+// commit the same (machine, start) sequence for the same release sequence —
+// one code path, asserted end to end by tests/test_streaming.cpp and the
+// fuzzer's [diff-streaming] check.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
+#include "fault/plan.hpp"
+#include "fault/recovery.hpp"
 #include "model/instance.hpp"
 #include "model/schedule.hpp"
 #include "obs/observer.hpp"
@@ -53,6 +67,60 @@ namespace flowsched {
 /// the policy interface is censored, and the [nc-no-peek] audit replays the
 /// run under a proc permutation to prove no dispatcher decision leaked p_i.
 enum class Clairvoyance { kClairvoyant, kNonClairvoyant };
+
+/// A fault-mode task's terminal fate, as StreamingEngine hands it to its
+/// FateSink.
+struct TaskEnd {
+  int task = -1;
+  TaskFate fate = TaskFate::kPending;  ///< kCompleted or kDropped.
+  double completion = -1;              ///< C_i; -1 if dropped.
+  double release = 0;                  ///< The task's r_i and weight.
+  double weight = 1;
+};
+
+/// Borrowed receiver of fault-mode terminal fates: exactly one call per
+/// released task, in settle order (not task order — a killed task settles
+/// after the tasks released behind it).
+class FateSink {
+ public:
+  virtual void on_fate(const TaskEnd& end) = 0;
+
+ protected:
+  ~FateSink() = default;
+};
+
+/// A FateSink that files each task's flow by task id, for drivers that
+/// report flows in task order once the run is drained: 16 B per task.
+class FlowsInTaskOrder final : public FateSink {
+ public:
+  explicit FlowsInTaskOrder(int tasks)
+      : flows_(static_cast<std::size_t>(tasks),
+               Flow{std::numeric_limits<double>::quiet_NaN(), 1.0}) {}
+
+  void on_fate(const TaskEnd& end) override {
+    if (end.fate == TaskFate::kCompleted) {
+      flows_[static_cast<std::size_t>(end.task)] =
+          Flow{end.completion - end.release, end.weight};
+    }
+  }
+
+  /// Calls f(weight, flow) for each completed task, in task order.
+  template <class F>
+  void for_each_completed(F&& f) const {
+    for (const Flow& t : flows_) {
+      if (!std::isnan(t.flow)) f(t.weight, t.flow);
+    }
+  }
+
+ private:
+  // A dropped task's flow stays NaN; a flow is never NaN, releases being
+  // finite.
+  struct Flow {
+    double flow;
+    double weight;
+  };
+  std::vector<Flow> flows_;
+};
 
 class StreamingEngine {
  public:
@@ -84,7 +152,9 @@ class StreamingEngine {
   /// Releases one task; releases must be non-decreasing and proc finite and
   /// positive. Segments finishing up to the release instant are settled
   /// first (queue depths decremented). Returns the committed
-  /// (machine, start).
+  /// (machine, start). In fault mode that is the first attempt's segment
+  /// when it completes, and (-1, -1) when it is killed or parked: the
+  /// task's fate then reaches the FateSink later.
   Assignment release(double time, double proc, const ProcSet& eligible) {
     return release(time, proc, eligible, released_);
   }
@@ -107,6 +177,8 @@ class StreamingEngine {
 
   /// C_j: machine completion frontier.
   const std::vector<double>& completions() const { return completion_; }
+  /// Profile w_t(j) = max(0, C_j - t) over everything released so far.
+  std::vector<double> profile(double t) const;
   /// Total work assigned to each machine so far.
   const std::vector<double>& loads() const { return load_; }
   /// Tasks assigned to each machine so far.
@@ -121,24 +193,82 @@ class StreamingEngine {
   std::size_t peak_in_flight() const { return peak_in_flight_; }
 
   /// Live footprint estimate: finish rings + front queue + per-machine
-  /// arrays. Independent of released() by construction: a ring doubles
-  /// when full, so it holds under 2 x 8 B per task at its own peak (twice
-  /// that in non-clairvoyant mode), plus O(m).
+  /// arrays, and in fault mode the retry queue. Independent of released()
+  /// by construction: a ring doubles when full, so it holds under 2 x 8 B
+  /// per task at its own peak (twice that in non-clairvoyant mode), a
+  /// queued retry costs one calendar entry, plus O(m). An attached
+  /// FaultLog belongs to its reader and is not counted.
   std::size_t memory_bytes() const;
 
   /// \brief Attaches a borrowed event sink (nullptr detaches).
   ///
   /// Emits the four task milestones per release, all at the release instant
-  /// (started / completed carry future model times). Machine busy/idle
-  /// transitions belong to OnlineEngine's retention layer; streaming
-  /// consumers (check/stream_audit.hpp, obs sketches) key off task events
-  /// only.
-  void set_observer(SchedObserver* observer) { observer_ = observer; }
+  /// (started / completed carry future model times). With
+  /// `narrate_machines`, a fault-free run also narrates each machine's
+  /// busy/idle transitions (between a task's dispatched and started
+  /// events; finish_observation() closes the open ones), the stream the
+  /// batch audits and metrics read. Streaming consumers
+  /// (check/stream_audit.hpp, obs sketches) key off task events only.
+  /// Under faults only the successful attempt's task events are narrated:
+  /// segment occupancy is not an alternating busy/idle staircase.
+  void set_observer(SchedObserver* observer, bool narrate_machines = false) {
+    observer_ = observer;
+    narrate_machines_ = narrate_machines;
+    if (narrate_machines) observed_busy_.resize(static_cast<std::size_t>(m_));
+  }
+
+  /// \brief Emits the trailing machine-idle transitions.
+  ///
+  /// Machines still busy at their completion frontier go idle there; call
+  /// once, after the last release (idempotent per attachment). Does not
+  /// emit on_run_end — that stays with the driver, which knows the
+  /// makespan it wants to report.
+  void finish_observation();
+
+  // --- Fault injection (src/fault/, docs/faults.md) ----------------------
+
+  /// \brief Attaches a borrowed availability plan (nullptr detaches).
+  ///
+  /// Must be called before the first release; the plan must cover exactly
+  /// m machines and outlive the engine; incompatible with non-clairvoyant
+  /// mode. With a plan attached, release() runs the fault path:
+  /// dispatchers see the degraded eligible set M_i ∩ up(t), a task whose
+  /// machine crashes mid-segment is killed at the crash instant and
+  /// requeued per `recovery`, and a task whose degraded set is empty is
+  /// parked until the earliest recovery among its machines (dropped —
+  /// never silently lost — when no machine ever recovers or the retry
+  /// budget is exhausted). With no plan (the default) release() pays one
+  /// null check for it.
+  void set_faults(const FaultPlan* plan, RecoveryPolicy recovery = {});
+  bool faults_active() const { return faults_ != nullptr; }
+
+  /// Borrowed receiver of each task's terminal fate (nullptr detaches).
+  void set_fate_sink(FateSink* sink) { fate_sink_ = sink; }
+  /// Borrowed log that receives every attempt and fate from the next
+  /// release on (nullptr detaches). Attach it before the first release: it
+  /// registers tasks in release order.
+  void set_fault_log(FaultLog* log) { fault_log_ = log; }
+
+  /// \brief Processes every queued retry/park wake-up (call after the last
+  /// release; model time runs to +infinity). After this, every released
+  /// task has reached its terminal fate. Fault mode only.
+  void drain_faults();
+
+  /// The run's fault counters. Fault mode only.
+  const FaultStats& fault_stats() const;
+  /// Work each machine was occupied by segments, killed ones included,
+  /// summed in attempt order. Fault mode only.
+  const std::vector<double>& occupied() const;
+
+  /// \brief Testing backdoor: dispatch on the *undegraded* eligible set and
+  /// run segments straight through down intervals. This is the planted bug
+  /// the fuzzer's --inject-fault-bug campaign must catch via the
+  /// [fault-downtime] audit; never enable it outside tests.
+  void set_unsafe_ignore_downtime(bool v) { ignore_downtime_ = v; }
 
  private:
-  // OnlineEngine drives the core through the steps below: it narrates
-  // machine occupancy between decide() and commit(), and its fault layer
-  // dispatches attempts with choose() and occupy().
+  // OnlineEngine drives the core through decide() and commit(), so that it
+  // can retain each decision's setup.
   friend class OnlineEngine;
 
   // One dispatch decision, taken but not yet applied to the machine arrays.
@@ -184,6 +314,48 @@ class StreamingEngine {
   // segment until `end` settles `work` into the censored finished-work
   // view.
   void occupy(int machine, double end, double work);
+  // Narrates machine `machine` going busy at `start` (idle first when its
+  // frontier lies before `start`).
+  void narrate_busy(int machine, double start);
+
+  // A queued attempt of one task: its first dispatch, a retry after a kill
+  // or a wake-up after a park. It carries the task itself, so the fault
+  // layer needs nothing per task.
+  struct Retry {
+    int task = -1;
+    int attempt = 0;
+    double remaining = 0;  // work still owed (less than proc after a checkpoint)
+    double release = 0;
+    double proc = 0;
+    double weight = 1;
+    ProcSet eligible;
+  };
+  // The fault layer's state, allocated by set_faults.
+  struct Faults {
+    Faults(const FaultPlan& plan, const RecoveryPolicy& recovery, int m);
+    FaultPlan::Cursor availability;  // the attempts' window on the plan
+    RecoveryPolicy recovery;
+    // Pops in ascending (time, insertion seq), so equal-time retries
+    // dispatch in creation order. Retries are sparse (a few per crash), so
+    // the ring starts small and a drained bucket frees its entries: the
+    // queue's footprint follows the retries it holds.
+    CalendarQueue<Retry> retries;
+    FaultStats stats;
+    std::vector<double> occupied;  // per machine, summed in attempt order
+    std::vector<int> up;           // reused degraded-set scratch
+  };
+  // admit + due retries + released event + the first attempt.
+  Assignment release_faulty(long long task_id);
+  // Dispatches every queued attempt due at or before `until`.
+  void process_retries(double until);
+  // One attempt at `now`: park, complete or be killed (and requeue or drop).
+  // Returns the segment when it completes, (-1, -1) otherwise.
+  Assignment dispatch_attempt(Retry attempt, double now);
+  // Counts `attempt`, charges its work to its machine, and logs it.
+  void record(const FaultAttempt& attempt);
+  // Seals `attempt`'s task: counters, log, sink.
+  void settle(const Retry& attempt, TaskFate fate, double completion);
+
   // Reallocates a full ring at twice its capacity.
   void grow(Ring& ring) const;
   // Rebuilds the front queue at half its bucket width.
@@ -223,6 +395,11 @@ class StreamingEngine {
   static constexpr std::size_t kInitialBuckets = 16;
   static constexpr double kFrontWidth = 0.125;
   static constexpr double kFinestFrontWidth = 1.0 / 32;
+  // The retry queue's bucket width, on the recovery policy's 2^-3 grid; its
+  // ring grows by doubling to cover the farthest retry or wake-up.
+  static constexpr double kRetryWidth = 0.125;
+  static constexpr std::size_t kRetryBuckets = 64;
+  static constexpr std::size_t kMaxRetryBuckets = std::size_t{1} << 16;
   CalendarQueue<int> fronts_;  // (front finish, machine) per machine with a
                                // finite front
   double front_width_ = kFrontWidth;
@@ -231,6 +408,15 @@ class StreamingEngine {
   std::size_t in_flight_ = 0;
   std::size_t peak_in_flight_ = 0;
   SchedObserver* observer_ = nullptr;
+  bool narrate_machines_ = false;
+  // Machines whose busy interval is still open (for finish_observation);
+  // sized once a narrating observer attaches.
+  std::vector<bool> observed_busy_;
+
+  std::unique_ptr<Faults> faults_;  // null = faults off
+  FateSink* fate_sink_ = nullptr;
+  FaultLog* fault_log_ = nullptr;
+  bool ignore_downtime_ = false;
 };
 
 }  // namespace flowsched

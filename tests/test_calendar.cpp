@@ -191,6 +191,12 @@ TEST(Calendar, DrainedBurstReleasesBucketStorage) {
   for (int b = 0; b < 4; ++b) {
     for (int i = b; i < 64; i += 4) ASSERT_EQ(q.pop(), i);
   }
+
+  // With no kept entries a drained queue is back to its ring headers.
+  CalendarQueue<int> sparse(0.125, 16, std::size_t{1} << 16, 0);
+  for (int i = 0; i < 4096; ++i) sparse.push(0.125 * (i % 4), i);
+  while (!sparse.empty()) sparse.pop();
+  EXPECT_EQ(sparse.memory_bytes(), idle);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -27,6 +28,7 @@
 #include "runner/experiment.hpp"
 #include "sched/dispatchers.hpp"
 #include "sched/engine.hpp"
+#include "sched/streaming.hpp"
 #include "support/checks.hpp"
 #include "util/rng.hpp"
 
@@ -692,6 +694,191 @@ TEST(FaultEngine, AuditorAcceptsCleanRunsAndFlagsDowntimeViolations) {
       EXPECT_TRUE(auditor.ok()) << auditor.report();
     }
   }
+}
+
+// --- The fault layer on the bare core ----------------------------------------
+
+// Records every terminal fate the core hands out, by task.
+class FateRecorder final : public FateSink {
+ public:
+  explicit FateRecorder(int n) : ends_(static_cast<std::size_t>(n)), calls_(0) {}
+  void on_fate(const TaskEnd& end) override {
+    ++calls_;
+    TaskEnd& slot = ends_.at(static_cast<std::size_t>(end.task));
+    EXPECT_EQ(slot.fate, TaskFate::kPending) << "task " << end.task
+                                             << " settled twice";
+    slot = end;
+  }
+  const TaskEnd& of(int task) const { return ends_[static_cast<std::size_t>(task)]; }
+  long long calls() const { return calls_; }
+
+ private:
+  std::vector<TaskEnd> ends_;
+  long long calls_;
+};
+
+// Grid-aligned tasks on m machines: releases in steps of 2^-3, procs in
+// (0, 2], processing sets of one to three machines or all of them.
+Instance grid_instance(int m, int n, Rng& rng) {
+  std::vector<Task> tasks;
+  double t = 0;
+  for (int i = 0; i < n; ++i) {
+    t += 0.125 * static_cast<double>(rng() % 4);
+    const double proc = 0.125 * static_cast<double>(1 + rng() % 16);
+    const int k = static_cast<int>(rng() % 4);
+    const int lo = static_cast<int>(rng() % static_cast<std::uint64_t>(m));
+    tasks.push_back({t, proc,
+                     k == 0 ? ProcSet() : ProcSet::ring_interval(lo, k, m)});
+  }
+  return Instance(m, std::move(tasks));
+}
+
+// The core driven directly, reporting through its fate sink and occupied
+// work, against run_dispatcher_faulty's retained log: fates, completions,
+// FaultStats and per-machine busy time agree bit for bit.
+TEST(FaultCore, MatchesRunDispatcherFaultyOnEveryRecoveryKind) {
+  const int m = 6;
+  const int n = 400;
+  long long kills = 0, parks = 0, drops = 0;
+  for (RecoveryKind kind : {RecoveryKind::kImmediate, RecoveryKind::kBackoff,
+                            RecoveryKind::kCheckpoint}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const std::string where =
+          std::string(recovery_kind_name(kind)) + " seed=" + std::to_string(seed);
+      Rng rng(seed);
+      const Instance inst = grid_instance(m, n, rng);
+      FaultModelConfig model;
+      model.mean_up = 6.0;
+      model.mean_down = 1.5;
+      model.horizon = inst.task(n - 1).release + 16;
+      FaultPlan plan = FaultPlan::random(m, model, rng);
+      if (seed % 3 == 0) plan.add_down(0, model.horizon + 1, kInf);
+      RecoveryPolicy recovery;
+      recovery.kind = kind;
+      recovery.max_retries = static_cast<int>(1 + seed % 4);
+
+      for (const char* policy : {"eft", "jsq"}) {
+        const std::string what = where + " " + policy;
+        auto make = [&]() -> std::unique_ptr<Dispatcher> {
+          if (std::string(policy) == "eft") {
+            return std::make_unique<EftDispatcher>(TieBreakKind::kMin);
+          }
+          return std::make_unique<JsqDispatcher>(TieBreakKind::kMin);
+        };
+        auto d_ref = make();
+        const OnlineEngine ref =
+            run_dispatcher_faulty(inst, *d_ref, plan, recovery);
+        const FaultLog& log = ref.fault_log();
+        std::vector<double> busy(static_cast<std::size_t>(m), 0.0);
+        for (const FaultAttempt& a : log.attempts()) {
+          if (a.machine >= 0) busy[static_cast<std::size_t>(a.machine)] += a.work();
+        }
+
+        auto d_core = make();
+        StreamingEngine core(m, *d_core);
+        core.set_faults(&plan, recovery);
+        FateRecorder fates(n);
+        core.set_fate_sink(&fates);
+        for (int i = 0; i < n; ++i) {
+          const Task& task = inst.task(i);
+          core.release(task.release, task.proc, task.eligible, i, task.weight);
+        }
+        core.drain_faults();
+
+        ASSERT_EQ(fates.calls(), n) << what;
+        for (int i = 0; i < n; ++i) {
+          ASSERT_EQ(fates.of(i).fate, log.fate(i)) << what << " task " << i;
+          EXPECT_EQ(fates.of(i).release, inst.task(i).release) << what;
+          if (log.fate(i) == TaskFate::kCompleted) {
+            EXPECT_TRUE(same_bits(fates.of(i).completion, log.completion(i)))
+                << what << " task " << i;
+          }
+        }
+        const FaultStats& a = core.fault_stats();
+        const FaultStats& b = log.stats();
+        EXPECT_EQ(a.attempts, b.attempts) << what;
+        EXPECT_EQ(a.kills, b.kills) << what;
+        EXPECT_EQ(a.parked, b.parked) << what;
+        EXPECT_EQ(a.completed, b.completed) << what;
+        EXPECT_EQ(a.dropped, b.dropped) << what;
+        EXPECT_TRUE(same_bits(a.wasted_work, b.wasted_work)) << what;
+        for (int j = 0; j < m; ++j) {
+          const auto ji = static_cast<std::size_t>(j);
+          EXPECT_TRUE(same_bits(core.occupied()[ji], busy[ji]))
+              << what << " machine " << j;
+          EXPECT_TRUE(same_bits(core.completions()[ji], ref.completions()[ji]))
+              << what << " machine " << j;
+        }
+        kills += b.kills;
+        parks += b.parked;
+        drops += b.dropped;
+      }
+    }
+  }
+  // The battery exercises every branch of the fault path.
+  EXPECT_GT(kills, 0);
+  EXPECT_GT(parks, 0);
+  EXPECT_GT(drops, 0);
+}
+
+// Fault mode keeps no per-request state: at a fixed load the core's
+// footprint (retry queue included) follows the backlog, not the stream.
+// Between 10^5 and 8 x 10^5 requests per-request state would grow it
+// eightfold; a backlog excursion can at most double a machine's ring (or
+// the retry ring) once more, so the peak stays under twice its 10^5 value.
+TEST(FaultCore, MemoryDoesNotGrowWithTheStream) {
+  const int m = 16;
+  const long long n = 800000;
+  const double lambda = 0.6 * m;  // unit mean service
+  Rng rng(2024);
+  std::vector<ProcSet> sets;
+  for (int j = 0; j < m; ++j) sets.push_back(ProcSet::ring_interval(j, 3, m));
+  FaultModelConfig model;
+  model.mean_up = 24.0;
+  model.mean_down = 1.0;
+  model.horizon = 1.2 * static_cast<double>(n) / lambda;
+  const FaultPlan plan = FaultPlan::random(m, model, rng);
+  RecoveryPolicy recovery;
+  recovery.kind = RecoveryKind::kBackoff;
+
+  EftDispatcher eft(TieBreakKind::kMin);
+  StreamingEngine core(m, eft);
+  core.set_faults(&plan, recovery);
+  std::size_t peak_at_1e5 = 0;
+  std::size_t peak = 0;
+  double t = 0;
+  for (long long i = 0; i < n; ++i) {
+    t += rng.exponential(lambda);
+    const double proc = std::max(rng.exponential(1.0), 1e-9);
+    core.release(t, proc, sets[rng() % static_cast<std::uint64_t>(m)]);
+    if (i % 1000 == 999) {
+      peak = std::max(peak, core.memory_bytes());
+      if (i < 100000) peak_at_1e5 = peak;
+    }
+  }
+  core.drain_faults();
+  EXPECT_EQ(core.fault_stats().completed + core.fault_stats().dropped, n);
+  EXPECT_GT(core.fault_stats().kills, 0);
+  EXPECT_LT(peak, 2 * peak_at_1e5) << "peak at 1e5 " << peak_at_1e5;
+}
+
+TEST(FaultCore, MemoryCountsTheRetryQueue) {
+  const int m = 4;
+  FaultPlan plan(m);
+  for (int j = 0; j < m; ++j) plan.add_down(j, 1.0, 1001.0);
+  EftDispatcher eft(TieBreakKind::kMin);
+  StreamingEngine core(m, eft);
+  core.set_faults(&plan, RecoveryPolicy{});
+  const std::size_t before = core.memory_bytes();
+  // Every machine is down: each release parks in the retry queue.
+  const int parked = 4000;
+  for (int i = 0; i < parked; ++i) core.release(2.0 + 0.125 * i, 1.0, {});
+  EXPECT_EQ(core.fault_stats().parked, parked);
+  // A queued retry holds at least the task's r_i, p_i, weight, work still
+  // owed and M_i handle.
+  EXPECT_GE(core.memory_bytes(), before + parked * (4 * sizeof(double) + sizeof(ProcSet)));
+  core.drain_faults();
+  EXPECT_EQ(core.fault_stats().completed, parked);
 }
 
 // --- Hardened runner ---------------------------------------------------------

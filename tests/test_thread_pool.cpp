@@ -55,18 +55,21 @@ TEST(ThreadPool, BoundedQueueAppliesBackpressure) {
   auto q1 = pool.submit([] {});
   auto q2 = pool.submit([] {});
 
-  std::atomic<bool> fourth_done{false};
+  // Set the moment submit returns: a submit that does not block sets it
+  // while the gate still holds the only worker.
+  std::atomic<bool> fourth_submitted{false};
+  std::future<void> fourth;
   std::thread submitter([&] {
-    auto f = pool.submit([] {});
-    f.wait();
-    fourth_done = true;
+    fourth = pool.submit([] {});
+    fourth_submitted = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(fourth_done) << "submit did not block on a full queue";
+  EXPECT_FALSE(fourth_submitted) << "submit did not block on a full queue";
 
   gate.set_value();
   submitter.join();
-  EXPECT_TRUE(fourth_done);
+  EXPECT_TRUE(fourth_submitted);
+  fourth.get();
   running.get();
   q1.get();
   q2.get();

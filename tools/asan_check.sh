@@ -128,7 +128,7 @@ grep -q 'bound-violations=0' "$SMOKE_DIR/bounds-bench.out"
 # Every alternative of the suite filter must select at least one test, so
 # that a renamed or deleted suite fails here instead of silently dropping
 # out of the run.
-SUITES='Obs|Trace|Metrics|OnlineEngine|Fifo|Simplex|MaxLoad|MaxFlow|InvariantAuditor|Shrinker|FaultyEft|StructuredGenerator|FaultPlan|FaultEngine|SweepCheckpoint|Alias|Calendar|Streaming|Sketch|StreamAudit|StealDeque|CoreBudget|Sharded|ReplicationController|AdaptiveSim'
+SUITES='Obs|Trace|Metrics|OnlineEngine|Fifo|Simplex|MaxLoad|MaxFlow|InvariantAuditor|Shrinker|FaultyEft|StructuredGenerator|FaultPlan|FaultEngine|FaultCore|SweepCheckpoint|Alias|Calendar|Streaming|Sketch|StreamAudit|StealDeque|CoreBudget|Sharded|ReplicationController|AdaptiveSim'
 IFS='|' read -ra suite_names <<< "$SUITES"
 for suite in "${suite_names[@]}"; do
   if ! ctest --test-dir "$BUILD_DIR" -N -R "$suite" |
