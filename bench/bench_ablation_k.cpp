@@ -6,6 +6,7 @@
 // experiment runner (--threads N); seeds derive from the (load, k,
 // strategy) cell, so output is byte-identical at any thread count.
 #include <cstdio>
+#include <exception>
 #include <span>
 #include <vector>
 
@@ -37,7 +38,7 @@ double one_fmax(std::uint64_t seed, int k, ReplicationStrategy strategy,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const int reps = args.integer("reps", 7);
   ExperimentRunner runner(args.integer("threads", 0));
@@ -96,4 +97,15 @@ int main(int argc, char** argv) {
       "overlapping/spread, while disjoint needs much larger k — the\n"
       "simulated counterpart of Figure 10's LP analysis.\n");
   return 0;
+}
+
+// A usage error (unknown option, stray argument, unwritable --trace-dir)
+// is reported on stderr with exit status 2, like the other tools.
+int main(int argc, char** argv) {
+  try {
+    return bench_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_ablation_k: %s\n", e.what());
+    return 2;
+  }
 }

@@ -32,6 +32,7 @@
 // at any --threads (bench_determinism_adaptive ctest).
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -129,7 +130,7 @@ std::vector<double> one_replicate(std::uint64_t seed, int requests,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const int reps = args.integer("reps", 5);
   const int requests = args.integer("requests", 2000);
@@ -233,4 +234,15 @@ int main(int argc, char** argv) {
             "better static choice"
           : "not on this grid configuration");
   return audit_violations > 0 ? 4 : 0;
+}
+
+// A usage error (unknown option, stray argument, unwritable --trace-dir)
+// is reported on stderr with exit status 2, like the other tools.
+int main(int argc, char** argv) {
+  try {
+    return bench_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_ext_adaptive: %s\n", e.what());
+    return 2;
+  }
 }

@@ -31,6 +31,7 @@
 // and stdout is byte-identical at any --threads
 // (bench_determinism_bounds ctest).
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -154,7 +155,7 @@ int render_exactness(const std::vector<ExactnessRow>& rows) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const int reps = args.integer("reps", 5);
   const int slots = args.integer("slots", 30);
@@ -284,4 +285,15 @@ int main(int argc, char** argv) {
 
   std::printf("bound-violations=%d\n", violations);
   return violations == 0 ? 0 : 1;
+}
+
+// A usage error (unknown option, stray argument, unwritable --trace-dir)
+// is reported on stderr with exit status 2, like the other tools.
+int main(int argc, char** argv) {
+  try {
+    return bench_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_ext_bounds: %s\n", e.what());
+    return 2;
+  }
 }

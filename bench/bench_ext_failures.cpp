@@ -25,6 +25,7 @@
 //    that kills the sweep after N freshly computed cells (exit 3);
 //  * --watchdog SECONDS arms the per-replicate watchdog.
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -90,7 +91,7 @@ std::vector<double> one_replicate(std::uint64_t seed, ReplicationStrategy
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const int reps = args.integer("reps", 5);
   const int requests = args.integer("requests", 2000);
@@ -224,4 +225,15 @@ int main(int argc, char** argv) {
       "the group recovers, while overlapping keys stay serviceable as long\n"
       "as any of their k ring replicas is up.\n");
   return 0;
+}
+
+// A usage error (unknown option, stray argument, unwritable --trace-dir)
+// is reported on stderr with exit status 2, like the other tools.
+int main(int argc, char** argv) {
+  try {
+    return bench_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_ext_failures: %s\n", e.what());
+    return 2;
+  }
 }

@@ -28,6 +28,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -60,7 +61,7 @@ std::vector<int> k_grid(int m) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const int m = args.integer("m", 15);
   const int permutations = args.integer("permutations", 100);
@@ -205,4 +206,15 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+// A usage error (unknown option, stray argument, unwritable --trace-dir)
+// is reported on stderr with exit status 2, like the other tools.
+int main(int argc, char** argv) {
+  try {
+    return bench_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_fig10_maxload: %s\n", e.what());
+    return 2;
+  }
 }

@@ -20,6 +20,7 @@
 // thread-count-invariant as the tables.
 #include <cctype>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
@@ -88,7 +89,7 @@ double lp_load_percent(ExperimentRunner& runner, std::uint64_t exp,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const int reps = args.integer("reps", 10);
   const int requests = args.integer("requests", 10000);
@@ -246,4 +247,15 @@ int main(int argc, char** argv) {
       "EFT-Max edges out EFT-Min for overlapping under Worst-case; Fmax\n"
       "diverges as the load crosses the LP threshold printed per facet.\n");
   return 0;
+}
+
+// A usage error (unknown option, stray argument, unwritable --trace-dir)
+// is reported on stderr with exit status 2, like the other tools.
+int main(int argc, char** argv) {
+  try {
+    return bench_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_fig11_simulation: %s\n", e.what());
+    return 2;
+  }
 }

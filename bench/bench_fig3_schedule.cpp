@@ -10,6 +10,7 @@
 // replayed through replay_schedule — so the Figure 3 contrast can be
 // scrubbed side by side in Perfetto.
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -22,7 +23,7 @@
 
 using namespace flowsched;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const std::string trace_dir = args.get("trace-dir", "");
   args.reject_unknown();
@@ -76,4 +77,15 @@ int main(int argc, char** argv) {
   std::printf("Long-run EFT-Min Fmax: %.0f (theory: m-k+1 = %d), OPT = %.0f\n",
               result.achieved_fmax, m - k + 1, result.opt_fmax);
   return 0;
+}
+
+// A usage error (unknown option, stray argument, unwritable --trace-dir)
+// is reported on stderr with exit status 2, like the other tools.
+int main(int argc, char** argv) {
+  try {
+    return bench_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_fig3_schedule: %s\n", e.what());
+    return 2;
+  }
 }

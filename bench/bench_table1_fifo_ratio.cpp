@@ -12,6 +12,7 @@
 // the worst-ratio reduction runs in trial order, so output is byte-identical
 // at any thread count.
 #include <cstdio>
+#include <exception>
 
 #include "offline/lower_bounds.hpp"
 #include "offline/unit_optimal.hpp"
@@ -23,7 +24,7 @@
 
 using namespace flowsched;
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const int trials = args.integer("trials", 40);
   ExperimentRunner runner(args.integer("threads", 0));
@@ -81,4 +82,15 @@ int main(int argc, char** argv) {
       "Expectation: column 3 <= column 4 on every row (Theorem 1); the last\n"
       "column is exactly 1.000 (Theorem 2).\n");
   return 0;
+}
+
+// A usage error (unknown option, stray argument, unwritable --trace-dir)
+// is reported on stderr with exit status 2, like the other tools.
+int main(int argc, char** argv) {
+  try {
+    return bench_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_table1_fifo_ratio: %s\n", e.what());
+    return 2;
+  }
 }

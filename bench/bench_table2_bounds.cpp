@@ -8,6 +8,7 @@
 // in table order, so output is byte-identical at any thread count.
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <functional>
 #include <string>
 #include <vector>
@@ -40,7 +41,7 @@ Row adversary_row(const std::string& structure, const std::string& alg,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   ExperimentRunner runner(args.integer("threads", 0));
   args.reject_unknown();
@@ -145,4 +146,15 @@ int main(int argc, char** argv) {
       "7, 8, 9, 10; floor effects aside), and measured <= 3 - 2/k on the\n"
       "Corollary 1 upper-bound row.\n");
   return 0;
+}
+
+// A usage error (unknown option, stray argument, unwritable --trace-dir)
+// is reported on stderr with exit status 2, like the other tools.
+int main(int argc, char** argv) {
+  try {
+    return bench_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_table2_bounds: %s\n", e.what());
+    return 2;
+  }
 }

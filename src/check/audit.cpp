@@ -1,9 +1,10 @@
 #include "check/audit.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-#include <optional>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -65,7 +66,39 @@ std::string fmt(double x) {
   return os.str();
 }
 
+// Size gates of the bound oracles: the O(n^2) volume bound and the Th.1
+// check run only up to kOracleMaxN tasks, the unit-task matching up to
+// kUnitOracleMaxN.
+constexpr int kOracleMaxN = 400;
+constexpr int kUnitOracleMaxN = 160;
+
+// splitmix64's finalizer.
+std::uint64_t mix(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+// One completion's term of the order-independent digest (a wrapping sum)
+// that check_fault_run compares between the event stream and the log.
+std::uint64_t completion_term(int task, int machine, double start,
+                              double completion) {
+  const std::uint64_t id =
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(task)) << 32 |
+      static_cast<std::uint32_t>(machine);
+  return mix(mix(mix(id) ^ std::bit_cast<std::uint64_t>(start)) ^
+             std::bit_cast<std::uint64_t>(completion));
+}
+
 }  // namespace
+
+void InvariantAuditor::Witness::offer(int t, int p, const std::string& w) {
+  if (task >= 0 && (task < t || (task == t && pos <= p))) return;
+  task = t;
+  pos = p;
+  what = w;
+}
 
 InvariantAuditor::InvariantAuditor(AuditConfig config)
     : config_(std::move(config)) {}
@@ -81,21 +114,35 @@ void InvariantAuditor::on_run_begin(const RunInfo& info) {
   if (open_) violation("protocol", "on_run_begin while a run is open");
   open_ = true;
   info_ = info;
-  settle_weighted();  // the previous run's records are about to go
-  tasks_.clear();
-  transitions_.assign(static_cast<std::size_t>(std::max(info.m, 0)), {});
+  released_ = 0;
+  in_flight_.clear();
+  spare_ = {};
+  retained_.clear();
+  machines_.assign(static_cast<std::size_t>(std::max(info.m, 0)), Machine{});
   unrestricted_ = true;
   last_release_ = 0;
-  expect_fifo_order_ = config_.force_fifo_order;
+  max_completion_ = 0;
+  fifo_starts_.clear();
+  fifo_witness_ = {};
+  gap_witness_ = {};
+  setup_lines_.clear();
+  completions_ = 0;
+  completion_digest_ = 0;
+  expect_fifo_order_ = false;
   expect_work_conservation_ = config_.force_work_conservation;
   eft_or_fifo_ = false;
   if (info.m <= 0) violation("protocol", "RunInfo.m <= 0");
   if (config_.infer_from_algo) {
     const AlgoTraits traits = algo_traits(info.algo);
-    expect_fifo_order_ = expect_fifo_order_ || traits.fifo_class;
+    expect_fifo_order_ = traits.fifo_class;
     expect_work_conservation_ =
         expect_work_conservation_ || traits.work_conserving;
     eft_or_fifo_ = traits.eft_or_fifo;
+  }
+  // The behavioural checks are proved against uninterrupted runs with true
+  // processing times: neither fault nor nc runs qualify.
+  if (config_.fault_mode || config_.nc_mode) {
+    expect_fifo_order_ = expect_work_conservation_ = false;
   }
 }
 
@@ -104,170 +151,437 @@ void InvariantAuditor::on_event(const ObsEvent& e) {
     violation("protocol", "event outside a run");
     return;
   }
-  switch (e.kind) {
-    case ObsEventKind::kTaskReleased: {
-      if (e.task != static_cast<int>(tasks_.size())) {
-        violation("protocol", "task " + std::to_string(e.task) +
-                                  " released out of order (expected " +
-                                  std::to_string(tasks_.size()) + ")");
-        return;
-      }
-      if (e.release < last_release_) {
-        violation("protocol", "releases decrease at task " +
-                                  std::to_string(e.task) + ": " +
-                                  fmt(e.release) + " < " + fmt(last_release_));
-      }
-      last_release_ = e.release;
-      if (e.time != e.release) {
-        violation("protocol", "released event time " + fmt(e.time) +
-                                  " != release " + fmt(e.release));
-      }
-      if (!(e.proc > 0)) {
-        violation("protocol",
-                  "task " + std::to_string(e.task) + " has proc <= 0");
-      }
-      if (!(e.weight > 0)) {
-        violation("protocol",
-                  "task " + std::to_string(e.task) + " has weight <= 0");
-      }
-      TaskRecord rec;
-      rec.release = e.release;
-      rec.proc = e.proc;
-      rec.weight = e.weight;
-      if (e.eligible == nullptr || e.eligible->empty()) {
-        violation("protocol", "task " + std::to_string(e.task) +
-                                  " released with no processing set");
-        rec.eligible = ProcSet::all(std::max(info_.m, 1));
-      } else {
-        rec.eligible = *e.eligible;  // callback-scoped pointer: copy
-        if (!rec.eligible.within(info_.m)) {
-          violation("eligibility", "task " + std::to_string(e.task) +
-                                       " processing set " +
-                                       rec.eligible.str() + " outside [0, " +
-                                       std::to_string(info_.m) + ")");
-        }
-      }
-      if (rec.eligible.size() != info_.m) unrestricted_ = false;
-      tasks_.push_back(std::move(rec));
-      break;
+  if (e.kind == ObsEventKind::kMachineBusy ||
+      e.kind == ObsEventKind::kMachineIdle) {
+    on_machine_event(e);
+  } else {
+    on_task_event(e);
+  }
+}
+
+void InvariantAuditor::on_task_event(const ObsEvent& e) {
+  if (e.kind == ObsEventKind::kTaskReleased) {
+    if (e.task != released_) {
+      violation("protocol", "task " + std::to_string(e.task) +
+                                " released out of order (expected " +
+                                std::to_string(released_) + ")");
+      return;
     }
-    case ObsEventKind::kTaskDispatched:
-    case ObsEventKind::kTaskStarted:
-    case ObsEventKind::kTaskCompleted: {
-      if (e.task < 0 || e.task >= static_cast<int>(tasks_.size())) {
-        violation("protocol", "event for unreleased task " +
-                                  std::to_string(e.task));
-        return;
-      }
-      TaskRecord& rec = tasks_[static_cast<std::size_t>(e.task)];
-      const int expected_phase = e.kind == ObsEventKind::kTaskDispatched ? 0
-                                 : e.kind == ObsEventKind::kTaskStarted ? 1
-                                                                        : 2;
-      if (rec.phase != expected_phase) {
-        violation("protocol", "task " + std::to_string(e.task) +
-                                  " lifecycle out of order (phase " +
-                                  std::to_string(rec.phase) + ")");
-        return;
-      }
-      rec.phase = expected_phase + 1;
-      if (e.release != rec.release || e.proc != rec.proc ||
-          e.weight != rec.weight) {
-        violation("accounting", "task " + std::to_string(e.task) +
-                                    " release/proc/weight drifted across "
-                                    "events");
-      }
-      if (e.kind == ObsEventKind::kTaskDispatched) {
-        rec.machine = e.machine;
-        rec.setup = e.setup;
-        if (e.machine < 0 || e.machine >= info_.m) {
-          violation("eligibility", "task " + std::to_string(e.task) +
-                                       " dispatched to machine " +
-                                       std::to_string(e.machine) +
-                                       " outside [0, " +
-                                       std::to_string(info_.m) + ")");
-        } else if (!rec.eligible.contains(e.machine)) {
-          violation("eligibility",
-                    "task " + std::to_string(e.task) + " dispatched to M" +
-                        std::to_string(e.machine + 1) + " not in its set " +
-                        rec.eligible.str());
-        }
-        if (e.time < rec.release) {
-          violation("protocol", "task " + std::to_string(e.task) +
-                                    " dispatched before its release");
-        }
-      } else if (e.kind == ObsEventKind::kTaskStarted) {
-        rec.start = e.time;
-        if (e.machine != rec.machine) {
-          violation("protocol", "task " + std::to_string(e.task) +
-                                    " started on a machine it was not "
-                                    "dispatched to");
-        }
-        if (e.time < rec.release) {
-          violation("accounting", "task " + std::to_string(e.task) +
-                                      " starts at " + fmt(e.time) +
-                                      " before release " + fmt(rec.release));
-        }
-      } else {
-        rec.completion = e.time;
-        if (e.machine != rec.machine) {
-          violation("protocol", "task " + std::to_string(e.task) +
-                                    " completed on a machine it was not "
-                                    "dispatched to");
-        }
-        // C_i = S_i + setup_i + p_i (setup_i = 0 outside nc mode). Every
-        // engine computes the completion as the left-to-right IEEE double
-        // sum, so demand bitwise equality; on the dyadic theory grid that
-        // sum is exactly representable, making this exact arithmetic.
-        // Accept exact Rational equality too, for sinks that compute C_i by
-        // other (exact) means and round differently. Under faults the final
-        // segment may be shorter than p_i (checkpoint recovery);
-        // check_fault_run does the exact segment-sum accounting instead.
-        const double expected = config_.nc_mode
-                                    ? (rec.start + rec.setup) + rec.proc
-                                    : rec.start + rec.proc;
-        bool exact_ok = config_.fault_mode || e.time == expected;
-        if (!exact_ok) {
-          const auto s = rational_from_double(rec.start);
-          const auto u = rational_from_double(rec.setup);
-          const auto p = rational_from_double(rec.proc);
-          const auto c = rational_from_double(e.time);
-          exact_ok = s && u && p && c && *s + *u + *p == *c;
-        }
-        if (!exact_ok) {
-          violation(config_.nc_mode ? "setup-accounting" : "accounting",
-                    "task " + std::to_string(e.task) +
-                        ": C_i != S_i + setup_i + p_i (" + fmt(e.time) +
-                        " != " + fmt(rec.start) + " + " + fmt(rec.setup) +
-                        " + " + fmt(rec.proc) + ")");
-        }
-      }
-      break;
+    if (e.release < last_release_) {
+      violation("protocol", "releases decrease at task " +
+                                std::to_string(e.task) + ": " +
+                                fmt(e.release) + " < " + fmt(last_release_));
     }
-    case ObsEventKind::kMachineBusy:
-    case ObsEventKind::kMachineIdle: {
-      if (e.machine < 0 || e.machine >= info_.m) {
-        violation("protocol",
-                  "machine event outside [0, " + std::to_string(info_.m) + ")");
-        return;
-      }
-      auto& trans = transitions_[static_cast<std::size_t>(e.machine)];
-      const bool busy = e.kind == ObsEventKind::kMachineBusy;
-      if (!trans.empty() && trans.back().busy == busy) {
-        violation("busy-idle", "machine M" + std::to_string(e.machine + 1) +
-                                   " repeated " + (busy ? "busy" : "idle") +
-                                   " transition at " + fmt(e.time));
-      }
-      if (trans.empty() && !busy) {
-        violation("busy-idle", "machine M" + std::to_string(e.machine + 1) +
-                                   " goes idle before ever being busy");
-      }
-      if (!trans.empty() && e.time < trans.back().time) {
-        violation("busy-idle", "machine M" + std::to_string(e.machine + 1) +
-                                   " transitions move backwards in time");
-      }
-      trans.push_back(Transition{e.time, busy});
-      break;
+    last_release_ = e.release;
+    if (e.time != e.release) {
+      violation("protocol", "released event time " + fmt(e.time) +
+                                " != release " + fmt(e.release));
     }
+    if (!(e.proc > 0)) {
+      violation("protocol",
+                "task " + std::to_string(e.task) + " has proc <= 0");
+    }
+    if (!(e.weight > 0)) {
+      violation("protocol",
+                "task " + std::to_string(e.task) + " has weight <= 0");
+    }
+    TaskRecord rec;
+    rec.release = e.release;
+    rec.proc = e.proc;
+    rec.weight = e.weight;
+    if (e.eligible == nullptr || e.eligible->empty()) {
+      violation("protocol", "task " + std::to_string(e.task) +
+                                " released with no processing set");
+      rec.eligible = ProcSet::all(std::max(info_.m, 1));
+    } else {
+      rec.eligible = *e.eligible;  // callback-scoped pointer: copy
+      if (!rec.eligible.within(info_.m)) {
+        violation("eligibility", "task " + std::to_string(e.task) +
+                                     " processing set " + rec.eligible.str() +
+                                     " outside [0, " +
+                                     std::to_string(info_.m) + ")");
+      }
+    }
+    if (rec.eligible.size() != info_.m) unrestricted_ = false;
+    ++released_;
+    if (config_.bound_oracles) retained_.push_back(rec);
+    if (spare_.empty()) {
+      in_flight_.emplace_hint(in_flight_.end(), e.task, std::move(rec));
+    } else {
+      spare_.key() = e.task;
+      spare_.mapped() = std::move(rec);
+      in_flight_.insert(in_flight_.end(), std::move(spare_));
+    }
+    return;
+  }
+
+  const auto it = in_flight_.find(e.task);
+  if (it == in_flight_.end()) {
+    // Every released task is in flight until its completed event.
+    if (e.task < 0 || e.task >= released_) {
+      violation("protocol",
+                "event for unreleased task " + std::to_string(e.task));
+    } else {
+      violation("protocol", "task " + std::to_string(e.task) +
+                                " lifecycle out of order (phase 3)");
+    }
+    return;
+  }
+  TaskRecord& rec = it->second;
+  const int expected_phase = e.kind == ObsEventKind::kTaskDispatched ? 0
+                             : e.kind == ObsEventKind::kTaskStarted  ? 1
+                                                                     : 2;
+  if (rec.phase != expected_phase) {
+    violation("protocol", "task " + std::to_string(e.task) +
+                              " lifecycle out of order (phase " +
+                              std::to_string(rec.phase) + ")");
+    return;
+  }
+  rec.phase = expected_phase + 1;
+  if (e.release != rec.release || e.proc != rec.proc ||
+      e.weight != rec.weight) {
+    violation("accounting", "task " + std::to_string(e.task) +
+                                " release/proc/weight drifted across events");
+  }
+  const bool on_machine = e.machine >= 0 && e.machine < info_.m;
+  if (e.kind == ObsEventKind::kTaskDispatched) {
+    rec.machine = e.machine;
+    rec.setup = e.setup;
+    rec.immediate = e.time == rec.release;
+    if (!on_machine) {
+      violation("eligibility", "task " + std::to_string(e.task) +
+                                   " dispatched to machine " +
+                                   std::to_string(e.machine) + " outside [0, " +
+                                   std::to_string(info_.m) + ")");
+    } else if (!rec.eligible.contains(e.machine)) {
+      violation("eligibility",
+                "task " + std::to_string(e.task) + " dispatched to M" +
+                    std::to_string(e.machine + 1) + " not in its set " +
+                    rec.eligible.str());
+    }
+    if (e.time < rec.release) {
+      violation("protocol", "task " + std::to_string(e.task) +
+                                " dispatched before its release");
+    }
+    if (config_.nc_mode && !config_.fault_mode && on_machine) {
+      // Recompute the setup charge in dispatch order: nc_setup exactly when
+      // the machine's previous task had a different processing set, the
+      // first task free. Comparisons are bitwise (dyadic grid).
+      Machine& mj = machines_[static_cast<std::size_t>(e.machine)];
+      const double expected =
+          mj.has_last_set && !(mj.last_set == rec.eligible) ? config_.nc_setup
+                                                            : 0.0;
+      mj.last_set = rec.eligible;
+      mj.has_last_set = true;
+      if (rec.setup != expected &&
+          static_cast<int>(setup_lines_.size()) < config_.max_violations) {
+        setup_lines_.push_back(
+            "task " + std::to_string(e.task) + " on M" +
+            std::to_string(e.machine + 1) + " charged setup " +
+            fmt(rec.setup) + ", dispatch-order recomputation says " +
+            fmt(expected));
+      }
+    }
+  } else if (e.kind == ObsEventKind::kTaskStarted) {
+    rec.start = e.time;
+    if (e.machine != rec.machine) {
+      violation("protocol", "task " + std::to_string(e.task) +
+                                " started on a machine it was not "
+                                "dispatched to");
+    }
+    if (e.time < rec.release) {
+      violation("accounting", "task " + std::to_string(e.task) +
+                                  " starts at " + fmt(e.time) +
+                                  " before release " + fmt(rec.release));
+    }
+    // An immediate-dispatch engine commits the task to its machine at the
+    // release instant, so it starts when that machine's last task ends.
+    if (rec.immediate && on_machine && e.machine == rec.machine &&
+        !config_.fault_mode) {
+      const double expected = std::max(
+          rec.release, machines_[static_cast<std::size_t>(e.machine)].last_completion);
+      if (e.time != expected) {
+        violation("accounting",
+                  "task " + std::to_string(e.task) + " starts at " +
+                      fmt(e.time) + " on M" + std::to_string(e.machine + 1) +
+                      ", expected max(release, last completion) = " +
+                      fmt(expected));
+      }
+    }
+  } else {
+    rec.completion = e.time;
+    if (e.machine != rec.machine) {
+      violation("protocol", "task " + std::to_string(e.task) +
+                                " completed on a machine it was not "
+                                "dispatched to");
+    }
+    // C_i = S_i + setup_i + p_i (setup_i = 0 outside nc mode). Every
+    // engine computes the completion as the left-to-right IEEE double
+    // sum, so demand bitwise equality; on the dyadic theory grid that
+    // sum is exactly representable, making this exact arithmetic.
+    // Accept exact Rational equality too, for sinks that compute C_i by
+    // other (exact) means and round differently. Under faults the final
+    // segment may be shorter than p_i (checkpoint recovery);
+    // check_fault_run does the exact segment-sum accounting instead.
+    const double expected = config_.nc_mode
+                                ? (rec.start + rec.setup) + rec.proc
+                                : rec.start + rec.proc;
+    bool exact_ok = config_.fault_mode || e.time == expected;
+    if (!exact_ok) {
+      const auto s = rational_from_double(rec.start);
+      const auto u = rational_from_double(rec.setup);
+      const auto p = rational_from_double(rec.proc);
+      const auto c = rational_from_double(e.time);
+      exact_ok = s && u && p && c && *s + *u + *p == *c;
+    }
+    if (!exact_ok) {
+      violation(config_.nc_mode ? "setup-accounting" : "accounting",
+                "task " + std::to_string(e.task) +
+                    ": C_i != S_i + setup_i + p_i (" + fmt(e.time) +
+                    " != " + fmt(rec.start) + " + " + fmt(rec.setup) +
+                    " + " + fmt(rec.proc) + ")");
+    }
+    // The node is reused by the next release: a run with one task in
+    // flight at a time allocates nothing per task.
+    spare_ = in_flight_.extract(it);
+    if (config_.bound_oracles) {
+      retained_[static_cast<std::size_t>(e.task)] = spare_.mapped();
+    }
+    complete(e.task, spare_.mapped());
+  }
+}
+
+void InvariantAuditor::complete(int task, const TaskRecord& rec) {
+  max_completion_ = std::max(max_completion_, rec.completion);
+  if (config_.fault_mode) {
+    ++completions_;
+    completion_digest_ +=
+        completion_term(task, rec.machine, rec.start, rec.completion);
+    return;
+  }
+  if (rec.machine >= 0 && rec.machine < info_.m) {
+    machines_[static_cast<std::size_t>(rec.machine)].last_completion =
+        rec.completion;
+    add_interval(rec.machine, Span{rec.start, rec.completion});
+    if (expect_work_conservation_) {
+      add_work_interval(rec.machine, Span{rec.start, rec.start + rec.proc},
+                        rec.release);
+    }
+  }
+  if (expect_work_conservation_ && rec.start > rec.release + config_.eps) {
+    search_gaps(task, rec);
+  }
+  if (expect_fifo_order_ && unrestricted_) {
+    fifo_starts_[task] = {rec.start, rec.release};
+    check_fifo_pair(task);
+  }
+}
+
+void InvariantAuditor::add_interval(int machine, Span iv) {
+  Machine& mj = machines_[static_cast<std::size_t>(machine)];
+  if (!mj.group.empty() && iv.start != mj.group.front().start) {
+    if (iv.start < mj.group.front().start) {
+      violation("protocol", "machine M" + std::to_string(machine + 1) +
+                                " narrates a start at " + fmt(iv.start) +
+                                " after one at " +
+                                fmt(mj.group.front().start));
+    }
+    flush_group(machine);
+  }
+  mj.group.push_back(iv);
+}
+
+void InvariantAuditor::flush_group(int machine) {
+  // [overlap] and the busy bursts read a machine's intervals sorted by
+  // (start, completion); the group shares one start.
+  Machine& mj = machines_[static_cast<std::size_t>(machine)];
+  if (mj.group.size() > 1) {
+    std::sort(mj.group.begin(), mj.group.end(),
+              [](const Span& a, const Span& b) { return a.end < b.end; });
+  }
+  for (const Span& iv : mj.group) {
+    // The narrated completion, not start + proc: in nc mode the machine is
+    // additionally occupied by the setup charge ([setup-accounting] pins
+    // completion == start + setup + proc, so this stays exact).
+    if (mj.has_prev && iv.start + config_.eps < mj.prev.end &&
+        static_cast<int>(mj.overlaps.size()) < config_.max_violations) {
+      mj.overlaps.push_back("machine M" + std::to_string(machine + 1) +
+                            " double-booked: [" + fmt(iv.start) +
+                            ", ...) starts inside [" + fmt(mj.prev.start) +
+                            ", " + fmt(mj.prev.end) + ")");
+    }
+    mj.prev = iv;
+    mj.has_prev = true;
+    if (mj.burst_open && iv.start <= mj.burst.end) {
+      mj.burst.end = std::max(mj.burst.end, iv.end);
+    } else {
+      if (mj.burst_open) close_burst(machine);
+      mj.burst = iv;
+      mj.burst_open = true;
+    }
+  }
+  mj.group.clear();
+}
+
+void InvariantAuditor::close_burst(int machine) {
+  Machine& mj = machines_[static_cast<std::size_t>(machine)];
+  mj.bursts.push_back(mj.burst);
+  ++mj.n_bursts;
+  match_busy(machine);
+}
+
+void InvariantAuditor::close_period(int machine, Span period) {
+  Machine& mj = machines_[static_cast<std::size_t>(machine)];
+  mj.periods.push_back(period);
+  ++mj.n_periods;
+  match_busy(machine);
+}
+
+void InvariantAuditor::match_busy(int machine) {
+  // The k-th narrated busy period must equal the k-th task burst; the
+  // first unequal pair is the witness unless the counts differ.
+  Machine& mj = machines_[static_cast<std::size_t>(machine)];
+  std::size_t k = 0;
+  for (; k < mj.periods.size() && k < mj.bursts.size(); ++k) {
+    const Span& p = mj.periods[k];
+    const Span& b = mj.bursts[k];
+    if (mj.mismatch.empty() && (p.start != b.start || p.end != b.end)) {
+      mj.mismatch = "machine M" + std::to_string(machine + 1) +
+                    " busy period [" + fmt(p.start) + ", " + fmt(p.end) +
+                    ") != task burst [" + fmt(b.start) + ", " + fmt(b.end) +
+                    ")";
+    }
+  }
+  const auto matched = static_cast<std::ptrdiff_t>(k);
+  mj.periods.erase(mj.periods.begin(), mj.periods.begin() + matched);
+  mj.bursts.erase(mj.bursts.begin(), mj.bursts.begin() + matched);
+}
+
+void InvariantAuditor::on_machine_event(const ObsEvent& e) {
+  if (e.machine < 0 || e.machine >= info_.m) {
+    violation("protocol",
+              "machine event outside [0, " + std::to_string(info_.m) + ")");
+    return;
+  }
+  Machine& mj = machines_[static_cast<std::size_t>(e.machine)];
+  const auto name = [&] { return "machine M" + std::to_string(e.machine + 1); };
+  const bool busy = e.kind == ObsEventKind::kMachineBusy;
+  if (mj.narrated && mj.last_busy == busy) {
+    violation("busy-idle", name() + " repeated " + (busy ? "busy" : "idle") +
+                               " transition at " + fmt(e.time));
+  }
+  if (!mj.narrated && !busy) {
+    violation("busy-idle", name() + " goes idle before ever being busy");
+  }
+  if (mj.narrated && e.time < mj.last_edge) {
+    violation("busy-idle", name() + " transitions move backwards in time");
+  }
+  // A busy edge opens a narrated period; the next edge, whatever it is,
+  // closes it.
+  if (mj.narrated && mj.last_busy && !config_.fault_mode) {
+    close_period(e.machine, Span{mj.last_edge, e.time});
+  }
+  mj.narrated = true;
+  mj.last_busy = busy;
+  mj.last_edge = e.time;
+}
+
+void InvariantAuditor::add_work_interval(int machine, Span iv,
+                                         double release) {
+  // The idle gaps of a machine lie between its merged intervals, which end
+  // at start + proc here; the first, from 0, leads. A start past the
+  // frontier closes a gap, final once closed: the waits still open on this
+  // machine meet it now, and it is kept while a task in flight, the task
+  // completing now (`release`) or a later release could still meet it.
+  Machine& mj = machines_[static_cast<std::size_t>(machine)];
+  if (iv.start > mj.frontier) {
+    const Span gap{mj.frontier, iv.start};
+    std::erase_if(mj.waiters, [&](const Waiter& w) {
+      const double olo = std::max(gap.start, w.release);
+      const double ohi = std::min(gap.end, w.start);
+      if (!(ohi - olo > config_.eps)) return false;
+      add_gap_witness(w, machine, Span{olo, ohi});
+      return true;
+    });
+    double floor = std::min(last_release_, release);
+    if (!in_flight_.empty()) {
+      floor = std::min(floor, in_flight_.begin()->second.release);
+    }
+    const auto stale = std::partition_point(
+        mj.gaps.begin(), mj.gaps.end(),
+        [floor](const Span& g) { return g.end <= floor; });
+    mj.gaps.erase(mj.gaps.begin(), stale);
+    mj.gaps.push_back(gap);
+  }
+  mj.frontier = std::max(mj.frontier, iv.end);
+  // Later gaps start at the frontier or beyond: a wait that ends within
+  // eps of it can no longer meet one.
+  std::erase_if(mj.waiters, [&](const Waiter& w) {
+    return !(w.start - std::max(mj.frontier, w.release) > config_.eps);
+  });
+}
+
+void InvariantAuditor::search_gaps(int task, const TaskRecord& rec) {
+  // The waiting interval (r_i, S_i) of a task must not meet a gap on any
+  // machine of M_i by more than eps — that would be unforced idleness. The
+  // witness is the first gap in time of the first such machine in M_i of
+  // the first such task; Witness::offer keeps the smallest (task, pos).
+  if (gap_witness_.task >= 0 && gap_witness_.task < task) return;
+  const auto& eligible = rec.eligible.machines();
+  for (std::size_t pos = 0; pos < eligible.size(); ++pos) {
+    const int j = eligible[pos];
+    if (j < 0 || j >= info_.m) continue;
+    Machine& mj = machines_[static_cast<std::size_t>(j)];
+    const Waiter w{task, static_cast<int>(pos), rec.release, rec.start};
+    for (const Span& gap : mj.gaps) {
+      if (gap.end <= w.release) continue;
+      if (gap.start >= w.start) break;
+      const double olo = std::max(gap.start, w.release);
+      const double ohi = std::min(gap.end, w.start);
+      if (ohi - olo > config_.eps) {
+        add_gap_witness(w, j, Span{olo, ohi});
+        return;  // later machines of M_i come after this witness
+      }
+    }
+    if (w.start - std::max(mj.frontier, w.release) > config_.eps) {
+      mj.waiters.push_back(w);
+    }
+  }
+}
+
+void InvariantAuditor::add_gap_witness(const Waiter& w, int machine,
+                                       Span idle) {
+  gap_witness_.offer(w.task, w.pos,
+                     "task " + std::to_string(w.task) + " waits in [" +
+                         fmt(w.release) + ", " + fmt(w.start) +
+                         ") while eligible machine M" +
+                         std::to_string(machine + 1) + " idles in [" +
+                         fmt(idle.start) + ", " + fmt(idle.end) + ")");
+}
+
+bool InvariantAuditor::completed(int task) const {
+  return task >= 0 && task < released_ && !in_flight_.contains(task);
+}
+
+void InvariantAuditor::check_fifo_pair(int task) {
+  // Releases are non-decreasing (validated), so FIFO's queue discipline
+  // means starts are too: an earlier-released task never starts later.
+  // Each adjacent pair is compared once both of its tasks completed.
+  const auto compare = [&](int a) {
+    const auto [start_a, release_a] = fifo_starts_.at(a);
+    const auto [start_b, release_b] = fifo_starts_.at(a + 1);
+    if (start_b + config_.eps < start_a) {
+      fifo_witness_.offer(a + 1, 0,
+                          "task " + std::to_string(a + 1) + " (released " +
+                              fmt(release_b) + ") starts at " + fmt(start_b) +
+                              " before task " + std::to_string(a) +
+                              " started at " + fmt(start_a));
+    }
+  };
+  if (completed(task - 1)) compare(task - 1);
+  if (completed(task + 1)) compare(task);
+  for (const int k : {task - 1, task, task + 1}) {
+    if ((k == 0 || completed(k - 1)) && completed(k + 1)) fifo_starts_.erase(k);
   }
 }
 
@@ -276,313 +590,96 @@ void InvariantAuditor::on_run_end(double makespan) {
     violation("protocol", "on_run_end without on_run_begin");
     return;
   }
-  double max_completion = 0;
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    if (tasks_[i].phase != 3) {
-      // Under faults a dropped task legitimately never completes; its fate
-      // is validated against the log in check_fault_run.
-      if (!config_.fault_mode) {
-        violation("protocol", "task " + std::to_string(i) +
-                                  " never completed (phase " +
-                                  std::to_string(tasks_[i].phase) + ")");
-      }
-    } else {
-      max_completion = std::max(max_completion, tasks_[i].completion);
+  // Under faults a dropped task legitimately never completes; its fate is
+  // validated against the log in check_fault_run.
+  if (!config_.fault_mode) {
+    for (const auto& [task, rec] : in_flight_) {
+      violation("protocol", "task " + std::to_string(task) +
+                                " never completed (phase " +
+                                std::to_string(rec.phase) + ")");
     }
   }
-  if (makespan + config_.eps < max_completion) {
+  if (makespan + config_.eps < max_completion_) {
     violation("accounting", "reported makespan " + fmt(makespan) +
                                 " below the last completion " +
-                                fmt(max_completion));
+                                fmt(max_completion_));
   }
   if (!config_.fault_mode) {
     // Fault runs narrate no busy/idle stream and may checkpoint partial
     // segments; [fault-overlap] and friends replace these in
     // check_fault_run.
-    const MachineSpans by_machine = bucket_by_machine();
-    check_overlap(by_machine);
-    check_machine_events(by_machine, max_completion);
+    for (std::size_t j = 0; j < machines_.size(); ++j) {
+      Machine& mj = machines_[j];
+      flush_group(static_cast<int>(j));
+      if (mj.burst_open) close_burst(static_cast<int>(j));
+      mj.burst_open = false;
+      for (const std::string& what : mj.overlaps) violation("overlap", what);
+    }
+    for (std::size_t j = 0; j < machines_.size(); ++j) {
+      Machine& mj = machines_[j];
+      const std::string name = "machine M" + std::to_string(j + 1);
+      if (!mj.narrated) {
+        if (mj.n_bursts > 0) {
+          violation("busy-idle", name + " ran tasks but never reported busy");
+        }
+        continue;
+      }
+      if (mj.last_busy) {
+        violation("busy-idle", name + " still busy at end of run (missing "
+                                      "finish_observation?)");
+        close_period(static_cast<int>(j),
+                     Span{mj.last_edge, max_completion_ + 1});
+      }
+      if (mj.n_periods != mj.n_bursts) {
+        violation("busy-idle", name + " narrated " +
+                                   std::to_string(mj.n_periods) +
+                                   " busy periods but ran " +
+                                   std::to_string(mj.n_bursts) +
+                                   " task bursts");
+      } else if (!mj.mismatch.empty()) {
+        violation("busy-idle", mj.mismatch);
+      }
+    }
     if (config_.nc_mode) {
-      // Behavioural checks are proved against true processing times; a
-      // censored run gets the setup recomputation sweep instead.
-      check_setup_accounting();
-    } else {
-      if (expect_fifo_order_ && unrestricted_) check_fifo_order();
-      if (expect_work_conservation_) check_work_conservation(by_machine);
+      for (const std::string& what : setup_lines_) {
+        violation("setup-accounting", what);
+      }
+    }
+    if (expect_fifo_order_ && unrestricted_ && fifo_witness_.task >= 0) {
+      violation("fifo-order", fifo_witness_.what);
+    }
+    if (expect_work_conservation_) {
+      // From its last completion onwards a machine idles forever.
+      for (std::size_t j = 0; j < machines_.size(); ++j) {
+        const Machine& mj = machines_[j];
+        for (const Waiter& w : mj.waiters) {
+          const double olo = std::max(mj.frontier, w.release);
+          if (w.start - olo > config_.eps) {
+            add_gap_witness(w, static_cast<int>(j), Span{olo, w.start});
+          }
+        }
+      }
+      if (gap_witness_.task >= 0) {
+        violation("work-conservation", gap_witness_.what);
+      }
     }
     // The oracles reason about uninterrupted, clairvoyant schedules; they
     // apply to neither fault nor nc runs (the fuzzer's [nc-*] oracles cover
     // the latter).
     if (config_.bound_oracles && !config_.nc_mode) run_bound_oracles();
   }
-  weighted_pending_ = true;
 
   open_ = false;
   ++runs_;
 }
 
-void InvariantAuditor::settle_weighted() const {
-  if (!weighted_pending_) return;
-  weighted_pending_ = false;
-  // The shared weighted_flow_term / exact-sum recipe (model/schedule.cpp)
-  // over the narrated completions — [weighted-accounting] compares these
-  // against MetricsCollector and Schedule.
-  last_fmax_w_ = 0;
-  std::optional<Rational> exact(Rational(0));
-  double approx = 0;
-  for (const TaskRecord& rec : tasks_) {
-    if (rec.phase != 3) continue;
-    const double wterm =
-        weighted_flow_term(rec.weight, rec.completion - rec.release);
-    last_fmax_w_ = std::max(last_fmax_w_, wterm);
-    approx += wterm;
-    if (exact) {
-      if (const auto rt = rational_from_double(wterm)) {
-        try {
-          exact = *exact + *rt;
-        } catch (const std::overflow_error&) {
-          exact.reset();
-        }
-      } else {
-        exact.reset();
-      }
-    }
-  }
-  last_total_flow_w_ = exact ? exact->to_double() : approx;
-}
-
-InvariantAuditor::MachineSpans InvariantAuditor::bucket_by_machine() const {
-  // Counting sort by machine, then one sort per machine. Tasks on machines
-  // outside [0, m) were already reported as [eligibility] and are skipped.
-  const std::size_t m = transitions_.size();
-  MachineSpans out;
-  out.offset.assign(m + 1, 0);
-  const auto on_machine = [m](const TaskRecord& rec) {
-    return rec.phase == 3 && rec.machine >= 0 &&
-           static_cast<std::size_t>(rec.machine) < m;
-  };
-  for (const TaskRecord& rec : tasks_) {
-    if (!on_machine(rec)) continue;
-    ++out.offset[static_cast<std::size_t>(rec.machine) + 1];
-  }
-  for (std::size_t j = 0; j < m; ++j) out.offset[j + 1] += out.offset[j];
-  out.spans.resize(out.offset[m]);
-  std::vector<std::size_t> fill(out.offset.begin(), out.offset.end() - 1);
-  for (const TaskRecord& rec : tasks_) {
-    if (!on_machine(rec)) continue;
-    out.spans[fill[static_cast<std::size_t>(rec.machine)]++] =
-        Span{rec.start, rec.completion, rec.start + rec.proc};
-  }
-  for (std::size_t j = 0; j < m; ++j) {
-    std::sort(out.spans.data() + out.offset[j],
-              out.spans.data() + out.offset[j + 1],
-              [](const Span& a, const Span& b) {
-                return a.start != b.start ? a.start < b.start
-                                          : a.completion < b.completion;
-              });
-  }
-  return out;
-}
-
-void InvariantAuditor::check_overlap(const MachineSpans& by_machine) {
-  // The narrated completion, not start + proc: in nc mode the machine is
-  // additionally occupied by the setup charge ([setup-accounting] pins
-  // completion == start + setup + proc, so this stays exact).
-  for (std::size_t j = 0; j < by_machine.machines(); ++j) {
-    const std::span<const Span> iv = by_machine.of(j);
-    for (std::size_t k = 1; k < iv.size(); ++k) {
-      const Span& prev = iv[k - 1];
-      const Span& cur = iv[k];
-      if (cur.start + config_.eps < prev.completion) {
-        violation("overlap", "machine M" + std::to_string(j + 1) +
-                                 " double-booked: [" + fmt(cur.start) +
-                                 ", ...) starts inside [" + fmt(prev.start) +
-                                 ", " + fmt(prev.completion) + ")");
-      }
-    }
-  }
-}
-
-void InvariantAuditor::check_machine_events(const MachineSpans& by_machine,
-                                            double makespan) {
-  // The narrated busy periods must equal the merged task intervals: every
-  // busy..idle pair covers a maximal run of back-to-back tasks.
-  std::vector<std::pair<double, double>> runs;
-  std::vector<std::pair<double, double>> narrated;
-  for (std::size_t j = 0; j < transitions_.size(); ++j) {
-    runs.clear();
-    for (const Span& iv : by_machine.of(j)) {
-      if (!runs.empty() && iv.start <= runs.back().second) {
-        runs.back().second = std::max(runs.back().second, iv.completion);
-      } else {
-        runs.emplace_back(iv.start, iv.completion);
-      }
-    }
-    const auto& trans = transitions_[j];
-    if (trans.empty()) {
-      if (!runs.empty()) {
-        violation("busy-idle", "machine M" + std::to_string(j + 1) +
-                                   " ran tasks but never reported busy");
-      }
-      continue;
-    }
-    narrated.clear();
-    for (std::size_t k = 0; k < trans.size(); ++k) {
-      if (trans[k].busy) {
-        const double end =
-            k + 1 < trans.size() ? trans[k + 1].time : makespan + 1;
-        if (k + 1 >= trans.size()) {
-          violation("busy-idle", "machine M" + std::to_string(j + 1) +
-                                     " still busy at end of run (missing "
-                                     "finish_observation?)");
-        }
-        narrated.emplace_back(trans[k].time, end);
-      }
-    }
-    if (narrated.size() != runs.size()) {
-      violation("busy-idle",
-                "machine M" + std::to_string(j + 1) + " narrated " +
-                    std::to_string(narrated.size()) + " busy periods but ran " +
-                    std::to_string(runs.size()) + " task bursts");
-      continue;
-    }
-    for (std::size_t k = 0; k < runs.size(); ++k) {
-      if (narrated[k].first != runs[k].first ||
-          narrated[k].second != runs[k].second) {
-        violation("busy-idle", "machine M" + std::to_string(j + 1) +
-                                   " busy period [" + fmt(narrated[k].first) +
-                                   ", " + fmt(narrated[k].second) +
-                                   ") != task burst [" + fmt(runs[k].first) +
-                                   ", " + fmt(runs[k].second) + ")");
-        break;
-      }
-    }
-  }
-}
-
-void InvariantAuditor::check_fifo_order() {
-  // Releases are non-decreasing (validated), so FIFO's queue discipline
-  // means starts are too: an earlier-released task never starts later.
-  for (std::size_t i = 1; i < tasks_.size(); ++i) {
-    if (tasks_[i - 1].phase != 3 || tasks_[i].phase != 3) continue;
-    if (tasks_[i].start + config_.eps < tasks_[i - 1].start) {
-      violation("fifo-order",
-                "task " + std::to_string(i) + " (released " +
-                    fmt(tasks_[i].release) + ") starts at " +
-                    fmt(tasks_[i].start) + " before task " +
-                    std::to_string(i - 1) + " started at " +
-                    fmt(tasks_[i - 1].start));
-      return;  // one witness is enough; later pairs usually cascade
-    }
-  }
-}
-
-void InvariantAuditor::check_work_conservation(const MachineSpans& by_machine) {
-  // Per machine: the idle gaps between merged task intervals (plus the
-  // leading one). A waiting interval (r_i, S_i) of a task must not meet a
-  // gap on any machine of M_i — that would be unforced idleness.
-  const std::size_t m = by_machine.machines();
-  std::vector<std::size_t> gap_offset(m + 1, 0);
-  std::vector<std::pair<double, double>> gaps;
-  for (std::size_t j = 0; j < m; ++j) {
-    // Intervals end at start + proc. The spans are sorted by (start,
-    // completion), not (start, end), but the first witness does not depend
-    // on the order among equal starts: the first span of such a group
-    // opens the group's only gap that is not nested inside an earlier one.
-    double frontier = 0;
-    for (const Span& sp : by_machine.of(j)) {
-      if (sp.start > frontier) gaps.emplace_back(frontier, sp.start);
-      frontier = std::max(frontier, sp.end);
-    }
-    // Trailing idleness: from the machine's last completion onwards it is
-    // available forever.
-    gaps.emplace_back(frontier, std::numeric_limits<double>::infinity());
-    gap_offset[j + 1] = gaps.size();
-  }
-  // A machine's gaps have non-decreasing ends and starts, so the gaps that
-  // can meet (r_i, S_i) are a contiguous range: skip those ending by r_i,
-  // stop at the first starting at or after S_i. Every skipped gap overlaps
-  // the wait by at most 0 <= eps, so the first witness is the one a full
-  // scan finds. Releases do not decrease, so each machine keeps a cursor at
-  // its first gap ending after the last release it served and only moves
-  // it forward; a release below that (a [protocol] violation) re-finds its
-  // place by bisection instead.
-  std::vector<std::size_t> cursor(gap_offset.begin(), gap_offset.end() - 1);
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    const TaskRecord& rec = tasks_[i];
-    if (rec.phase != 3 || rec.start <= rec.release + config_.eps) continue;
-    const auto ends_by_release = [&](const auto& gap) {
-      return gap.second <= rec.release;
-    };
-    for (int j : rec.eligible.machines()) {
-      if (j < 0 || j >= static_cast<int>(m)) continue;
-      const auto uj = static_cast<std::size_t>(j);
-      const auto* const first = gaps.data() + gap_offset[uj];
-      const auto* const last = gaps.data() + gap_offset[uj + 1];
-      const auto* it = gaps.data() + cursor[uj];
-      if (it != first && !ends_by_release(it[-1])) {
-        it = std::partition_point(first, last, ends_by_release);
-      } else {
-        while (it != last && ends_by_release(*it)) ++it;
-        cursor[uj] = static_cast<std::size_t>(it - gaps.data());
-      }
-      for (; it != last; ++it) {
-        const auto [lo, hi] = *it;
-        if (lo >= rec.start) break;
-        const double olo = std::max(lo, rec.release);
-        const double ohi = std::min(hi, rec.start);
-        if (ohi - olo > config_.eps) {
-          violation("work-conservation",
-                    "task " + std::to_string(i) + " waits in [" +
-                        fmt(rec.release) + ", " + fmt(rec.start) +
-                        ") while eligible machine M" + std::to_string(j + 1) +
-                        " idles in [" + fmt(olo) + ", " + fmt(ohi) + ")");
-          return;  // one witness is enough
-        }
-      }
-    }
-  }
-}
-
-void InvariantAuditor::check_setup_accounting() {
-  // Recompute every machine's setup charges from the narrated dispatch
-  // order: exactly nc_setup when the previous task on that machine had a
-  // different processing set, the first task free. Tasks dispatch in
-  // release (= index) order, so a single scan reproduces the engine's
-  // bookkeeping; comparisons are bitwise (dyadic grid).
-  const std::size_t m = static_cast<std::size_t>(std::max(info_.m, 0));
-  std::vector<ProcSet> last_set(m);
-  std::vector<bool> has_last(m, false);
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    const TaskRecord& rec = tasks_[i];
-    if (rec.phase < 1 || rec.machine < 0 ||
-        rec.machine >= static_cast<int>(m)) {
-      continue;
-    }
-    const auto uj = static_cast<std::size_t>(rec.machine);
-    double expected = 0;
-    if (has_last[uj] && !(last_set[uj] == rec.eligible)) {
-      expected = config_.nc_setup;
-    }
-    last_set[uj] = rec.eligible;
-    has_last[uj] = true;
-    if (rec.setup != expected) {
-      violation("setup-accounting",
-                "task " + std::to_string(i) + " on M" +
-                    std::to_string(rec.machine + 1) + " charged setup " +
-                    fmt(rec.setup) + ", dispatch-order recomputation says " +
-                    fmt(expected));
-    }
-  }
-}
-
 void InvariantAuditor::run_bound_oracles() {
   // Reconstruct the instance from the records. Events were validated
   // release-sorted, so indices align with task records.
-  if (tasks_.empty() || info_.m <= 0) return;
+  if (retained_.empty() || info_.m <= 0) return;
   std::vector<Task> rebuilt;
-  rebuilt.reserve(tasks_.size());
-  for (const TaskRecord& rec : tasks_) {
+  rebuilt.reserve(retained_.size());
+  for (const TaskRecord& rec : retained_) {
     if (!(rec.proc > 0) || rec.release < 0 || !rec.eligible.within(info_.m) ||
         !(rec.weight > 0)) {
       return;
@@ -595,17 +692,17 @@ void InvariantAuditor::run_bound_oracles() {
   const Instance inst(info_.m, std::move(rebuilt));
 
   double fmax = 0;
-  for (const TaskRecord& rec : tasks_) {
+  for (const TaskRecord& rec : retained_) {
     if (rec.phase != 3) return;
     fmax = std::max(fmax, rec.completion - rec.release);
   }
   const int n = inst.n();
   const bool unit =
-      inst.unit_tasks() && integer_releases(inst) && n <= config_.unit_oracle_max_n;
+      inst.unit_tasks() && integer_releases(inst) && n <= kUnitOracleMaxN;
 
   // [lb] Certified lower bounds never exceed any schedule's Fmax.
   double lb = lb_pmax(inst);
-  if (n <= config_.oracle_max_n) lb = std::max(lb, lb_volume(inst));
+  if (n <= kOracleMaxN) lb = std::max(lb, lb_volume(inst));
   if (fmax + config_.eps < lb) {
     violation("lb", "Fmax " + fmt(fmax) + " below the certified lower bound " +
                         fmt(lb));
@@ -626,7 +723,7 @@ void InvariantAuditor::run_bound_oracles() {
 
   // [th1-bound] Theorem 1 at proof level: FIFO/EFT's Fmax is charged
   // against the pmax and volume lower bounds, so ALG <= (3 - 2/m) * LB.
-  if (n <= config_.oracle_max_n) {
+  if (n <= kOracleMaxN) {
     const double denom = std::max(lb_pmax(inst), lb_volume(inst));
     if (fmax > ratio * denom + config_.eps) {
       violation("th1-bound", "Fmax " + fmt(fmax) + " > (3 - 2/m) * " +
@@ -657,7 +754,7 @@ void InvariantAuditor::run_bound_oracles() {
                              : fifo_schedule(inst, tie);
   const bool compare_machines = traits.tie_known;
   for (int i = 0; i < n; ++i) {
-    const TaskRecord& rec = tasks_[static_cast<std::size_t>(i)];
+    const TaskRecord& rec = retained_[static_cast<std::size_t>(i)];
     if (other.start(i) != rec.start) {
       violation("prop1", "task " + std::to_string(i) + " starts at " +
                              fmt(rec.start) + " but the FIFO<->EFT replay " +
@@ -676,7 +773,8 @@ void InvariantAuditor::run_bound_oracles() {
 
 void InvariantAuditor::check_fault_run(const FaultPlan& plan,
                                        const RecoveryPolicy& policy,
-                                       const FaultLog& log) {
+                                       const FaultLog& log,
+                                       std::span<const Task> tasks) {
   if (open_) {
     violation("protocol", "check_fault_run before on_run_end");
     return;
@@ -693,7 +791,14 @@ void InvariantAuditor::check_fault_run(const FaultPlan& plan,
   // rewind for the duration of this sweep so fault findings carry the same
   // run index as the streaming findings of the run they belong to.
   --runs_;
-  const int n = static_cast<int>(tasks_.size());
+  const int n = released_;
+  if (tasks.size() != static_cast<std::size_t>(n)) {
+    violation("protocol", "check_fault_run got " +
+                              std::to_string(tasks.size()) +
+                              " tasks, the run released " + std::to_string(n));
+    ++runs_;
+    return;
+  }
   if (log.tasks() != n) {
     violation("fault-lifecycle", "fault log covers " +
                                      std::to_string(log.tasks()) +
@@ -723,8 +828,10 @@ void InvariantAuditor::check_fault_run(const FaultPlan& plan,
   const char* requeue_tag =
       policy.kind == RecoveryKind::kBackoff ? "fault-backoff" : "fault-requeue";
   constexpr double inf = std::numeric_limits<double>::infinity();
+  long long log_completions = 0;
+  std::uint64_t log_digest = 0;
   for (int i = 0; i < n; ++i) {
-    const TaskRecord& rec = tasks_[static_cast<std::size_t>(i)];
+    const Task& rec = tasks[static_cast<std::size_t>(i)];
     const auto& attempts = per_task[static_cast<std::size_t>(i)];
     const std::string ti = "task " + std::to_string(i);
     const TaskFate fate = log.fate(i);
@@ -873,24 +980,9 @@ void InvariantAuditor::check_fault_run(const FaultPlan& plan,
                   ti + " executed " + fmt(total) + " units of work, owes " +
                       fmt(rec.proc));
       }
-      // The narrated stream must agree with the log's successful attempt.
-      if (rec.phase != 3) {
-        violation("fault-accounting",
-                  ti + " completed in the log but not in the event stream");
-      } else if (rec.completion != last.end || rec.start != last.start ||
-                 rec.machine != last.machine) {
-        violation("fault-accounting",
-                  ti + ": event stream (M" + std::to_string(rec.machine + 1) +
-                      ", [" + fmt(rec.start) + ", " + fmt(rec.completion) +
-                      ")) diverges from the fault log (M" +
-                      std::to_string(last.machine + 1) + ", [" +
-                      fmt(last.start) + ", " + fmt(last.end) + "))");
-      }
+      ++log_completions;
+      log_digest += completion_term(i, last.machine, last.start, last.end);
     } else {  // kDropped
-      if (rec.phase == 3) {
-        violation("fault-lifecycle",
-                  ti + " dropped in the log but completed in the event stream");
-      }
       const bool budget_exhausted =
           last.machine >= 0 && last.killed && kills == policy.max_retries + 1;
       const bool stranded = last.machine < 0 && last.end == inf;
@@ -901,6 +993,17 @@ void InvariantAuditor::check_fault_run(const FaultPlan& plan,
                       "-retry budget or being stranded");
       }
     }
+  }
+
+  // The narrated completions must be the log's successful attempts.
+  if (log_completions != completions_ || log_digest != completion_digest_) {
+    violation("fault-accounting",
+              "event stream diverges from the fault log: " +
+                  std::to_string(completions_) + " narrated completions, " +
+                  std::to_string(log_completions) + " in the log" +
+                  (log_completions == completions_
+                       ? ", with different machines or times"
+                       : ""));
   }
 
   // [fault-overlap]: per machine, segments (killed ones included) must not

@@ -2,25 +2,38 @@
 // paper's machine-checkable theorems.
 //
 // The auditor is a SchedObserver (obs/observer.hpp): attach it to any
-// engine — OnlineEngine, the FIFO simulators, the kvstore cluster
-// simulator, or a replayed Schedule — alone or fanned out beside
-// MetricsCollector / TraceRecorder through a MulticastObserver. It costs
-// nothing when detached (the engines' usual null-pointer contract) and
-// validates the run as the events stream in, then closes the books at
-// on_run_end() with whole-schedule sweeps and the configured bound
-// oracles. The sweeps bucket the completed tasks by machine once and sort
-// each machine's intervals once, so closing the books costs O(n log n);
-// the instance is rebuilt from the records only for the bound oracles.
+// engine — OnlineEngine, the bare StreamingEngine core, the FIFO
+// simulators, the kvstore cluster simulators, or a replayed Schedule —
+// alone or fanned out beside MetricsCollector / TraceRecorder through a
+// MulticastObserver. It costs nothing when detached (the engines' usual
+// null-pointer contract) and checks every invariant as the events arrive,
+// holding O(m + tasks in flight) state: per machine the last narrated
+// completion, the open busy edge, the last processing set (nc mode) and
+// the idle gaps a still-waiting task could witness; per task only the
+// record between its released and completed events. A check whose witness
+// may still change buffers its first witness until it is final;
+// on_run_end emits the buffered witnesses in catalog order. Only the bound
+// oracles rebuild the instance, so only they keep every record.
+//
+// Narration contract: on each machine, task starts arrive in
+// non-decreasing order, each task's completed event following its started
+// event before the next start on that machine. Every engine, both FIFO
+// simulators and replay_schedule narrate this way; a start that breaks it
+// is a [protocol] violation.
 //
 // Invariant catalog (docs/testing.md lists the theorem behind each):
 //
 //   structural (always on)
 //     [protocol]     begin/event/end bracketing, sequential task ids,
-//                    non-decreasing releases, per-task event lifecycle
+//                    non-decreasing releases, per-task event lifecycle,
+//                    every task completes, the narration contract
 //     [eligibility]  dispatched machine is in M_i (processing-set
 //                    feasibility, Section 3)
 //     [accounting]   C_i = S_i + p_i in exact Rational arithmetic,
-//                    S_i >= r_i, makespan = max C_i
+//                    S_i >= r_i, makespan = max C_i; a task dispatched at
+//                    its release instant (immediate dispatch) starts at
+//                    max(r_i, C_u), C_u its machine's last narrated
+//                    completion
 //     [overlap]      no machine double-booking (touching allowed)
 //     [busy-idle]    machine busy/idle transitions alternate and equal the
 //                    merged task intervals
@@ -52,6 +65,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -70,25 +84,19 @@ namespace flowsched {
 /// observed algorithm is known to satisfy (see algo inference above).
 struct AuditConfig {
   /// Derive [fifo-order] / [work-conservation] / [prop1] applicability
-  /// from RunInfo::algo ("FIFO", "EFT-Min", ...). When false, only the
-  /// force_* flags below enable behavioural checks.
+  /// from RunInfo::algo ("FIFO", "EFT-Min", ...). When false, only
+  /// force_work_conservation below enables a behavioural check.
   bool infer_from_algo = true;
 
-  /// Force behavioural checks regardless of the algorithm name.
-  bool force_fifo_order = false;
+  /// Force [work-conservation] regardless of the algorithm name.
   bool force_work_conservation = false;
 
   /// End-of-run bound oracles ([lb], [unit-opt], [th1-bound], [prop1]).
-  /// The oracles rebuild the instance from the event stream and may run
-  /// matchings / O(n^2) bounds, so they are intended for tests and fuzzing,
-  /// not for production sweeps.
+  /// The oracles rebuild the instance, so arming them keeps every task's
+  /// record for the run, and they may run matchings / O(n^2) bounds (on
+  /// instances of at most 400 tasks; the unit matching at most 160): they
+  /// are intended for tests and fuzzing, not for production sweeps.
   bool bound_oracles = false;
-
-  /// Oracle size gates: the O(n^2) volume bound and Th.1 check run only
-  /// when n <= oracle_max_n; the unit-task matching oracle only when
-  /// n <= unit_oracle_max_n.
-  int oracle_max_n = 400;
-  int unit_oracle_max_n = 160;
 
   /// Absolute tolerance (>= 0) for comparisons that involve accumulated
   /// floating arithmetic (lower bounds, Th.1). Exact checks ([accounting],
@@ -104,13 +112,14 @@ struct AuditConfig {
   /// Under faults the engine narrates only the successful attempt of each
   /// task (no machine busy/idle stream, checkpointed final segments may be
   /// shorter than p_i), so the fault-free contracts do not apply verbatim:
-  /// this flag disables [accounting]'s C_i = S_i + p_i, [overlap],
-  /// [busy-idle], the behavioural checks, the bound oracles, and the
-  /// every-task-completes sweep. Their fault-aware replacements —
-  /// [fault-downtime], [fault-eligibility], [fault-requeue]/[fault-backoff],
-  /// [fault-accounting], [fault-overlap], [fault-lifecycle] — run in
-  /// check_fault_run(), which validates the engine's FaultLog against the
-  /// plan and the recovery policy after the run ends.
+  /// this flag disables [accounting]'s C_i = S_i + p_i and immediate-start
+  /// checks, [overlap], [busy-idle], the behavioural checks, the bound
+  /// oracles, and the every-task-completes check. Their fault-aware
+  /// replacements — [fault-downtime], [fault-eligibility],
+  /// [fault-requeue]/[fault-backoff], [fault-accounting], [fault-overlap],
+  /// [fault-lifecycle] — run in check_fault_run(), which validates the
+  /// engine's FaultLog against the plan and the recovery policy after the
+  /// run ends.
   bool fault_mode = false;
 
   /// \brief Audit a non-clairvoyant run (Clairvoyance::kNonClairvoyant).
@@ -119,11 +128,11 @@ struct AuditConfig {
   /// set differs from the previous task's on that machine, so
   /// C_i = S_i + setup_i + p_i. [accounting]'s exact completion check
   /// becomes the setup-aware [setup-accounting] (bitwise, with the setup
-  /// recomputed from the narrated dispatch order at end of run), the
-  /// occupancy sweeps ([overlap], [busy-idle]) use the narrated completion
-  /// instead of S_i + p_i, and the behavioural checks and bound oracles —
-  /// all proved for clairvoyant, setup-free schedules — are disabled (the
-  /// fuzzer's [nc-*] oracles replace them; check/fuzz.hpp).
+  /// recomputed from the narrated dispatch order), the occupancy checks
+  /// ([overlap], [busy-idle]) use the narrated completion instead of
+  /// S_i + p_i, and the behavioural checks and bound oracles — all proved
+  /// for clairvoyant, setup-free schedules — are disabled (the fuzzer's
+  /// [nc-*] oracles replace them; check/fuzz.hpp).
   bool nc_mode = false;
   /// Per-machine setup time charged in nc mode (exact dyadic-grid value).
   double nc_setup = 0.0;
@@ -137,8 +146,8 @@ class InvariantAuditor final : public SchedObserver {
   /// \param config which checks to arm (see AuditConfig field docs).
   explicit InvariantAuditor(AuditConfig config = {});
 
-  // SchedObserver hooks — the engine drives these; the end-of-run oracles
-  // fire from on_run_end.
+  // SchedObserver hooks — the engine drives these; the buffered witnesses
+  // and the end-of-run oracles fire from on_run_end.
   void on_run_begin(const RunInfo& info) override;
   void on_event(const ObsEvent& event) override;
   void on_run_end(double makespan) override;
@@ -152,26 +161,13 @@ class InvariantAuditor final : public SchedObserver {
   /// All violations joined with newlines ("" when ok()).
   std::string report() const;
 
-  /// Weighted aggregates of the last completed run, recomputed from the
-  /// event stream with the shared weighted_flow_term / exact-sum recipe —
-  /// the [weighted-accounting] differential compares these bitwise against
-  /// MetricsCollector and Schedule. Zero before the first on_run_end().
-  /// Computed on first read (or when the next run begins), so runs nobody
-  /// asks about never pay for the exact sum.
-  double last_max_weighted_flow() const {
-    settle_weighted();
-    return last_fmax_w_;
-  }
-  double last_total_weighted_flow() const {
-    settle_weighted();
-    return last_total_flow_w_;
-  }
-
   /// \brief Validates the last completed run's FaultLog against its plan
   /// and recovery policy (AuditConfig::fault_mode runs only).
   ///
   /// Call after on_run_end(), passing the same plan/policy the engine ran
-  /// under and its fault_log(). Checks, all exact on the dyadic grid:
+  /// under, its fault_log() and the tasks it released (OnlineEngine::tasks();
+  /// the auditor keeps no per-task record). Checks, all exact on the
+  /// dyadic grid:
   ///
   ///   [fault-downtime]    no segment executes through a down interval of
   ///                       its machine; kills land exactly on the crash
@@ -184,13 +180,15 @@ class InvariantAuditor final : public SchedObserver {
   ///   [fault-accounting]  completed tasks execute exactly p_i of work
   ///                       (final segment under restart policies; exact
   ///                       Rational segment sum under checkpoint), and the
-  ///                       event stream agrees with the log
+  ///                       narrated completions agree with the log's
+  ///                       (compared as an order-independent digest of
+  ///                       task, machine, start and completion)
   ///   [fault-overlap]     per machine, segments never overlap
   ///   [fault-lifecycle]   every task settles as completed or dropped, and
   ///                       drops are justified (budget exhausted or no
   ///                       machine ever recovers) — never a silent loss
   void check_fault_run(const FaultPlan& plan, const RecoveryPolicy& policy,
-                       const FaultLog& log);
+                       const FaultLog& log, std::span<const Task> tasks);
 
   /// \brief Validates the ControlLog of an adaptive run (control/adaptive_sim)
   /// against the controller contract. Call after on_run_end(), passing the
@@ -211,7 +209,8 @@ class InvariantAuditor final : public SchedObserver {
                          int m, const LayoutSpec& initial);
 
  private:
-  // One per task for the whole run, so it keeps only what a check reads.
+  // A task between its released and completed events (with bound oracles
+  // armed, every task keeps its record for the run).
   struct TaskRecord {
     double release = 0;
     double proc = 0;
@@ -221,40 +220,75 @@ class InvariantAuditor final : public SchedObserver {
     double start = 0;
     double completion = 0;
     int machine = -1;
-    int phase = 0;  // 0 released, 1 dispatched, 2 started, 3 completed
+    int phase = 0;           // 0 released, 1 dispatched, 2 started, 3 completed
+    bool immediate = false;  // dispatched at its release instant
   };
-  static_assert(sizeof(TaskRecord) == 64);
-  struct Transition {
-    double time;
-    bool busy;
-  };
-  // A completed task's occupancy of its machine. [overlap] and [busy-idle]
-  // use the narrated completion; [work-conservation] uses start + proc.
+  // A machine occupancy interval [start, end).
   struct Span {
     double start;
-    double completion;
-    double end;  // start + proc
+    double end;
   };
-  // Completed tasks bucketed by machine: machine j's spans are
-  // spans[offset[j], offset[j+1]), sorted by (start, completion).
-  struct MachineSpans {
-    std::vector<std::size_t> offset;
-    std::vector<Span> spans;
-    std::size_t machines() const { return offset.size() - 1; }
-    std::span<const Span> of(std::size_t j) const {
-      return {spans.data() + offset[j], spans.data() + offset[j + 1]};
-    }
+  // A completed task whose wait (release, start) still overlaps a machine's
+  // open idle tail by more than eps: a later start on that machine may
+  // close a gap inside the wait. `pos` is the machine's index in M_i.
+  struct Waiter {
+    int task;
+    int pos;
+    double release;
+    double start;
+  };
+  // The first witness of a check found so far: the smallest (task, pos),
+  // pos a machine's index in M_i. task < 0: none.
+  struct Witness {
+    int task = -1;
+    int pos = 0;
+    std::string what;
+    void offer(int t, int p, const std::string& w);
+  };
+  struct Machine {
+    double last_completion = 0;  // [accounting] immediate starts
+    // [overlap] / [busy-idle]: completed intervals (start, narrated
+    // completion) with the latest start seen, held until a later start
+    // arrives so they are read in (start, completion) order.
+    std::vector<Span> group;
+    bool has_prev = false;
+    Span prev{};
+    std::vector<std::string> overlaps;  // emitted at run end
+    bool burst_open = false;
+    Span burst{};
+    std::vector<Span> bursts;   // closed task bursts not yet matched
+    std::vector<Span> periods;  // narrated busy periods not yet matched
+    long long n_bursts = 0;
+    long long n_periods = 0;
+    std::string mismatch;  // first unequal (period, burst) pair
+    bool narrated = false;
+    bool last_busy = false;
+    double last_edge = 0;
+    // [work-conservation]: the frontier max(S + p) and the closed idle gaps
+    // that a task still in flight could witness.
+    double frontier = 0;
+    std::vector<Span> gaps;
+    std::vector<Waiter> waiters;
+    // [setup-accounting]
+    bool has_last_set = false;
+    ProcSet last_set;
   };
 
   void violation(const std::string& check, const std::string& what);
-  MachineSpans bucket_by_machine() const;
-  void check_overlap(const MachineSpans& by_machine);
-  void check_machine_events(const MachineSpans& by_machine, double makespan);
-  void check_fifo_order();
-  void check_work_conservation(const MachineSpans& by_machine);
-  void check_setup_accounting();
+  void on_task_event(const ObsEvent& e);
+  void on_machine_event(const ObsEvent& e);
+  void complete(int task, const TaskRecord& rec);
+  void add_interval(int machine, Span iv);
+  void add_work_interval(int machine, Span iv, double release);
+  void search_gaps(int task, const TaskRecord& rec);
+  void add_gap_witness(const Waiter& w, int machine, Span gap);
+  void check_fifo_pair(int task);
+  bool completed(int task) const;
+  void flush_group(int machine);
+  void close_burst(int machine);
+  void close_period(int machine, Span period);
+  void match_busy(int machine);
   void run_bound_oracles();
-  void settle_weighted() const;
 
   AuditConfig config_;
   std::vector<std::string> violations_;
@@ -266,15 +300,23 @@ class InvariantAuditor final : public SchedObserver {
   bool expect_work_conservation_ = false;
   bool eft_or_fifo_ = false;
 
-  std::vector<TaskRecord> tasks_;
-  std::vector<std::vector<Transition>> transitions_;  // per machine
+  int released_ = 0;
+  std::map<int, TaskRecord> in_flight_;
+  std::map<int, TaskRecord>::node_type spare_;  // the last completed node
+  std::vector<TaskRecord> retained_;  // bound oracles only
+  std::vector<Machine> machines_;
   bool unrestricted_ = true;
   double last_release_ = 0;
-  // Set by on_run_end; settle_weighted() then folds tasks_ into the two
-  // aggregates before anything reads them or the next run clears tasks_.
-  mutable bool weighted_pending_ = false;
-  mutable double last_fmax_w_ = 0;
-  mutable double last_total_flow_w_ = 0;
+  double max_completion_ = 0;
+  // [fifo-order]: (start, release) of completed tasks whose successor has
+  // not completed yet.
+  std::map<int, std::pair<double, double>> fifo_starts_;
+  Witness fifo_witness_;
+  Witness gap_witness_;
+  std::vector<std::string> setup_lines_;  // [setup-accounting], at run end
+  // Fault mode: narrated completions for check_fault_run's agreement check.
+  long long completions_ = 0;
+  std::uint64_t completion_digest_ = 0;
 };
 
 /// \brief One-shot audit of a completed schedule: replays it through an

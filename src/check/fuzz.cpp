@@ -13,7 +13,6 @@
 #include <stdexcept>
 
 #include "check/shrink.hpp"
-#include "check/stream_audit.hpp"
 #include "control/adaptive_sim.hpp"
 #include "io/instance_io.hpp"
 #include "lp/maxload.hpp"
@@ -235,15 +234,16 @@ std::vector<std::string> check_fault_policy(const Instance& inst,
   const bool buggy = inject_fault_bug && policy == "EFT-Min";
   const OnlineEngine engine = run_dispatcher_faulty(
       inst, *dispatcher, plan, recovery, &auditor, RunTag{}, buggy);
-  auditor.check_fault_run(plan, recovery, engine.fault_log());
+  auditor.check_fault_run(plan, recovery, engine.fault_log(), engine.tasks());
   return auditor.violations();
 }
 
 // Batch-vs-streaming differential: the same instance through OnlineEngine
 // and StreamingEngine (fresh, identically seeded dispatchers) must commit
-// the bit-identical (machine, start) sequence, and the windowed
-// StreamAuditor attached to the streaming run must come back clean. Shared
-// by the fuzz loop, the shrink predicate, and corpus replay.
+// the bit-identical (machine, start) sequence, and the InvariantAuditor
+// attached to the streaming run (which holds no per-task record) must come
+// back clean. Shared by the fuzz loop, the shrink predicate, and corpus
+// replay.
 std::vector<std::string> check_streaming(const Instance& inst,
                                          const std::string& policy) {
   std::vector<std::string> out;
@@ -251,7 +251,7 @@ std::vector<std::string> check_streaming(const Instance& inst,
   OnlineEngine batch(inst.m(), *batch_dispatcher);
   auto stream_dispatcher = make_dispatcher(policy, /*inject_bug=*/false);
   StreamingEngine stream(inst.m(), *stream_dispatcher);
-  StreamAuditor auditor;
+  InvariantAuditor auditor;
   auditor.on_run_begin(RunInfo{inst.m(), stream_dispatcher->name(), {}});
   stream.set_observer(&auditor);
   for (int i = 0; i < inst.n(); ++i) {
@@ -268,6 +268,7 @@ std::vector<std::string> check_streaming(const Instance& inst,
     }
   }
   stream.drain();
+  stream.finish_observation();
   double makespan = 0;
   for (double c : stream.completions()) makespan = std::max(makespan, c);
   auditor.on_run_end(makespan);
@@ -525,8 +526,8 @@ std::vector<std::string> check_nc(const Instance& inst,
 
 // Weighted battery for one policy: the weighted instance through the
 // auditor + MetricsCollector fan-out, then
-//   [weighted-accounting] — Schedule, MetricsCollector, and the auditor
-//     aggregate w_i * F_i by three independent code paths over the shared
+//   [weighted-accounting] — Schedule and MetricsCollector aggregate
+//     w_i * F_i by independent code paths over the shared
 //     weighted_flow_term / exact-Rational-sum recipe, so they must agree
 //     bitwise;
 //   [weighted-ceiling] — Fmax^w <= wmax * (W + pmax), the weighted form of
@@ -553,14 +554,6 @@ std::vector<std::string> check_weighted(const Instance& inst,
     out.push_back(policy + ": [weighted-accounting] collector (Fmax^w " +
                   fmt(metrics.max_weighted_flow()) + ", total " +
                   fmt(metrics.total_weighted_flow()) +
-                  ") != schedule (Fmax^w " + fmt(s_fmax) + ", total " +
-                  fmt(s_total) + ")");
-  }
-  if (auditor.last_max_weighted_flow() != s_fmax ||
-      auditor.last_total_weighted_flow() != s_total) {
-    out.push_back(policy + ": [weighted-accounting] auditor (Fmax^w " +
-                  fmt(auditor.last_max_weighted_flow()) + ", total " +
-                  fmt(auditor.last_total_weighted_flow()) +
                   ") != schedule (Fmax^w " + fmt(s_fmax) + ", total " +
                   fmt(s_total) + ")");
   }
@@ -852,6 +845,7 @@ struct RawFinding {
   std::optional<FaultContext> fault = {};  // present for [fault-*] findings
   std::optional<NcContext> nc = {};  // present for nc-battery findings
   std::optional<ControlContext> control = {};  // present for control findings
+  bool stream = false;  // found by the batch-vs-streaming battery
 };
 
 struct RunOutcome {
@@ -923,7 +917,10 @@ RunOutcome fuzz_one(const FuzzConfig& config,
           check_streaming(inst, policy);
       ++out.schedules;
       if (!violations.empty()) {
-        out.findings.push_back({policy, violations.front(), inst});
+        out.findings.push_back({.policy = policy,
+                                .check = violations.front(),
+                                .inst = inst,
+                                .stream = true});
       }
     }
   }
@@ -1393,20 +1390,11 @@ FuzzReport run_fuzz(const FuzzConfig& config) {
               return false;
             }
             // Streaming findings replay through the engine differential;
-            // any [diff-streaming]/[stream-*] tag counts (like the fault
-            // family, the checks witness one equivalence contract and
-            // shrinking shifts which line fires first).
-            const bool stream_family = tag == "[diff-streaming]" ||
-                                       tag.rfind("[stream-", 0) == 0;
-            if (stream_family) {
-              for (const std::string& v : check_streaming(cand, raw.policy)) {
-                const std::string t = tag_of(v);
-                if (t == "[diff-streaming]" || t.rfind("[stream-", 0) == 0) {
-                  return true;
-                }
-              }
-              return false;
-            }
+            // any of its lines counts (like the fault family, its
+            // [diff-streaming] check and the streaming run's audit witness
+            // one equivalence contract, and shrinking shifts which line
+            // fires first).
+            if (raw.stream) return !check_streaming(cand, raw.policy).empty();
             const Oracles cand_oracles =
                 compute_oracles(cand, config.differential);
             if (raw.policy == "oracle") {

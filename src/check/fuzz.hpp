@@ -28,9 +28,10 @@
 //   [diff-streaming]   the bare StreamingEngine core (sched/streaming.hpp)
 //                      commits the bit-identical (machine, start) sequence
 //                      as OnlineEngine's retention layer for every
-//                      dispatcher policy, with the windowed StreamAuditor
-//                      (check/stream_audit.hpp) attached — its [stream-*]
-//                      checks ride along — run every stream_every runs
+//                      dispatcher policy, with an InvariantAuditor
+//                      attached to the core's run (its online checks ride
+//                      along; [accounting] pins every start to
+//                      max(r_i, C_u)) — run every stream_every runs
 //
 // Every fault_every-th run additionally pushes the same instance through
 // the fault-injection battery: a seeded FaultPlan (fault/plan.hpp) plus a
@@ -135,7 +136,7 @@ struct FuzzConfig {
   /// case every `lp_every` runs (0 disables both).
   int lp_every = 16;
   /// Run the batch-vs-streaming engine differential ([diff-streaming],
-  /// with the [stream-*] windowed audit attached) every `stream_every`
+  /// with the streaming run audited) every `stream_every`
   /// runs (0 disables it). Cheap — two engine replays per policy — so it
   /// defaults to every run.
   int stream_every = 1;

@@ -89,7 +89,7 @@ AdaptiveRunReport run_adaptive(const ControlCase& c, Dispatcher& dispatcher,
   }
   if (observer != nullptr) {
     observer->on_run_begin(RunInfo{m, dispatcher.name(), {}});
-    engine.set_observer(observer, /*narrate_machines=*/true);
+    engine.set_observer(observer);
   }
 
   ControlLog log;

@@ -277,7 +277,7 @@ SimReport simulate_cluster(const KeyValueStore& store, const SimConfig& config,
   }
   if (observer != nullptr) {
     observer->on_run_begin(RunInfo{m, dispatcher.name(), {}});
-    engine.set_observer(observer, /*narrate_machines=*/true);
+    engine.set_observer(observer);
   }
 
   StreamAggregate agg(stream, m);
@@ -359,7 +359,10 @@ StreamReport simulate_cluster_streaming(const KeyValueStore& store,
   const StreamReport report =
       agg.report(makespan, engine.peak_in_flight(), live_bytes,
                  std::chrono::duration<double>(wall_end - wall_start).count());
-  if (observer != nullptr) observer->on_run_end(makespan);
+  if (observer != nullptr) {
+    engine.finish_observation();
+    observer->on_run_end(makespan);
+  }
   return report;
 }
 

@@ -135,13 +135,13 @@ struct StreamReport {
 ///
 /// Consumes `rng` draw-for-draw like simulate_cluster (arrival gap, key,
 /// service per request), drives the same StreamingEngine core without
-/// machine narration or faults, and aggregates latencies streamingly. For
+/// faults, and aggregates latencies streamingly. For
 /// requests <= exact_quantile_cap the returned sim fields are byte-identical
 /// to the batch path on the same seed (asserted across the corpus grid by
 /// tests/test_streaming.cpp); beyond the cap quantiles come from a
 /// log-linear histogram within 2^-8 relative of the order statistic. A
-/// non-null observer receives run brackets plus the per-task milestones (no
-/// machine busy/idle events — see StreamingEngine::set_observer).
+/// non-null observer receives run brackets, the per-task milestones and the
+/// machine busy/idle transitions (StreamingEngine::set_observer).
 StreamReport simulate_cluster_streaming(const KeyValueStore& store,
                                         const StreamConfig& config,
                                         Dispatcher& dispatcher, Rng& rng,

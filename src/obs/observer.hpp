@@ -131,10 +131,16 @@ class MulticastObserver final : public SchedObserver {
 ///
 /// Emits the full event stream (released / dispatched / started /
 /// completed per task, busy/idle transitions per machine, bracketed by
-/// on_run_begin/on_run_end) that a live engine run of the same schedule
-/// would have produced. Dispatch instants are not recorded in a Schedule,
-/// so kTaskDispatched is emitted at the task's start time — the convention
-/// non-immediate-dispatch algorithms (FIFO) use anyway.
+/// on_run_begin/on_run_end) that a queue simulation of the same schedule
+/// would have produced, in chronological order: releases in id order, each
+/// task's milestones at its start (after every release at or before it,
+/// and never before its own release), and each machine's busy/idle edges
+/// in place beside the starts that cause them. Starts therefore arrive in
+/// non-decreasing order on every machine, the narration contract the
+/// auditor's online checks rely on (check/audit.hpp). Dispatch instants
+/// are not recorded in a Schedule, so kTaskDispatched is emitted at the
+/// task's start time — the convention non-immediate-dispatch algorithms
+/// (FIFO) use anyway.
 ///
 /// This is how schedule-valued algorithms without an engine inside
 /// (composed_fifo_schedule, offline optima) get traced.

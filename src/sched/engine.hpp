@@ -87,7 +87,7 @@ class OnlineEngine {
   /// handles them, incremental users (adversaries) call them around their
   /// release loops and finish_observation() at the end.
   void set_observer(SchedObserver* observer) {
-    core_.set_observer(observer, /*narrate_machines=*/true);
+    core_.set_observer(observer);
   }
 
   /// StreamingEngine::finish_observation on the core.

@@ -188,7 +188,7 @@ ObsEvent StreamingEngine::task_event(const Decision& d) {
 
 void StreamingEngine::commit(const Decision& d) {
   if (observer_ != nullptr) {
-    if (narrate_machines_) narrate_busy(d.machine, d.start);
+    narrate_busy(d.machine, d.start);
     // All four task milestones are known the moment the assignment commits
     // (immediate dispatch): started/completed carry future model times.
     ObsEvent e = task_event(d);

@@ -5,9 +5,9 @@
 // settles finished segments up to the release instant, hands the dispatcher
 // its view of the machines (true or censored, see Clairvoyance), checks the
 // choice against M_i, charges non-clairvoyant setups, commits
-// start = max(release, C_j), and narrates the four task events (and, when
-// asked, the machine busy/idle transitions). It retains nothing per task
-// beyond the task's pending finish:
+// start = max(release, C_j), and narrates the four task events and the
+// machine busy/idle transitions to an attached observer. It retains
+// nothing per task beyond the task's pending finish:
 //
 //  * each machine runs its tasks in dispatch order, so its finishes only
 //    ever increase and its unfinished segments form a FIFO;
@@ -203,18 +203,14 @@ class StreamingEngine {
   /// \brief Attaches a borrowed event sink (nullptr detaches).
   ///
   /// Emits the four task milestones per release, all at the release instant
-  /// (started / completed carry future model times). With
-  /// `narrate_machines`, a fault-free run also narrates each machine's
-  /// busy/idle transitions (between a task's dispatched and started
-  /// events; finish_observation() closes the open ones), the stream the
-  /// batch audits and metrics read. Streaming consumers
-  /// (check/stream_audit.hpp, obs sketches) key off task events only.
-  /// Under faults only the successful attempt's task events are narrated:
+  /// (started / completed carry future model times), and in a fault-free
+  /// run each machine's busy/idle transitions (between a task's dispatched
+  /// and started events; finish_observation() closes the open ones). Under
+  /// faults only the successful attempt's task events are narrated:
   /// segment occupancy is not an alternating busy/idle staircase.
-  void set_observer(SchedObserver* observer, bool narrate_machines = false) {
+  void set_observer(SchedObserver* observer) {
     observer_ = observer;
-    narrate_machines_ = narrate_machines;
-    if (narrate_machines) observed_busy_.resize(static_cast<std::size_t>(m_));
+    observed_busy_.resize(static_cast<std::size_t>(m_));
   }
 
   /// \brief Emits the trailing machine-idle transitions.
@@ -408,9 +404,8 @@ class StreamingEngine {
   std::size_t in_flight_ = 0;
   std::size_t peak_in_flight_ = 0;
   SchedObserver* observer_ = nullptr;
-  bool narrate_machines_ = false;
   // Machines whose busy interval is still open (for finish_observation);
-  // sized once a narrating observer attaches.
+  // sized once an observer attaches.
   std::vector<bool> observed_busy_;
 
   std::unique_ptr<Faults> faults_;  // null = faults off

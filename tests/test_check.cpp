@@ -244,7 +244,7 @@ TEST(InvariantAuditor, CheckFaultRunBeforeAnyRunIsAProtocolViolation) {
   AuditConfig config;
   config.fault_mode = true;
   InvariantAuditor auditor(config);
-  auditor.check_fault_run(FaultPlan(2), RecoveryPolicy{}, FaultLog{});
+  auditor.check_fault_run(FaultPlan(2), RecoveryPolicy{}, FaultLog{}, {});
   EXPECT_EQ(auditor.violations(),
             (std::vector<std::string>{"run#0 : [protocol] check_fault_run "
                                       "before any completed run"}));

@@ -684,7 +684,7 @@ TEST(FaultEngine, AuditorAcceptsCleanRunsAndFlagsDowntimeViolations) {
     EftDispatcher eft(TieBreakKind::kMin);
     const OnlineEngine engine = run_dispatcher_faulty(
         inst, eft, plan, recovery, &auditor, RunTag{}, buggy);
-    auditor.check_fault_run(plan, recovery, engine.fault_log());
+    auditor.check_fault_run(plan, recovery, engine.fault_log(), engine.tasks());
     if (buggy) {
       // set_unsafe_ignore_downtime executes through down windows; the
       // auditor must catch it as a [fault-*] violation.

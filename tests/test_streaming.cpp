@@ -1,9 +1,11 @@
 // StreamingEngine + histogram quantiles + simulate_cluster_streaming
 // (docs/streaming.md): the bit-equivalence contract against OnlineEngine /
-// simulate_cluster, the sketch error bounds, and the windowed StreamAuditor.
+// simulate_cluster, the sketch error bounds, and the InvariantAuditor on the
+// streaming core (online checks in bounded memory).
 #include "sched/streaming.hpp"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <bit>
@@ -18,11 +20,12 @@
 #include <string>
 #include <vector>
 
+#include "check/audit.hpp"
 #include "check/gen.hpp"
-#include "check/stream_audit.hpp"
 #include "fault/plan.hpp"
 #include "fault/recovery.hpp"
 #include "kvstore/cluster_sim.hpp"
+#include "obs/metrics.hpp"
 #include "obs/sketch.hpp"
 #include "sched/dispatchers.hpp"
 #include "sched/engine.hpp"
@@ -900,7 +903,7 @@ TEST(Streaming, BlockLoopMatchesPerRequestReference) {
   }
 }
 
-// --- StreamAuditor ---------------------------------------------------------
+// --- InvariantAuditor on the streaming core ---------------------------------
 
 TEST(StreamAudit, CleanOnRealStreamingRun) {
   Rng rng(44);
@@ -909,11 +912,13 @@ TEST(StreamAudit, CleanOnRealStreamingRun) {
   StreamConfig config;
   config.lambda = 5.0;
   config.requests = 8000;
-  StreamAuditor auditor;
-  const StreamReport report =
-      simulate_cluster_streaming(store, config, *policy, rng, &auditor);
-  EXPECT_TRUE(auditor.ok()) << auditor.violations().front();
-  EXPECT_EQ(auditor.tasks_seen(), 8000);
+  InvariantAuditor auditor;
+  MetricsCollector metrics;
+  MulticastObserver fan({&auditor, &metrics});
+  simulate_cluster_streaming(store, config, *policy, rng, &fan);
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  EXPECT_EQ(auditor.runs(), 1);
+  EXPECT_EQ(metrics.completed(), 8000);
 }
 
 TEST(StreamAudit, CleanAcrossPoliciesOnStructuredInstances) {
@@ -925,7 +930,7 @@ TEST(StreamAudit, CleanAcrossPoliciesOnStructuredInstances) {
         random_structured_instance(FuzzStructure::kNested, opts, rng);
     auto policy = make_policy(policy_name);
     StreamingEngine engine(inst.m(), *policy);
-    StreamAuditor auditor;
+    InvariantAuditor auditor;
     auditor.on_run_begin(RunInfo{inst.m(), policy->name(), {}});
     engine.set_observer(&auditor);
     double makespan = 0;
@@ -934,10 +939,28 @@ TEST(StreamAudit, CleanAcrossPoliciesOnStructuredInstances) {
       makespan = std::max(makespan, a.start + t.proc);
     }
     engine.drain();
+    engine.finish_observation();
     auditor.on_run_end(makespan);
-    EXPECT_TRUE(auditor.ok())
-        << policy_name << ": " << auditor.violations().front();
+    EXPECT_TRUE(auditor.ok()) << policy_name << ": " << auditor.report();
   }
+}
+
+// The auditor holds O(m + tasks in flight) state: after a 10^6-request
+// observed streaming run (bound oracles off) it keeps well under 1 MB of
+// heap, where one record per task would hold tens of MB.
+TEST(StreamAudit, LiveAuditorHeapStaysBoundedOverAMillionRequests) {
+  Rng rng(71);
+  KeyValueStore store(small_store(16), rng);
+  auto policy = make_policy("eft-min");
+  StreamConfig config;
+  config.lambda = 12.0;
+  config.requests = 1000000;
+  const std::size_t before = mallinfo2().uordblks;
+  InvariantAuditor auditor;
+  simulate_cluster_streaming(store, config, *policy, rng, &auditor);
+  const std::size_t after = mallinfo2().uordblks;
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  EXPECT_LT(after > before ? after - before : 0, std::size_t{1} << 20);
 }
 
 // Hand-fed event streams: each check family fires on its defect.
@@ -973,7 +996,7 @@ class StreamAuditViolations : public ::testing::Test {
     }
     return false;
   }
-  StreamAuditor auditor_;
+  InvariantAuditor auditor_;
   ProcSet eligible_;
 };
 
@@ -981,7 +1004,7 @@ TEST_F(StreamAuditViolations, EligibilityOutsideProcessingSet) {
   begin();
   auditor_.on_event(released(0, 0.0));
   auditor_.on_event(milestone(ObsEventKind::kTaskDispatched, 0, 0.0, 7));
-  EXPECT_TRUE(has_tag("[stream-eligibility]"));
+  EXPECT_TRUE(has_tag("[eligibility]"));
 }
 
 TEST_F(StreamAuditViolations, AccountingWrongStart) {
@@ -989,7 +1012,7 @@ TEST_F(StreamAuditViolations, AccountingWrongStart) {
   auditor_.on_event(released(0, 0.0));
   auditor_.on_event(milestone(ObsEventKind::kTaskDispatched, 0, 0.0, 1));
   auditor_.on_event(milestone(ObsEventKind::kTaskStarted, 0, 0.5, 1));
-  EXPECT_TRUE(has_tag("[stream-accounting]"));
+  EXPECT_TRUE(has_tag("[accounting]"));
 }
 
 TEST_F(StreamAuditViolations, WorkConservationLateStart) {
@@ -998,19 +1021,22 @@ TEST_F(StreamAuditViolations, WorkConservationLateStart) {
   auditor_.on_event(milestone(ObsEventKind::kTaskDispatched, 0, 0.0, 0));
   auditor_.on_event(milestone(ObsEventKind::kTaskStarted, 0, 0.0, 0));
   auditor_.on_event(milestone(ObsEventKind::kTaskCompleted, 0, 1.0, 0));
-  // Machine 1 is free at t=0; starting task 1 at t=1 wastes it.
+  // Machine 1 is free at t=0; starting task 1 at t=1 wastes it. The idle
+  // gap is final only once the run ends.
   auditor_.on_event(released(1, 0.0));
   auditor_.on_event(milestone(ObsEventKind::kTaskDispatched, 1, 0.0, 0));
   auditor_.on_event(milestone(ObsEventKind::kTaskStarted, 1, 1.0, 0));
-  EXPECT_TRUE(has_tag("[stream-work-conservation]"));
-  EXPECT_FALSE(has_tag("[stream-accounting]"));  // start matched its machine
+  auditor_.on_event(milestone(ObsEventKind::kTaskCompleted, 1, 2.0, 0));
+  auditor_.on_run_end(2.0);
+  EXPECT_TRUE(has_tag("[work-conservation]"));
+  EXPECT_FALSE(has_tag("[accounting]"));  // start matched its machine
 }
 
 TEST_F(StreamAuditViolations, ProtocolOutOfOrderMilestones) {
   begin();
   auditor_.on_event(released(0, 0.0));
   auditor_.on_event(milestone(ObsEventKind::kTaskStarted, 0, 0.0, 0));
-  EXPECT_TRUE(has_tag("[stream-protocol]"));
+  EXPECT_TRUE(has_tag("[protocol]"));
 }
 
 TEST_F(StreamAuditViolations, ProtocolDecreasingReleases) {
@@ -1020,14 +1046,14 @@ TEST_F(StreamAuditViolations, ProtocolDecreasingReleases) {
   auditor_.on_event(milestone(ObsEventKind::kTaskStarted, 0, 5.0, 0));
   auditor_.on_event(milestone(ObsEventKind::kTaskCompleted, 0, 6.0, 0));
   auditor_.on_event(released(1, 4.0));
-  EXPECT_TRUE(has_tag("[stream-protocol]"));
+  EXPECT_TRUE(has_tag("[protocol]"));
 }
 
 TEST_F(StreamAuditViolations, RunEndMidTask) {
   begin();
   auditor_.on_event(released(0, 0.0));
   auditor_.on_run_end(1.0);
-  EXPECT_TRUE(has_tag("[stream-protocol]"));
+  EXPECT_TRUE(has_tag("[protocol]"));
 }
 
 }  // namespace

@@ -52,8 +52,10 @@ nm --defined-only "$BUILD_DIR/e2e/flowsched_e2e" >> "$WORK/kept.raw"
 awk '{ print $NF }' "$WORK/kept.raw" | sort -u > "$WORK/kept"
 shipped=$((${#exes[@]} + 1))
 
-# Strong functions that the library objects define.
-find "$BUILD_DIR/root/src" -name '*.o' -exec nm --defined-only {} + |
+# Strong functions that the library objects define. Read from the
+# archives, which are rebuilt from the current sources: a reused build
+# directory still holds the object of a deleted source file.
+find "$BUILD_DIR/root/src" -name 'lib*.a' -exec nm --defined-only {} + |
   awk '$2 == "T" { print $3 }' | sort -u > "$WORK/defined"
 
 # A constructor is emitted as two symbols (complete and base object), so

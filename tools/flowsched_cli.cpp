@@ -458,7 +458,7 @@ int cmd_faultsim(const ArgParser& args) {
 
   bool audit_clean = true;
   if (audit) {
-    auditor.check_fault_run(fc.plan, fc.recovery, log);
+    auditor.check_fault_run(fc.plan, fc.recovery, log, engine.tasks());
     audit_clean = auditor.ok();
   }
 
