@@ -40,7 +40,7 @@ double one_fmax(std::uint64_t seed, int k, ReplicationStrategy strategy,
 
 int bench_main(int argc, char** argv) {
   const ArgParser args(argc, argv);
-  const int reps = args.integer("reps", 7);
+  const int reps = args.positive("reps", 7);
   ExperimentRunner runner(args.integer("threads", 0));
   args.reject_unknown();
   const std::uint64_t exp = experiment_id("ablation_k");

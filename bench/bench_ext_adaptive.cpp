@@ -132,8 +132,8 @@ std::vector<double> one_replicate(std::uint64_t seed, int requests,
 
 int bench_main(int argc, char** argv) {
   const ArgParser args(argc, argv);
-  const int reps = args.integer("reps", 5);
-  const int requests = args.integer("requests", 2000);
+  const int reps = args.positive("reps", 5);
+  const int requests = args.positive("requests", 2000);
   const double load = args.num("load", 0.7);
   const std::string recovery_name = args.get("recovery", "backoff");
   ControlConfig control;

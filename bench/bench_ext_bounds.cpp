@@ -157,7 +157,7 @@ int render_exactness(const std::vector<ExactnessRow>& rows) {
 
 int bench_main(int argc, char** argv) {
   const ArgParser args(argc, argv);
-  const int reps = args.integer("reps", 5);
+  const int reps = args.positive("reps", 5);
   const int slots = args.integer("slots", 30);
   ExperimentRunner runner(args.integer("threads", 0));
   args.reject_unknown();

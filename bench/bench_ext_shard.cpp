@@ -137,10 +137,10 @@ CellResult run_sharded_cell(const Workload& w, int shards, int reps) {
 int main(int argc, char** argv) {
   try {
     const ArgParser args(argc, argv);
-    const int requests = args.integer("requests", 200000);
+    const int requests = args.positive("requests", 200000);
     const int k = args.integer("k", 8);
     const int only_m = args.integer("m", 0);  // 0 = the full {256, 4096} grid
-    const int reps = args.integer("reps", 3);
+    const int reps = args.positive("reps", 3);
     const std::uint64_t seed = args.uint64("seed", 1);
     const double assert_speedup = args.num("assert-speedup", 0.0);
     args.reject_unknown();

@@ -91,8 +91,8 @@ double lp_load_percent(ExperimentRunner& runner, std::uint64_t exp,
 
 int bench_main(int argc, char** argv) {
   const ArgParser args(argc, argv);
-  const int reps = args.integer("reps", 10);
-  const int requests = args.integer("requests", 10000);
+  const int reps = args.positive("reps", 10);
+  const int requests = args.positive("requests", 10000);
   const std::string trace_dir = args.get("trace-dir", "");
   ExperimentRunner runner(args.integer("threads", 0));
   args.reject_unknown();

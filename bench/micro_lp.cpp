@@ -12,6 +12,13 @@
 //     up: what the replication controller pays per candidate and the
 //     Fig. 10 sweep and the planner pay per cell.
 //     Both series include m = 64, the faults-adaptive cluster size.
+//   * BM_MaxLoadWindowsEqual — the same scan on equal weights (the
+//     controller's input) with about 8 % of the machines down, one ring and
+//     one block layout per iteration: the integer reduction that divides
+//     once per window length;
+//   * BM_ControllerDecide — the observation log of a faults-adaptive-shaped
+//     run (m = 64, k = 3 in [2, 5], MTBF 24, backoff) replayed through a
+//     fresh ReplicationController; time per iteration is per epoch.
 //
 // Custom main: `micro_lp --json out.json` writes the google-benchmark JSON
 // report alongside the usual ASCII console table (shorthand for
@@ -24,8 +31,11 @@
 #include <string>
 #include <vector>
 
+#include "control/adaptive_sim.hpp"
+#include "control/control.hpp"
 #include "lp/maxload.hpp"
 #include "offline/unit_optimal.hpp"
+#include "sched/dispatchers.hpp"
 #include "workload/generator.hpp"
 #include "workload/popularity.hpp"
 #include "workload/replication.hpp"
@@ -76,6 +86,63 @@ void BM_MaxLoadWindows(benchmark::State& state) {
 BENCHMARK(BM_MaxLoadWindows)
     ->Arg(8)->Arg(15)->Arg(30)->Arg(64)->Arg(128)->Arg(512)->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
+
+void BM_MaxLoadWindowsEqual(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const std::vector<double> pop(static_cast<std::size_t>(m), 1.0 / m);
+  Rng rng(7);
+  std::vector<std::uint8_t> up(static_cast<std::size_t>(m));
+  for (auto& u : up) u = rng.bernoulli(0.08) ? 0 : 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(max_load_windows(
+        pop, ReplicationStrategy::kOverlapping, kReplication, up));
+    benchmark::DoNotOptimize(max_load_windows(
+        pop, ReplicationStrategy::kDisjoint, kReplication, up));
+  }
+}
+BENCHMARK(BM_MaxLoadWindowsEqual)->Arg(64)->Arg(1024)->Unit(benchmark::kMicrosecond);
+
+void BM_ControllerDecide(benchmark::State& state) {
+  constexpr int kM = 64;
+  constexpr double kLambda = 44.8;
+  constexpr int kRequests = 50'000;
+  Rng rng(1);
+  ControlCase c;
+  c.m = kM;
+  c.initial = LayoutSpec{ReplicationStrategy::kOverlapping, kReplication};
+  c.control.k_min = 2;
+  c.control.k_max = 5;
+  c.recovery.kind = RecoveryKind::kBackoff;
+  FaultModelConfig fm;
+  fm.mean_up = 24.0;
+  fm.mean_down = 2.0;
+  fm.horizon = 1.5 * kRequests / kLambda;
+  c.plan = FaultPlan::random(kM, fm, rng);
+  double t = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    t += rng.exponential(kLambda);
+    c.release.push_back(t);
+    c.proc.push_back(rng.exponential(1.0));
+    c.key.push_back(static_cast<int>(rng.uniform_int(0, 4 * kM - 1)));
+  }
+  const auto eft = make_eft_min();
+  const std::vector<ControlObservation> log =
+      run_adaptive(c, *eft, true).log.observations();
+
+  std::size_t next = log.size();
+  ReplicationController ctl(kM, c.initial, c.control);
+  for (auto _ : state) {
+    if (next == log.size()) {
+      state.PauseTiming();
+      ctl = ReplicationController(kM, c.initial, c.control);
+      next = 0;
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(ctl.decide(log[next++]));
+  }
+  state.counters["epochs"] = static_cast<double>(log.size());
+}
+BENCHMARK(BM_ControllerDecide)->Unit(benchmark::kMicrosecond);
 
 void BM_UnitOptimalOracle(benchmark::State& state) {
   Rng rng(11);

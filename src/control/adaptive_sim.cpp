@@ -92,6 +92,11 @@ AdaptiveRunReport run_adaptive(const ControlCase& c, Dispatcher& dispatcher,
     engine.set_observer(observer);
   }
 
+  // Epochs query every machine at increasing times, so the cursor answers
+  // from its cached windows instead of searching the plan.
+  FaultPlan::Cursor availability;
+  if (faulty) availability = FaultPlan::Cursor(c.plan);
+
   ControlLog log;
   // Owners with a pending setup debt: the decision epoch whose migration
   // moved them, or -1. The debt is collected by the owner's next request.
@@ -110,7 +115,7 @@ AdaptiveRunReport run_adaptive(const ControlCase& c, Dispatcher& dispatcher,
         obs.up.resize(static_cast<std::size_t>(m));
         for (int j = 0; j < m; ++j) {
           obs.up[static_cast<std::size_t>(j)] =
-              !faulty || c.plan.is_up(j, next_epoch) ? 1 : 0;
+              !faulty || availability.is_up(j, next_epoch) ? 1 : 0;
         }
         obs.arrival_rate = static_cast<double>(i) / next_epoch;
         const ControlDecision d = ctl.decide(obs);

@@ -136,6 +136,13 @@ ReplicationController::ReplicationController(int m, LayoutSpec initial,
   if (config.k_min < 1) {
     throw std::invalid_argument("ReplicationController: k_min < 1");
   }
+  // Candidates are clamped to [k_min, effective_k_max()], which must hold
+  // the initial k; a negative k_max, k_max < k_min or k_min > m leaves it
+  // empty and fails here too.
+  if (initial.k < config.k_min || initial.k > effective_k_max()) {
+    throw std::invalid_argument(
+        "ReplicationController: initial k outside [k_min, k_max]");
+  }
   popularity_.assign(static_cast<std::size_t>(m), 1.0 / static_cast<double>(m));
   active_sets_ = replica_sets(active_.strategy, active_.k, m_);
   target_sets_ = active_sets_;
@@ -152,7 +159,7 @@ int ReplicationController::effective_max_move() const {
   return quarter > 1 ? quarter : 1;
 }
 
-ProcSet ReplicationController::eligible_for_owner(int owner) const {
+const ProcSet& ReplicationController::eligible_for_owner(int owner) const {
   if (owner < 0 || owner >= m_) {
     throw std::invalid_argument("eligible_for_owner: owner out of range");
   }

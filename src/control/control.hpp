@@ -168,9 +168,10 @@ class ReplicationController {
   bool migrating() const { return frontier_ < m_; }
 
   /// Replica set serving keys owned by `owner` under the current
-  /// (frontier-aware) layout: a shared copy of a set the controller holds,
-  /// equal to replica_set() of the layout that serves the owner.
-  ProcSet eligible_for_owner(int owner) const;
+  /// (frontier-aware) layout: a set the controller holds, equal to
+  /// replica_set() of the layout that serves the owner. The reference is
+  /// valid until the next decide(); copy it to keep it longer.
+  const ProcSet& eligible_for_owner(int owner) const;
 
   /// One decision epoch. Also advances the migration frontier by at most
   /// max_move owners and updates the cooldown.

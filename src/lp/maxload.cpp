@@ -196,6 +196,146 @@ double max_load_unreplicated(const std::vector<double>& popularity) {
   return 1.0 / *std::max_element(popularity.begin(), popularity.end());
 }
 
+namespace detail {
+namespace {
+
+// Owner u's arc [lo(u), hi(u)] in unwrapped machine coordinates, for u over
+// two laps (owner u >= m is owner u - m shifted by m), so a window that
+// wraps past owner m-1 keeps monotone endpoints.
+struct Arc {
+  int lo;
+  int hi;
+};
+
+std::vector<Arc> unwrapped_arcs(ReplicationStrategy strategy, int k, int m) {
+  const bool ring = strategy == ReplicationStrategy::kOverlapping;
+  const std::size_t ms = static_cast<std::size_t>(m);
+  std::vector<Arc> arcs(2 * ms);
+  int block = 0;  // first owner of j's block
+  for (int j = 0; j < m; ++j) {
+    if (j - block == k) block = j;
+    const int first = ring ? j : block;
+    const int last = ring ? j + k - 1 : std::min(m - 1, block + k - 1);
+    arcs[static_cast<std::size_t>(j)] = Arc{first, last};
+    arcs[ms + static_cast<std::size_t>(j)] = Arc{m + first, m + last};
+  }
+  return arcs;
+}
+
+// up_prefix[i] counts the up machines among unwrapped positions [0, i), for
+// i over three laps (an arc of the second lap may end in the third).
+std::vector<int> unwrapped_up_prefix(const std::vector<std::uint8_t>& up) {
+  const std::size_t m = up.size();
+  std::vector<int> prefix(3 * m + 1, 0);
+  for (std::size_t i = 0; i < m; ++i) prefix[i + 1] = prefix[i] + (up[i] ? 1 : 0);
+  const int total = prefix[m];
+  for (std::size_t i = m + 1; i <= 3 * m; ++i) prefix[i] = prefix[i - m] + total;
+  return prefix;
+}
+
+}  // namespace
+
+WindowLoadResult max_load_windows_weighted(
+    const std::vector<double>& popularity, ReplicationStrategy strategy, int k,
+    const std::vector<std::uint8_t>& up) {
+  const int m = static_cast<int>(popularity.size());
+  const std::vector<Arc> arcs = unwrapped_arcs(strategy, k, m);
+  const std::vector<int> up_prefix = unwrapped_up_prefix(up);
+
+  // Window W = owners [a, a+L): N(W) is the up machines in the cyclic range
+  // from lo(a) spanning min(m, hi(a+L-1) - lo(a) + 1). p(W) accumulates
+  // along L rather than as a prefix-sum difference, which would cancel
+  // digits on short windows.
+  WindowLoadResult best;
+  bool have = false;
+  for (int a = 0; a < m; ++a) {
+    const int start = arcs[static_cast<std::size_t>(a)].lo;
+    double mass = 0.0;
+    for (int len = 1; len <= m; ++len) {
+      const std::size_t last = static_cast<std::size_t>(a + len - 1);
+      mass += popularity[last < static_cast<std::size_t>(m)
+                             ? last
+                             : last - static_cast<std::size_t>(m)];
+      if (mass == 0.0) continue;
+      const int span = std::min(m, arcs[last].hi - start + 1);
+      const int served = up_prefix[static_cast<std::size_t>(start + span)] -
+                         up_prefix[static_cast<std::size_t>(start)];
+      const double ratio = static_cast<double>(served) / mass;
+      if (!have || ratio < best.lambda) {
+        have = true;
+        best = WindowLoadResult{ratio, a, len};
+        // Nothing beats an unserved owner: the first zero is the answer.
+        if (served == 0) return best;
+      }
+    }
+  }
+  return best;
+}
+
+WindowLoadResult max_load_windows_equal(double weight,
+                                        ReplicationStrategy strategy, int k,
+                                        const std::vector<std::uint8_t>& up) {
+  const int m = static_cast<int>(up.size());
+  const std::size_t ms = up.size();
+  const std::vector<Arc> arcs = unwrapped_arcs(strategy, k, m);
+  const std::vector<int> up_prefix = unwrapped_up_prefix(up);
+  const int total_up = up_prefix[ms];
+
+  // Window (a, L) is served by min(total_up, up_end[a+L-1] - up_lo[a]) up
+  // machines: the unwrapped range [lo(a), hi(a+L-1)] counts every machine
+  // at least once as soon as it spans a lap.
+  std::vector<int> up_lo(ms);
+  std::vector<int> up_end(2 * ms);
+  for (std::size_t u = 0; u < 2 * ms; ++u) {
+    if (u < ms) up_lo[u] = up_prefix[static_cast<std::size_t>(arcs[u].lo)];
+    up_end[u] = up_prefix[static_cast<std::size_t>(arcs[u].hi + 1)];
+  }
+  const auto served = [&](int a, int len) {
+    return std::min(total_up, up_end[static_cast<std::size_t>(a + len - 1)] -
+                                  up_lo[static_cast<std::size_t>(a)]);
+  };
+
+  // Every window of L owners has the same mass, accumulated in the same
+  // order as the weighted scan, so its ratio is least where it is served by
+  // the fewest machines: division by a positive mass is monotone. One
+  // division per length instead of one per window.
+  std::vector<double> mass(ms + 1, 0.0);
+  std::vector<double> ratio(ms + 1, 0.0);
+  double lambda = 0.0;
+  for (std::size_t len = 1; len <= ms; ++len) {
+    mass[len] = mass[len - 1] + weight;
+    const int* end = up_end.data() + (len - 1);
+    const int* lo = up_lo.data();
+    int fewest = total_up;
+    for (std::size_t a = 0; a < ms; ++a) {
+      fewest = std::min(fewest, end[a] - lo[a]);
+    }
+    ratio[len] = static_cast<double>(fewest) / mass[len];
+    if (len == 1 || ratio[len] < lambda) lambda = ratio[len];
+  }
+
+  // The weighted scan keeps the first strict minimum in (a, L) order. Only
+  // lengths whose ratio is lambda can hold it; in each, the first start
+  // whose own ratio rounds to lambda (not just the fewest-served start:
+  // two counts may round to one ratio) competes by start, then by length.
+  WindowLoadResult best{lambda, m, 0};
+  for (int len = 1; len <= m; ++len) {
+    if (ratio[static_cast<std::size_t>(len)] != lambda) continue;
+    for (int a = 0; a < best.first; ++a) {
+      if (static_cast<double>(served(a, len)) /
+              mass[static_cast<std::size_t>(len)] ==
+          lambda) {
+        best.first = a;
+        best.count = len;
+        break;
+      }
+    }
+  }
+  return best;
+}
+
+}  // namespace detail
+
 WindowLoadResult max_load_windows(const std::vector<double>& popularity,
                                   ReplicationStrategy strategy, int k,
                                   const std::vector<std::uint8_t>& up) {
@@ -212,53 +352,11 @@ WindowLoadResult max_load_windows(const std::vector<double>& popularity,
     throw std::invalid_argument(
         "max_load_windows: only overlapping and disjoint layouts are arcs");
   }
-  // Owner u's arc [lo(u), hi(u)] in unwrapped machine coordinates, for u
-  // over two laps (owner u >= m is owner u - m shifted by m), so a window
-  // that wraps past owner m-1 keeps monotone endpoints. up_prefix[i] counts
-  // the up machines among unwrapped positions [0, i).
-  const bool ring = strategy == ReplicationStrategy::kOverlapping;
-  const std::size_t laps = 2 * static_cast<std::size_t>(m);
-  std::vector<int> lo(laps);
-  std::vector<int> hi(laps);
-  std::vector<int> up_prefix(laps + 1, 0);
-  for (std::size_t u = 0; u < laps; ++u) {
-    const int j = static_cast<int>(u % static_cast<std::size_t>(m));
-    const int shift = static_cast<int>(u) - j;
-    const int first = ring ? j : k * (j / k);
-    const int last = ring ? j + k - 1 : std::min(m - 1, first + k - 1);
-    lo[u] = shift + first;
-    hi[u] = shift + last;
-    up_prefix[u + 1] = up_prefix[u] + (up[static_cast<std::size_t>(j)] ? 1 : 0);
-  }
-
-  // Window W = owners [a, a+L): N(W) is the up machines in the cyclic range
-  // from lo(a) spanning min(m, hi(a+L-1) - lo(a) + 1). p(W) accumulates
-  // along L rather than as a prefix-sum difference, which would cancel
-  // digits on short windows.
-  WindowLoadResult best;
-  bool have = false;
-  for (int a = 0; a < m; ++a) {
-    const int start = lo[static_cast<std::size_t>(a)];
-    double mass = 0.0;
-    for (int len = 1; len <= m; ++len) {
-      const std::size_t last = static_cast<std::size_t>(a + len - 1);
-      mass += popularity[last < static_cast<std::size_t>(m)
-                             ? last
-                             : last - static_cast<std::size_t>(m)];
-      if (mass == 0.0) continue;
-      const int span = std::min(m, hi[last] - start + 1);
-      const int served = up_prefix[static_cast<std::size_t>(start + span)] -
-                         up_prefix[static_cast<std::size_t>(start)];
-      const double ratio = static_cast<double>(served) / mass;
-      if (!have || ratio < best.lambda) {
-        have = true;
-        best = WindowLoadResult{ratio, a, len};
-        // Nothing beats an unserved owner: the first zero is the answer.
-        if (served == 0) return best;
-      }
-    }
-  }
-  return best;
+  const double weight = popularity.front();
+  const bool equal = std::all_of(popularity.begin(), popularity.end(),
+                                 [weight](double p) { return p == weight; });
+  return equal ? detail::max_load_windows_equal(weight, strategy, k, up)
+               : detail::max_load_windows_weighted(popularity, strategy, k, up);
 }
 
 }  // namespace flowsched

@@ -77,9 +77,29 @@ struct WindowLoadResult {
 /// (docs/lp.md). O(m^2), no LP built. The binding window is the first strict
 /// minimum in (first, count) order; lambda = 0 when some owner with positive
 /// popularity has no up replica. Throws std::invalid_argument for other
-/// strategies (kSpread sets are not arcs: use max_load_lp).
+/// strategies (kSpread sets are not arcs: use max_load_lp). Equal weights
+/// take detail::max_load_windows_equal, any other vector
+/// detail::max_load_windows_weighted; both give the same bits.
 WindowLoadResult max_load_windows(const std::vector<double>& popularity,
                                   ReplicationStrategy strategy, int k,
                                   const std::vector<std::uint8_t>& up);
+
+namespace detail {
+
+/// The two reductions max_load_windows selects between, on inputs it has
+/// already validated. The weighted one divides once per window (a, L).
+WindowLoadResult max_load_windows_weighted(
+    const std::vector<double>& popularity, ReplicationStrategy strategy, int k,
+    const std::vector<std::uint8_t>& up);
+
+/// Every owner weighs `weight` > 0, m = up.size(): a window's mass depends
+/// only on its length, so each length takes the fewest up machines over all
+/// starts with integer work and divides once. Bitwise equal to
+/// max_load_windows_weighted on the vector of m copies of `weight`.
+WindowLoadResult max_load_windows_equal(double weight,
+                                        ReplicationStrategy strategy, int k,
+                                        const std::vector<std::uint8_t>& up);
+
+}  // namespace detail
 
 }  // namespace flowsched

@@ -61,6 +61,15 @@ int ArgParser::integer(const std::string& key, int fallback) const {
   return static_cast<int>(value);
 }
 
+int ArgParser::positive(const std::string& key, int fallback) const {
+  const int value = integer(key, fallback);
+  if (value < 1) {
+    throw std::invalid_argument("ArgParser: --" + key + " must be >= 1, got " +
+                                std::to_string(value));
+  }
+  return value;
+}
+
 std::uint64_t ArgParser::uint64(const std::string& key,
                                 std::uint64_t fallback) const {
   queried_.insert(key);

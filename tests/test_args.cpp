@@ -82,6 +82,19 @@ TEST(ArgParser, FlagFollowedByFlag) {
   EXPECT_EQ(args.get("csv", "x"), "");
 }
 
+TEST(ArgParser, PositiveRejectsCountsBelowOne) {
+  const auto args = parse({"x", "--reps", "0", "--requests", "-3", "--n", "2"});
+  EXPECT_EQ(args.positive("n", 1), 2);
+  EXPECT_EQ(args.positive("absent", 5), 5);
+  try {
+    args.positive("reps", 1);
+    FAIL() << "--reps 0 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--reps"), std::string::npos);
+  }
+  EXPECT_THROW(args.positive("requests", 1), std::invalid_argument);
+}
+
 TEST(ArgParser, RejectUnknownCatchesTypos) {
   const auto args = parse({"run", "--algo", "fifo", "--sed", "1"});
   args.get("algo", "");

@@ -37,6 +37,36 @@ TEST(ReplicationController, RejectsBadConstruction) {
   bad.hysteresis = 0.5;
   EXPECT_THROW(ReplicationController(4, LayoutSpec{}, bad),
                std::invalid_argument);
+  // The k search range must be non-empty, within [1, m], and hold the
+  // initial k: a candidate outside it could otherwise be scored and adopted.
+  const LayoutSpec k3{ReplicationStrategy::kOverlapping, 3};
+  bad = cfg;
+  bad.k_max = -1;
+  EXPECT_THROW(ReplicationController(8, k3, bad), std::invalid_argument);
+  bad = cfg;
+  bad.k_min = 3;
+  bad.k_max = 2;
+  EXPECT_THROW(ReplicationController(8, k3, bad), std::invalid_argument);
+  bad = cfg;
+  bad.k_min = 9;
+  EXPECT_THROW(ReplicationController(8, k3, bad), std::invalid_argument);
+  bad = cfg;
+  bad.k_min = 4;
+  EXPECT_THROW(ReplicationController(8, k3, bad), std::invalid_argument);
+  bad = cfg;
+  bad.k_max = 2;
+  EXPECT_THROW(ReplicationController(8, k3, bad), std::invalid_argument);
+  // The edges of the range stay valid: k_max = 0 means m, k_max above m is
+  // clamped to m, and k may sit on either bound.
+  ControlConfig edge = cfg;
+  edge.k_min = 3;
+  edge.k_max = 3;
+  EXPECT_NO_THROW(ReplicationController(8, k3, edge));
+  edge.k_max = 0;
+  EXPECT_NO_THROW(ReplicationController(8, k3, edge));
+  edge.k_min = 1;
+  edge.k_max = 20;
+  EXPECT_NO_THROW(ReplicationController(8, k3, edge));
 }
 
 TEST(ReplicationController, HoldsSteadyWhenHealthy) {

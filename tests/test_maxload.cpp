@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -406,6 +408,47 @@ TEST(MaxLoadWindowsPinned, RejectsSetsThatAreNotArcs) {
   EXPECT_THROW(max_load_windows(pop, ReplicationStrategy::kOverlapping, 3,
                                 std::vector<std::uint8_t>(7, 1)),
                std::invalid_argument);
+}
+
+// The equal-weight reduction against the per-window scan on the same
+// input, bit for bit: lambda, and the binding window's first owner and
+// length. Random m in [1, 300], k in [1, m], both layouts, down fractions
+// from none to all, and weights that do (1/4) and do not (1/3, 1/m in
+// general) add up exactly. Weights at the ends of the double range make
+// masses overflow (long windows all round to ratio 0, so the binding window
+// must be found by ratio, not by count) and ratios overflow (subnormal).
+TEST(MaxLoadWindowsEqualWeights, MatchesWeightedScanBitwise) {
+  Rng rng(30);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int m = static_cast<int>(rng.uniform_int(1, 300));
+    const int k = static_cast<int>(rng.uniform_int(1, m));
+    const auto strategy = rng.bernoulli(0.5) ? ReplicationStrategy::kOverlapping
+                                             : ReplicationStrategy::kDisjoint;
+    const int shape = static_cast<int>(rng.uniform_int(0, 4));
+    const double down = shape == 0 ? 0.0 : shape == 1 ? 1.0 : rng.uniform();
+    std::vector<std::uint8_t> up(static_cast<std::size_t>(m));
+    for (auto& u : up) u = rng.bernoulli(down) ? 0 : 1;
+    const double weights[] = {1.0 / m, 0.25, 1.0 / 3.0, 1e308,
+                              std::numeric_limits<double>::denorm_min()};
+    const double weight = weights[rng.bernoulli(0.9) ? rng.uniform_int(0, 2)
+                                                     : rng.uniform_int(3, 4)];
+
+    const std::vector<double> pop(up.size(), weight);
+    const WindowLoadResult scan =
+        detail::max_load_windows_weighted(pop, strategy, k, up);
+    const WindowLoadResult equal =
+        detail::max_load_windows_equal(weight, strategy, k, up);
+    const std::string where = "trial " + std::to_string(trial) +
+                              " m=" + std::to_string(m) +
+                              " k=" + std::to_string(k) + " " +
+                              to_string(strategy) + " w=" + std::to_string(weight);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(equal.lambda),
+              std::bit_cast<std::uint64_t>(scan.lambda))
+        << where << " lambda " << equal.lambda << " vs " << scan.lambda;
+    EXPECT_EQ(equal.first, scan.first) << where;
+    EXPECT_EQ(equal.count, scan.count) << where;
+    if (HasFailure()) return;
+  }
 }
 
 }  // namespace

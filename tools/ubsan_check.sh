@@ -28,11 +28,12 @@ FUZZ="$BUILD_DIR/tools/flowsched_fuzz"
 
 # Fault unit suites plus the runner/checkpoint hardening tests, and the
 # record-all observers: the flow histogram's clamped bin casts (Metrics),
-# the unit-weight flow term (Weighted) and the auditor's sweeps.
+# the unit-weight flow term (Weighted), the auditor's sweeps, and the
+# window scans' unwrapped-prefix index arithmetic (MaxLoad).
 # Every alternative of the suite filter must select at least one test, so
 # that a renamed or deleted suite fails here instead of silently dropping
 # out of the run.
-SUITES='FaultPlan|FaultCase|FaultEngine|FaultCore|RunnerHardening|SweepCheckpoint|Alias|Calendar|Streaming|Sketch|StreamAudit|StealDeque|CoreBudget|Sharded|ReplicationController|AdaptiveSim|Metrics|Weighted|InvariantAuditor'
+SUITES='FaultPlan|FaultCase|FaultEngine|FaultCore|RunnerHardening|SweepCheckpoint|Alias|Calendar|Streaming|Sketch|StreamAudit|StealDeque|CoreBudget|Sharded|ReplicationController|AdaptiveSim|Metrics|Weighted|InvariantAuditor|MaxLoad'
 IFS='|' read -ra suite_names <<< "$SUITES"
 for suite in "${suite_names[@]}"; do
   if ! ctest --test-dir "$BUILD_DIR" -N -R "$suite" |
