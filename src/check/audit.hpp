@@ -156,8 +156,6 @@ class InvariantAuditor final : public SchedObserver {
   bool ok() const { return violations_.empty(); }
   /// Violation lines in detection order, "run#<i> <algo>: [tag] ...".
   const std::vector<std::string>& violations() const { return violations_; }
-  /// Completed runs observed so far.
-  int runs() const { return runs_; }
   /// All violations joined with newlines ("" when ok()).
   std::string report() const;
 

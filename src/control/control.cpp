@@ -106,11 +106,9 @@ std::string ControlLog::str() const {
 }
 
 ReplicationController::ReplicationController(int m, LayoutSpec initial,
-                                             ControlConfig config,
-                                             std::uint64_t seed)
+                                             ControlConfig config)
     : m_(m),
       config_(config),
-      seed_(seed),
       active_(initial),
       target_(initial),
       frontier_(m) {

@@ -46,10 +46,7 @@ struct LayoutSpec {
   ReplicationStrategy strategy = ReplicationStrategy::kOverlapping;
   int k = 3;
 
-  friend bool operator==(const LayoutSpec& a, const LayoutSpec& b) {
-    return a.strategy == b.strategy && a.k == b.k;
-  }
-  /// "overlapping/k=3" — stable rendering used by the bitwise log replay.
+  /// "Overlapping/k=3" — stable rendering used by the bitwise log replay.
   std::string str() const;
 };
 
@@ -149,16 +146,9 @@ class ControlLog {
 /// Determinism: the controller holds no RNG and reads no clock — decide()
 /// is a pure function of the constructor arguments and the observation
 /// sequence, which is what makes the [control-determinism] replay possible.
-/// `seed` is carried for provenance (it names the replicate that produced
-/// the observations) but never drawn from.
 class ReplicationController {
  public:
-  ReplicationController(int m, LayoutSpec initial, ControlConfig config,
-                        std::uint64_t seed = 0);
-
-  int m() const { return m_; }
-  const ControlConfig& config() const { return config_; }
-  std::uint64_t seed() const { return seed_; }
+  ReplicationController(int m, LayoutSpec initial, ControlConfig config);
 
   /// The layout owners at or beyond the migration frontier still use.
   const LayoutSpec& active() const { return active_; }
@@ -197,7 +187,6 @@ class ReplicationController {
 
   int m_;
   ControlConfig config_;
-  std::uint64_t seed_;
   LayoutSpec active_;
   LayoutSpec target_;
   // The m replica sets of active_ and target_, rebuilt whenever either

@@ -8,7 +8,7 @@
 namespace flowsched {
 
 HashRing::HashRing(int m, int vnodes, std::uint64_t seed)
-    : m_(m), vnodes_(vnodes) {
+    : m_(m) {
   if (m <= 0) throw std::invalid_argument("HashRing: m <= 0");
   if (vnodes <= 0) throw std::invalid_argument("HashRing: vnodes <= 0");
   Rng rng(seed);

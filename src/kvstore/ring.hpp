@@ -24,9 +24,6 @@ class HashRing {
   /// Builds the ring with `vnodes` random tokens per machine.
   HashRing(int m, int vnodes, std::uint64_t seed);
 
-  int m() const { return m_; }
-  int vnodes() const { return vnodes_; }
-
   /// Stable 64-bit hash of a key id (splitmix64 finalizer).
   static std::uint64_t hash_key(std::uint64_t key);
 
@@ -48,7 +45,6 @@ class HashRing {
   };
 
   int m_;
-  int vnodes_;
   std::vector<Token> tokens_;  ///< Sorted by position.
 };
 

@@ -36,8 +36,6 @@ class MaxFlow {
   /// solve(s, t) this is the source side of a minimum s-t cut.
   std::vector<std::uint8_t> source_side(int s) const;
 
-  int num_nodes() const { return static_cast<int>(adj_.size()); }
-
  private:
   struct Edge {
     int to;

@@ -59,10 +59,9 @@ const JsonValue* JsonValue::find(const std::string& key) const {
 }
 
 JsonValue JsonValue::null() { return JsonValue{}; }
-JsonValue JsonValue::boolean(bool b) {
+JsonValue JsonValue::boolean() {
   JsonValue v;
   v.kind_ = Kind::kBool;
-  v.bool_ = b;
   return v;
 }
 JsonValue JsonValue::number(double d) {
@@ -143,10 +142,10 @@ class Parser {
       case '"': return JsonValue::string(parse_string());
       case 't':
         if (!consume_literal("true")) fail("bad literal");
-        return JsonValue::boolean(true);
+        return JsonValue::boolean();
       case 'f':
         if (!consume_literal("false")) fail("bad literal");
-        return JsonValue::boolean(false);
+        return JsonValue::boolean();
       case 'n':
         if (!consume_literal("null")) fail("bad literal");
         return JsonValue::null();

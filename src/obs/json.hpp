@@ -32,30 +32,26 @@ std::string json_num(double x);
 /// in JSON's interoperable integer range, so they travel as strings).
 std::string json_hex(std::uint64_t x);
 
-/// Parsed JSON value (strict subset: RFC 8259 without extensions).
+/// Parsed JSON value (strict subset: RFC 8259 without extensions). A
+/// boolean keeps its kind but not its value: no reader needs it.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_number() const { return kind_ == Kind::kNumber; }
   bool is_string() const { return kind_ == Kind::kString; }
   bool is_array() const { return kind_ == Kind::kArray; }
   bool is_object() const { return kind_ == Kind::kObject; }
 
-  bool as_bool() const { return bool_; }
   double as_number() const { return num_; }
   const std::string& as_string() const { return str_; }
   const std::vector<JsonValue>& as_array() const { return arr_; }
-  const std::map<std::string, JsonValue>& as_object() const { return obj_; }
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* find(const std::string& key) const;
 
   static JsonValue null();
-  static JsonValue boolean(bool b);
+  static JsonValue boolean();
   static JsonValue number(double d);
   static JsonValue string(std::string s);
   static JsonValue array(std::vector<JsonValue> items);
@@ -63,7 +59,6 @@ class JsonValue {
 
  private:
   Kind kind_ = Kind::kNull;
-  bool bool_ = false;
   double num_ = 0;
   std::string str_;
   std::vector<JsonValue> arr_;

@@ -1,81 +1,11 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <stdexcept>
 
 #include "obs/json.hpp"
 
 namespace flowsched {
-
-namespace {
-
-// A double bin index clamped into [0, last] before the cast: a NaN-free
-// index beyond size_t (±inf, 1e300) never reaches static_cast.
-std::size_t clamp_bin(double idx, std::size_t last) {
-  if (!(idx > 0)) return 0;
-  return idx >= static_cast<double>(last) ? last
-                                          : static_cast<std::size_t>(idx);
-}
-
-}  // namespace
-
-FlowHistogram::FlowHistogram(Rational lo, Rational hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / Rational(static_cast<std::int64_t>(bins))) {
-  if (bins == 0) throw std::invalid_argument("FlowHistogram: bins == 0");
-  if (!(lo < hi)) throw std::invalid_argument("FlowHistogram: lo >= hi");
-  counts_.assign(bins, 0);
-  // w = num/den in lowest terms is a power of two iff one side is 1 and the
-  // other a power of two; then 1/w is exact in a double.
-  const auto num = static_cast<std::uint64_t>(width_.num());
-  const auto den = static_cast<std::uint64_t>(width_.den());
-  if (lo_ == Rational(0) && (num == 1 || den == 1) &&
-      std::has_single_bit(num) && std::has_single_bit(den)) {
-    inv_width_ = Rational(width_.den(), width_.num()).to_double();
-  }
-}
-
-void FlowHistogram::add(double x) {
-  if (std::isnan(x)) throw std::invalid_argument("FlowHistogram: NaN sample");
-  ++total_;
-  const auto last = counts_.size() - 1;
-  if (inv_width_ != 0) {
-    // x * 2^-s is ldexp(x, -s): exact unless it underflows, and then it is
-    // below 1 either way — floor gives the exact bin.
-    ++counts_[clamp_bin(std::floor(x * inv_width_), last)];
-    return;
-  }
-  std::size_t bin = 0;
-  bool exact = false;
-  if (const auto r = rational_from_double(x)) {
-    // Bin index floor((x - lo) / w), computed exactly: a sample sitting on
-    // a bucket boundary lands in the upper bin by definition, immune to
-    // the rounding of (x - lo) / w in doubles.
-    try {
-      const Rational offset = *r - lo_;
-      if (offset < Rational(0)) {
-        bin = 0;
-      } else {
-        const Rational q = offset / width_;
-        const auto idx =
-            static_cast<std::size_t>(q.num() / q.den());  // floor (q >= 0)
-        bin = std::min(idx, last);
-      }
-      exact = true;
-    } catch (const std::overflow_error&) {
-      exact = false;  // intermediate product outside int64: double fallback
-    }
-  }
-  if (!exact) {
-    bin = clamp_bin(std::floor((x - lo_.to_double()) / width_.to_double()),
-                    last);
-  }
-  ++counts_[bin];
-}
-
-MetricsCollector::MetricsCollector()
-    : flow_hist_(Rational(0), Rational(64), 64) {}
 
 void MetricsCollector::on_run_begin(const RunInfo& info) {
   if (begun_) {
@@ -94,8 +24,6 @@ void MetricsCollector::on_event(const ObsEvent& e) {
       deltas_.push_back({e.time, +1});
       break;
     case ObsEventKind::kTaskDispatched:
-      ++dispatched_;
-      break;
     case ObsEventKind::kTaskStarted:
       break;
     case ObsEventKind::kTaskCompleted: {
@@ -124,7 +52,6 @@ void MetricsCollector::on_event(const ObsEvent& e) {
           weighted_exact_ok_ = false;
         }
       }
-      flow_hist_.add(flow);
       flow_sketch_.add(flow);
       makespan_ = std::max(makespan_, e.time);
       deltas_.push_back({e.time, -1});
@@ -137,7 +64,6 @@ void MetricsCollector::on_event(const ObsEvent& e) {
 }
 
 void MetricsCollector::on_run_end(double makespan) {
-  finished_ = true;
   makespan_ = std::max(makespan_, makespan);
 }
 

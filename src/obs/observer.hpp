@@ -117,7 +117,6 @@ class MulticastObserver final : public SchedObserver {
   explicit MulticastObserver(std::vector<SchedObserver*> sinks);
 
   void add(SchedObserver* sink);
-  bool empty() const { return sinks_.empty(); }
 
   void on_run_begin(const RunInfo& info) override;
   void on_event(const ObsEvent& event) override;

@@ -22,7 +22,6 @@
 // p50/p90/p99/p999 plus exact running min/max/mean — behind one add().
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -38,7 +37,6 @@ class StreamingQuantiles {
 
   void add(double x);
 
-  std::uint64_t count() const { return n_; }
   double mean() const;
   double max() const { return max_; }
   /// Midpoint of the bucket holding the rank-floor(q (n - 1)) sample,
@@ -48,11 +46,6 @@ class StreamingQuantiles {
   double p90() const { return quantile(0.90); }
   double p99() const { return quantile(0.99); }
   double p999() const { return quantile(0.999); }
-
-  /// Bytes held by the bucket window.
-  std::size_t memory_bytes() const {
-    return counts_.capacity() * sizeof(std::uint64_t);
-  }
 
  private:
   void widen(std::uint64_t index);

@@ -44,7 +44,6 @@ class TraceRecorder final : public SchedObserver {
   int runs() const { return static_cast<int>(runs_.size()); }
   /// Total buffered events across runs.
   std::size_t events() const;
-  bool empty() const { return runs_.empty(); }
 
   /// Appends another recorder's runs after this one's (pids renumber to
   /// stay unique). The merge order is the caller's contract — parallel

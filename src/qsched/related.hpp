@@ -63,8 +63,6 @@ class QSlowFitDispatcher final : public RelatedDispatcher {
   int dispatch(const Task& t, const std::vector<double>& completion) override;
   std::string name() const override { return "Slow-Fit"; }
 
-  double estimate() const { return estimate_; }
-
  private:
   double wait_factor_;
   double estimate_ = 0;

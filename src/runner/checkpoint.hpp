@@ -46,8 +46,6 @@ class SweepCheckpoint {
   /// Cells recovered from disk when the checkpoint was opened.
   int resumed() const { return resumed_; }
 
-  const std::string& path() const { return path_; }
-
  private:
   std::string path_;
   std::string experiment_;

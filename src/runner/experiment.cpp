@@ -40,10 +40,7 @@ ReplicateError::ReplicateError(std::uint64_t experiment, std::uint64_t cell,
                                std::uint64_t rep, const std::string& detail)
     : std::runtime_error("replicate failed: experiment=" + hex_id(experiment) +
                          " cell=" + hex_id(cell) + " rep=" +
-                         std::to_string(rep) + ": " + detail),
-      experiment_(experiment),
-      cell_(cell),
-      rep_(rep) {}
+                         std::to_string(rep) + ": " + detail) {}
 
 std::uint64_t experiment_id(std::string_view name) {
   std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a offset basis

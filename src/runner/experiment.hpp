@@ -47,15 +47,6 @@ class ReplicateError : public std::runtime_error {
  public:
   ReplicateError(std::uint64_t experiment, std::uint64_t cell,
                  std::uint64_t rep, const std::string& detail);
-
-  std::uint64_t experiment() const { return experiment_; }
-  std::uint64_t cell() const { return cell_; }
-  std::uint64_t rep() const { return rep_; }
-
- private:
-  std::uint64_t experiment_;
-  std::uint64_t cell_;
-  std::uint64_t rep_;
 };
 
 /// \brief Stable 64-bit id for an experiment name (FNV-1a 64 over the raw

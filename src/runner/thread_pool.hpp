@@ -41,8 +41,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int size() const { return static_cast<int>(workers_.size()); }
-
   /// Enqueues `fn` and returns a future of its result. Blocks while the
   /// queue is full; throws std::runtime_error after shutdown().
   template <typename F>

@@ -230,16 +230,17 @@ ShardedEngine::ShardedEngine(int m, const DispatcherFactory& factory,
   desired = std::min(desired, opts_.shards);
   if (opts_.shard_workers >= 1) {
     // Pinned team: the caller asked for exactly this many workers.
-    workers_ = desired;
-    budget_claim_ = workers_ - 1;
+    budget_claim_ = desired - 1;
     CoreBudget::instance().reserve(budget_claim_);
   } else {
     // Auto team: spawn only what the process-wide budget has uncommitted
     // (the caller thread is free). Output is invariant to the grant.
     budget_claim_ = CoreBudget::instance().try_acquire(desired - 1);
-    workers_ = 1 + budget_claim_;
   }
-  if (workers_ > 1) team_ = std::make_unique<WorkerTeam>(this, workers_);
+  // The caller thread plus one worker per claimed core.
+  if (budget_claim_ > 0) {
+    team_ = std::make_unique<WorkerTeam>(this, 1 + budget_claim_);
+  }
 }
 
 ShardedEngine::~ShardedEngine() {

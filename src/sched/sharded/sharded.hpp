@@ -125,17 +125,12 @@ class ShardedEngine {
   using FlowSink = std::function<void(const FlowEvent&)>;
 
   ShardedEngine(int m, const DispatcherFactory& factory, Options opts);
-  ShardedEngine(int m, const DispatcherFactory& factory);  // default options
   ~ShardedEngine();
 
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
-  int m() const { return m_; }
   int shards() const { return static_cast<int>(lanes_.size()); }
-  /// Actual worker team size (caller thread included) after budget/pinning.
-  int workers() const { return workers_; }
-  const ShardMap& shard_map() const { return map_; }
   /// Lane 0's dispatcher name (all lanes share the factory).
   const std::string& algo_name() const { return algo_name_; }
 
@@ -166,7 +161,6 @@ class ShardedEngine {
   void set_observer(SchedObserver* observer) { observer_ = observer; }
 
   // --- Merged statistics (deterministic; see the contract above) ----------
-  long long released() const { return released_; }
   long long boundary_tasks() const { return boundary_tasks_; }
   long long stolen_tasks() const { return stolen_tasks_; }
   double max_flow() const { return max_flow_; }
@@ -185,10 +179,6 @@ class ShardedEngine {
   /// ProcSet block and is not counted; the boundary views the router builds
   /// are the engine's own and are.
   std::size_t memory_bytes() const;
-  /// Lane accessors for tests and the metrics merge.
-  const StreamingEngine& lane(int shard) const {
-    return *lanes_[static_cast<std::size_t>(shard)].engine;
-  }
 
  private:
   struct Lane {
@@ -252,12 +242,8 @@ class ShardedEngine {
   // Worker team (see steal_deque.hpp for the concurrency notes).
   class WorkerTeam;
   std::unique_ptr<WorkerTeam> team_;
-  int workers_ = 1;
   int budget_claim_ = 0;
 };
-
-inline ShardedEngine::ShardedEngine(int m, const DispatcherFactory& factory)
-    : ShardedEngine(m, factory, Options()) {}
 
 /// \brief Replays a full instance and returns assignments in task order
 /// (drains the engine; convenience for tests and the fuzzer differential).

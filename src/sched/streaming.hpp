@@ -128,7 +128,6 @@ class StreamingEngine {
   StreamingEngine(int m, Dispatcher& dispatcher);
 
   int m() const { return m_; }
-  long long released() const { return released_; }
 
   /// \brief Switches the engine into non-clairvoyant mode (docs/scenarios.md).
   ///
@@ -179,8 +178,6 @@ class StreamingEngine {
   const std::vector<double>& completions() const { return completion_; }
   /// Profile w_t(j) = max(0, C_j - t) over everything released so far.
   std::vector<double> profile(double t) const;
-  /// Total work assigned to each machine so far.
-  const std::vector<double>& loads() const { return load_; }
   /// Tasks assigned to each machine so far.
   const std::vector<int>& counts() const { return count_; }
 
@@ -236,7 +233,6 @@ class StreamingEngine {
   /// budget is exhausted). With no plan (the default) release() pays one
   /// null check for it.
   void set_faults(const FaultPlan* plan, RecoveryPolicy recovery = {});
-  bool faults_active() const { return faults_ != nullptr; }
 
   /// Borrowed receiver of each task's terminal fate (nullptr detaches).
   void set_fate_sink(FateSink* sink) { fate_sink_ = sink; }

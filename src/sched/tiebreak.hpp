@@ -39,7 +39,6 @@ class TieBreak {
                     bool counter_based = false);
 
   TieBreakKind kind() const { return kind_; }
-  bool counter_based() const { return counter_based_; }
 
   /// Picks one machine from a non-empty candidate list (ascending indices).
   /// Stream mode only (counter-based requires the task id).

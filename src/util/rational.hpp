@@ -19,9 +19,6 @@ class Rational {
   Rational(std::int64_t numerator);  // NOLINT(google-explicit-constructor)
   Rational(std::int64_t numerator, std::int64_t denominator);
 
-  std::int64_t num() const { return num_; }
-  std::int64_t den() const { return den_; }
-
   double to_double() const;
 
   Rational operator-() const;
@@ -40,7 +37,6 @@ class Rational {
   }
   friend std::strong_ordering operator<=>(const Rational& a, const Rational& b);
 
-  friend Rational abs(const Rational& r) { return r.num_ < 0 ? -r : r; }
   friend std::optional<Rational> rational_from_double(double x);
 
  private:
@@ -58,7 +54,8 @@ class Rational {
 /// integer and power-of-two times the theory instances use, and for any
 /// double whose reduced denominator is below 2^63). Returns nullopt for
 /// non-finite input or when the exact value cannot be represented —
-/// callers fall back to double arithmetic (see FlowHistogram).
+/// callers fall back to double arithmetic (see MetricsCollector's weighted
+/// flow sum).
 std::optional<Rational> rational_from_double(double x);
 
 /// gcd(|a|, |b|), with gcd(0, 0) = 0; the reduction step of every Rational

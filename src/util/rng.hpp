@@ -19,9 +19,8 @@ namespace flowsched {
 
 /// xoshiro256** pseudo-random generator with convenience sampling methods.
 ///
-/// Satisfies the C++ UniformRandomBitGenerator requirements, so it can also
-/// be plugged into `<random>` distributions if ever needed; the methods below
-/// avoid `<random>` to guarantee identical streams across standard libraries.
+/// The methods below avoid `<random>` to guarantee identical streams across
+/// standard libraries.
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -29,7 +28,6 @@ class Rng {
   /// Seeds the full 256-bit state from `seed` via splitmix64.
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-  static constexpr result_type min() { return 0; }
   static constexpr result_type max() {
     return std::numeric_limits<result_type>::max();
   }

@@ -7,30 +7,28 @@
 
 namespace flowsched {
 
-AliasSampler::AliasSampler(std::vector<double> weights)
-    : weights_(std::move(weights)) {
-  if (weights_.empty()) {
+AliasSampler::AliasSampler(const std::vector<double>& weights) {
+  if (weights.empty()) {
     throw std::invalid_argument("AliasSampler: empty weight vector");
   }
-  if (weights_.size() > std::numeric_limits<std::uint32_t>::max()) {
+  if (weights.size() > std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument("AliasSampler: too many weights");
   }
   double total = 0;
-  for (double w : weights_) {
+  for (double w : weights) {
     if (!(w >= 0)) {
       throw std::invalid_argument("AliasSampler: negative weight");
     }
     total += w;
   }
   if (!(total > 0)) throw std::invalid_argument("AliasSampler: zero total weight");
-  for (double& w : weights_) w /= total;
-  build();
+  build(weights, total);
 }
 
 AliasSampler::AliasSampler(int m, double s) : AliasSampler(zipf_weights(m, s)) {}
 
-void AliasSampler::build() {
-  const std::size_t n = weights_.size();
+void AliasSampler::build(const std::vector<double>& weights, double total) {
+  const std::size_t n = weights.size();
   // Vose's stable construction: scale every probability by n, then pair each
   // underfull column with an overfull one. A column's prob holds its scaled
   // mass until the column settles. Two index stacks, strictly deterministic
@@ -42,7 +40,7 @@ void AliasSampler::build() {
   std::size_t small = 0;  // stacks[0, small)
   std::size_t large = n;  // stacks[large, n), top at stacks[large]
   for (std::size_t i = 0; i < n; ++i) {
-    const double scaled = weights_[i] * static_cast<double>(n);
+    const double scaled = weights[i] / total * static_cast<double>(n);
     columns_[i] = {scaled, static_cast<std::uint32_t>(i)};
     if (scaled < 1.0) {
       stacks[small++] = static_cast<std::uint32_t>(i);

@@ -42,7 +42,7 @@ class AliasSampler {
  public:
   /// Builds the tables from unnormalized non-negative weights (size >= 1,
   /// positive total). O(n) time and space.
-  explicit AliasSampler(std::vector<double> weights);
+  explicit AliasSampler(const std::vector<double>& weights);
 
   /// Zipf(s) over ranks 0..m-1 (weights zipf_weights(m, s)).
   AliasSampler(int m, double s);
@@ -70,11 +70,6 @@ class AliasSampler {
         &columns_[column_of(u * static_cast<double>(columns_.size()))]);
   }
 
-  std::size_t size() const { return columns_.size(); }
-
-  /// Normalized input weights (sums to 1).
-  const std::vector<double>& weights() const { return weights_; }
-
  private:
   // One column per index: a draw reads both fields from one cache line.
   struct Column {
@@ -88,9 +83,9 @@ class AliasSampler {
     return i < columns_.size() ? i : columns_.size() - 1;
   }
 
-  void build();
+  /// Fills columns_ from the weights divided by their sum `total`.
+  void build(const std::vector<double>& weights, double total);
 
-  std::vector<double> weights_;  // normalized input
   std::vector<Column> columns_;
 };
 

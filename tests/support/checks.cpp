@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -9,9 +10,9 @@
 namespace flowsched {
 
 std::ostream& operator<<(std::ostream& os, const Rational& r) {
-  os << r.num();
-  if (r.den() != 1) os << '/' << r.den();
-  return os;
+  char text[32];
+  std::snprintf(text, sizeof(text), "%.17g", r.to_double());
+  return os << text;
 }
 
 std::vector<double> machine_loads(const Schedule& sched) {
@@ -86,10 +87,11 @@ int ring_primary_at(const HashRing& ring, std::uint64_t point) {
   return ring.replicas_at(point, 1).machines().front();
 }
 
-double alias_probability(const AliasSampler& sampler, std::size_t i) {
-  const double n = static_cast<double>(sampler.size());
+double alias_probability(const AliasSampler& sampler, std::size_t columns,
+                         std::size_t i) {
+  const double n = static_cast<double>(columns);
   double p = 0;
-  for (std::size_t c = 0; c < sampler.size(); ++c) {
+  for (std::size_t c = 0; c < columns; ++c) {
     const double col = static_cast<double>(c);
     // The first and last u whose x = u * n falls in [c, c + 1).
     double lo = col / n;

@@ -22,7 +22,8 @@
 
 namespace flowsched {
 
-/// Renders r as "num" or "num/den"; also what gtest prints for a Rational.
+/// Renders r as its nearest double in 17 significant digits, enough to
+/// tell any two doubles apart; also what gtest prints for a Rational.
 std::ostream& operator<<(std::ostream& os, const Rational& r);
 
 /// Total busy time per machine over the assigned tasks.
@@ -44,13 +45,23 @@ std::vector<std::string> validate_execution(const Instance& inst,
 int ring_primary_at(const HashRing& ring, std::uint64_t point);
 
 /// Probability that sampler.resolve(u) returns i for u uniform in [0, 1),
-/// read off resolve itself: column c covers u in [c/n, (c+1)/n) and returns
-/// c below a threshold and its alias above it, so a bisection finds each
-/// column's split to within an ulp.
-double alias_probability(const AliasSampler& sampler, std::size_t i);
+/// for a sampler built from n weights, read off resolve itself: column c
+/// covers u in [c/n, (c+1)/n) and returns c below a threshold and its alias
+/// above it, so a bisection finds each column's split to within an ulp.
+double alias_probability(const AliasSampler& sampler, std::size_t n,
+                         std::size_t i);
 
 /// Attempts of one task, in attempt order.
 std::vector<FaultAttempt> attempts_of(const FaultLog& log, int task);
+
+/// Counts the runs an engine brackets (on_run_end calls). Fanned out next
+/// to another sink, it shows that the sink saw every run.
+struct RunCounter final : SchedObserver {
+  int runs = 0;
+  void on_run_begin(const RunInfo&) override {}
+  void on_event(const ObsEvent&) override {}
+  void on_run_end(double) override { ++runs; }
+};
 
 /// Records the setup time each task's kTaskStarted event carries (0 for
 /// tasks it has not seen).

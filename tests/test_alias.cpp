@@ -35,9 +35,8 @@ TEST(Alias, RejectsDegenerateWeights) {
 
 TEST(Alias, NormalizesWeights) {
   const AliasSampler sampler(std::vector<double>{2.0, 6.0});
-  ASSERT_EQ(sampler.size(), 2u);
-  EXPECT_NEAR(sampler.weights()[0], 0.25, 1e-15);
-  EXPECT_NEAR(sampler.weights()[1], 0.75, 1e-15);
+  EXPECT_NEAR(alias_probability(sampler, 2, 0), 0.25, 1e-15);
+  EXPECT_NEAR(alias_probability(sampler, 2, 1), 0.75, 1e-15);
 }
 
 TEST(Alias, SingleColumnAlwaysSampled) {
@@ -53,8 +52,9 @@ TEST(Alias, TableProbabilitiesReconstructWeights) {
   for (double s : {0.0, 0.5, 1.0, 2.5}) {
     const AliasSampler sampler(8, s);
     const auto expected = zipf_weights(8, s);
-    for (std::size_t i = 0; i < sampler.size(); ++i) {
-      EXPECT_NEAR(alias_probability(sampler, i), expected[i], 1e-12)
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_NEAR(alias_probability(sampler, expected.size(), i), expected[i],
+                  1e-12)
           << "s=" << s << " i=" << i;
     }
   }
@@ -63,9 +63,10 @@ TEST(Alias, TableProbabilitiesReconstructWeights) {
 TEST(Alias, ZipfCtorMatchesZipfWeights) {
   const AliasSampler sampler(11, 1.3);
   const auto expected = zipf_weights(11, 1.3);
-  ASSERT_EQ(sampler.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_DOUBLE_EQ(sampler.weights()[i], expected[i]);
+    EXPECT_NEAR(alias_probability(sampler, expected.size(), i), expected[i],
+                1e-12)
+        << "i=" << i;
   }
 }
 
@@ -181,10 +182,19 @@ struct TwoArrayAlias {
   }
 };
 
+// The weights divided by their sum, in the order AliasSampler sums them, so
+// the quotients are bitwise the ones its table is built from.
+std::vector<double> normalized(std::vector<double> weights) {
+  double total = 0;
+  for (double w : weights) total += w;
+  for (double& w : weights) w /= total;
+  return weights;
+}
+
 // The one-column, in-place build draws exactly the two-array build's keys.
 void expect_same_draws(const std::vector<double>& weights, const char* what) {
   const AliasSampler sampler(weights);
-  const TwoArrayAlias reference(sampler.weights());
+  const TwoArrayAlias reference(normalized(weights));
   Rng a(1234), b(1234);
   for (int i = 0; i < 1'000'000; ++i) {
     const std::size_t got = sampler.sample(a);
@@ -219,7 +229,8 @@ TEST(Alias, ColumnBuildDrawsTheTwoArrayKeys) {
 // picks what the verbatim two-array sample() formula picks for that u.
 TEST(Alias, ResolveMatchesSample) {
   for (int n : {1, 3, 7, 100, 25600, 409600}) {
-    const AliasSampler sampler(zipf_weights(n, 0.9));
+    const std::vector<double> weights = zipf_weights(n, 0.9);
+    const AliasSampler sampler(weights);
     Rng a(77), b(77);
     for (int i = 0; i < 200'000; ++i) {
       const std::size_t want = sampler.sample(a);
@@ -227,7 +238,7 @@ TEST(Alias, ResolveMatchesSample) {
     }
     EXPECT_EQ(a(), b());  // both consumed one uniform per draw
 
-    const TwoArrayAlias reference(sampler.weights());
+    const TwoArrayAlias reference(normalized(weights));
     const auto reference_resolve = [&](double u) {
       const double x = u * static_cast<double>(n);
       std::size_t i = static_cast<std::size_t>(x);

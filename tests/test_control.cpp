@@ -80,7 +80,8 @@ TEST(ReplicationController, HoldsSteadyWhenHealthy) {
     EXPECT_EQ(d.moved_owners(), 0);
   }
   EXPECT_FALSE(ctl.migrating());
-  EXPECT_EQ(ctl.active(), (LayoutSpec{ReplicationStrategy::kOverlapping, 2}));
+  EXPECT_EQ(ctl.active().strategy, ReplicationStrategy::kOverlapping);
+  EXPECT_EQ(ctl.active().k, 2);
 }
 
 // Disjoint k=1 with machine 0 down: owner 0's set degrades to empty, so the
@@ -122,12 +123,12 @@ TEST(ReplicationController, RaisesKWhenAFaultStarvesAnOwner) {
 
 // Every owner's set under the frontier-aware layout: owners below
 // `frontier` use target(), the rest active().
-void expect_eligible_is_replica_set(const ReplicationController& ctl,
+void expect_eligible_is_replica_set(const ReplicationController& ctl, int m,
                                     int frontier, const char* when) {
-  for (int o = 0; o < ctl.m(); ++o) {
+  for (int o = 0; o < m; ++o) {
     const LayoutSpec& spec = o < frontier ? ctl.target() : ctl.active();
     const ProcSet set = ctl.eligible_for_owner(o);
-    EXPECT_EQ(set, replica_set(spec.strategy, o, spec.k, ctl.m()))
+    EXPECT_EQ(set, replica_set(spec.strategy, o, spec.k, m))
         << when << ", owner " << o;
     // A shared copy of the controller's set, not a fresh build.
     EXPECT_EQ(set.machines().data(), ctl.eligible_for_owner(o).machines().data())
@@ -138,24 +139,25 @@ void expect_eligible_is_replica_set(const ReplicationController& ctl,
 TEST(ReplicationController, EligibleForOwnerIsTheReplicaSetThroughMigrationAndFlap) {
   ControlConfig cfg;
   cfg.period = 1.0;
-  ReplicationController ctl(8, LayoutSpec{ReplicationStrategy::kDisjoint, 1},
+  const int m = 8;
+  ReplicationController ctl(m, LayoutSpec{ReplicationStrategy::kDisjoint, 1},
                             cfg);
-  expect_eligible_is_replica_set(ctl, ctl.m(), "before");
+  expect_eligible_is_replica_set(ctl, m, m, "before");
   ControlObservation obs = healthy_obs(8, 1.0);
   obs.up[0] = 0;  // owner 0 has no up replica: the controller must switch
   ControlDecision d = ctl.decide(obs);
   ASSERT_TRUE(d.switched);
   ASSERT_TRUE(ctl.migrating());
-  expect_eligible_is_replica_set(ctl, d.moved_hi, "switch epoch");
+  expect_eligible_is_replica_set(ctl, m, d.moved_hi, "switch epoch");
   while (ctl.migrating()) {
     obs.time += 1.0;
     d = ctl.decide(obs);
     ASSERT_EQ(d.reason, "migrate");
-    expect_eligible_is_replica_set(ctl, ctl.migrating() ? d.moved_hi : ctl.m(),
+    expect_eligible_is_replica_set(ctl, m, ctl.migrating() ? d.moved_hi : m,
                                    "migrate epoch");
   }
   EXPECT_EQ(ctl.active().k, 2);
-  expect_eligible_is_replica_set(ctl, ctl.m(), "after");
+  expect_eligible_is_replica_set(ctl, m, m, "after");
 
   ctl.set_unsafe_flap(true);
   for (int flip = 0; flip < 2; ++flip) {
@@ -163,7 +165,7 @@ TEST(ReplicationController, EligibleForOwnerIsTheReplicaSetThroughMigrationAndFl
     d = ctl.decide(obs);
     ASSERT_TRUE(d.switched);
     EXPECT_FALSE(ctl.migrating());
-    expect_eligible_is_replica_set(ctl, ctl.m(), "flap");
+    expect_eligible_is_replica_set(ctl, m, m, "flap");
   }
   EXPECT_EQ(ctl.active().strategy, ReplicationStrategy::kDisjoint);
 }
@@ -183,7 +185,8 @@ TEST(ReplicationController, CrashDecisionLogsItsBottleneckWindow) {
   EXPECT_EQ(d.bottleneck_lo, 2);
   EXPECT_EQ(d.bottleneck_len, 2);
   EXPECT_EQ(d.reason, "switch");
-  EXPECT_EQ(d.target, (LayoutSpec{ReplicationStrategy::kOverlapping, 2}));
+  EXPECT_EQ(d.target.strategy, ReplicationStrategy::kOverlapping);
+  EXPECT_EQ(d.target.k, 2);
   EXPECT_EQ(d.str(),
             "epoch=0 t=8 from=Disjoint/k=2 target=Overlapping/k=2 "
             "moved=[0,2) score=4 best=7 bottleneck=[2,4) reason=switch "

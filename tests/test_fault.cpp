@@ -902,11 +902,15 @@ TEST(RunnerHardening, ThrowingReplicateSurfacesTaggedAndIndexStable) {
       caught = true;
       // The smallest failing index wins at any thread count — the same
       // error a serial run hits first.
-      EXPECT_EQ(e.rep(), 2u) << "threads=" << threads;
-      EXPECT_EQ(e.experiment(), exp);
-      EXPECT_EQ(e.cell(), cell);
-      EXPECT_NE(std::string(e.what()).find("synthetic replicate failure"),
-                std::string::npos);
+      char want[96];
+      std::snprintf(want, sizeof(want),
+                    "replicate failed: experiment=0x%016llx cell=0x%016llx "
+                    "rep=2: ",
+                    static_cast<unsigned long long>(exp),
+                    static_cast<unsigned long long>(cell));
+      EXPECT_EQ(std::string(e.what()),
+                std::string(want) + "synthetic replicate failure")
+          << "threads=" << threads;
     }
     EXPECT_TRUE(caught) << "threads=" << threads;
     if (threads > 1) {

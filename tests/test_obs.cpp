@@ -12,11 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -115,9 +112,10 @@ TEST(Metrics, AgreesWithScheduleRecomputation) {
   MetricsCollector metrics;
   const Schedule sched = run_dispatcher(inst, eft, metrics);
 
-  ASSERT_TRUE(metrics.finished());
-  EXPECT_EQ(metrics.released(), inst.n());
-  EXPECT_EQ(metrics.dispatched(), inst.n());
+  // Task counts as the metrics row reports them.
+  const JsonValue row = json_parse(metrics.to_json());
+  EXPECT_EQ(row.find("released")->as_number(), inst.n());
+  EXPECT_EQ(row.find("completed")->as_number(), inst.n());
   EXPECT_EQ(metrics.completed(), inst.n());
 
   // Busy time and makespan recomputed straight off the returned schedule.
@@ -172,96 +170,6 @@ TEST(Metrics, AgreesWithScheduleRecomputation) {
   EXPECT_EQ(series.back().value, 0);
   for (std::size_t i = 1; i < series.size(); ++i) {
     EXPECT_LE(series[i - 1].time, series[i].time);
-  }
-}
-
-TEST(Metrics, FlowHistogramBucketsExactly) {
-  // The double nearest 0.6 is 5404319552844595/2^53, strictly below the
-  // 3/5 bin boundary of [0,3)/10 — the Rational path files it in bin 1,
-  // while double arithmetic computes 0.6/0.3 = 2.0 (the quotient rounds up
-  // to the boundary) and would misfile it into bin 2.
-  FlowHistogram h(Rational(0), Rational(3), 10);
-  h.add(0.6);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(2), 0u);
-  // An exactly-representable sample on a boundary goes to the upper bin.
-  FlowHistogram g(Rational(0), Rational(4), 8);  // width 1/2
-  g.add(1.5);
-  EXPECT_EQ(g.bin_count(2), 0u);
-  EXPECT_EQ(g.bin_count(3), 1u);
-  // Out-of-range samples clamp into the boundary bins.
-  h.add(-1.0);
-  h.add(100.0);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-// The exact-rational bin of x in [0, w * bins) / bins: floor(x / w),
-// clamped. A sample that is no int64 rational is either below 1 (a
-// subnormal: bin 0) or beyond 2^62 (the last bin).
-std::size_t reference_bin(double x, const Rational& w, std::size_t bins) {
-  if (x < 0) return 0;
-  const auto r = rational_from_double(x);
-  if (!r) return x < 1 ? 0 : bins - 1;
-  if (*r >= w * Rational(static_cast<std::int64_t>(bins))) return bins - 1;
-  const Rational q = *r / w;
-  return static_cast<std::size_t>(q.num() / q.den());
-}
-
-// Dyadic widths from 0 take the shift path; it files every sample where
-// exact rational arithmetic does: bin boundaries and one ulp either side,
-// zeros, subnormals, and samples at or beyond hi.
-TEST(Metrics, FlowHistogramShiftMatchesRational) {
-  const double inf = std::numeric_limits<double>::infinity();
-  for (int s = -3; s <= 2; ++s) {
-    const Rational w = s < 0 ? Rational(1, std::int64_t{1} << -s)
-                             : Rational(std::int64_t{1} << s);
-    for (std::size_t bins : {1u, 5u, 64u}) {
-      std::vector<double> samples = {
-          0.0, -0.0, std::numeric_limits<double>::denorm_min(),
-          -std::numeric_limits<double>::denorm_min(), 0x1p-1030, 0x1p-70,
-          1e300, std::numeric_limits<double>::max(), 0x1p62, 0x1p63};
-      for (std::size_t k = 0; k <= bins + 1; ++k) {
-        const double edge = std::ldexp(static_cast<double>(k), s);
-        samples.insert(samples.end(), {edge, std::nextafter(edge, -inf),
-                                       std::nextafter(edge, inf)});
-      }
-      FlowHistogram h(Rational(0), w * Rational(static_cast<std::int64_t>(bins)),
-                      bins);
-      std::vector<std::size_t> want(bins, 0);
-      for (double x : samples) {
-        h.add(x);
-        ++want[reference_bin(x, w, bins)];
-      }
-      for (std::size_t b = 0; b < bins; ++b) {
-        EXPECT_EQ(h.bin_count(b), want[b])
-            << "width 2^" << s << ", " << bins << " bins, bin " << b;
-      }
-      EXPECT_EQ(h.total(), samples.size());
-    }
-  }
-}
-
-// Samples with no int64 rational clamp in double before the index cast, on
-// both paths: +inf and huge values into the last bin, -inf into bin 0; NaN
-// has no bin and throws without being counted.
-TEST(Metrics, FlowHistogramNonFiniteSamples) {
-  const double inf = std::numeric_limits<double>::infinity();
-  FlowHistogram shift(Rational(0), Rational(64), 64);
-  FlowHistogram exact(Rational(0), Rational(3), 10);
-  FlowHistogram offset(Rational(-1), Rational(1), 4);
-  for (FlowHistogram* h : {&shift, &exact, &offset}) {
-    const std::size_t last = h->bins() - 1;
-    for (double x : {inf, 1e300, 0x1p63, std::numeric_limits<double>::max()}) {
-      h->add(x);
-    }
-    for (double x : {-inf, -1e300, -0x1p63}) h->add(x);
-    EXPECT_EQ(h->bin_count(last), 4u);
-    EXPECT_EQ(h->bin_count(0), 3u);
-    EXPECT_THROW(h->add(std::numeric_limits<double>::quiet_NaN()),
-                 std::invalid_argument);
-    EXPECT_EQ(h->total(), 7u);
   }
 }
 

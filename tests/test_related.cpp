@@ -57,11 +57,18 @@ TEST(RelatedSlowFit, UsesSlowestFeasibleMachine) {
   EXPECT_EQ(run.schedule.machine(1), 0);  // slow machine now qualifies
 }
 
+// The estimate starts at the first task's fastest flow, 1/4, so the budget
+// is 2 * 1/4. The second task fits nowhere within it and the estimate
+// doubles until the fast machine fits (flow 2.25 within budget 4). Doubling
+// past 4.5 would have let the slow machine (flow 8) fit, and Slow-Fit would
+// have taken it, since it tries the slowest machine first.
 TEST(RelatedSlowFit, EstimateDoublesMonotonically) {
   const auto inst = Instance::unrestricted(2, {{0.0, 1.0}, {0.0, 8.0}});
   QSlowFitDispatcher slowfit(2.0);
-  run_related(inst, {1.0, 4.0}, slowfit);
-  EXPECT_GT(slowfit.estimate(), 0.0);
+  const auto run = run_related(inst, {1.0, 4.0}, slowfit);
+  EXPECT_EQ(run.schedule.machine(0), 1);
+  EXPECT_EQ(run.schedule.machine(1), 1);
+  EXPECT_DOUBLE_EQ(run.flows[1], 2.25);
 }
 
 // Slow-Fit's failure mode: a single large task inflates the estimate; the

@@ -13,7 +13,24 @@ namespace {
 
 TEST(ThreadPool, RunsSubmittedTasksAndReturnsResults) {
   ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
+  // Four workers: four tasks that each wait for all four to start finish.
+  // With fewer workers the started count stalls below 4 and the wait times
+  // out.
+  std::atomic<int> started{0};
+  std::vector<std::future<bool>> meet;
+  for (int i = 0; i < 4; ++i) {
+    meet.push_back(pool.submit([&started] {
+      ++started;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (started.load() < 4) {
+        if (std::chrono::steady_clock::now() > deadline) return false;
+        std::this_thread::yield();
+      }
+      return true;
+    }));
+  }
+  for (auto& f : meet) EXPECT_TRUE(f.get());
   std::vector<std::future<int>> futures;
   for (int i = 0; i < 100; ++i) {
     futures.push_back(pool.submit([i] { return i * i; }));

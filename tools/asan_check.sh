@@ -79,7 +79,7 @@ fi
 "$FUZZ" run --seed 17 --runs 24 --threads 4 --nc-every 1 --weighted-every 1 \
   > "$SMOKE_DIR/fuzz-nc.out"
 if "$FUZZ" run --seed 42 --runs 8 --threads 1 --inject-nc-bug \
-    --structure nested --no-faults --no-stream --no-shard \
+    --structure nested --fault-every 0 --stream-every 0 --shard-every 0 \
     --corpus-dir "$SMOKE_DIR/nc-corpus" > "$SMOKE_DIR/fuzz-nc-bug.out"; then
   echo "asan_check: --inject-nc-bug campaign unexpectedly clean" >&2
   exit 1
@@ -95,7 +95,8 @@ fi
 "$FUZZ" run --seed 19 --runs 24 --threads 4 --control-every 1 \
   > "$SMOKE_DIR/fuzz-control.out"
 if "$FUZZ" run --seed 42 --runs 4 --threads 1 --inject-control-bug \
-    --no-faults --no-stream --no-shard --no-nc --no-weighted \
+    --fault-every 0 --stream-every 0 --shard-every 0 --nc-every 0 \
+    --weighted-every 0 \
     --corpus-dir "$SMOKE_DIR/control-corpus" \
     > "$SMOKE_DIR/fuzz-control-bug.out"; then
   echo "asan_check: --inject-control-bug campaign unexpectedly clean" >&2

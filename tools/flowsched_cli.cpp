@@ -537,9 +537,9 @@ int cmd_stream(const ArgParser& args) {
   // out-of-range double (say 1e20) is undefined behaviour, and a fraction
   // (2.5) would be truncated silently. 1e7 is integral, so it stays valid.
   const double requests_arg = args.num("requests", 100000);
-  if (!(requests_arg >= 0 && requests_arg <= std::numeric_limits<int>::max()) ||
+  if (!(requests_arg >= 1 && requests_arg <= std::numeric_limits<int>::max()) ||
       requests_arg != std::floor(requests_arg)) {
-    std::fprintf(stderr, "need an integer 0 <= requests <= %d\n",
+    std::fprintf(stderr, "need an integer 1 <= --requests <= %d\n",
                  std::numeric_limits<int>::max());
     return 2;
   }

@@ -4,11 +4,10 @@
 //   flowsched_fuzz run [--seed N] [--runs N] [--threads N]
 //       [--structure inclusive|nested|ksize|interval|adversary|all]
 //       [--corpus-dir DIR] [--inject-bug] [--no-shrink] [--no-oracles]
-//       [--lp-every N] [--fault-every N] [--no-faults] [--inject-fault-bug]
-//       [--stream-every N] [--no-stream] [--no-bounds] [--shard-every N]
-//       [--no-shard] [--nc-every N] [--no-nc] [--inject-nc-bug]
-//       [--weighted-every N] [--no-weighted] [--control-every N]
-//       [--no-control] [--inject-control-bug]
+//       [--lp-every N] [--fault-every N] [--inject-fault-bug]
+//       [--stream-every N] [--no-bounds] [--shard-every N]
+//       [--nc-every N] [--inject-nc-bug] [--weighted-every N]
+//       [--control-every N] [--inject-control-bug]
 //       [--max-n N] [--max-m N] [--unit]
 //   flowsched_fuzz replay --input FILE [--no-oracles]
 //
@@ -71,20 +70,14 @@ int run_command(const ArgParser& args) {
   }
   config.lp_every = args.integer("lp-every", config.lp_every);
   config.fault_every = args.integer("fault-every", config.fault_every);
-  if (args.has("no-faults")) config.fault_every = 0;
   config.stream_every = args.integer("stream-every", config.stream_every);
-  if (args.has("no-stream")) config.stream_every = 0;
   if (args.has("no-bounds")) config.bounds_diff = false;
   config.shard_every = args.integer("shard-every", config.shard_every);
-  if (args.has("no-shard")) config.shard_every = 0;
   config.inject_fault_bug = args.has("inject-fault-bug");
   config.nc_every = args.integer("nc-every", config.nc_every);
-  if (args.has("no-nc")) config.nc_every = 0;
   config.inject_nc_bug = args.has("inject-nc-bug");
   config.weighted_every = args.integer("weighted-every", config.weighted_every);
-  if (args.has("no-weighted")) config.weighted_every = 0;
   config.control_every = args.integer("control-every", config.control_every);
-  if (args.has("no-control")) config.control_every = 0;
   config.inject_control_bug = args.has("inject-control-bug");
   config.sizes.max_n = args.integer("max-n", config.sizes.max_n);
   config.sizes.max_m = args.integer("max-m", config.sizes.max_m);

@@ -18,14 +18,14 @@
 #   7. the clean campaign ran the sharded-engine differential
 #      ([shard-equiv] bit-equality + [shard-valid] structural audit,
 #      docs/sharding.md) on every run — asserted via the report's
-#      shard-checks counter — and --no-shard disarms it;
+#      shard-checks counter — and --shard-every 0 disarms it;
 #   8. the clean campaign ran the non-clairvoyant battery ([nc-no-peek],
 #      [setup-accounting], [diff-nc], [nc-lb]/[nc-ceiling],
 #      docs/scenarios.md) on every run — asserted via the report's
-#      nc-checks counter — and --no-nc disarms it;
+#      nc-checks counter — and --nc-every 0 disarms it;
 #   9. the clean campaign ran the weighted battery ([weighted-accounting],
 #      [diff-weighted], [weighted-ceiling]) on every run — asserted via the
-#      report's weighted-checks counter — and --no-weighted disarms it;
+#      report's weighted-checks counter — and --weighted-every 0 disarms it;
 #  10. with --inject-nc-bug the planted clairvoyance leak (true frontiers
 #      handed to a censored policy) is caught by an [nc-*] check and every
 #      reproducer shrinks to at most 4 tasks;
@@ -33,7 +33,8 @@
 #      ([control-determinism]/[control-movement-bound]/
 #      [control-setup-accounting] + the [diff-control] controller-off ==
 #      static differential, docs/control.md) on every run — asserted via
-#      the report's control-checks counter — and --no-control disarms it;
+#      the report's control-checks counter — and --control-every 0
+#      disarms it;
 #  12. with --inject-control-bug the planted flapping controller (layout
 #      flipped every epoch, frontier jumped in one step) is caught by a
 #      [control-*] check and shrinks to at most 4 tasks;
@@ -167,16 +168,16 @@ if(CMAKE_MATCH_1 EQUAL 0)
       "${clean_report}")
 endif()
 execute_process(
-  COMMAND ${FUZZ} run --seed 42 --runs 8 --threads 1 --no-stream
+  COMMAND ${FUZZ} run --seed 42 --runs 8 --threads 1 --stream-every 0
   OUTPUT_FILE ${dir}/nostream.txt RESULT_VARIABLE nostream_rc)
 if(NOT nostream_rc EQUAL 0)
   message(FATAL_ERROR
-      "fuzz_smoke: --no-stream campaign failed (rc=${nostream_rc})")
+      "fuzz_smoke: --stream-every 0 campaign failed (rc=${nostream_rc})")
 endif()
 file(READ ${dir}/nostream.txt nostream_report)
 if(NOT nostream_report MATCHES "stream-checks=0")
   message(FATAL_ERROR
-      "fuzz_smoke: --no-stream did not disable the streaming differential:\n"
+      "fuzz_smoke: --stream-every 0 did not disable the streaming differential:\n"
       "${nostream_report}")
 endif()
 
@@ -220,16 +221,16 @@ if(CMAKE_MATCH_1 EQUAL 0)
       "${clean_report}")
 endif()
 execute_process(
-  COMMAND ${FUZZ} run --seed 42 --runs 8 --threads 1 --no-shard
+  COMMAND ${FUZZ} run --seed 42 --runs 8 --threads 1 --shard-every 0
   OUTPUT_FILE ${dir}/noshard.txt RESULT_VARIABLE noshard_rc)
 if(NOT noshard_rc EQUAL 0)
   message(FATAL_ERROR
-      "fuzz_smoke: --no-shard campaign failed (rc=${noshard_rc})")
+      "fuzz_smoke: --shard-every 0 campaign failed (rc=${noshard_rc})")
 endif()
 file(READ ${dir}/noshard.txt noshard_report)
 if(NOT noshard_report MATCHES "shard-checks=0")
   message(FATAL_ERROR
-      "fuzz_smoke: --no-shard did not disable the sharded differential:\n"
+      "fuzz_smoke: --shard-every 0 did not disable the sharded differential:\n"
       "${noshard_report}")
 endif()
 
@@ -246,15 +247,15 @@ if(CMAKE_MATCH_1 EQUAL 0)
       "${clean_report}")
 endif()
 execute_process(
-  COMMAND ${FUZZ} run --seed 42 --runs 8 --threads 1 --no-nc
+  COMMAND ${FUZZ} run --seed 42 --runs 8 --threads 1 --nc-every 0
   OUTPUT_FILE ${dir}/nonc.txt RESULT_VARIABLE nonc_rc)
 if(NOT nonc_rc EQUAL 0)
-  message(FATAL_ERROR "fuzz_smoke: --no-nc campaign failed (rc=${nonc_rc})")
+  message(FATAL_ERROR "fuzz_smoke: --nc-every 0 campaign failed (rc=${nonc_rc})")
 endif()
 file(READ ${dir}/nonc.txt nonc_report)
 if(NOT nonc_report MATCHES " nc-checks=0")
   message(FATAL_ERROR
-      "fuzz_smoke: --no-nc did not disable the non-clairvoyant battery:\n"
+      "fuzz_smoke: --nc-every 0 did not disable the non-clairvoyant battery:\n"
       "${nonc_report}")
 endif()
 
@@ -271,16 +272,16 @@ if(CMAKE_MATCH_1 EQUAL 0)
       "${clean_report}")
 endif()
 execute_process(
-  COMMAND ${FUZZ} run --seed 42 --runs 8 --threads 1 --no-weighted
+  COMMAND ${FUZZ} run --seed 42 --runs 8 --threads 1 --weighted-every 0
   OUTPUT_FILE ${dir}/noweighted.txt RESULT_VARIABLE noweighted_rc)
 if(NOT noweighted_rc EQUAL 0)
   message(FATAL_ERROR
-      "fuzz_smoke: --no-weighted campaign failed (rc=${noweighted_rc})")
+      "fuzz_smoke: --weighted-every 0 campaign failed (rc=${noweighted_rc})")
 endif()
 file(READ ${dir}/noweighted.txt noweighted_report)
 if(NOT noweighted_report MATCHES "weighted-checks=0")
   message(FATAL_ERROR
-      "fuzz_smoke: --no-weighted did not disable the weighted battery:\n"
+      "fuzz_smoke: --weighted-every 0 did not disable the weighted battery:\n"
       "${noweighted_report}")
 endif()
 
@@ -291,7 +292,7 @@ endif()
 # [nc-no-peek] counterfactual permutation.
 execute_process(
   COMMAND ${FUZZ} run --seed 42 --runs 12 --threads 1 --inject-nc-bug
-          --structure nested --no-faults --no-stream --no-shard
+          --structure nested --fault-every 0 --stream-every 0 --shard-every 0
           --corpus-dir ${dir}/nc-found
   OUTPUT_FILE ${dir}/nc-bug.txt RESULT_VARIABLE nc_rc)
 if(NOT nc_rc EQUAL 1)
@@ -347,16 +348,16 @@ if(CMAKE_MATCH_1 EQUAL 0)
       "${clean_report}")
 endif()
 execute_process(
-  COMMAND ${FUZZ} run --seed 42 --runs 8 --threads 1 --no-control
+  COMMAND ${FUZZ} run --seed 42 --runs 8 --threads 1 --control-every 0
   OUTPUT_FILE ${dir}/nocontrol.txt RESULT_VARIABLE nocontrol_rc)
 if(NOT nocontrol_rc EQUAL 0)
   message(FATAL_ERROR
-      "fuzz_smoke: --no-control campaign failed (rc=${nocontrol_rc})")
+      "fuzz_smoke: --control-every 0 campaign failed (rc=${nocontrol_rc})")
 endif()
 file(READ ${dir}/nocontrol.txt nocontrol_report)
 if(NOT nocontrol_report MATCHES " control-checks=0")
   message(FATAL_ERROR
-      "fuzz_smoke: --no-control did not disable the control battery:\n"
+      "fuzz_smoke: --control-every 0 did not disable the control battery:\n"
       "${nocontrol_report}")
 endif()
 
@@ -366,7 +367,8 @@ endif()
 # aggressive stream shrinking — down to a single task.
 execute_process(
   COMMAND ${FUZZ} run --seed 42 --runs 4 --threads 1 --inject-control-bug
-          --no-faults --no-stream --no-shard --no-nc --no-weighted
+          --fault-every 0 --stream-every 0 --shard-every 0 --nc-every 0
+          --weighted-every 0
           --corpus-dir ${dir}/control-found
   OUTPUT_FILE ${dir}/control-bug.txt RESULT_VARIABLE control_rc)
 if(NOT control_rc EQUAL 1)

@@ -14,7 +14,8 @@
 #   6. an out-of-range shard count fails fast;
 #   7. a request count above INT_MAX exits 2 instead of wrapping the report;
 #   8. a non-integral request count exits 2 instead of being truncated, while
-#      an integral one in exponent form (1e3) still runs;
+#      an integral one in exponent form (1e3) still runs; a count of 0 exits
+#      2 naming --requests instead of printing an empty report;
 #   9. an overloaded hot-key stream (about 2*10^4 requests waiting at the
 #      peak) stays under a 10 MB RSS bound: the engine holds 8 B per waiting
 #      request, not a queue entry and a task slot each;
@@ -165,6 +166,15 @@ if(NOT rc EQUAL 0 OR NOT integral_out MATCHES "requests=1000 ")
   message(FATAL_ERROR
       "stream_smoke: --requests 1e3 was not run as 1000 requests "
       "(rc=${rc}):\n${integral_out}")
+endif()
+
+execute_process(
+  COMMAND ${CLI} stream --requests 0 --m 4
+  OUTPUT_QUIET ERROR_VARIABLE zero_err RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2 OR NOT zero_err MATCHES "--requests")
+  message(FATAL_ERROR
+      "stream_smoke: --requests 0 did not exit 2 naming --requests "
+      "(rc=${rc}): ${zero_err}")
 endif()
 
 # --- 9. a deep backlog under an RSS bound ---------------------------------
