@@ -1,6 +1,7 @@
 #include "control/adaptive_sim.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -20,6 +21,11 @@ void validate_case(const ControlCase& c) {
   }
   double last = 0;
   for (std::size_t i = 0; i < n; ++i) {
+    // An infinite release would keep the controller deciding forever, and a
+    // NaN one would pass the order check below.
+    if (!std::isfinite(c.release[i])) {
+      throw std::invalid_argument("ControlCase: release not finite");
+    }
     if (c.release[i] < last) {
       throw std::invalid_argument("ControlCase: releases must be non-decreasing");
     }
@@ -102,8 +108,9 @@ AdaptiveRunReport run_adaptive(const ControlCase& c, Dispatcher& dispatcher,
   // moved them, or -1. The debt is collected by the owner's next request.
   std::vector<int> pending(static_cast<std::size_t>(m), -1);
   double next_epoch = c.control.period;
+  // A fault run's flows come out of its fate sink instead.
   std::vector<double> flows;
-  flows.reserve(static_cast<std::size_t>(n));
+  if (!faulty) flows.reserve(static_cast<std::size_t>(n));
 
   for (int i = 0; i < n; ++i) {
     const double r = c.release[static_cast<std::size_t>(i)];
@@ -153,7 +160,7 @@ AdaptiveRunReport run_adaptive(const ControlCase& c, Dispatcher& dispatcher,
   if (faulty) {
     engine.drain_faults();
     set_outcome(engine.fault_stats().outcome(n), &rep);
-    fates.for_each_completed([&](double, double flow) { flows.push_back(flow); });
+    flows = std::move(fates).take_flows();
   } else {
     rep.completed = n;
   }

@@ -5,11 +5,12 @@
 #include <stdexcept>
 
 namespace flowsched {
-namespace {
+
+const std::vector<int> ProcSet::kNoMachines;
 
 // splitmix64-style mixing over the sorted, deduplicated member list. The
 // members fully determine the hash, so equal sets always hash equally.
-std::uint64_t hash_machines(const std::vector<int>& machines) {
+std::uint64_t ProcSet::hash_of(const std::vector<int>& machines) {
   std::uint64_t h = 0x9E3779B97F4A7C15ULL + machines.size();
   for (int j : machines) {
     std::uint64_t z = h ^ static_cast<std::uint64_t>(j);
@@ -20,10 +21,6 @@ std::uint64_t hash_machines(const std::vector<int>& machines) {
   return h;
 }
 
-}  // namespace
-
-const std::vector<int> ProcSet::kNoMachines;
-
 ProcSet::ProcSet(std::vector<int> machines) {
   for (int j : machines) {
     if (j < 0) throw std::invalid_argument("ProcSet: negative machine index");
@@ -31,7 +28,7 @@ ProcSet::ProcSet(std::vector<int> machines) {
   if (machines.empty()) return;
   std::sort(machines.begin(), machines.end());
   machines.erase(std::unique(machines.begin(), machines.end()), machines.end());
-  const std::uint64_t hash = hash_machines(machines);
+  const std::uint64_t hash = hash_of(machines);
   rep_ = new Rep{{1}, hash, std::move(machines)};
 }
 

@@ -99,6 +99,11 @@ class ProcSet {
     return rep_ != nullptr ? rep_->hash : kEmptyHash;
   }
 
+  /// The hash() of the set whose members are `machines`, which must be
+  /// sorted and unique: matches a member list against existing sets
+  /// without building one.
+  static std::uint64_t hash_of(const std::vector<int>& machines);
+
   /// Hints the cache to load the shared block (count, hash and member
   /// vector header), which a copy writes and a dispatch reads. No effect on
   /// any result; a no-op on the empty set.
@@ -117,8 +122,8 @@ class ProcSet {
     std::vector<int> machines;  // sorted, unique, non-empty
   };
 
-  // Equals hash_machines({}) in procset.cpp, so the empty set hashes as a
-  // member list of length zero would.
+  // Equals hash_of({}), so the empty set hashes as a member list of length
+  // zero would.
   static constexpr std::uint64_t kEmptyHash = 0x9E3779B97F4A7C15ULL;
   static const std::vector<int> kNoMachines;
 

@@ -1,6 +1,7 @@
 #include "sched/streaming.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -349,6 +350,10 @@ std::size_t StreamingEngine::memory_bytes() const {
     bytes += f.retries.memory_bytes();
     bytes += f.occupied.capacity() * sizeof(double);
     bytes += f.up.capacity() * sizeof(int);
+    bytes += f.degraded.capacity() * sizeof(ProcSet);
+    for (const ProcSet& set : f.degraded) {
+      bytes += set.machines().capacity() * sizeof(int);
+    }
   }
   return bytes;
 }
@@ -360,7 +365,17 @@ StreamingEngine::Faults::Faults(const FaultPlan& plan,
     : availability(plan),
       recovery(recovery),
       retries(kRetryWidth, kRetryBuckets, kMaxRetryBuckets, 0),
-      occupied(static_cast<std::size_t>(m), 0.0) {}
+      occupied(static_cast<std::size_t>(m), 0.0),
+      degraded(std::bit_floor(
+          std::clamp(kDegradedMembers / static_cast<std::size_t>(m),
+                     std::size_t{1}, kMaxDegradedSlots))) {}
+
+const ProcSet& StreamingEngine::Faults::degraded_set() {
+  const std::uint64_t hash = ProcSet::hash_of(up);
+  ProcSet& slot = degraded[hash & (degraded.size() - 1)];
+  if (slot.hash() != hash || slot.machines() != up) slot = ProcSet(up);
+  return slot;
+}
 
 void StreamingEngine::set_faults(const FaultPlan* plan,
                                  RecoveryPolicy recovery) {
@@ -484,7 +499,7 @@ Assignment StreamingEngine::dispatch_attempt(Retry a, double now) {
     if (static_cast<int>(f.up.size()) == a.eligible.size()) {
       probe_.eligible = a.eligible;
     } else {
-      probe_.eligible = ProcSet(f.up);
+      probe_.eligible = f.degraded_set();
     }
   }
 

@@ -22,11 +22,12 @@
 //
 // The fault layer (set_faults, docs/faults.md) lives here too: the
 // availability cursor, the retry/park calendar, kill/requeue/drop, the
-// FaultStats counters and the per-machine occupied work. A queued retry
-// carries its task's release, proc, weight and M_i, so fault mode adds
-// O(queued retries) state and nothing per task. Each task's terminal fate
-// goes to the driver once, through a borrowed FateSink; attempts are
-// written only into a FaultLog that a reader attaches.
+// FaultStats counters, the per-machine occupied work and a fixed table of
+// interned degraded sets M_i ∩ up(t). A queued retry carries its task's
+// release, proc, weight and M_i, so fault mode adds O(queued retries)
+// state and nothing per task. Each task's terminal fate goes to the driver
+// once, through a borrowed FateSink (FlowsInTaskOrder keeps one double per
+// task); attempts are written only into a FaultLog that a reader attaches.
 //
 // Used directly, the core serves the 10^8-request simulations of the kvstore
 // layer (docs/streaming.md), the cluster simulator and the adaptive control
@@ -90,36 +91,47 @@ class FateSink {
 };
 
 /// A FateSink that files each task's flow by task id, for drivers that
-/// report flows in task order once the run is drained: 16 B per task.
+/// report flows in task order once the run is drained: 8 B per task, and a
+/// weight column of 8 B more per task once a task of weight other than 1
+/// settles.
 class FlowsInTaskOrder final : public FateSink {
  public:
   explicit FlowsInTaskOrder(int tasks)
       : flows_(static_cast<std::size_t>(tasks),
-               Flow{std::numeric_limits<double>::quiet_NaN(), 1.0}) {}
+               std::numeric_limits<double>::quiet_NaN()) {}
 
   void on_fate(const TaskEnd& end) override {
-    if (end.fate == TaskFate::kCompleted) {
-      flows_[static_cast<std::size_t>(end.task)] =
-          Flow{end.completion - end.release, end.weight};
+    if (end.fate != TaskFate::kCompleted) return;
+    const auto i = static_cast<std::size_t>(end.task);
+    flows_[i] = end.completion - end.release;
+    if (end.weight != 1.0 && weights_.empty()) {
+      weights_.assign(flows_.size(), 1.0);
     }
+    if (!weights_.empty()) weights_[i] = end.weight;
   }
 
   /// Calls f(weight, flow) for each completed task, in task order.
   template <class F>
   void for_each_completed(F&& f) const {
-    for (const Flow& t : flows_) {
-      if (!std::isnan(t.flow)) f(t.weight, t.flow);
+    for (std::size_t i = 0; i < flows_.size(); ++i) {
+      if (!std::isnan(flows_[i])) {
+        f(weights_.empty() ? 1.0 : weights_[i], flows_[i]);
+      }
     }
   }
 
+  /// The completed tasks' flows in task order, compacted in place and moved
+  /// out; the sink is spent.
+  std::vector<double> take_flows() && {
+    std::erase_if(flows_, [](double f) { return std::isnan(f); });
+    return std::move(flows_);
+  }
+
  private:
-  // A dropped task's flow stays NaN; a flow is never NaN, releases being
-  // finite.
-  struct Flow {
-    double flow;
-    double weight;
-  };
-  std::vector<Flow> flows_;
+  // A task's flow stays NaN until it completes, and a dropped task's stays
+  // NaN for good; a flow is never NaN, releases being finite.
+  std::vector<double> flows_;
+  std::vector<double> weights_;  // empty while every settled weight is 1
 };
 
 class StreamingEngine {
@@ -190,11 +202,12 @@ class StreamingEngine {
   std::size_t peak_in_flight() const { return peak_in_flight_; }
 
   /// Live footprint estimate: finish rings + front queue + per-machine
-  /// arrays, and in fault mode the retry queue. Independent of released()
-  /// by construction: a ring doubles when full, so it holds under 2 x 8 B
-  /// per task at its own peak (twice that in non-clairvoyant mode), a
-  /// queued retry costs one calendar entry, plus O(m). An attached
-  /// FaultLog belongs to its reader and is not counted.
+  /// arrays, and in fault mode the retry queue and the degraded-set table.
+  /// Independent of released() by construction: a ring doubles when full,
+  /// so it holds under 2 x 8 B per task at its own peak (twice that in
+  /// non-clairvoyant mode), a queued retry costs one calendar entry, the
+  /// table has a fixed number of slots, plus O(m). An attached FaultLog
+  /// belongs to its reader and is not counted.
   std::size_t memory_bytes() const;
 
   /// \brief Attaches a borrowed event sink (nullptr detaches).
@@ -230,8 +243,9 @@ class StreamingEngine {
   /// requeued per `recovery`, and a task whose degraded set is empty is
   /// parked until the earliest recovery among its machines (dropped —
   /// never silently lost — when no machine ever recovers or the retry
-  /// budget is exhausted). With no plan (the default) release() pays one
-  /// null check for it.
+  /// budget is exhausted). Attempts that see the same up members of M_i
+  /// share one interned degraded set. With no plan (the default) release()
+  /// pays one null check for it.
   void set_faults(const FaultPlan* plan, RecoveryPolicy recovery = {});
 
   /// Borrowed receiver of each task's terminal fate (nullptr detaches).
@@ -322,9 +336,20 @@ class StreamingEngine {
     double weight = 1;
     ProcSet eligible;
   };
+  // The degraded-set table has a power of two of slots, at most
+  // kMaxDegradedSlots and at most kDegradedMembers / m, so the sets it
+  // keeps alive hold at most 2^16 members (256 KB) whatever m is. A set
+  // only loses members that are down, so a store of m replica sets of k
+  // machines degrades into at most m (2^k - 2) distinct sets; a few
+  // machines are down at a time, and the same sets recur with each crash.
+  static constexpr std::size_t kMaxDegradedSlots = 1024;
+  static constexpr std::size_t kDegradedMembers = std::size_t{1} << 16;
   // The fault layer's state, allocated by set_faults.
   struct Faults {
     Faults(const FaultPlan& plan, const RecoveryPolicy& recovery, int m);
+    // The set whose members are `up`: the interned one when an earlier
+    // attempt saw the same members, else a new one that takes its slot.
+    const ProcSet& degraded_set();
     FaultPlan::Cursor availability;  // the attempts' window on the plan
     RecoveryPolicy recovery;
     // Pops in ascending (time, insertion seq), so equal-time retries
@@ -335,6 +360,9 @@ class StreamingEngine {
     FaultStats stats;
     std::vector<double> occupied;  // per machine, summed in attempt order
     std::vector<int> up;           // reused degraded-set scratch
+    // Degraded sets by the low bits of their members' hash; direct-mapped,
+    // so a collision replaces the older set.
+    std::vector<ProcSet> degraded;
   };
   // admit + due retries + released event + the first attempt.
   Assignment release_faulty(long long task_id);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -297,6 +298,19 @@ TEST(AdaptiveSim, PlantedFlapIsCaughtByTheAudit) {
     if (v.find("[control-") != std::string::npos) control_tag = true;
   }
   EXPECT_TRUE(control_tag) << auditor.report();
+}
+
+// An infinite release used to keep the controller deciding every epoch up
+// to it, until memory ran out; a NaN one slipped past the order check.
+TEST(AdaptiveSim, RejectsNonFiniteRelease) {
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    ControlCase c = small_case(/*faulty=*/false);
+    c.release.back() = bad;
+    EftDispatcher d(TieBreakKind::kMin);
+    EXPECT_THROW(run_adaptive(c, d, /*enabled=*/true), std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(AdaptiveSim, ReportAppendsControlFieldsOnlyWhenDecisionsExist) {

@@ -12,10 +12,12 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <malloc.h>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "check/audit.hpp"
@@ -879,6 +881,132 @@ TEST(FaultCore, MemoryCountsTheRetryQueue) {
   EXPECT_GE(core.memory_bytes(), before + parked * (4 * sizeof(double) + sizeof(ProcSet)));
   core.drain_faults();
   EXPECT_EQ(core.fault_stats().completed, parked);
+}
+
+// Keeps every set it is handed, so no block is freed and reused during the
+// run, and picks the first eligible machine.
+class SetRecorder final : public Dispatcher {
+ public:
+  void reset(int) override {}
+  int dispatch(const Task& t, const MachineState&) override {
+    sets.push_back(t.eligible);
+    return t.eligible.machines().front();
+  }
+  std::string name() const override { return "SetRecorder"; }
+
+  const int* block(std::size_t i) const { return sets.at(i).machines().data(); }
+
+  std::vector<ProcSet> sets;
+};
+
+// A degraded set is built once: attempts that see the same up members get
+// the same interned block, whichever set they were degraded from, while an
+// undegraded attempt keeps its own M_i.
+TEST(FaultCore, DegradedSetsShareOneBlock) {
+  const int m = 8;
+  FaultPlan plan(m);
+  plan.add_down(0, 1.0, 100.0);
+  plan.add_down(3, 1.0, 100.0);
+  SetRecorder rec;
+  StreamingEngine core(m, rec);
+  core.set_faults(&plan, RecoveryPolicy{});
+  const ProcSet c({1, 2});
+  const ProcSet d({4, 5});
+  core.release(2.0, 1.0, ProcSet({0, 1, 2}));  // {1, 2}
+  core.release(3.0, 1.0, ProcSet({0, 1, 2}));  // same members, own block
+  core.release(4.0, 1.0, ProcSet({1, 2, 3}));  // {1, 2} from another set
+  core.release(5.0, 1.0, c);                   // all up: c itself
+  core.release(6.0, 1.0, d);                   // all up: d itself
+  core.release(7.0, 1.0, {});                  // all machines but 0 and 3
+  core.release(8.0, 1.0, {});
+  ASSERT_EQ(rec.sets.size(), 7u);
+  EXPECT_EQ(rec.sets[0].machines(), (std::vector<int>{1, 2}));
+  EXPECT_EQ(rec.block(1), rec.block(0));
+  EXPECT_EQ(rec.block(2), rec.block(0));
+  EXPECT_EQ(rec.block(3), c.machines().data());
+  EXPECT_EQ(rec.block(4), d.machines().data());
+  EXPECT_EQ(rec.sets[5].machines(), (std::vector<int>{1, 2, 4, 5, 6, 7}));
+  EXPECT_EQ(rec.block(6), rec.block(5));
+  EXPECT_NE(rec.block(5), rec.block(0));
+}
+
+// The table keeps each set it interned after the attempts that saw it
+// have moved on, and memory_bytes() counts its members.
+TEST(FaultCore, MemoryCountsDegradedSets) {
+  const int m = 256;
+  FaultPlan plan(m);
+  plan.add_down(0, 0.0, 1000.0);
+  plan.add_down(1, 0.0, 1.5);
+  EftDispatcher eft(TieBreakKind::kMin);
+  StreamingEngine core(m, eft);
+  core.set_faults(&plan, RecoveryPolicy{});
+  // The first attempt sizes the scratch member list; each release on a
+  // singleton leaves the attempt view small.
+  core.release(1.0, 1.0, {});  // all machines but 0 and 1
+  core.release(1.25, 1.0, ProcSet::single(2));
+  const std::size_t before = core.memory_bytes();
+  core.release(2.0, 1.0, {});  // all machines but 0
+  core.release(2.25, 1.0, ProcSet::single(3));
+  EXPECT_GE(core.memory_bytes(), before + (m - 1) * sizeof(int));
+}
+
+// --- FlowsInTaskOrder ----------------------------------------------------------
+
+TEST(FlowsInTaskOrder, ExcludesDroppedTasksAndKeepsTaskOrder) {
+  FlowsInTaskOrder flows(5);
+  FateSink& sink = flows;
+  // Settle order, not task order: task 1 was killed and settles last.
+  sink.on_fate(TaskEnd{0, TaskFate::kCompleted, 3.0, 1.0, 1.0});
+  sink.on_fate(TaskEnd{2, TaskFate::kDropped, -1.0, 2.0, 1.0});
+  sink.on_fate(TaskEnd{4, TaskFate::kCompleted, 7.5, 4.0, 1.0});
+  sink.on_fate(TaskEnd{3, TaskFate::kCompleted, 6.0, 3.0, 1.0});
+  sink.on_fate(TaskEnd{1, TaskFate::kCompleted, 9.0, 1.5, 1.0});
+  std::vector<double> seen;
+  flows.for_each_completed([&](double w, double f) {
+    EXPECT_EQ(w, 1.0);
+    seen.push_back(f);
+  });
+  const std::vector<double> want{2.0, 7.5, 3.0, 3.5};
+  EXPECT_EQ(seen, want);
+  EXPECT_EQ(std::move(flows).take_flows(), want);
+}
+
+TEST(FlowsInTaskOrder, WeightsStayOneUntilAWeightedFateArrives) {
+  FlowsInTaskOrder flows(4);
+  FateSink& sink = flows;
+  sink.on_fate(TaskEnd{1, TaskFate::kCompleted, 2.0, 1.0, 1.0});
+  sink.on_fate(TaskEnd{3, TaskFate::kCompleted, 5.0, 3.0, 4.0});
+  sink.on_fate(TaskEnd{0, TaskFate::kCompleted, 1.0, 0.0, 1.0});
+  sink.on_fate(TaskEnd{2, TaskFate::kDropped, -1.0, 2.0, 8.0});
+  std::vector<std::pair<double, double>> seen;
+  flows.for_each_completed(
+      [&](double w, double f) { seen.emplace_back(w, f); });
+  const std::vector<std::pair<double, double>> want{
+      {1.0, 1.0}, {1.0, 1.0}, {4.0, 2.0}};
+  EXPECT_EQ(seen, want);
+}
+
+// An unweighted sink is one double per task; the weight column comes with
+// the first weighted fate.
+TEST(FlowsInTaskOrder, UnweightedSinkHoldsOneDoublePerTask) {
+  const auto heap = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  const int n = 100000;
+  const std::size_t column = n * sizeof(double);
+  const std::size_t base = heap();
+  FlowsInTaskOrder flows(n);
+  FateSink& sink = flows;
+  for (int i = 0; i < n; ++i) {
+    const double r = i;
+    sink.on_fate(TaskEnd{i, TaskFate::kCompleted, r + 2.0, r, 1.0});
+  }
+  const std::size_t unweighted = heap() - base;
+  EXPECT_GE(unweighted, column);
+  EXPECT_LE(unweighted, column + 4096);
+  sink.on_fate(TaskEnd{0, TaskFate::kCompleted, 2.0, 0.0, 2.0});
+  EXPECT_GE(heap() - base, 2 * column);
 }
 
 // --- Hardened runner ---------------------------------------------------------

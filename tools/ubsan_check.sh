@@ -33,7 +33,7 @@ FUZZ="$BUILD_DIR/tools/flowsched_fuzz"
 # Every alternative of the suite filter must select at least one test, so
 # that a renamed or deleted suite fails here instead of silently dropping
 # out of the run.
-SUITES='FaultPlan|FaultCase|FaultEngine|FaultCore|RunnerHardening|SweepCheckpoint|Alias|Calendar|Streaming|Sketch|StreamAudit|StealDeque|CoreBudget|Sharded|ReplicationController|AdaptiveSim|Metrics|Weighted|InvariantAuditor|MaxLoad'
+SUITES='FaultPlan|FaultCase|FaultEngine|FaultCore|FlowsInTaskOrder|RunnerHardening|SweepCheckpoint|Alias|Calendar|Streaming|Sketch|StreamAudit|StealDeque|CoreBudget|Sharded|ReplicationController|AdaptiveSim|Metrics|Weighted|InvariantAuditor|MaxLoad'
 IFS='|' read -ra suite_names <<< "$SUITES"
 for suite in "${suite_names[@]}"; do
   if ! ctest --test-dir "$BUILD_DIR" -N -R "$suite" |
